@@ -12,6 +12,7 @@ admissible targets are the pure product states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -95,87 +96,96 @@ def delete_bound(pair: SchmidtPair) -> float:
     return entropy_of_entanglement(schmidt_ket(pair)) - 2.0 * math.log2(pair.b)
 
 
-def _batched_top_eigvec(mflat: np.ndarray) -> np.ndarray:
-    """Top eigenvector of each 2x2 Hermitian matrix in a flattened
-    (R, 4) = [m00, m01, m10, m11] batch."""
-    p = mflat[:, 0].real
-    r = mflat[:, 3].real
-    q = mflat[:, 1]
-    q_sq = q.real * q.real + q.imag * q.imag
-    gap = 0.5 * (r - p) + np.sqrt((0.5 * (p - r)) ** 2 + q_sq)  # top eigenvalue - p
-    norm_sq = q_sq + gap * gap
-    # norm ~ 0 means (nearly) diagonal with p >= r: the top eigenvector is e0
-    degenerate = norm_sq < 1e-28
-    vecs = np.empty((mflat.shape[0], 2), dtype=complex)
-    vecs[:, 0] = np.where(degenerate, 1.0, q)
-    vecs[:, 1] = np.where(degenerate, 0.0, gap)
-    vecs *= 1.0 / np.sqrt(np.where(degenerate, 1.0, norm_sq))[:, None]
-    return vecs
+# Row 4 mu + nu maps a row-major flattened 4x4 G to Tr(G sigma_mu (x) sigma_nu) / 4
+# (Pauli order I, X, Y, Z), so <xy|G|xy> = (1, n_x) . C . (1, n_y) for the Bloch
+# vectors n_x and n_y of |x> and |y>.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI_COEFFS = np.einsum("mab,ncd->mnbdac", _PAULIS, _PAULIS).reshape(16, 16) / 4
 
 
-def _pair_weights(vecs: np.ndarray) -> np.ndarray:
-    """(R, 4) outer products conj(v_i) v_k, flattened over (i, k)."""
-    return (vecs.conj()[:, :, None] * vecs[:, None, :]).reshape(-1, 4)
+def _bloch_of_kets(kets: np.ndarray) -> np.ndarray:
+    """Bloch vectors of the unit qubit kets in the rows of ``kets``."""
+    cross = kets[:, 0].conj() * kets[:, 1]
+    pop = np.abs(kets) ** 2
+    return np.stack([2 * cross.real, 2 * cross.imag, pop[:, 0] - pop[:, 1]], axis=1)
+
+
+def _ket_of_bloch(n: np.ndarray) -> np.ndarray:
+    """A unit ket with Bloch vector ``n``, built from its larger amplitude:
+    the smaller one, sqrt((1 -+ n_z)/2), cancels near the poles."""
+    if n[2] >= 0:
+        big = math.sqrt(0.5 * (1.0 + n[2]))
+        ket = np.array([big, complex(n[0], n[1]) / (2 * big)])
+    else:
+        big = math.sqrt(0.5 * (1.0 - n[2]))
+        ket = np.array([complex(n[0], -n[1]) / (2 * big), big])
+    return ket / np.linalg.norm(ket)
+
+
+@functools.lru_cache(maxsize=4)
+def _product_starts(restarts: int) -> np.ndarray:
+    """Rows (1, n_y) for the y half of each start: the computational corners
+    |0>, |1> (the x half never matters, as every sweep opens with the x best
+    response), then ``restarts`` seeded random kets."""
+    n_random = max(0, int(restarts))
+    raw = np.random.default_rng(0).standard_normal((2, n_random, 2, 2))[1]
+    kets = np.concatenate([np.eye(2, dtype=complex), raw[..., 0] + 1j * raw[..., 1]])
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    starts = np.concatenate([np.ones((len(kets), 1)), _bloch_of_kets(kets)], axis=1)
+    starts.flags.writeable = False
+    return starts
+
+
+def _unit_rows(v: np.ndarray, out: np.ndarray) -> None:
+    """Write each row of ``v`` scaled to unit length into ``out``: the Bloch
+    vector of the top eigenvector of the 2x2 matrix whose Pauli part is that
+    row.  A (near-)zero row leaves the eigenvector undetermined and gives |0>."""
+    norm = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+    if norm.min() < 1e-14:
+        small = norm < 1e-14
+        v[small] = (0.0, 0.0, 1.0)
+        norm[small] = 1.0
+    np.divide(v, norm[:, None], out=out)
 
 
 def _min_product_pure_matrix(matrix: np.ndarray, restarts: int = _PRODUCT_RESTARTS):
     """Array-level core of :func:`min_over_product_pure`.
 
     Maximises <xy|G|xy> with G = log2(rho)|_support - W (I - P_support) by
-    alternating exact 2x2 eigenvector updates on the two Bloch pairs, from
-    the four computational product corners plus seeded random starts.
-    Returns ``(value, x, y)`` with value = +inf when no product state lies
-    in the support.
+    alternating exact best responses on the two Bloch spheres, from the
+    computational corners plus seeded random starts.  Returns ``(value,
+    n_x, n_y)``, the Bloch vectors of the best pair, with value = +inf when
+    no product state lies in the support.
     """
     log_rho, projector = la.matrix_log2_on_support(matrix)
     complement = np.eye(4) - projector
+    coeffs = (np.stack([log_rho, complement]).reshape(2, 16) @ _PAULI_COEFFS.T).real
+    c_log, c_leak = coeffs.reshape(2, 4, 4)
     full_rank = float(np.max(np.abs(complement))) < 1e-12
-    surrogate = log_rho if full_rank else log_rho - _OFF_SUPPORT_WEIGHT * complement
-    g4 = surrogate.reshape(2, 2, 2, 2)
-    # x-update: M_x[r] = sum_jl conj(y_j) y_l G[i,j,k,l]; row (i,k), col (j,l)
-    gx = np.ascontiguousarray(g4.transpose(0, 2, 1, 3).reshape(4, 4))
-    # y-update: rows (j,l), cols (i,k)
-    gy = np.ascontiguousarray(g4.transpose(1, 3, 0, 2).reshape(4, 4))
-
-    rng = np.random.default_rng(0)
-    n_random = max(0, int(restarts))
-    xs = np.zeros((4 + n_random, 2), dtype=complex)
-    ys = np.zeros((4 + n_random, 2), dtype=complex)
-    corners = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for k, (i, j) in enumerate(corners):
-        xs[k, i] = 1.0
-        ys[k, j] = 1.0
-    if n_random:
-        raw = rng.standard_normal((2, n_random, 2, 2))
-        xs[4:] = raw[0, :, :, 0] + 1j * raw[0, :, :, 1]
-        ys[4:] = raw[1, :, :, 0] + 1j * raw[1, :, :, 1]
-        xs[4:] /= np.linalg.norm(xs[4:], axis=1)[:, None]
-        ys[4:] /= np.linalg.norm(ys[4:], axis=1)[:, None]
-
-    previous = ys.copy()
+    c = c_log if full_rank else c_log - _OFF_SUPPORT_WEIGHT * c_leak
+    # rows (1, n_y) @ to_x give the x best-response directions C[1:, :] . (1, n_y)
+    to_x = np.ascontiguousarray(c[1:, :].T)
+    to_y = np.ascontiguousarray(c[:, 1:])
+    my = _product_starts(restarts).copy()
+    my_next = np.ones_like(my)
+    mx = np.ones_like(my)
     for iteration in range(_PRODUCT_ITERATIONS):
-        xs = _batched_top_eigvec(_pair_weights(ys) @ gx.T)
-        ys = _batched_top_eigvec(_pair_weights(xs) @ gy.T)
-        if iteration >= 2:
-            if float(np.max(np.abs(ys - previous))) < 1e-13:
-                break
-            previous = ys.copy()
-        else:
-            previous = ys.copy()
+        _unit_rows(np.dot(my, to_x), mx[:, 1:])
+        _unit_rows(np.dot(mx, to_y), my_next[:, 1:])
+        settled = iteration >= 2 and np.abs(my_next - my).max() < 1e-13
+        my, my_next = my_next, my
+        if settled:
+            break
 
-    w_x = _pair_weights(xs)
-    w_y = _pair_weights(ys)
-    lx = log_rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    qx = complement.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    values = -np.sum(w_x * (w_y @ lx.T), axis=1).real
-    leaks = np.sum(w_x * (w_y @ qx.T), axis=1).real
+    values = -np.einsum("ri,ij,rj->r", mx, c_log, my)
+    leaks = np.einsum("ri,ij,rj->r", mx, c_leak, my)
     valid = leaks <= 1e-10
     if not np.any(valid):
         best = int(np.argmin(leaks))
-        return math.inf, xs[best], ys[best]
+        return math.inf, mx[best, 1:], my[best, 1:]
     values = np.where(valid, values, math.inf)
     best = int(np.argmin(values))
-    return float(values[best]), xs[best], ys[best]
+    return float(values[best]), mx[best, 1:], my[best, 1:]
 
 
 def min_over_product_pure(state: LabeledState, restarts: int = _PRODUCT_RESTARTS):
@@ -188,8 +198,8 @@ def min_over_product_pure(state: LabeledState, restarts: int = _PRODUCT_RESTARTS
     """
     if state.dims != (2, 2):
         raise ValueError(f"two-qubit state required, got dims {state.dims}")
-    value, x, y = _min_product_pure_matrix(state.matrix, restarts)
-    return value, Ket(np.kron(x, y), (2, 2))
+    value, nx, ny = _min_product_pure_matrix(state.matrix, restarts)
+    return value, Ket(np.kron(_ket_of_bloch(nx), _ket_of_bloch(ny)), (2, 2))
 
 
 def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:

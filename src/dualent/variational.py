@@ -11,6 +11,7 @@ can never exceed the analytic reference bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,15 +67,21 @@ def hermitian_from_params(params: UnitaryParams) -> np.ndarray:
     return _hermitian_from_thetas(params.thetas, params.dim)
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (i, j) positions of the strict upper triangle, i < j."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def _hermitian_from_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
-    h = np.zeros((n, n), dtype=complex)
-    h[np.diag_indices(n)] = thetas[:n]
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i, j] = thetas[k] + 1j * thetas[k + 1]
-            h[j, i] = thetas[k] - 1j * thetas[k + 1]
-            k += 2
+    rows, cols = _upper_indices(n)
+    upper = thetas[n::2] + 1j * thetas[n + 1 :: 2]
+    h = np.diag(thetas[:n].astype(complex))
+    h[rows, cols] = upper
+    h[cols, rows] = upper.conj()
     return h
 
 
@@ -85,14 +92,11 @@ def params_from_hermitian(h: np.ndarray) -> UnitaryParams:
     if defect > 1e-10:
         raise ValueError(f"generator is not Hermitian: defect {defect:.3e}")
     n = h.shape[0]
+    upper = h[_upper_indices(n)]
     thetas = np.empty(n * n)
     thetas[:n] = np.diag(h).real
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            thetas[k] = h[i, j].real
-            thetas[k + 1] = h[i, j].imag
-            k += 2
+    thetas[n::2] = upper.real
+    thetas[n + 1 :: 2] = upper.imag
     return UnitaryParams(thetas)
 
 
@@ -195,14 +199,29 @@ def _psi_vec(pair: SchmidtPair) -> np.ndarray:
 
 
 def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
-    """Marginals of (U_AA' (x) U_BB') applied to psi (x) psi."""
+    """Marginals of (U_AA' (x) U_BB') applied to psi (x) psi.
+
+    Arranged as a matrix M over (AA', BB'), psi (x) psi is diag(a^2, ab,
+    ab, b^2), and the local unitaries map it to U_A M U_B^T.
+    """
     psi = _psi_vec(pair)
-    two = np.kron(psi, psi).reshape(2, 2, 2, 2)  # (A, B, A', B')
-    vec = np.kron(u_alice, u_bob) @ two.transpose(0, 2, 1, 3).ravel()
-    t = vec.reshape(2, 2, 2, 2)  # (A, A', B, B')
-    out_ab = np.einsum("apbq,cpdq->abcd", t, t.conj()).reshape(4, 4)
-    out_apbp = np.einsum("apbq,arbs->pqrs", t, t.conj()).reshape(4, 4)
+    weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
+    t = ((u_alice * weights) @ u_bob.T).reshape(2, 2, 2, 2)  # (A, A', B, B')
+    kept = t.transpose(0, 2, 1, 3).reshape(4, 4)  # rows (A, B), columns (A', B')
+    out_ab = kept @ kept.conj().T
+    out_apbp = kept.T @ kept.conj()
     return psi, out_ab, out_apbp
+
+
+def _delete_objective_matrices(pair, u_alice, u_bob) -> float:
+    psi, out_ab, out_apbp = _delete_terms(pair, u_alice, u_bob)
+    term_keep = _pure_rel_entropy(psi, out_ab)
+    if math.isinf(term_keep):
+        return math.inf
+    term_separable, _, _ = _min_product_pure_matrix(out_apbp)
+    if math.isinf(term_separable):
+        return math.inf
+    return 0.5 * (term_keep + term_separable)
 
 
 def delete_objective(
@@ -217,16 +236,9 @@ def delete_objective(
     """
     ua = _require_dim(u_alice, 4)
     ub = _require_dim(u_bob, 4)
-    psi, out_ab, out_apbp = _delete_terms(
+    return _delete_objective_matrices(
         pair, _unitary_from_thetas(ua.thetas, 4), _unitary_from_thetas(ub.thetas, 4)
     )
-    term_keep = _pure_rel_entropy(psi, out_ab)
-    if math.isinf(term_keep):
-        return math.inf
-    term_separable, _, _ = _min_product_pure_matrix(out_apbp)
-    if math.isinf(term_separable):
-        return math.inf
-    return 0.5 * (term_keep + term_separable)
 
 
 def clone_objective(
@@ -251,15 +263,17 @@ def clone_objective(
 
 
 def _clone_copies(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
-    """(A, B) and (A', B') marginals of the cloning circuit output."""
-    t0 = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)  # (A, A', Ae, B, B', Be)
-    t0[0, 0, 0, 0, 0, 0] = pair.a
-    t0[1, 0, 0, 1, 0, 0] = pair.b
-    vec = np.kron(u_alice, u_bob) @ t0.ravel()
-    t = vec.reshape(2, 2, 2, 2, 2, 2)
-    copy1 = np.einsum("apebqf,cpedqf->abcd", t, t.conj()).reshape(4, 4)
-    copy2 = np.einsum("apebqf,arebsf->pqrs", t, t.conj()).reshape(4, 4)
-    return copy1, copy2
+    """(A, B) and (A', B') marginals of the cloning circuit output.
+
+    Blanks and environments start in |0>, so the input a|000,000> +
+    b|100,100> meets only columns 0 and 4 of each unitary.
+    """
+    cols = [0, 4]
+    out = (u_alice[:, cols] * (pair.a, pair.b)) @ u_bob[:, cols].T
+    t = out.reshape(2, 2, 2, 2, 2, 2)  # (A, A', Ae, B, B', Be)
+    first = t.transpose(0, 3, 1, 2, 4, 5).reshape(4, 16)
+    second = t.transpose(1, 4, 0, 2, 3, 5).reshape(4, 16)
+    return first @ first.conj().T, second @ second.conj().T
 
 
 def _clone_objective_matrices(pair, u_alice, u_bob, penalty: float) -> float:
@@ -267,8 +281,7 @@ def _clone_objective_matrices(pair, u_alice, u_bob, penalty: float) -> float:
     term = _pure_rel_entropy(_psi_vec(pair), copy1)
     if math.isinf(term):
         return math.inf
-    asymmetry = float(np.sum(np.abs(np.linalg.eigvalsh(copy1 - copy2))))
-    return term + penalty * asymmetry
+    return term + penalty * la.trace_norm(copy1 - copy2)
 
 
 def copy_asymmetry(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
@@ -278,7 +291,7 @@ def copy_asymmetry(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryPara
     copy1, copy2 = _clone_copies(
         pair, _unitary_from_thetas(ua.thetas, 8), _unitary_from_thetas(ub.thetas, 8)
     )
-    return float(np.sum(np.abs(np.linalg.eigvalsh(copy1 - copy2))))
+    return la.trace_norm(copy1 - copy2)
 
 
 def _require_dim(params: UnitaryParams, n: int) -> UnitaryParams:
@@ -344,14 +357,9 @@ def optimize_delete(
     ]
 
     def objective(x):
-        psi, out_ab, out_apbp = _delete_terms(
+        return _delete_objective_matrices(
             pair, _unitary_from_thetas(x[:16], 4), _unitary_from_thetas(x[16:], 4)
         )
-        term_keep = _pure_rel_entropy(psi, out_ab)
-        if math.isinf(term_keep):
-            return math.inf
-        term_sep, _, _ = _min_product_pure_matrix(out_apbp)
-        return 0.5 * (term_keep + term_sep) if math.isfinite(term_sep) else math.inf
 
     best_x, _ = _run_search(objective, seeds, 32, restarts, seed, max_evals)
     params = (UnitaryParams(best_x[:16]), UnitaryParams(best_x[16:]))

@@ -42,9 +42,24 @@ class TestParameterisation:
 
     def test_roundtrip_through_generator(self):
         rng = np.random.default_rng(83)
-        params = UnitaryParams(rng.standard_normal(16))
-        back = params_from_hermitian(hermitian_from_params(params))
-        assert np.max(np.abs(back.thetas - params.thetas)) < 1e-14
+        for n in (2, 4, 8):
+            params = UnitaryParams(rng.standard_normal(n * n))
+            back = params_from_hermitian(hermitian_from_params(params))
+            assert np.max(np.abs(back.thetas - params.thetas)) < 1e-14
+
+    def test_generator_layout_matches_loop_reference(self):
+        # diagonal first, then (re, im) of the upper triangle row by row
+        rng = np.random.default_rng(89)
+        for n in (2, 4, 8):
+            thetas = rng.standard_normal(n * n)
+            expected = np.diag(thetas[:n]).astype(complex)
+            k = n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    expected[i, j] = thetas[k] + 1j * thetas[k + 1]
+                    expected[j, i] = thetas[k] - 1j * thetas[k + 1]
+                    k += 2
+            assert np.array_equal(hermitian_from_params(UnitaryParams(thetas)), expected)
 
     def test_non_square_length_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -159,6 +174,51 @@ class TestOptimizeClone:
         first = optimize_clone(SchmidtPair(0.4), restarts=2, seed=8, max_evals=FAST_EVALS)
         second = optimize_clone(SchmidtPair(0.4), restarts=2, seed=8, max_evals=FAST_EVALS)
         assert first.best_objective == second.best_objective
+
+
+def _random_unitary(rng, n):
+    return param_to_unitary(UnitaryParams(rng.uniform(-math.pi, math.pi, n * n)))
+
+
+class TestMachineKernels:
+    """The circuit kernels against explicit U_A (x) U_B references."""
+
+    def test_delete_terms_match_kron_reference(self):
+        from dualent.variational import _delete_terms
+
+        rng = np.random.default_rng(97)
+        for a in (0.0, 0.3, 0.6, SYM):
+            pair = SchmidtPair(a)
+            psi = np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
+            # (A, B, A', B') reordered to (A, A', B, B')
+            two = np.kron(psi, psi).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
+            for _ in range(3):
+                u_a, u_b = _random_unitary(rng, 4), _random_unitary(rng, 4)
+                t = (np.kron(u_a, u_b) @ two).reshape(2, 2, 2, 2)
+                want_ab = np.einsum("apbq,cpdq->abcd", t, t.conj()).reshape(4, 4)
+                want_apbp = np.einsum("apbq,arbs->pqrs", t, t.conj()).reshape(4, 4)
+                got_psi, got_ab, got_apbp = _delete_terms(pair, u_a, u_b)
+                assert np.max(np.abs(got_psi - psi)) < 1e-15
+                assert np.max(np.abs(got_ab - want_ab)) < 1e-12
+                assert np.max(np.abs(got_apbp - want_apbp)) < 1e-12
+
+    def test_clone_copies_match_kron_reference(self):
+        from dualent.variational import _clone_copies
+
+        rng = np.random.default_rng(101)
+        for a in (0.0, 0.3, 0.6, SYM):
+            pair = SchmidtPair(a)
+            start = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)  # (A, A', Ae, B, B', Be)
+            start[0, 0, 0, 0, 0, 0] = pair.a
+            start[1, 0, 0, 1, 0, 0] = pair.b
+            for _ in range(3):
+                u_a, u_b = _random_unitary(rng, 8), _random_unitary(rng, 8)
+                t = (np.kron(u_a, u_b) @ start.ravel()).reshape((2,) * 6)
+                want1 = np.einsum("apebqf,cpedqf->abcd", t, t.conj()).reshape(4, 4)
+                want2 = np.einsum("apebqf,arebsf->pqrs", t, t.conj()).reshape(4, 4)
+                copy1, copy2 = _clone_copies(pair, u_a, u_b)
+                assert np.max(np.abs(copy1 - want1)) < 1e-12
+                assert np.max(np.abs(copy2 - want2)) < 1e-12
 
 
 class TestReachability:
