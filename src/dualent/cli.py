@@ -47,12 +47,6 @@ def _fmt(key: str, value: float, digits: int = 9) -> str:
     return f"{key}={value:.{digits}f}"
 
 
-def _pair_in_range(a: float) -> SchmidtPair:
-    if not 0.0 < a <= A_MAX:
-        raise ValueError(f"a = {a} outside (0, 1/sqrt(2)]")
-    return SchmidtPair(a)
-
-
 def sweep_rows(points: int) -> list[SweepRow]:
     """Bound data on a uniform grid over [0.01, 1/sqrt(2)]."""
     if points < 2:
@@ -79,7 +73,7 @@ def render_sweep_csv(points: int) -> str:
 
 
 def _cmd_clone_bound(args) -> int:
-    record = clone_bound_combined(_pair_in_range(args.a))
+    record = clone_bound_combined(SchmidtPair(args.a))
     print(
         " ".join(
             [
@@ -94,7 +88,7 @@ def _cmd_clone_bound(args) -> int:
 
 
 def _cmd_delete_bound(args) -> int:
-    pair = _pair_in_range(args.a)
+    pair = SchmidtPair(args.a)
     e = entropy_of_entanglement(schmidt_ket(pair))
     print(" ".join([_fmt("a", pair.a), _fmt("E", e), _fmt("D_bound", delete_bound(pair))]))
     return 0

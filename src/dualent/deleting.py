@@ -12,7 +12,6 @@ admissible targets are the pure product states.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import linalg as la
 from .qstate import (
+    SUPPORT_LEAK_TOL,
     Ket,
     LabeledState,
     SchmidtPair,
@@ -122,18 +122,19 @@ def _ket_of_bloch(n: np.ndarray) -> np.ndarray:
     return ket / np.linalg.norm(ket)
 
 
-@functools.lru_cache(maxsize=4)
-def _product_starts(restarts: int) -> np.ndarray:
+def _product_starts() -> np.ndarray:
     """Rows (1, n_y) for the y half of each start: the computational corners
     |0>, |1> (the x half never matters, as every sweep opens with the x best
-    response), then ``restarts`` seeded random kets."""
-    n_random = max(0, int(restarts))
-    raw = np.random.default_rng(0).standard_normal((2, n_random, 2, 2))[1]
+    response), then ``_PRODUCT_RESTARTS`` seeded random kets."""
+    raw = np.random.default_rng(0).standard_normal((2, _PRODUCT_RESTARTS, 2, 2))[1]
     kets = np.concatenate([np.eye(2, dtype=complex), raw[..., 0] + 1j * raw[..., 1]])
     kets /= np.linalg.norm(kets, axis=1)[:, None]
     starts = np.concatenate([np.ones((len(kets), 1)), _bloch_of_kets(kets)], axis=1)
     starts.flags.writeable = False
     return starts
+
+
+_PRODUCT_STARTS = _product_starts()
 
 
 def _unit_rows(v: np.ndarray, out: np.ndarray) -> None:
@@ -148,7 +149,7 @@ def _unit_rows(v: np.ndarray, out: np.ndarray) -> None:
     np.divide(v, norm[:, None], out=out)
 
 
-def _min_product_pure_matrix(matrix: np.ndarray, restarts: int = _PRODUCT_RESTARTS):
+def _min_product_pure_matrix(matrix: np.ndarray):
     """Array-level core of :func:`min_over_product_pure`.
 
     Maximises <xy|G|xy> with G = log2(rho)|_support - W (I - P_support) by
@@ -166,7 +167,7 @@ def _min_product_pure_matrix(matrix: np.ndarray, restarts: int = _PRODUCT_RESTAR
     # rows (1, n_y) @ to_x give the x best-response directions C[1:, :] . (1, n_y)
     to_x = np.ascontiguousarray(c[1:, :].T)
     to_y = np.ascontiguousarray(c[:, 1:])
-    my = _product_starts(restarts).copy()
+    my = _PRODUCT_STARTS.copy()
     my_next = np.ones_like(my)
     mx = np.ones_like(my)
     for iteration in range(_PRODUCT_ITERATIONS):
@@ -179,7 +180,7 @@ def _min_product_pure_matrix(matrix: np.ndarray, restarts: int = _PRODUCT_RESTAR
 
     values = -np.einsum("ri,ij,rj->r", mx, c_log, my)
     leaks = np.einsum("ri,ij,rj->r", mx, c_leak, my)
-    valid = leaks <= 1e-10
+    valid = leaks <= SUPPORT_LEAK_TOL
     if not np.any(valid):
         best = int(np.argmin(leaks))
         return math.inf, mx[best, 1:], my[best, 1:]
@@ -188,7 +189,7 @@ def _min_product_pure_matrix(matrix: np.ndarray, restarts: int = _PRODUCT_RESTAR
     return float(values[best]), mx[best, 1:], my[best, 1:]
 
 
-def min_over_product_pure(state: LabeledState, restarts: int = _PRODUCT_RESTARTS):
+def min_over_product_pure(state: LabeledState):
     """Minimise S(|xy><xy| | rho) over pure product kets |x>(x)|y>.
 
     For a pure target the relative entropy reduces to -<xy| log2 rho |xy>,
@@ -198,7 +199,7 @@ def min_over_product_pure(state: LabeledState, restarts: int = _PRODUCT_RESTARTS
     """
     if state.dims != (2, 2):
         raise ValueError(f"two-qubit state required, got dims {state.dims}")
-    value, nx, ny = _min_product_pure_matrix(state.matrix, restarts)
+    value, nx, ny = _min_product_pure_matrix(state.matrix)
     return value, Ket(np.kron(_ket_of_bloch(nx), _ket_of_bloch(ny)), (2, 2))
 
 

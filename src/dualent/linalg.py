@@ -44,15 +44,16 @@ def hermiticity_defect(matrix) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def hermitian_eig(matrix, tol: float = HERMITICITY_TOL) -> EigenSystem:
+def hermitian_eig(matrix) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises ``ValueError`` if the input is not Hermitian within ``tol`` and
-    ``RuntimeError`` if the underlying solver fails to converge.
+    Raises ``ValueError`` if the input is not Hermitian within
+    ``HERMITICITY_TOL`` and ``RuntimeError`` if the underlying solver fails
+    to converge.
     """
     m = as_matrix(matrix)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
     try:
         values, vectors = np.linalg.eigh(m)
@@ -63,18 +64,18 @@ def hermitian_eig(matrix, tol: float = HERMITICITY_TOL) -> EigenSystem:
     return EigenSystem(values, vectors)
 
 
-def matrix_log2_on_support(matrix, tol: float = SUPPORT_TOL):
+def matrix_log2_on_support(matrix):
     """Base-2 matrix logarithm of a PSD matrix, restricted to its support.
 
-    Returns ``(log, projector)`` where ``log = sum_{l>tol} log2(l) v v^dag``
-    and ``projector`` projects onto the span of the kept eigenvectors.
-    Eigenvalues in [-1e-12, tol] are treated as zero; anything more negative
-    is rejected as not positive semidefinite.
+    Returns ``(log, projector)`` where ``log = sum_{l > SUPPORT_TOL} log2(l)
+    v v^dag`` and ``projector`` projects onto the span of the kept
+    eigenvectors.  Eigenvalues in [-1e-12, SUPPORT_TOL] are treated as zero;
+    anything more negative is rejected as not positive semidefinite.
     """
     values, vectors = hermitian_eig(matrix)
     if values[0] < -1e-12:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {values[0]:.3e}")
-    on_support = values > tol
+    on_support = values > SUPPORT_TOL
     cols = vectors[:, on_support]
     log = (cols * np.log2(values[on_support])) @ cols.conj().T
     projector = cols @ cols.conj().T

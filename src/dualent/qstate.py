@@ -130,6 +130,8 @@ class SchmidtPair:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"Schmidt coefficient a = {a} outside [0, 1]")
         b = math.sqrt(max(0.0, 1.0 - a * a)) if self.b is None else float(self.b)
+        if b < 0.0:
+            raise ValueError(f"Schmidt coefficient b = {b} is negative")
         if abs(a * a + b * b - 1.0) > 1e-12:
             raise ValueError(f"a^2 + b^2 = {a * a + b * b}, expected 1")
         object.__setattr__(self, "a", a)

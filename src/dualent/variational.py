@@ -4,9 +4,11 @@ cloning and deleting bounds from within the corresponding machine families.
 Unitaries are encoded as U = exp(iH) with H Hermitian, assembled from a real
 parameter vector of length n^2 (n diagonal entries, then the real/imaginary
 parts of the upper triangle row by row).  Searches are seeded at the known
-analytic machines -- the A/A' swap for deleting, the completed universal
-cloner (and a basis-copying fallback) for cloning -- so the best objective
-can never exceed the analytic reference bound.
+analytic machines, each written as a unitary involution W whose generator
+pi (I - W) / 2 is exact: the A/A' swap for deleting; for cloning, a
+reflection that acts as the universal cloner on the inputs the circuit
+feeds it, and a basis-copying fallback.  So the best objective can never
+exceed the analytic reference bound.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import logm
 from scipy.optimize import minimize
 
 from . import linalg as la
 from .cloning import clone_bound, universal_clone_isometry
 from .deleting import _min_product_pure_matrix, delete_bound
-from .qstate import SchmidtPair
+from .qstate import SUPPORT_LEAK_TOL, SchmidtPair
 
 SYMMETRY_PENALTY = 10.0
 # infinite objectives are clipped to this inside the simplex search only
@@ -132,42 +133,19 @@ def swap_delete_seed() -> tuple[UnitaryParams, UnitaryParams]:
     return alice, bob
 
 
-def _complete_cloner_unitary() -> np.ndarray:
-    """Extend the 8x2 cloner isometry to an 8x8 unitary.
-
-    The defined columns sit at the |input, 0, 0> basis slots (indices 0 and
-    4); the rest are filled by Gram-Schmidt of the canonical basis against
-    the columns placed so far.
-    """
-    v = universal_clone_isometry().matrix
-    columns = [v[:, 0], v[:, 1]]
-    for k in range(8):
-        candidate = np.zeros(8, dtype=complex)
-        candidate[k] = 1.0
-        for _ in range(2):  # re-orthogonalise to keep the basis clean
-            for col in columns:
-                candidate = candidate - col * (col.conj() @ candidate)
-        norm = float(np.linalg.norm(candidate))
-        if norm > 1e-8:
-            columns.append(candidate / norm)
-        if len(columns) == 8:
-            break
-    u = np.zeros((8, 8), dtype=complex)
-    u[:, 0] = columns[0]
-    u[:, 4] = columns[1]
-    free = [c for c in range(8) if c not in (0, 4)]
-    for slot, col in zip(free, columns[2:], strict=True):
-        u[:, slot] = col
-    return u
-
-
 def cloner_seed_params() -> UnitaryParams:
-    """Parameters of the completed universal cloner (via its principal
-    Hermitian logarithm)."""
-    u = _complete_cloner_unitary()
-    h = -1j * logm(u)
-    h = 0.5 * (h + h.conj().T)
-    return params_from_hermitian(h)
+    """Parameters of an 8x8 involution that acts as the universal cloner.
+
+    Only |000> and |100> (columns 0 and 4) ever enter the cloning circuit.
+    With d_0 = |000> - v_0 and d_1 = |100> - v_1 for the cloner's columns
+    v_0 and v_1, the reflection W = I - 2Q, Q the projector onto span{d_0,
+    d_1}, sends |000> to v_0 and |100> to v_1: the overlaps <000|v_0> and
+    <100|v_1> are real, the cross overlaps vanish and d_0 is orthogonal to
+    d_1.
+    """
+    d = np.eye(8)[:, [0, 4]] - universal_clone_isometry().matrix
+    q, _ = np.linalg.qr(d)
+    return params_from_hermitian(_involution_generator(np.eye(8) - 2 * q @ q.conj().T))
 
 
 def basis_copy_seed_params() -> UnitaryParams:
@@ -189,7 +167,7 @@ def _pure_rel_entropy(vec: np.ndarray, rho: np.ndarray) -> float:
     values, vectors = np.linalg.eigh(rho)
     weights = np.abs(vectors.conj().T @ vec) ** 2
     on_support = values > la.SUPPORT_TOL
-    if float(weights[~on_support].sum()) > 1e-10:
+    if float(weights[~on_support].sum()) > SUPPORT_LEAK_TOL:
         return math.inf
     return float(-(weights[on_support] * np.log2(values[on_support])).sum())
 
@@ -234,31 +212,23 @@ def delete_objective(
     instance the identity machine, whose deleted copy is still the
     entangled pure input).
     """
-    ua = _require_dim(u_alice, 4)
-    ub = _require_dim(u_bob, 4)
+    _require_dim(u_alice, 4)
+    _require_dim(u_bob, 4)
     return _delete_objective_matrices(
-        pair, _unitary_from_thetas(ua.thetas, 4), _unitary_from_thetas(ub.thetas, 4)
+        pair, _unitary_from_thetas(u_alice.thetas, 4), _unitary_from_thetas(u_bob.thetas, 4)
     )
 
 
-def clone_objective(
-    pair: SchmidtPair,
-    u_alice: UnitaryParams,
-    u_bob: UnitaryParams,
-    penalty: float = SYMMETRY_PENALTY,
-) -> float:
+def clone_objective(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
     """Cloning quality of local unitaries on (A, A', Ae) and (B, B', Be).
 
-    S(psi | copy1) plus ``penalty`` times the trace-norm asymmetry between
-    the two copies; blanks and environments start in |0>.
+    S(psi | copy1) plus ``SYMMETRY_PENALTY`` times the trace-norm asymmetry
+    between the two copies; blanks and environments start in |0>.
     """
-    ua = _require_dim(u_alice, 8)
-    ub = _require_dim(u_bob, 8)
+    _require_dim(u_alice, 8)
+    _require_dim(u_bob, 8)
     return _clone_objective_matrices(
-        pair,
-        _unitary_from_thetas(ua.thetas, 8),
-        _unitary_from_thetas(ub.thetas, 8),
-        penalty,
+        pair, _unitary_from_thetas(u_alice.thetas, 8), _unitary_from_thetas(u_bob.thetas, 8)
     )
 
 
@@ -276,30 +246,27 @@ def _clone_copies(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     return first @ first.conj().T, second @ second.conj().T
 
 
-def _clone_objective_matrices(pair, u_alice, u_bob, penalty: float) -> float:
+def _clone_objective_matrices(pair, u_alice, u_bob) -> float:
     copy1, copy2 = _clone_copies(pair, u_alice, u_bob)
     term = _pure_rel_entropy(_psi_vec(pair), copy1)
     if math.isinf(term):
         return math.inf
-    return term + penalty * la.trace_norm(copy1 - copy2)
+    return term + SYMMETRY_PENALTY * la.trace_norm(copy1 - copy2)
 
 
 def copy_asymmetry(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
     """Trace-norm difference between the two copies at given parameters."""
-    ua = _require_dim(u_alice, 8)
-    ub = _require_dim(u_bob, 8)
+    _require_dim(u_alice, 8)
+    _require_dim(u_bob, 8)
     copy1, copy2 = _clone_copies(
-        pair, _unitary_from_thetas(ua.thetas, 8), _unitary_from_thetas(ub.thetas, 8)
+        pair, _unitary_from_thetas(u_alice.thetas, 8), _unitary_from_thetas(u_bob.thetas, 8)
     )
     return la.trace_norm(copy1 - copy2)
 
 
-def _require_dim(params: UnitaryParams, n: int) -> UnitaryParams:
-    if not isinstance(params, UnitaryParams):
-        params = UnitaryParams(params)
+def _require_dim(params: UnitaryParams, n: int) -> None:
     if params.dim != n:
         raise ValueError(f"expected parameters for a {n}x{n} unitary, got {params.dim}x{params.dim}")
-    return params
 
 
 def _run_search(objective, seeds, n_params, restarts, seed, max_evals):
@@ -377,9 +344,9 @@ def optimize_clone(
 ) -> SearchReport:
     """Search local-unitary-with-fixed-ancilla cloning machines.
 
-    Seeded at the completed universal cloner and at the basis-copying
-    machine, so the result never exceeds :func:`clone_bound`; deterministic
-    for fixed (pair, restarts, seed).
+    Seeded at the universal cloner and at the basis-copying machine, so
+    the result never exceeds :func:`clone_bound`; deterministic for fixed
+    (pair, restarts, seed).
     """
     reference = clone_bound(pair)
     cloner = cloner_seed_params().thetas
@@ -391,10 +358,7 @@ def optimize_clone(
 
     def objective(x):
         return _clone_objective_matrices(
-            pair,
-            _unitary_from_thetas(x[:64], 8),
-            _unitary_from_thetas(x[64:], 8),
-            SYMMETRY_PENALTY,
+            pair, _unitary_from_thetas(x[:64], 8), _unitary_from_thetas(x[64:], 8)
         )
 
     best_x, _ = _run_search(objective, seeds, 128, restarts, seed, max_evals)

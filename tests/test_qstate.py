@@ -60,6 +60,8 @@ class TestSchmidtPair:
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(ValueError):
             SchmidtPair(0.6, 0.9)
+        with pytest.raises(ValueError, match="negative"):
+            SchmidtPair(0.6, -0.8)
 
 
 class TestKetAndState:

@@ -80,6 +80,9 @@ class TestSeeds:
         v = universal_clone_isometry().matrix
         assert np.max(np.abs(u[:, 0] - v[:, 0])) < 1e-10
         assert np.max(np.abs(u[:, 4] - v[:, 1])) < 1e-10
+        # the seed is a reflection: Hermitian and its own inverse
+        assert np.max(np.abs(u - u.conj().T)) < 1e-12
+        assert np.max(np.abs(u @ u - np.eye(8))) < 1e-12
 
     def test_cloner_seed_objective_matches_bound(self):
         pair = SchmidtPair(0.6)
