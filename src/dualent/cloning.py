@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import linalg as la
 from .qstate import (
@@ -41,7 +42,7 @@ class CloneIsometry:
         if matrix.shape != (8, 2):
             raise ValueError(f"clone isometry must be 8x2, got {matrix.shape}")
         gram = matrix.conj().T @ matrix
-        if np.max(np.abs(gram - np.eye(2))) > 1e-12:
+        if not np.max(np.abs(gram - np.eye(2))) <= 1e-12:
             raise ValueError("clone isometry columns are not orthonormal")
 
 
@@ -132,12 +133,12 @@ def clone_bound_combined(pair: SchmidtPair) -> CloneBoundRecord:
     return CloneBoundRecord(pair.a, e_r, s_clone, min(e_r, s_clone))
 
 
-def crossover(bracket=(0.3, 0.55), tol: float = 1e-7) -> float:
-    """Root of E_R(a) - S_clone(a) by bisection.
+def crossover(bracket=(0.3, 0.55)) -> float:
+    """Root of E_R(a) - S_clone(a) by Brent's method, to within 1e-7 in a.
 
     The default bracket has E_R smaller at the left end and larger at the
     right end; raises ``ValueError`` if the supplied bracket does not change
-    sign.  The interval is narrowed below ``tol``.
+    sign.
     """
 
     def gap(a: float) -> float:
@@ -146,19 +147,6 @@ def crossover(bracket=(0.3, 0.55), tol: float = 1e-7) -> float:
 
     lo, hi = float(bracket[0]), float(bracket[1])
     gap_lo, gap_hi = gap(lo), gap(hi)
-    if gap_lo == 0.0:
-        return lo
-    if gap_hi == 0.0:
-        return hi
-    if math.copysign(1.0, gap_lo) == math.copysign(1.0, gap_hi):
+    if gap_lo * gap_hi > 0.0:
         raise ValueError(f"no sign change on [{lo}, {hi}]: gap = {gap_lo:.4g}, {gap_hi:.4g}")
-    while hi - lo >= tol:
-        mid = 0.5 * (lo + hi)
-        gap_mid = gap(mid)
-        if gap_mid == 0.0:
-            return mid
-        if math.copysign(1.0, gap_mid) == math.copysign(1.0, gap_lo):
-            lo, gap_lo = mid, gap_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(gap, lo, hi, xtol=1e-7)

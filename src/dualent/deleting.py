@@ -4,7 +4,8 @@ deleting.
 
 Deleting works on two copies of a|00> + b|11> held as (A, B) and (A', B');
 the only closed local operations are local unitaries, so the machine here is
-the unitary that swaps A with A' at Alice's side.  Its quality is the mean
+the unitary that swaps A with A' at Alice's side, run through the same
+circuit kernel as the local-unitary search.  Its quality is the mean
 of two relative-entropy terms: kept copy against the input, and the best
 admissible separable target against the deleted copy.  For pure inputs the
 admissible targets are the pure product states.
@@ -30,10 +31,8 @@ from .qstate import (
     relative_entropy,
     schmidt_decompose,
     schmidt_ket,
-    trace_out,
 )
 
-TWO_COPY_LABELS = ("A", "B", "A'", "B'")
 # surrogate weight steering the product search back onto the support
 _OFF_SUPPORT_WEIGHT = 1e6
 _PRODUCT_RESTARTS = 20
@@ -62,19 +61,46 @@ def two_copy_ket(pair: SchmidtPair) -> Ket:
     return Ket(np.kron(psi.amplitudes, psi.amplitudes), (2, 2, 2, 2))
 
 
+def swap_gate() -> np.ndarray:
+    """The two-qubit swap |ij> -> |ji> as a 4x4 matrix."""
+    s = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            s[2 * j + i, 2 * i + j] = 1.0
+    return s
+
+
+def _psi_vec(pair: SchmidtPair) -> np.ndarray:
+    return np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
+
+
+def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
+    """Marginals of (U_AA' (x) U_BB') applied to psi (x) psi.
+
+    Arranged as a matrix M over (AA', BB'), psi (x) psi is diag(a^2, ab,
+    ab, b^2), and the local unitaries map it to U_A M U_B^T.
+    """
+    psi = _psi_vec(pair)
+    weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
+    t = ((u_alice * weights) @ u_bob.T).reshape(2, 2, 2, 2)  # (A, A', B, B')
+    kept = t.transpose(0, 2, 1, 3).reshape(4, 4)  # rows (A, B), columns (A', B')
+    out_ab = kept @ kept.conj().T
+    out_apbp = kept.T @ kept.conj()
+    return psi, out_ab, out_apbp
+
+
 def local_delete_swap(pair: SchmidtPair) -> DeleteOutcome:
     """Apply the swap deleter to two copies of a|00> + b|11>.
 
-    Swapping A with A' and tracing either pair leaves diag(a^4, a^2 b^2,
-    a^2 b^2, b^4) at both (A, B) and (A', B'); the inner minimisation over
-    pure product targets is attained at |11> (for b >= a), giving the
-    closed-form objective E(psi) - 2 log2(b).
+    Runs the search's circuit kernel at the machine (swap on AA', identity
+    on BB'), which leaves diag(a^4, a^2 b^2, a^2 b^2, b^4) at both (A, B)
+    and (A', B'); the inner minimisation over pure product targets is
+    attained at |11> (for b >= a), giving the closed-form objective
+    E(psi) - 2 log2(b).
     """
-    ket = two_copy_ket(pair)
-    swapped = la.permute_ket(ket.amplitudes, ket.dims, (2, 1, 0, 3))
-    zeta = LabeledState(np.outer(swapped, swapped.conj()), ket.dims, TWO_COPY_LABELS)
-    out_ab = trace_out(zeta, ("A'", "B'"))
-    out_apbp = trace_out(zeta, ("A", "B"))
+    _, ab, apbp = _delete_terms(pair, swap_gate(), np.eye(4))
+    out_ab = LabeledState(ab, (2, 2), ("A", "B"))
+    out_apbp = LabeledState(apbp, (2, 2), ("A'", "B'"))
     term_keep = relative_entropy(dm_from_ket(schmidt_ket(pair)), out_ab)
     term_separable, _ = min_over_product_pure(out_apbp)
     return DeleteOutcome(

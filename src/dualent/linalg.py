@@ -53,7 +53,7 @@ def hermitian_eig(matrix) -> EigenSystem:
     """
     m = as_matrix(matrix)
     defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
     try:
         values, vectors = np.linalg.eigh(m)

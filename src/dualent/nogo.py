@@ -39,7 +39,7 @@ class KrausSet:
             raise ValueError("all Kraus operators must share one dimension")
         total = sum(op.conj().T @ op for op in ops)
         defect = float(np.linalg.norm(total - np.eye(dim)))
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:
             raise ValueError(
                 f"incomplete Kraus set: ||sum A^dag A - I|| = {defect:.3e}"
             )
@@ -82,7 +82,7 @@ def measure_forget_channel(alpha: Ket, basis: np.ndarray | None = None):
         basis = np.eye(2, dtype=complex)
     else:
         basis = la.as_matrix(basis)
-        if np.max(np.abs(basis.conj().T @ basis - np.eye(2))) > 1e-10:
+        if not np.max(np.abs(basis.conj().T @ basis - np.eye(2))) <= 1e-10:
             raise ValueError("measurement basis must be unitary")
     projectors = tuple(
         np.outer(basis[:, k], basis[:, k].conj()) for k in range(2)

@@ -51,10 +51,10 @@ class LabeledState:
             raise ValueError(f"labels must be distinct, got {labels}")
         la._check_dims(dims, matrix.shape[0])
         trace = complex(np.trace(matrix))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"state trace is {trace}, expected 1")
         defect = la.hermiticity_defect(matrix)
-        if defect > la.HERMITICITY_TOL:
+        if not defect <= la.HERMITICITY_TOL:
             raise ValueError(f"state is not Hermitian: defect {defect:.3e}")
         smallest = float(np.linalg.eigvalsh(matrix)[0])
         if smallest < -PSD_TOL:
@@ -93,7 +93,7 @@ class Ket:
         object.__setattr__(self, "dims", dims)
         la._check_dims(dims, amps.size)
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"ket norm is {norm}, expected 1")
 
 
@@ -106,11 +106,6 @@ def basis_ket(dims: Sequence[int], occupations: Sequence[int]) -> Ket:
         index = index * d + int(k)
     amps[index] = 1.0
     return Ket(amps, dims)
-
-
-def tensor_ket(left: Ket, right: Ket) -> Ket:
-    """Tensor product of two kets (left factors first)."""
-    return Ket(np.kron(left.amplitudes, right.amplitudes), left.dims + right.dims)
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ class SchmidtPair:
         b = math.sqrt(max(0.0, 1.0 - a * a)) if self.b is None else float(self.b)
         if b < 0.0:
             raise ValueError(f"Schmidt coefficient b = {b} is negative")
-        if abs(a * a + b * b - 1.0) > 1e-12:
+        if not abs(a * a + b * b - 1.0) <= 1e-12:
             raise ValueError(f"a^2 + b^2 = {a * a + b * b}, expected 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

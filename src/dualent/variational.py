@@ -9,6 +9,11 @@ pi (I - W) / 2 is exact: the A/A' swap for deleting; for cloning, a
 reflection that acts as the universal cloner on the inputs the circuit
 feeds it, and a basis-copying fallback.  So the best objective can never
 exceed the analytic reference bound.
+
+Each machine family has one circuit kernel, taking the pair and the two
+unitaries to the objective, and both searches run one simplex driver over
+it.  The deleting kernel is the one :func:`~dualent.deleting.local_delete_swap`
+evaluates at the swap.
 """
 
 from __future__ import annotations
@@ -22,7 +27,13 @@ from scipy.optimize import minimize
 
 from . import linalg as la
 from .cloning import clone_bound, universal_clone_isometry
-from .deleting import _min_product_pure_matrix, delete_bound
+from .deleting import (
+    _delete_terms,
+    _min_product_pure_matrix,
+    _psi_vec,
+    delete_bound,
+    swap_gate,
+)
 from .qstate import SUPPORT_LEAK_TOL, SchmidtPair
 
 SYMMETRY_PENALTY = 10.0
@@ -111,18 +122,19 @@ def _unitary_from_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
     return (vectors * np.exp(1j * values)) @ vectors.conj().T
 
 
+def _pair_unitaries(u_alice: UnitaryParams, u_bob: UnitaryParams, n: int):
+    """The two n x n unitaries a parameter pair encodes."""
+    for params in (u_alice, u_bob):
+        if params.dim != n:
+            raise ValueError(
+                f"expected parameters for a {n}x{n} unitary, got {params.dim}x{params.dim}"
+            )
+    return _unitary_from_thetas(u_alice.thetas, n), _unitary_from_thetas(u_bob.thetas, n)
+
+
 def _involution_generator(w: np.ndarray) -> np.ndarray:
     """Hermitian H with exp(iH) = W for a unitary involution W (W^2 = I)."""
     return math.pi * (np.eye(w.shape[0]) - w) / 2.0
-
-
-def swap_gate() -> np.ndarray:
-    """The two-qubit swap |ij> -> |ji> as a 4x4 matrix."""
-    s = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            s[2 * j + i, 2 * i + j] = 1.0
-    return s
 
 
 def swap_delete_seed() -> tuple[UnitaryParams, UnitaryParams]:
@@ -172,25 +184,6 @@ def _pure_rel_entropy(vec: np.ndarray, rho: np.ndarray) -> float:
     return float(-(weights[on_support] * np.log2(values[on_support])).sum())
 
 
-def _psi_vec(pair: SchmidtPair) -> np.ndarray:
-    return np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
-
-
-def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
-    """Marginals of (U_AA' (x) U_BB') applied to psi (x) psi.
-
-    Arranged as a matrix M over (AA', BB'), psi (x) psi is diag(a^2, ab,
-    ab, b^2), and the local unitaries map it to U_A M U_B^T.
-    """
-    psi = _psi_vec(pair)
-    weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
-    t = ((u_alice * weights) @ u_bob.T).reshape(2, 2, 2, 2)  # (A, A', B, B')
-    kept = t.transpose(0, 2, 1, 3).reshape(4, 4)  # rows (A, B), columns (A', B')
-    out_ab = kept @ kept.conj().T
-    out_apbp = kept.T @ kept.conj()
-    return psi, out_ab, out_apbp
-
-
 def _delete_objective_matrices(pair, u_alice, u_bob) -> float:
     psi, out_ab, out_apbp = _delete_terms(pair, u_alice, u_bob)
     term_keep = _pure_rel_entropy(psi, out_ab)
@@ -212,11 +205,7 @@ def delete_objective(
     instance the identity machine, whose deleted copy is still the
     entangled pure input).
     """
-    _require_dim(u_alice, 4)
-    _require_dim(u_bob, 4)
-    return _delete_objective_matrices(
-        pair, _unitary_from_thetas(u_alice.thetas, 4), _unitary_from_thetas(u_bob.thetas, 4)
-    )
+    return _delete_objective_matrices(pair, *_pair_unitaries(u_alice, u_bob, 4))
 
 
 def clone_objective(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
@@ -225,11 +214,7 @@ def clone_objective(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryPar
     S(psi | copy1) plus ``SYMMETRY_PENALTY`` times the trace-norm asymmetry
     between the two copies; blanks and environments start in |0>.
     """
-    _require_dim(u_alice, 8)
-    _require_dim(u_bob, 8)
-    return _clone_objective_matrices(
-        pair, _unitary_from_thetas(u_alice.thetas, 8), _unitary_from_thetas(u_bob.thetas, 8)
-    )
+    return _clone_objective_matrices(pair, *_pair_unitaries(u_alice, u_bob, 8))
 
 
 def _clone_copies(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
@@ -256,21 +241,13 @@ def _clone_objective_matrices(pair, u_alice, u_bob) -> float:
 
 def copy_asymmetry(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
     """Trace-norm difference between the two copies at given parameters."""
-    _require_dim(u_alice, 8)
-    _require_dim(u_bob, 8)
-    copy1, copy2 = _clone_copies(
-        pair, _unitary_from_thetas(u_alice.thetas, 8), _unitary_from_thetas(u_bob.thetas, 8)
-    )
+    copy1, copy2 = _clone_copies(pair, *_pair_unitaries(u_alice, u_bob, 8))
     return la.trace_norm(copy1 - copy2)
 
 
-def _require_dim(params: UnitaryParams, n: int) -> None:
-    if params.dim != n:
-        raise ValueError(f"expected parameters for a {n}x{n} unitary, got {params.dim}x{params.dim}")
-
-
-def _run_search(objective, seeds, n_params, restarts, seed, max_evals):
-    """Shared multi-restart simplex driver.
+def _search(pair, kernel, n, seeds, reference, restarts, seed, max_evals) -> SearchReport:
+    """Multi-restart simplex search of ``kernel(pair, U_A, U_B)`` over pairs
+    of n x n unitaries, x holding the parameters of U_A then of U_B.
 
     Restart 0, 1, ... start at the analytic seeds; later restarts alternate
     between perturbations of the first seed (scale 0.2) and fully random
@@ -278,6 +255,10 @@ def _run_search(objective, seeds, n_params, restarts, seed, max_evals):
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    size = n * n
+
+    def objective(x):
+        return kernel(pair, _unitary_from_thetas(x[:size], n), _unitary_from_thetas(x[size:], n))
 
     def clipped(x):
         value = objective(x)
@@ -289,9 +270,9 @@ def _run_search(objective, seeds, n_params, restarts, seed, max_evals):
         if r < len(seeds):
             x0 = seeds[r].copy()
         elif (r - len(seeds)) % 2 == 0:
-            x0 = seeds[0] + 0.2 * rng.standard_normal(n_params)
+            x0 = seeds[0] + 0.2 * rng.standard_normal(2 * size)
         else:
-            x0 = rng.uniform(-math.pi, math.pi, n_params)
+            x0 = rng.uniform(-math.pi, math.pi, 2 * size)
         result = minimize(
             clipped,
             x0,
@@ -305,7 +286,13 @@ def _run_search(objective, seeds, n_params, restarts, seed, max_evals):
         )
         if result.fun < best_value:
             best_x, best_value = result.x, float(result.fun)
-    return best_x, best_value
+    return SearchReport(
+        best_objective=objective(best_x),
+        best_params=(UnitaryParams(best_x[:size]), UnitaryParams(best_x[size:])),
+        restarts_used=restarts,
+        seed=seed,
+        reference_bound=reference,
+    )
 
 
 def optimize_delete(
@@ -322,20 +309,8 @@ def optimize_delete(
         np.concatenate([alice.thetas, bob.thetas]),
         np.concatenate([bob.thetas, alice.thetas]),
     ]
-
-    def objective(x):
-        return _delete_objective_matrices(
-            pair, _unitary_from_thetas(x[:16], 4), _unitary_from_thetas(x[16:], 4)
-        )
-
-    best_x, _ = _run_search(objective, seeds, 32, restarts, seed, max_evals)
-    params = (UnitaryParams(best_x[:16]), UnitaryParams(best_x[16:]))
-    return SearchReport(
-        best_objective=delete_objective(pair, *params),
-        best_params=params,
-        restarts_used=restarts,
-        seed=seed,
-        reference_bound=reference,
+    return _search(
+        pair, _delete_objective_matrices, 4, seeds, reference, restarts, seed, max_evals
     )
 
 
@@ -355,18 +330,6 @@ def optimize_clone(
         np.concatenate([cloner, cloner]),
         np.concatenate([copier, copier]),
     ]
-
-    def objective(x):
-        return _clone_objective_matrices(
-            pair, _unitary_from_thetas(x[:64], 8), _unitary_from_thetas(x[64:], 8)
-        )
-
-    best_x, _ = _run_search(objective, seeds, 128, restarts, seed, max_evals)
-    params = (UnitaryParams(best_x[:64]), UnitaryParams(best_x[64:]))
-    return SearchReport(
-        best_objective=clone_objective(pair, *params),
-        best_params=params,
-        restarts_used=restarts,
-        seed=seed,
-        reference_bound=reference,
+    return _search(
+        pair, _clone_objective_matrices, 8, seeds, reference, restarts, seed, max_evals
     )

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualent import linalg as la
+from dualent.cloning import CloneIsometry
+from dualent.nogo import KrausSet, measure_forget_channel
 from dualent.qstate import (
     Ket,
     LabeledState,
@@ -76,6 +81,43 @@ class TestKetAndState:
             LabeledState(np.eye(4) / 4, (2, 2), ("A", "A"))
         with pytest.raises(ValueError, match="not PSD"):
             LabeledState(np.diag([1.5, -0.5]), (2,), ("A",))
+
+
+NAN = float("nan")
+
+
+def _nan_off_diagonal():
+    matrix = np.eye(2, dtype=complex) / 2
+    matrix[0, 1] = matrix[1, 0] = NAN
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SchmidtPair(0.6, NAN),
+        lambda: Ket(np.array([NAN, 0.0]), (2,)),
+        lambda: LabeledState(np.diag([NAN, 0.5]), (2,), ("A",)),
+        lambda: LabeledState(_nan_off_diagonal(), (2,), ("A",)),
+        lambda: KrausSet((np.diag([1.0, NAN]),)),
+        lambda: CloneIsometry(np.full((8, 2), NAN)),
+        lambda: la.hermitian_eig(_nan_off_diagonal()),
+        lambda: measure_forget_channel(Ket(np.array([1.0, 0.0]), (2,)), np.diag([1.0, NAN])),
+    ],
+    ids=[
+        "schmidt-pair",
+        "ket",
+        "state-diagonal",
+        "state-off-diagonal",
+        "kraus-set",
+        "clone-isometry",
+        "hermitian-eig",
+        "measurement-basis",
+    ],
+)
+def test_nan_fails_tolerance_checks(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestSchmidtKet:
@@ -215,6 +257,47 @@ class TestRelativeEntropy:
         sigma = LabeledState(np.eye(4) / 4, (2, 2), ("A", "B"))
         with pytest.raises(ValueError, match="mismatch"):
             relative_entropy(rho, sigma)
+
+
+@st.composite
+def relative_entropy_pairs(draw):
+    """(rho, sigma) on two qubits: rho of rank 1-4, sigma of full rank with
+    its smallest eigenvalue at least mix / 4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, 4))
+    mix = draw(st.floats(0.01, 1.0))
+    columns = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = columns @ columns.conj().T
+    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    sigma = raw @ raw.conj().T
+    sigma = (1 - mix) * sigma / np.trace(sigma).real + mix * np.eye(4) / 4
+    labels = ("A", "B")
+    return (
+        LabeledState(rho / np.trace(rho).real, (2, 2), labels),
+        LabeledState(sigma, (2, 2), labels),
+        random_unitary(rng, 4),
+    )
+
+
+class TestRelativeEntropyProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(relative_entropy_pairs())
+    def test_unitary_invariance(self, case):
+        rho, sigma, u = case
+        moved = [
+            LabeledState(u @ state.matrix @ u.conj().T, state.dims, state.labels)
+            for state in (rho, sigma)
+        ]
+        assert abs(relative_entropy(*moved) - relative_entropy(rho, sigma)) <= 1e-9
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(relative_entropy_pairs())
+    def test_monotone_under_partial_trace(self, case):
+        rho, sigma, _ = case
+        whole = relative_entropy(rho, sigma)
+        for label in ("A", "B"):
+            traced = relative_entropy(trace_out(rho, (label,)), trace_out(sigma, (label,)))
+            assert traced <= whole + 1e-9
 
 
 class TestEntanglement:
