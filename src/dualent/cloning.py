@@ -146,7 +146,8 @@ def crossover(bracket=(0.3, 0.55)) -> float:
         return record.e_r - record.s_clone
 
     lo, hi = float(bracket[0]), float(bracket[1])
-    gap_lo, gap_hi = gap(lo), gap(hi)
-    if gap_lo * gap_hi > 0.0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]: gap = {gap_lo:.4g}, {gap_hi:.4g}")
-    return brentq(gap, lo, hi, xtol=1e-7)
+    ends = {lo: gap(lo), hi: gap(hi)}
+    if ends[lo] * ends[hi] > 0.0:
+        raise ValueError(f"no sign change on [{lo}, {hi}]: gap = {ends[lo]:.4g}, {ends[hi]:.4g}")
+    # brentq opens by evaluating both ends, which the sign check already did
+    return brentq(lambda a: ends[a] if a in ends else gap(a), lo, hi, xtol=1e-7)

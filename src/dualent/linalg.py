@@ -51,17 +51,21 @@ def hermitian_eig(matrix) -> EigenSystem:
     ``HERMITICITY_TOL`` and ``RuntimeError`` if the underlying solver fails
     to converge.
     """
-    m = as_matrix(matrix)
-    defect = hermiticity_defect(m)
+    values, vectors = _checked_eigh(as_matrix(matrix)[None])
+    return EigenSystem(values[0], vectors[0])
+
+
+def _checked_eigh(stack: np.ndarray):
+    """:func:`hermitian_eig` of every matrix in a (k, n, n) stack; raises if
+    any one of them fails the check."""
+    defect = np.maximum.reduce(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=None, initial=0.0)
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
     try:
-        values, vectors = np.linalg.eigh(m)
+        return np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigendecomposition did not converge on a {m.shape[0]}x{m.shape[0]} matrix"
-        ) from exc
-    return EigenSystem(values, vectors)
+        n = stack.shape[-1]
+        raise RuntimeError(f"eigendecomposition did not converge on a {n}x{n} matrix") from exc
 
 
 def matrix_log2_on_support(matrix):
@@ -72,14 +76,36 @@ def matrix_log2_on_support(matrix):
     eigenvectors.  Eigenvalues in [-1e-12, SUPPORT_TOL] are treated as zero;
     anything more negative is rejected as not positive semidefinite.
     """
-    values, vectors = hermitian_eig(matrix)
-    if values[0] < -1e-12:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {values[0]:.3e}")
-    on_support = values > SUPPORT_TOL
-    cols = vectors[:, on_support]
-    log = (cols * np.log2(values[on_support])) @ cols.conj().T
-    projector = cols @ cols.conj().T
+    log, projector = _log2_on_support(as_matrix(matrix)[None])
+    return log[0], projector[0]
+
+
+def _log2_on_support(stack: np.ndarray):
+    """:func:`matrix_log2_on_support` of every matrix in a (k, n, n) stack,
+    each checked on its own; returns the stacked logs and projectors."""
+    values, vectors = _checked_eigh(stack)
+    smallest = np.minimum.reduce(values[:, 0])
+    if not smallest >= -1e-12:
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {smallest:.3e}")
+    kept = np.add.reduce(values > SUPPORT_TOL, axis=1)
+    ranks = set(kept.tolist())
+    if len(ranks) == 1:
+        return _log2_of_top(values, vectors, ranks.pop())
+    log, projector = np.empty_like(vectors), np.empty_like(vectors)
+    for rank in ranks:
+        rows = kept == rank
+        log[rows], projector[rows] = _log2_of_top(values[rows], vectors[rows], rank)
     return log, projector
+
+
+def _log2_of_top(values: np.ndarray, vectors: np.ndarray, rank: int):
+    """Log and projector of a stack whose kept eigenvalues are the top
+    ``rank`` of every matrix (eigenvalues ascend).  Summing over the kept
+    columns alone, as for a single matrix, keeps the results bit-identical
+    to a one-matrix call."""
+    cols = vectors[:, :, vectors.shape[-1] - rank :]
+    weights = np.log2(values[:, None, values.shape[-1] - rank :])
+    return (cols * weights) @ cols.conj().swapaxes(1, 2), cols @ cols.conj().swapaxes(1, 2)
 
 
 def kron(a, b) -> np.ndarray:
@@ -143,6 +169,7 @@ def partial_trace(matrix, dims: Sequence[int], discard) -> np.ndarray:
     return tensor.reshape(size, size)
 
 
-def trace_norm(matrix) -> float:
-    """Trace norm of a Hermitian matrix (sum of |eigenvalues|)."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(as_matrix(matrix)))))
+def trace_norm(matrix):
+    """Trace norm of a Hermitian matrix (sum of |eigenvalues|); of each
+    matrix, for a (k, n, n) stack."""
+    return np.add.reduce(np.abs(np.linalg.eigvalsh(matrix)), axis=-1)

@@ -219,3 +219,23 @@ class TestCrossover:
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValueError, match="sign change"):
             crossover(bracket=(0.6, 0.7))
+
+    def test_bracket_ends_evaluated_once(self, monkeypatch):
+        import dualent.cloning as cloning
+
+        calls = []
+
+        def counted(pair):
+            calls.append(pair.a)
+            return clone_bound_combined(pair)
+
+        monkeypatch.setattr(cloning, "clone_bound_combined", counted)
+        root = crossover()
+        assert len(calls) == 7
+        assert calls.count(0.3) == calls.count(0.55) == 1
+        assert 0.4272 <= root <= 0.4292
+
+    def test_no_sign_change_right_of_the_crossover(self):
+        # both ends sit on the cloner branch, above the crossover
+        with pytest.raises(ValueError, match="no sign change on \\[0.5, 0.6\\]"):
+            crossover(bracket=(0.5, 0.6))

@@ -244,3 +244,176 @@ class TestReachability:
         expected = rho_clone_closed_form(pair).matrix
         assert np.max(np.abs(copy1 - expected)) < 1e-10
         assert np.max(np.abs(copy1 - copy2)) < 1e-10
+
+
+def _drive(run, f):
+    """Run a simplex generator on a scalar objective, one point at a time."""
+    try:
+        x = next(run)
+        while True:
+            x = run.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _scipy_nelder_mead(f, x0, max_evals):
+    from scipy.optimize import minimize
+
+    from dualent.variational import SIMPLEX_FTOL, SIMPLEX_TOL
+
+    options = {"maxfev": max_evals, "xatol": SIMPLEX_TOL, "fatol": SIMPLEX_FTOL, "adaptive": True}
+    return minimize(f, x0, method="Nelder-Mead", options=options)
+
+
+def _weighted_bowl(x):
+    return float(np.sum((np.arange(1, len(x) + 1) * (x - 0.5)) ** 2))
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+def _staircase(x):
+    # flat steps: inside contractions tie with the worst vertex, so the
+    # simplex shrinks
+    return float(np.sum(np.floor(8 * np.abs(x - 0.3))))
+
+
+class TestNelderMeadPort:
+    """The lock-step simplex generator repeats scipy's adaptive Nelder-Mead
+    bit for bit."""
+
+    def _compare(self, f, x0, max_evals):
+        from dualent.variational import _nelder_mead
+
+        x0 = np.array(x0, dtype=float)
+        x, fun, nfev, nit = _drive(_nelder_mead(x0, max_evals), f)
+        want = _scipy_nelder_mead(f, x0, max_evals)
+        assert np.array_equal(x, want.x)
+        assert fun == want.fun
+        assert (nfev, nit) == (want.nfev, want.nit)
+        return want
+
+    def test_converges_on_tolerances_before_the_budget(self):
+        result = self._compare(_weighted_bowl, [0.0, 1.0, -2.0], 5000)
+        assert result.status == 0 and result.nfev < 5000
+
+    def test_budget_ends_inside_an_iteration(self):
+        x0 = [-1.2, 1.0, 0.0, 0.7]
+        result = self._compare(_rosenbrock, x0, 58)
+        one_less = self._compare(_rosenbrock, x0, 57)
+        # the 58th value belonged to an iteration that never finished: it
+        # is discarded and the iteration count does not move
+        assert result.status == 1 and result.nfev == 58
+        assert result.nit == one_less.nit
+        assert np.array_equal(result.x, one_less.x)
+
+    def test_budget_ends_inside_the_initial_simplex(self):
+        result = self._compare(_rosenbrock, [-1.2, 1.0, 0.0, 0.7], 3)
+        assert result.nfev == 3
+
+    def test_shrink_steps(self):
+        x0 = [1.0, -1.0, 2.0]
+        result = self._compare(_staircase, x0, 3000)
+        # without shrinks an iteration costs at most two evaluations
+        assert result.nfev > len(x0) + 1 + 2 * (result.nit - 1)
+
+
+def _random_thetas(rng, count, n):
+    return rng.uniform(-math.pi, math.pi, (count, n * n))
+
+
+class TestStackedKernels:
+    """A stacked kernel call gives each point the value it has alone."""
+
+    @pytest.mark.parametrize("kind", ["delete", "clone"])
+    def test_stack_matches_points_one_at_a_time(self, kind):
+        from dualent.variational import _clone_objectives, _delete_objectives, _unitary_from_thetas
+
+        n, kernel, single = {
+            "delete": (4, _delete_objectives, delete_objective),
+            "clone": (8, _clone_objectives, clone_objective),
+        }[kind]
+        rng = np.random.default_rng(103)
+        pair = SchmidtPair(0.45)
+        thetas_a, thetas_b = _random_thetas(rng, 6, n), _random_thetas(rng, 6, n)
+        # the identity machine: off support for deleting an entangled input
+        thetas_a[2] = thetas_b[2] = 0.0
+        stacked = kernel(pair, _unitary_from_thetas(thetas_a, n), _unitary_from_thetas(thetas_b, n))
+        alone = [
+            single(pair, UnitaryParams(ta), UnitaryParams(tb)) for ta, tb in zip(thetas_a, thetas_b)
+        ]
+        assert np.array_equal(stacked, alone)
+        if kind == "delete":
+            assert math.isinf(stacked[2]) and np.isfinite(np.delete(stacked, 2)).all()
+
+        # order and company do not matter
+        order = rng.permutation(6)
+        shuffled = kernel(
+            pair,
+            _unitary_from_thetas(thetas_a[order], n),
+            _unitary_from_thetas(thetas_b[order], n),
+        )
+        assert np.array_equal(shuffled, stacked[order])
+        pairs = kernel(
+            pair, _unitary_from_thetas(thetas_a[3:5], n), _unitary_from_thetas(thetas_b[3:5], n)
+        )
+        assert np.array_equal(pairs, stacked[3:5])
+
+    def test_rank_deficient_deleted_copies(self):
+        # on the product input |11> with Bob acting on B' alone, the deleted
+        # copy has rank 2 (rank 1 for the identity machine) and the kept copy
+        # still holds |11>: finite values, with the inner minimum running on
+        # the off-support surrogate weight
+        from dualent.variational import _delete_objectives, _delete_terms
+
+        rng = np.random.default_rng(107)
+        pair = SchmidtPair(0.0)
+        u_a = np.array([_random_unitary(rng, 4) for _ in range(4)])
+        u_b = np.array([np.kron(np.eye(2), _random_unitary(rng, 2)) for _ in range(4)])
+        u_a[0] = u_b[0] = np.eye(4)
+        _, _, deleted = _delete_terms(pair, u_a, u_b)
+        assert list(np.linalg.matrix_rank(deleted, tol=1e-9)) == [1, 2, 2, 2]
+        stacked = _delete_objectives(pair, u_a, u_b)
+        alone = [_delete_objectives(pair, u_a[k : k + 1], u_b[k : k + 1])[0] for k in range(4)]
+        assert np.array_equal(stacked, alone)
+        assert np.isfinite(stacked).all() and abs(stacked[0]) < 1e-12
+
+    def test_inner_minimum_over_a_mixed_rank_stack(self):
+        from dualent.deleting import _min_product_pure_stack, min_over_product_pure
+        from dualent.qstate import LabeledState
+
+        rng = np.random.default_rng(109)
+        matrices = []
+        for rank in (1, 2, 3, 4, 2, 3):
+            columns = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            # a product eigenvector keeps the low ranks finite
+            halves = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            columns[:, 0] = np.kron(halves[0], halves[1])
+            matrix = columns @ columns.conj().T
+            matrices.append(matrix / np.trace(matrix).real)
+        values, n_x, n_y = _min_product_pure_stack(np.array(matrices))
+        for k, matrix in enumerate(matrices):
+            value, x_alone, y_alone = _min_product_pure_stack(matrix[None])
+            assert value[0] == values[k]
+            assert np.array_equal(x_alone[0], n_x[k]) and np.array_equal(y_alone[0], n_y[k])
+            public, _ = min_over_product_pure(LabeledState(matrix, (2, 2), ("A", "B")))
+            assert public == values[k]
+        assert np.isfinite(values).all()
+
+
+class TestSearchRecords:
+    def test_one_record_per_restart(self):
+        report = optimize_delete(SchmidtPair(0.5), restarts=5, seed=3, max_evals=FAST_EVALS)
+        records = report.restart_records
+        assert [r.start for r in records] == ["seed", "seed", "perturbed", "random", "perturbed"]
+        assert all(1 <= r.nfev <= FAST_EVALS and r.nit >= 1 for r in records)
+        assert all(r.exit in ("converged", "maxfev") for r in records)
+        assert records[report.winner].objective == report.best_objective
+        assert report.best_objective == min(r.objective for r in records)
+
+    @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
+    def test_short_budget_ends_every_restart_on_maxfev(self, search):
+        report = search(SchmidtPair(0.6), restarts=3, seed=2, max_evals=60)
+        assert [(r.nfev, r.exit) for r in report.restart_records] == [(60, "maxfev")] * 3
+        assert report.restart_records[report.winner].objective == report.best_objective
