@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloning import clone_bound_combined, crossover
-from .deleting import delete_bound, schmidt_rank_nogo_check
+from .deleting import A_MAX, delete_bound, schmidt_rank_nogo_check
 from .nogo import measure_forget_channel, no_local_cloning_certificate
 from .qstate import Ket, SchmidtPair, entropy_of_entanglement, schmidt_ket
 from .variational import copy_asymmetry, optimize_clone, optimize_delete
 
-# slack admits decimal roundings of 1/sqrt(2) such as 0.7071067812
-A_MAX = 1.0 / math.sqrt(2.0) + 1e-9
 SWEEP_A_MIN = 0.01  # the a -> 0 endpoint is a product state with both bounds 0
 MEASURE_FORGET_SAMPLES = 200
 RESIDUAL_TOL = 1e-12

@@ -8,7 +8,10 @@ the unitary that swaps A with A' at Alice's side, run through the same
 circuit kernel as the local-unitary search.  Its quality is the mean
 of two relative-entropy terms: kept copy against the input, and the best
 admissible separable target against the deleted copy.  For pure inputs the
-admissible targets are the pure product states.
+admissible targets are the pure product states, and
+:func:`min_over_product_pure` finds the best one for one deleted copy at a
+time.  The deleting search does not call it in its loop: it scores the fixed
+target |11> and reports each final machine through this minimum.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .qstate import (
     schmidt_ket,
 )
 
+# the convention b >= a, stated on a alone: a <= 1/sqrt(2), with slack for
+# decimal roundings of 1/sqrt(2) such as 0.7071067812
+A_MAX = 1.0 / math.sqrt(2.0) + 1e-9
 # surrogate weight steering the product search back onto the support
 _OFF_SUPPORT_WEIGHT = 1e6
 _PRODUCT_RESTARTS = 20
@@ -118,9 +124,10 @@ def local_delete_swap(pair: SchmidtPair) -> DeleteOutcome:
 def delete_bound(pair: SchmidtPair) -> float:
     """Closed-form deleting bound E(psi) - 2 log2(b), in bits.
 
-    Requires the convention b >= a; equals the swap deleter's objective.
+    Requires the convention b >= a, that is a <= ``A_MAX``; equals the swap
+    deleter's objective.
     """
-    if pair.a > pair.b + 1e-9:
+    if not pair.a <= A_MAX:
         raise ValueError(f"convention b >= a violated: a = {pair.a}, b = {pair.b}")
     return entropy_of_entanglement(schmidt_ket(pair)) - 2.0 * math.log2(pair.b)
 
@@ -178,83 +185,45 @@ def _unit_rows(v: np.ndarray, out: np.ndarray) -> None:
     np.divide(v, norm[:, None], out=out)
 
 
-def _blockwise(rows: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Block k of the (k * r, 4) ``rows`` times ``maps[k]``, for every k, as
-    one (k * r, 3) array.  A single block goes through ``np.dot``: the same
-    BLAS product as ``matmul``, at less call overhead."""
-    if len(maps) == 1:
-        return np.dot(rows, maps[0])
-    return (rows.reshape(len(maps), -1, 4) @ maps).reshape(-1, 3)
-
-
-def _min_product_pure_stack(matrices: np.ndarray):
-    """Array-level core of :func:`min_over_product_pure`, for each matrix
-    of a (k, 4, 4) stack.
+def _min_product_pure_matrix(matrix: np.ndarray):
+    """Array-level core of :func:`min_over_product_pure` for a 4x4 matrix.
 
     Maximises <xy|G|xy> with G = log2(rho)|_support - W (I - P_support) by
     alternating exact best responses on the two Bloch spheres, from the
-    computational corners plus seeded random starts.  The sweeps run on all
-    matrices together; each matrix stops at its own 1e-13 settling rule or
-    at the sweep cap, and keeps its own surrogate weight and leak filter.
-    Returns ``(values, n_x, n_y)``: the (k,) minima and the (k, 3) Bloch
-    vectors of each best pair, with value = +inf when no product state lies
-    in the support.
+    computational corners plus seeded random starts, until no start moves by
+    1e-13 or the sweep cap is reached.  Returns ``(value, n_x, n_y)``: the
+    minimum and the Bloch vectors of the best pair, with value = +inf when
+    no product state lies in the support.
     """
-    log_rho, projector = la._log2_on_support(matrices)
+    log_rho, projector = la.matrix_log2_on_support(matrix)
     complement = np.eye(4) - projector
-    # (k, 2, 16) @ (16, 16): one Pauli map per matrix and per operator
-    pair_rows = np.concatenate((log_rho, complement), axis=1).reshape(-1, 2, 16)
-    coeffs = (pair_rows @ _PAULI_COEFFS.T).real
-    c_log, c_leak = coeffs.reshape(-1, 2, 4, 4).transpose(1, 0, 2, 3)
-    full_rank = np.maximum.reduce(np.abs(complement), axis=(1, 2)) < 1e-12
-    c = c_log  # the surrogate term only where some matrix lacks full rank
-    if not np.logical_and.reduce(full_rank):
-        c = np.where(full_rank[:, None, None], c_log, c_log - _OFF_SUPPORT_WEIGHT * c_leak)
+    # one Pauli map per operator
+    coeffs = (np.stack([log_rho.ravel(), complement.ravel()]) @ _PAULI_COEFFS.T).real
+    c_log, c_leak = coeffs.reshape(2, 4, 4)
+    c = c_log  # the surrogate term only off full rank
+    if not np.max(np.abs(complement)) < 1e-12:
+        c = c_log - _OFF_SUPPORT_WEIGHT * c_leak
     # rows (1, n_y) @ to_x give the x best-response directions C[1:, :] . (1, n_y)
-    to_x = np.ascontiguousarray(c[:, 1:, :].swapaxes(1, 2))
-    to_y = np.ascontiguousarray(c[:, :, 1:])
+    to_x = np.ascontiguousarray(c[1:, :].T)
+    to_y = np.ascontiguousarray(c[:, 1:])
 
-    # the start rows (1, n) of every matrix still moving, matrix after matrix
-    count, starts = len(matrices), len(_PRODUCT_STARTS)
-    live = np.arange(count)
-    my = np.concatenate([_PRODUCT_STARTS] * count)
+    my = _PRODUCT_STARTS.copy()
     my_next = np.ones_like(my)
     mx = np.ones_like(my)
-    finished = []
     for iteration in range(_PRODUCT_ITERATIONS):
-        _unit_rows(_blockwise(my, to_x), mx[:, 1:])
-        _unit_rows(_blockwise(mx, to_y), my_next[:, 1:])
+        _unit_rows(np.dot(my, to_x), mx[:, 1:])
+        _unit_rows(np.dot(mx, to_y), my_next[:, 1:])
         my, my_next = my_next, my
-        if iteration < 2:
-            continue
-        moved = np.abs(my - my_next)
-        if np.maximum.reduce(moved, axis=None) < 1e-13:
+        if iteration >= 2 and np.maximum.reduce(np.abs(my - my_next), axis=None) < 1e-13:
             break
-        if len(live) == 1:
-            continue
-        # in a stack, some matrices may settle before the others
-        settled = np.maximum.reduce(moved.reshape(len(live), -1), axis=1) < 1e-13
-        if np.logical_or.reduce(settled):
-            done = np.repeat(settled, starts)
-            finished.append((live[settled], mx[done], my[done]))
-            live, to_x, to_y = live[~settled], to_x[~settled], to_y[~settled]
-            mx, my, my_next = mx[~done], my[~done], my_next[~done]
-    blocks = (count, starts, 4)
-    if finished:
-        live, mx, my = (np.concatenate(parts) for parts in zip(*finished, (live, mx, my)))
-        order = np.argsort(live)
-        mx, my = mx.reshape(blocks)[order], my.reshape(blocks)[order]
-    mx, my = mx.reshape(blocks), my.reshape(blocks)
 
-    rows = np.arange(count)
-    values = -np.einsum("kri,kij,krj->kr", mx, c_log, my)
-    leaks = np.einsum("kri,kij,krj->kr", mx, c_leak, my)
+    values = -np.einsum("ri,ij,rj->r", mx, c_log, my)
+    leaks = np.einsum("ri,ij,rj->r", mx, c_leak, my)
     valid = leaks <= SUPPORT_LEAK_TOL
     values = np.where(valid, values, math.inf)
-    # a matrix with no start inside the support reports its least leaky one
-    inside = np.logical_or.reduce(valid, axis=1)
-    best = np.where(inside, values.argmin(axis=1), leaks.argmin(axis=1))
-    return values[rows, best], mx[rows, best, 1:], my[rows, best, 1:]
+    # with no start inside the support, report the least leaky one
+    best = values.argmin() if valid.any() else leaks.argmin()
+    return values[best], mx[best, 1:], my[best, 1:]
 
 
 def min_over_product_pure(state: LabeledState):
@@ -267,8 +236,8 @@ def min_over_product_pure(state: LabeledState):
     """
     if state.dims != (2, 2):
         raise ValueError(f"two-qubit state required, got dims {state.dims}")
-    values, nx, ny = _min_product_pure_stack(state.matrix[None])
-    return float(values[0]), Ket(np.kron(_ket_of_bloch(nx[0]), _ket_of_bloch(ny[0])), (2, 2))
+    value, nx, ny = _min_product_pure_matrix(state.matrix)
+    return float(value), Ket(np.kron(_ket_of_bloch(nx), _ket_of_bloch(ny)), (2, 2))
 
 
 def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:

@@ -4,6 +4,10 @@ Operators are plain ``numpy.ndarray`` of complex128.  Subsystem structure is
 never implicit: every operation that cares about tensor factors takes the
 factor dimensions as an explicit list, so six-register reorderings stay
 readable at the call site.
+
+Each function takes one matrix and checks it (``trace_norm`` alone also takes
+a stack).  The search kernels score Gram matrices they build themselves, so
+they call ``numpy.linalg.eigh`` on their stacks directly, unchecked.
 """
 
 from __future__ import annotations
@@ -51,20 +55,14 @@ def hermitian_eig(matrix) -> EigenSystem:
     ``HERMITICITY_TOL`` and ``RuntimeError`` if the underlying solver fails
     to converge.
     """
-    values, vectors = _checked_eigh(as_matrix(matrix)[None])
-    return EigenSystem(values[0], vectors[0])
-
-
-def _checked_eigh(stack: np.ndarray):
-    """:func:`hermitian_eig` of every matrix in a (k, n, n) stack; raises if
-    any one of them fails the check."""
-    defect = np.maximum.reduce(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=None, initial=0.0)
+    m = as_matrix(matrix)
+    defect = np.maximum.reduce(np.abs(m - m.conj().T), axis=None, initial=0.0)
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
     try:
-        return np.linalg.eigh(stack)
+        return EigenSystem(*np.linalg.eigh(m))
     except np.linalg.LinAlgError as exc:
-        n = stack.shape[-1]
+        n = m.shape[0]
         raise RuntimeError(f"eigendecomposition did not converge on a {n}x{n} matrix") from exc
 
 
@@ -76,36 +74,14 @@ def matrix_log2_on_support(matrix):
     eigenvectors.  Eigenvalues in [-1e-12, SUPPORT_TOL] are treated as zero;
     anything more negative is rejected as not positive semidefinite.
     """
-    log, projector = _log2_on_support(as_matrix(matrix)[None])
-    return log[0], projector[0]
-
-
-def _log2_on_support(stack: np.ndarray):
-    """:func:`matrix_log2_on_support` of every matrix in a (k, n, n) stack,
-    each checked on its own; returns the stacked logs and projectors."""
-    values, vectors = _checked_eigh(stack)
-    smallest = np.minimum.reduce(values[:, 0])
-    if not smallest >= -1e-12:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {smallest:.3e}")
-    kept = np.add.reduce(values > SUPPORT_TOL, axis=1)
-    ranks = set(kept.tolist())
-    if len(ranks) == 1:
-        return _log2_of_top(values, vectors, ranks.pop())
-    log, projector = np.empty_like(vectors), np.empty_like(vectors)
-    for rank in ranks:
-        rows = kept == rank
-        log[rows], projector[rows] = _log2_of_top(values[rows], vectors[rows], rank)
-    return log, projector
-
-
-def _log2_of_top(values: np.ndarray, vectors: np.ndarray, rank: int):
-    """Log and projector of a stack whose kept eigenvalues are the top
-    ``rank`` of every matrix (eigenvalues ascend).  Summing over the kept
-    columns alone, as for a single matrix, keeps the results bit-identical
-    to a one-matrix call."""
-    cols = vectors[:, :, vectors.shape[-1] - rank :]
-    weights = np.log2(values[:, None, values.shape[-1] - rank :])
-    return (cols * weights) @ cols.conj().swapaxes(1, 2), cols @ cols.conj().swapaxes(1, 2)
+    values, vectors = hermitian_eig(matrix)
+    if not values[0] >= -1e-12:
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {values[0]:.3e}")
+    # eigenvalues ascend, so the kept ones are the top ``rank``
+    rank = np.count_nonzero(values > SUPPORT_TOL)
+    cols = vectors[:, len(values) - rank :]
+    weights = np.log2(values[len(values) - rank :])
+    return (cols * weights) @ cols.conj().T, cols @ cols.conj().T
 
 
 def kron(a, b) -> np.ndarray:

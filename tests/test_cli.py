@@ -44,6 +44,12 @@ class TestDeleteBoundCommand:
         assert code == 0
         assert parse_report(out.strip())["D_bound"] == "2.000000000"
 
+    def test_every_admitted_a_is_accepted(self, capsys):
+        # 8.1e-10 above 1/sqrt(2), so a - b = 1.6e-9: inside the CLI's slack
+        code, out, err = run_cli(capsys, "delete-bound", "--a", "0.707106782")
+        assert (code, err) == (0, "")
+        assert abs(float(parse_report(out.strip())["D_bound"]) - 2.0) < 1e-8
+
 
 class TestSweepCommand:
     def test_two_point_sweep(self, capsys, tmp_path):
@@ -176,6 +182,13 @@ class TestVariationalCommand:
         report = parse_report(out.strip())
         assert float(report["copy_asymmetry"]) < 1e-4
         assert float(report["best_objective"]) <= 1e-6
+
+    def test_delete_accepts_the_rounded_symmetric_point(self, capsys):
+        code, out, err = run_cli(
+            capsys, "variational", "delete", "--a", "0.707106782", "--restarts", "1", "--seed", "1"
+        )
+        assert (code, err) == (0, "")
+        assert parse_report(out.strip())["verdict"] == "PASS"
 
     def test_invalid_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

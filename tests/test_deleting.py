@@ -16,6 +16,7 @@ from dualent.deleting import (
     two_copy_ket,
 )
 from dualent.qstate import Ket, LabeledState, SchmidtPair, dm_from_ket, schmidt_ket
+from dualent.variational import optimize_delete
 
 SYM = 1 / math.sqrt(2)
 A_GRID = np.linspace(0.01, SYM, 50)
@@ -99,6 +100,27 @@ class TestDeleteBound:
         for a in A_GRID:
             pair = SchmidtPair(float(a))
             assert delete_bound(pair) >= clone_bound_combined(pair).combined - 1e-12
+
+
+class TestSchmidtPairEdges:
+    """The product ends of the family, and a on the wrong side of b."""
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_combined_cloning_bound_vanishes_on_products(self, a):
+        assert clone_bound_combined(SchmidtPair(a)).combined == 0.0
+
+    def test_deleting_bound_vanishes_on_the_product(self):
+        assert delete_bound(SchmidtPair(0.0)) == 0.0
+
+    @pytest.mark.parametrize("a", [0.8, 1.0])
+    @pytest.mark.parametrize(
+        "deleting",
+        [delete_bound, lambda pair: optimize_delete(pair, restarts=1, seed=1, max_evals=10)],
+        ids=["delete_bound", "optimize_delete"],
+    )
+    def test_wrong_convention_rejected(self, deleting, a):
+        with pytest.raises(ValueError, match="convention b >= a violated"):
+            deleting(SchmidtPair(a))
 
 
 class TestMinOverProductPure:

@@ -282,6 +282,14 @@ def relative_entropy_pairs(draw):
 class TestRelativeEntropyProperties:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(relative_entropy_pairs())
+    def test_klein_inequality(self, case):
+        rho, sigma, _ = case
+        assert relative_entropy(rho, sigma) >= -1e-10
+        assert abs(relative_entropy(rho, rho)) <= 1e-10
+        assert abs(relative_entropy(sigma, sigma)) <= 1e-10
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(relative_entropy_pairs())
     def test_unitary_invariance(self, case):
         rho, sigma, u = case
         moved = [

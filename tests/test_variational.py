@@ -330,10 +330,7 @@ class TestStackedKernels:
     def test_stack_matches_points_one_at_a_time(self, kind):
         from dualent.variational import _clone_objectives, _delete_objectives, _unitary_from_thetas
 
-        n, kernel, single = {
-            "delete": (4, _delete_objectives, delete_objective),
-            "clone": (8, _clone_objectives, clone_objective),
-        }[kind]
+        n, kernel = {"delete": (4, _delete_objectives), "clone": (8, _clone_objectives)}[kind]
         rng = np.random.default_rng(103)
         pair = SchmidtPair(0.45)
         thetas_a, thetas_b = _random_thetas(rng, 6, n), _random_thetas(rng, 6, n)
@@ -341,10 +338,18 @@ class TestStackedKernels:
         thetas_a[2] = thetas_b[2] = 0.0
         stacked = kernel(pair, _unitary_from_thetas(thetas_a, n), _unitary_from_thetas(thetas_b, n))
         alone = [
-            single(pair, UnitaryParams(ta), UnitaryParams(tb)) for ta, tb in zip(thetas_a, thetas_b)
+            kernel(pair, _unitary_from_thetas(ta[None], n), _unitary_from_thetas(tb[None], n))[0]
+            for ta, tb in zip(thetas_a, thetas_b)
         ]
         assert np.array_equal(stacked, alone)
-        if kind == "delete":
+        if kind == "clone":
+            # the clone kernel is the public objective
+            public = [
+                clone_objective(pair, UnitaryParams(ta), UnitaryParams(tb))
+                for ta, tb in zip(thetas_a, thetas_b)
+            ]
+            assert np.array_equal(stacked, public)
+        else:
             assert math.isinf(stacked[2]) and np.isfinite(np.delete(stacked, 2)).all()
 
         # order and company do not matter
@@ -363,43 +368,53 @@ class TestStackedKernels:
     def test_rank_deficient_deleted_copies(self):
         # on the product input |11> with Bob acting on B' alone, the deleted
         # copy has rank 2 (rank 1 for the identity machine) and the kept copy
-        # still holds |11>: finite values, with the inner minimum running on
-        # the off-support surrogate weight
-        from dualent.variational import _delete_objectives, _delete_terms
+        # still holds |11>: finite objectives, with the inner minimum running
+        # on the off-support surrogate weight
+        from dualent.variational import _delete_terms
 
         rng = np.random.default_rng(107)
         pair = SchmidtPair(0.0)
-        u_a = np.array([_random_unitary(rng, 4) for _ in range(4)])
-        u_b = np.array([np.kron(np.eye(2), _random_unitary(rng, 2)) for _ in range(4)])
-        u_a[0] = u_b[0] = np.eye(4)
+        machines = [(UnitaryParams(np.zeros(16)), UnitaryParams(np.zeros(16)))]
+        for _ in range(3):
+            h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            bob = params_from_hermitian(np.kron(np.eye(2), h + h.conj().T))
+            machines.append((UnitaryParams(rng.uniform(-math.pi, math.pi, 16)), bob))
+        u_a = np.array([param_to_unitary(alice) for alice, _ in machines])
+        u_b = np.array([param_to_unitary(bob) for _, bob in machines])
         _, _, deleted = _delete_terms(pair, u_a, u_b)
         assert list(np.linalg.matrix_rank(deleted, tol=1e-9)) == [1, 2, 2, 2]
-        stacked = _delete_objectives(pair, u_a, u_b)
-        alone = [_delete_objectives(pair, u_a[k : k + 1], u_b[k : k + 1])[0] for k in range(4)]
-        assert np.array_equal(stacked, alone)
-        assert np.isfinite(stacked).all() and abs(stacked[0]) < 1e-12
+        values = [delete_objective(pair, alice, bob) for alice, bob in machines]
+        assert np.isfinite(values).all() and abs(values[0]) < 1e-12
 
-    def test_inner_minimum_over_a_mixed_rank_stack(self):
-        from dualent.deleting import _min_product_pure_stack, min_over_product_pure
-        from dualent.qstate import LabeledState
 
-        rng = np.random.default_rng(109)
-        matrices = []
-        for rank in (1, 2, 3, 4, 2, 3):
-            columns = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-            # a product eigenvector keeps the low ranks finite
-            halves = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            columns[:, 0] = np.kron(halves[0], halves[1])
-            matrix = columns @ columns.conj().T
-            matrices.append(matrix / np.trace(matrix).real)
-        values, n_x, n_y = _min_product_pure_stack(np.array(matrices))
-        for k, matrix in enumerate(matrices):
-            value, x_alone, y_alone = _min_product_pure_stack(matrix[None])
-            assert value[0] == values[k]
-            assert np.array_equal(x_alone[0], n_x[k]) and np.array_equal(y_alone[0], n_y[k])
-            public, _ = min_over_product_pure(LabeledState(matrix, (2, 2), ("A", "B")))
-            assert public == values[k]
-        assert np.isfinite(values).all()
+def _onto_one(ket):
+    """A qubit unitary taking the unit ket ``ket`` to |1>."""
+    perp = np.array([-ket[1].conj(), ket[0].conj()])
+    return np.outer([0, 1], ket.conj()) + np.outer([1, 0], perp.conj())
+
+
+class TestFixedTargetKernel:
+    """The deleting search scores |11> alone; local unitaries on A' and B'
+    after the machine make that the inner minimum."""
+
+    def test_gauge_rotation_onto_the_fixed_target(self):
+        from dualent.deleting import _ket_of_bloch, _min_product_pure_matrix
+        from dualent.variational import _delete_objectives, _delete_terms
+
+        rng = np.random.default_rng(113)
+        for _ in range(120):
+            pair = SchmidtPair(float(rng.uniform(0.0, SYM)))
+            alice, bob = (UnitaryParams(rng.uniform(-math.pi, math.pi, 16)) for _ in range(2))
+            u_a, u_b = param_to_unitary(alice)[None], param_to_unitary(bob)[None]
+            value = delete_objective(pair, alice, bob)
+            assert _delete_objectives(pair, u_a, u_b)[0] >= value - 1e-12
+            _, _, deleted = _delete_terms(pair, u_a, u_b)
+            _, n_x, n_y = _min_product_pure_matrix(deleted[0])
+            v_x, v_y = (_onto_one(_ket_of_bloch(n)) for n in (n_x, n_y))
+            rotated = _delete_objectives(
+                pair, np.kron(np.eye(2), v_x) @ u_a, np.kron(np.eye(2), v_y) @ u_b
+            )
+            assert abs(rotated[0] - value) < 1e-12
 
 
 class TestSearchRecords:
