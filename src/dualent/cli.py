@@ -178,10 +178,10 @@ def _cmd_variational(args) -> int:
     return 1 if breach else 0
 
 
-def _positive_float(text: str) -> float:
+def _family_a(text: str) -> float:
     value = float(text)
-    if not 0.0 < value <= A_MAX:
-        raise argparse.ArgumentTypeError(f"a must be in (0, 1/sqrt(2)], got {text}")
+    if not 0.0 <= value <= A_MAX:
+        raise argparse.ArgumentTypeError(f"a must be in [0, 1/sqrt(2)], got {text}")
     return value
 
 
@@ -201,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("clone-bound", help="both cloning-side bounds at one a")
-    p.add_argument("--a", type=_positive_float, required=True)
+    p.add_argument("--a", type=_family_a, required=True)
     p.set_defaults(func=_cmd_clone_bound)
 
     p = sub.add_parser("delete-bound", help="the deleting bound at one a")
-    p.add_argument("--a", type=_positive_float, required=True)
+    p.add_argument("--a", type=_family_a, required=True)
     p.set_defaults(func=_cmd_delete_bound)
 
     p = sub.add_parser("sweep", help="CSV of all bounds on an a-grid")
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variational", help="seeded simplex search over local unitaries")
     p.add_argument("kind", choices=["clone", "delete"])
-    p.add_argument("--a", type=_nonneg_float, required=True)
+    p.add_argument("--a", type=_family_a, required=True)
     p.add_argument("--restarts", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_variational)

@@ -133,21 +133,16 @@ def clone_bound_combined(pair: SchmidtPair) -> CloneBoundRecord:
     return CloneBoundRecord(pair.a, e_r, s_clone, min(e_r, s_clone))
 
 
-def crossover(bracket=(0.3, 0.55)) -> float:
+def crossover() -> float:
     """Root of E_R(a) - S_clone(a) by Brent's method, to within 1e-7 in a.
 
-    The default bracket has E_R smaller at the left end and larger at the
-    right end; raises ``ValueError`` if the supplied bracket does not change
-    sign.
+    The bracket [0.3, 0.55] has E_R smaller at the left end and larger at
+    the right end; ``brentq`` evaluates each end once and raises
+    ``ValueError`` itself if the gap does not change sign there.
     """
 
     def gap(a: float) -> float:
         record = clone_bound_combined(SchmidtPair(a))
         return record.e_r - record.s_clone
 
-    lo, hi = float(bracket[0]), float(bracket[1])
-    ends = {lo: gap(lo), hi: gap(hi)}
-    if ends[lo] * ends[hi] > 0.0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]: gap = {ends[lo]:.4g}, {ends[hi]:.4g}")
-    # brentq opens by evaluating both ends, which the sign check already did
-    return brentq(lambda a: ends[a] if a in ends else gap(a), lo, hi, xtol=1e-7)
+    return brentq(gap, 0.3, 0.55, xtol=1e-7)

@@ -256,7 +256,7 @@ def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:
     gap = float(np.max(np.abs(rho_ab.matrix - rho_apbp.matrix)))
     if gap > 1e-10:
         raise ValueError(f"equal copies required: max elementwise gap {gap:.3e}")
-    values, _ = la.hermitian_eig(rho_apbp.matrix)
+    values = np.linalg.eigvalsh(rho_apbp.matrix)
     spectrum = np.clip(values[::-1], 0.0, None)
     deleted = np.diag(spectrum.astype(complex))
     return LabeledState(

@@ -12,6 +12,7 @@ they call ``numpy.linalg.eigh`` on their stacks directly, unchecked.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,7 +57,7 @@ def hermitian_eig(matrix) -> EigenSystem:
     to converge.
     """
     m = as_matrix(matrix)
-    defect = np.maximum.reduce(np.abs(m - m.conj().T), axis=None, initial=0.0)
+    defect = hermiticity_defect(m)
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
     try:
@@ -93,7 +94,7 @@ def _check_dims(dims: Sequence[int], total: int) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"factor dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != total:
+    if math.prod(dims) != total:
         raise ValueError(f"factor dimensions {dims} do not multiply to {total}")
     return dims
 
@@ -141,7 +142,7 @@ def partial_trace(matrix, dims: Sequence[int], discard) -> np.ndarray:
     for idx in reversed(discard):
         tensor = np.trace(tensor, axis1=idx, axis2=idx + len(remaining))
         del remaining[idx]
-    size = int(np.prod(remaining)) if remaining else 1
+    size = math.prod(remaining)
     return tensor.reshape(size, size)
 
 

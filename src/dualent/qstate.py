@@ -100,7 +100,7 @@ class Ket:
 def basis_ket(dims: Sequence[int], occupations: Sequence[int]) -> Ket:
     """Computational basis ket |occupations[0], occupations[1], ...>."""
     dims = tuple(int(d) for d in dims)
-    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    amps = np.zeros(math.prod(dims), dtype=complex)
     index = 0
     for d, k in zip(dims, occupations, strict=True):
         index = index * d + int(k)
@@ -173,7 +173,7 @@ def _cut_matrix(ket: Ket, cut):
     if sorted(left + right) != list(range(len(ket.dims))):
         raise ValueError(f"cut {cut} is not a bipartition of {len(ket.dims)} factors")
     tensor = ket.amplitudes.reshape(ket.dims)
-    d_left = int(np.prod([ket.dims[i] for i in left])) if left else 1
+    d_left = math.prod(ket.dims[i] for i in left)
     d_right = ket.amplitudes.size // d_left
     return tensor.transpose(left + right).reshape(d_left, d_right), left, right
 
@@ -181,34 +181,29 @@ def _cut_matrix(ket: Ket, cut):
 def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
     """Schmidt decomposition across ``cut = (left_factors, right_factors)``.
 
-    The singular values are obtained from the Hermitian eigendecomposition
-    of the left marginal; coefficients below 1e-10 are dropped, so the
-    number returned is the Schmidt rank.
+    One SVD of the cut matrix gives the coefficients (its singular values,
+    descending), the left kets (columns of U) and the right kets (rows of
+    Vh).  Singular values at or below ``SCHMIDT_RANK_TOL`` are dropped, so
+    the number returned is the Schmidt rank.  The SVD keeps a round-off
+    zero near 1e-16; the square root of a Gram eigenvalue would lift it to
+    ~1e-8, above the cutoff.
     """
     mat, left, right = _cut_matrix(ket, cut)
-    rho_left = mat @ mat.conj().T
-    values, vectors = la.hermitian_eig(rho_left)
-    order = np.argsort(values)[::-1]
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.count_nonzero(s > SCHMIDT_RANK_TOL))
     left_dims = tuple(ket.dims[i] for i in left)
     right_dims = tuple(ket.dims[i] for i in right)
-    coeffs, lefts, rights = [], [], []
-    for idx in order:
-        s = math.sqrt(max(0.0, float(values[idx])))
-        if s <= SCHMIDT_RANK_TOL:
-            continue
-        u = vectors[:, idx]
-        v = (mat.T @ u.conj()) / s
-        coeffs.append(s)
-        lefts.append(Ket(u, left_dims))
-        rights.append(Ket(v, right_dims))
-    return SchmidtDecomposition(np.array(coeffs), tuple(lefts), tuple(rights))
+    return SchmidtDecomposition(
+        s[:rank],
+        tuple(Ket(u[:, k], left_dims) for k in range(rank)),
+        tuple(Ket(vh[k], right_dims) for k in range(rank)),
+    )
 
 
 def _entropy_from_eigenvalues(values: np.ndarray) -> float:
-    on = values > la.SUPPORT_TOL
-    if not np.any(on):
-        return 0.0
-    return float(-(values[on] * np.log2(values[on])).sum())
+    kept = values[values > la.SUPPORT_TOL]
+    # entropies are nonnegative; the clamp also turns a pure state's -0.0 into 0.0
+    return max(0.0, float(-(kept * np.log2(kept)).sum()))
 
 
 def von_neumann_entropy(state: LabeledState) -> float:
@@ -219,8 +214,10 @@ def von_neumann_entropy(state: LabeledState) -> float:
 def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
     """S(rho|sigma) = tr(rho log2 rho - rho log2 sigma), in bits.
 
-    Returns ``math.inf`` when the support of rho leaks outside the support
-    of sigma (tr((I - P_sigma) rho) >= 1e-10).
+    The first term is -S(rho), read from rho's spectrum with the same
+    ``SUPPORT_TOL`` cutoff as :func:`von_neumann_entropy`; only sigma gets a
+    matrix logarithm.  Returns ``math.inf`` when the support of rho leaks
+    outside the support of sigma (tr((I - P_sigma) rho) >= 1e-10).
     """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
@@ -228,19 +225,15 @@ def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
     leak = float(np.trace(rho.matrix - projector @ rho.matrix).real)
     if leak > SUPPORT_LEAK_TOL:
         return math.inf
-    log_rho, _ = la.matrix_log2_on_support(rho.matrix)
-    return float(np.trace(rho.matrix @ (log_rho - log_sigma)).real)
+    return -von_neumann_entropy(rho) - float(np.trace(rho.matrix @ log_sigma).real)
 
 
 def entropy_of_entanglement(ket: Ket, cut=((0,), (1,))) -> float:
     """Entanglement of a bipartite pure state: the entropy of either
-    marginal (the two agree within 1e-10 by construction)."""
+    marginal, whose spectrum is the squared singular values of the cut
+    matrix."""
     mat, _, _ = _cut_matrix(ket, cut)
-    s_left = _entropy_from_eigenvalues(np.linalg.eigvalsh(mat @ mat.conj().T))
-    s_right = _entropy_from_eigenvalues(np.linalg.eigvalsh(mat.conj().T @ mat))
-    if abs(s_left - s_right) > 1e-10:
-        raise RuntimeError(f"marginal entropies disagree: {s_left} vs {s_right}")
-    return s_left
+    return _entropy_from_eigenvalues(np.linalg.svd(mat, compute_uv=False) ** 2)
 
 
 def rel_ent_entanglement_pure(ket: Ket, cut=((0,), (1,))) -> float:

@@ -37,6 +37,11 @@ class TestCloneBoundCommand:
             main(["clone-bound", "--a", "0.8"])
         assert exc.value.code != 0
 
+    def test_product_end_is_admitted(self, capsys):
+        code, out, _ = run_cli(capsys, "clone-bound", "--a", "0")
+        assert code == 0
+        assert parse_report(out.strip())["combined"] == "0.000000000"
+
 
 class TestDeleteBoundCommand:
     def test_symmetric_point(self, capsys):
@@ -49,6 +54,11 @@ class TestDeleteBoundCommand:
         code, out, err = run_cli(capsys, "delete-bound", "--a", "0.707106782")
         assert (code, err) == (0, "")
         assert abs(float(parse_report(out.strip())["D_bound"]) - 2.0) < 1e-8
+
+    def test_product_end_is_admitted(self, capsys):
+        code, out, _ = run_cli(capsys, "delete-bound", "--a", "0")
+        assert code == 0
+        assert parse_report(out.strip())["D_bound"] == "0.000000000"
 
 
 class TestSweepCommand:
@@ -189,6 +199,13 @@ class TestVariationalCommand:
         )
         assert (code, err) == (0, "")
         assert parse_report(out.strip())["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("kind", ["clone", "delete"])
+    def test_a_above_the_family_range_is_usage_error(self, kind):
+        # the bound commands reject this a too: the family has b >= a
+        with pytest.raises(SystemExit) as exc:
+            main(["variational", kind, "--a", "0.8", "--restarts", "1", "--seed", "1"])
+        assert exc.value.code != 0
 
     def test_invalid_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -174,6 +174,22 @@ class TestSchmidtDecompose:
         dec = schmidt_decompose(two, cut=((0, 2), (1, 3)))
         assert np.allclose(dec.coefficients, [0.64, 0.48, 0.48, 0.36], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "dims, cut",
+        [((2, 2), ((0,), (1,))), ((2, 2, 2, 2), ((0, 2), (1, 3))), ((2, 3), ((0,), (1,)))],
+    )
+    def test_random_product_kets_are_rank_one(self, dims, cut):
+        # a round-off zero singular value must not count toward the rank
+        rng = np.random.default_rng(30)
+        half = len(dims) // 2
+        for _ in range(1000):
+            x = random_ket(rng, dims[:half])
+            y = random_ket(rng, dims[half:])
+            amps = np.kron(x.amplitudes, y.amplitudes)
+            if len(dims) == 4:  # factors (0, 1) | (2, 3) into the order 0, 2, 1, 3
+                amps = amps.reshape(dims).transpose(0, 2, 1, 3).ravel()
+            assert schmidt_decompose(Ket(amps, dims), cut).rank == 1
+
     def test_bases_orthonormal_and_reconstruct(self):
         rng = np.random.default_rng(31)
         ket = random_ket(rng, (2, 2))
@@ -202,6 +218,59 @@ class TestSchmidtDecompose:
     def test_invalid_cut_rejected(self):
         with pytest.raises(ValueError, match="bipartition"):
             schmidt_decompose(BELL, cut=((0,), (0, 1)))
+
+
+SCHMIDT_SHAPES = [((dl, dr), ((0,), (1,))) for dl in (2, 3, 4) for dr in (2, 3, 4)]
+SCHMIDT_SHAPES.append(((2, 2, 2, 2), ((0, 2), (1, 3))))
+
+
+@st.composite
+def schmidt_cases(draw):
+    """A ket of known Schmidt form across its cut: coefficients >= 1e-3 on
+    random isometries, rank drawn from 1 to min(d_L, d_R)."""
+    dims, cut = draw(st.sampled_from(SCHMIDT_SHAPES))
+    d_left = math.prod(dims[i] for i in cut[0])
+    d_right = math.prod(dims[i] for i in cut[1])
+    rank = draw(st.integers(1, min(d_left, d_right)))
+    skew = draw(st.floats(1.0, 20.0))  # large skews push coefficients to the floor
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(rank) ** skew + 1e-300  # positive sum even if all underflow
+    squares = 1e-6 + (1 - rank * 1e-6) * weights / weights.sum()
+    coefficients = np.sort(np.sqrt(squares))[::-1]
+    left = random_unitary(rng, d_left)[:, :rank]
+    right = random_unitary(rng, d_right)[:, :rank]
+    mat = (left * coefficients) @ right.T
+    # the cut matrix is the ket regrouped as (cut[0], cut[1]); undo that regrouping
+    order = cut[0] + cut[1]
+    tensor = mat.reshape(tuple(dims[i] for i in order)).transpose(np.argsort(order))
+    return Ket(tensor.ravel(), dims), cut, mat, coefficients
+
+
+class TestSchmidtProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(schmidt_cases())
+    def test_decomposition(self, case):
+        ket, cut, mat, coefficients = case
+        dec = schmidt_decompose(ket, cut)
+        assert dec.rank == len(coefficients)
+        assert np.max(np.abs(dec.coefficients - coefficients)) <= 1e-12
+        assert np.all(np.diff(dec.coefficients) <= 0.0)
+        lefts = np.array([k.amplitudes for k in dec.left_basis])
+        rights = np.array([k.amplitudes for k in dec.right_basis])
+        for basis in (lefts, rights):
+            assert np.max(np.abs(basis.conj() @ basis.T - np.eye(dec.rank))) <= 1e-12
+        rebuilt = sum(s * np.outer(u, v) for s, u, v in zip(dec.coefficients, lefts, rights))
+        assert np.max(np.abs(rebuilt - mat)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(schmidt_cases())
+    def test_entanglement_is_the_entropy_of_each_marginal(self, case):
+        ket, cut, _, _ = case
+        state = dm_from_ket(ket)
+        value = entropy_of_entanglement(ket, cut)
+        for side in cut:
+            marginal = trace_out(state, tuple(state.labels[i] for i in side))
+            assert abs(value - von_neumann_entropy(marginal)) <= 1e-10
 
 
 class TestEntropies:
@@ -287,6 +356,16 @@ class TestRelativeEntropyProperties:
         assert relative_entropy(rho, sigma) >= -1e-10
         assert abs(relative_entropy(rho, rho)) <= 1e-10
         assert abs(relative_entropy(sigma, sigma)) <= 1e-10
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(relative_entropy_pairs())
+    def test_matches_the_two_log_trace(self, case):
+        # reference: tr rho (log2 rho - log2 sigma) with both logs on support
+        rho, sigma, _ = case
+        log_rho, _ = la.matrix_log2_on_support(rho.matrix)
+        log_sigma, _ = la.matrix_log2_on_support(sigma.matrix)
+        expected = np.trace(rho.matrix @ (log_rho - log_sigma)).real
+        assert abs(relative_entropy(rho, sigma) - expected) <= 1e-12
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(relative_entropy_pairs())
