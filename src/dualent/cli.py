@@ -165,7 +165,7 @@ def _cmd_variational(args) -> int:
     breach = report.best_objective > report.reference_bound + 1e-6
     extra = ""
     if args.kind == "clone":
-        # symmetry is enforced by penalty only; surface any violation
+        # the copies are equal by construction; a nonzero value is a fault
         asymmetry = copy_asymmetry(pair, *report.best_params)
         extra = f"copy_asymmetry={asymmetry:.3e} "
     print(

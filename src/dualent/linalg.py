@@ -19,8 +19,11 @@ import numpy as np
 
 # Hermiticity is enforced elementwise; support truncation separates genuine
 # zero eigenvalues from round-off (physical eigenvalues here are >= ~1e-2).
+# Eigenvalues in [-PSD_TOL, SUPPORT_TOL] count as zero; below -PSD_TOL a
+# matrix is not positive semidefinite.
 HERMITICITY_TOL = 1e-12
 SUPPORT_TOL = 1e-12
+PSD_TOL = 1e-10
 
 
 class EigenSystem(NamedTuple):
@@ -72,11 +75,11 @@ def matrix_log2_on_support(matrix):
 
     Returns ``(log, projector)`` where ``log = sum_{l > SUPPORT_TOL} log2(l)
     v v^dag`` and ``projector`` projects onto the span of the kept
-    eigenvectors.  Eigenvalues in [-1e-12, SUPPORT_TOL] are treated as zero;
+    eigenvectors.  Eigenvalues in [-PSD_TOL, SUPPORT_TOL] are treated as zero;
     anything more negative is rejected as not positive semidefinite.
     """
     values, vectors = hermitian_eig(matrix)
-    if not values[0] >= -1e-12:
+    if not values[0] >= -PSD_TOL:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {values[0]:.3e}")
     # eigenvalues ascend, so the kept ones are the top ``rank``
     rank = np.count_nonzero(values > SUPPORT_TOL)

@@ -17,7 +17,6 @@ import numpy as np
 from . import linalg as la
 
 TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
 NORM_TOL = 1e-12
 # support(rho) lies inside support(sigma) when tr((I - P_sigma) rho) < this
 SUPPORT_LEAK_TOL = 1e-10
@@ -57,7 +56,7 @@ class LabeledState:
         if not defect <= la.HERMITICITY_TOL:
             raise ValueError(f"state is not Hermitian: defect {defect:.3e}")
         smallest = float(np.linalg.eigvalsh(matrix)[0])
-        if smallest < -PSD_TOL:
+        if not smallest >= -la.PSD_TOL:
             raise ValueError(f"state is not PSD: smallest eigenvalue {smallest:.3e}")
 
     def label_indices(self, labels: Sequence[str]) -> tuple[int, ...]:

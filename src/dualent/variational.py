@@ -3,12 +3,16 @@ cloning and deleting bounds from within the corresponding machine families.
 
 Unitaries are encoded as U = exp(iH) with H Hermitian, assembled from a real
 parameter vector of length n^2 (n diagonal entries, then the real/imaginary
-parts of the upper triangle row by row).  Searches are seeded at the known
-analytic machines, each written as a unitary involution W whose generator
-pi (I - W) / 2 is exact: the A/A' swap for deleting; for cloning, a
-reflection that acts as the universal cloner on the inputs the circuit
-feeds it, and a basis-copying fallback.  So the best objective can never
-exceed the analytic reference bound.
+parts of the upper triangle row by row).  A deleting machine is a 4x4
+unitary on (A, A').  A cloning machine is the first two columns of a 6x6
+unitary, mapped by the fixed isometry S onto Sym^2(C^2) (x) C^2_env inside
+(clone1, clone2, env): both clones are symmetric, so the two copies are
+equal by construction.  Searches are seeded at the known analytic machines,
+each written as a unitary involution W whose generator pi (I - W) / 2 is
+exact: the A/A' swap for deleting; for cloning, a reflection whose first two
+columns are the universal cloner, and the identity, which S turns into the
+basis copier.  So the best objective can never exceed the analytic
+reference bound.
 
 Each machine family has one circuit kernel, taking the pair and two stacks
 of unitaries to one search score per machine, and both kernels score with
@@ -47,7 +51,6 @@ from .deleting import (
 )
 from .qstate import SUPPORT_LEAK_TOL, SchmidtPair
 
-SYMMETRY_PENALTY = 10.0
 # infinite objectives are clipped to this inside the simplex search only
 OFF_SUPPORT_SENTINEL = 1e6
 MAX_EVALS = 2000
@@ -142,7 +145,7 @@ def params_from_hermitian(h: np.ndarray) -> UnitaryParams:
     """Inverse of :func:`hermitian_from_params`."""
     h = la.as_matrix(h)
     defect = la.hermiticity_defect(h)
-    if defect > 1e-10:
+    if not defect <= la.HERMITICITY_TOL:
         raise ValueError(f"generator is not Hermitian: defect {defect:.3e}")
     n = h.shape[0]
     upper = h[_upper_indices(n)]
@@ -195,33 +198,27 @@ def swap_delete_seed() -> tuple[UnitaryParams, UnitaryParams]:
     return alice, bob
 
 
+# S, the 8x6 isometry onto Sym^2(C^2) (x) C^2_env (basis index clone1*4 +
+# clone2*2 + env), with columns |00>|0>, |11>|0>, |00>|1>, |11>|1>, |Psi+>|0>
+# and |Psi+>|1>: it takes the first two columns of the identity to the basis
+# copier |x> -> |xx>|0>
+_SYMMETRIC = np.zeros((8, 6))
+_SYMMETRIC[[0, 6, 1, 7], [0, 1, 2, 3]] = 1.0
+_SYMMETRIC[[2, 4, 3, 5], [4, 4, 5, 5]] = math.sqrt(0.5)
+
+
 def cloner_seed_params() -> UnitaryParams:
-    """Parameters of an 8x8 involution that acts as the universal cloner.
+    """Parameters of a 6x6 involution whose first two columns, through S,
+    are the universal cloner.
 
-    Only |000> and |100> (columns 0 and 4) ever enter the cloning circuit.
-    With d_0 = |000> - v_0 and d_1 = |100> - v_1 for the cloner's columns
-    v_0 and v_1, the reflection W = I - 2Q, Q the projector onto span{d_0,
-    d_1}, sends |000> to v_0 and |100> to v_1: the overlaps <000|v_0> and
-    <100|v_1> are real, the cross overlaps vanish and d_0 is orthogonal to
-    d_1.
+    With d_k = e_k - S^dag v_k for the cloner's columns v_k, the reflection
+    W = I - 2Q, Q the projector onto span{d_0, d_1}, sends e_k to S^dag v_k:
+    <e_0|S^dag v_0> = sqrt(2/3) is real, the other three overlaps vanish and
+    d_0 is orthogonal to d_1.
     """
-    d = np.eye(8)[:, [0, 4]] - universal_clone_isometry().matrix
+    d = np.eye(6)[:, :2] - _SYMMETRIC.T @ universal_clone_isometry().matrix
     q, _ = np.linalg.qr(d)
-    return params_from_hermitian(_involution_generator(np.eye(8) - 2 * q @ q.conj().T))
-
-
-def basis_copy_seed_params() -> UnitaryParams:
-    """Parameters of the basis-copying machine |a, a', e> -> |a, a' xor a, e>.
-
-    It clones products of basis states exactly and realises the E_R branch
-    of the combined bound on the Schmidt family.
-    """
-    w = np.zeros((8, 8), dtype=complex)
-    for a in range(2):
-        for ap in range(2):
-            for e in range(2):
-                w[4 * a + 2 * (ap ^ a) + e, 4 * a + 2 * ap + e] = 1.0
-    return params_from_hermitian(_involution_generator(w))
+    return params_from_hermitian(_involution_generator(np.eye(6) - 2 * q @ q.conj().T))
 
 
 def _pure_rel_entropy(vec: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -269,23 +266,20 @@ def delete_objective(
 
 
 def clone_objective(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
-    """Cloning quality of local unitaries on (A, A', Ae) and (B, B', Be).
-
-    S(psi | copy1) plus ``SYMMETRY_PENALTY`` times the trace-norm asymmetry
-    between the two copies; blanks and environments start in |0>.
-    """
-    return float(_clone_objectives(pair, *_pair_unitaries(u_alice, u_bob, 8))[0])
+    """Cloning quality S(psi | copy) of the symmetric machines that 6x6
+    unitaries on (A, B) encode, in bits; the two copies are equal."""
+    return float(_clone_objectives(pair, *_pair_unitaries(u_alice, u_bob, 6))[0])
 
 
 def _clone_copies(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     """(A, B) and (A', B') marginals of the cloning circuit output, for each
-    pair of unitaries in the (..., 8, 8) stacks ``u_alice`` and ``u_bob``.
+    pair of unitaries in the (..., 6, 6) stacks ``u_alice`` and ``u_bob``.
 
-    Blanks and environments start in |0>, so the input a|000,000> +
-    b|100,100> meets only columns 0 and 4 of each unitary.
+    Each party's machine is the 8x2 isometry S U[:, :2] from its qubit into
+    (clone, clone, env).
     """
-    cols = [0, 4]
-    out = (u_alice[..., cols] * (pair.a, pair.b)) @ u_bob[..., cols].swapaxes(-1, -2)
+    alice, bob = _SYMMETRIC @ u_alice[..., :2], _SYMMETRIC @ u_bob[..., :2]
+    out = (alice * (pair.a, pair.b)) @ bob.swapaxes(-1, -2)
     t = out.reshape(-1, 2, 2, 2, 2, 2, 2)  # (machine, A, A', Ae, B, B', Be)
     first = t.transpose(0, 1, 4, 2, 3, 5, 6).reshape(out.shape[:-2] + (4, 16))
     second = t.transpose(0, 2, 5, 1, 3, 4, 6).reshape(out.shape[:-2] + (4, 16))
@@ -293,15 +287,15 @@ def _clone_copies(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
 
 
 def _clone_objectives(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
-    """The cloning objective of each machine in the (k, 8, 8) stacks."""
-    copy1, copy2 = _clone_copies(pair, u_alice, u_bob)
-    term = _pure_rel_entropy(_psi_vec(pair), copy1)
-    return term + SYMMETRY_PENALTY * la.trace_norm(copy1 - copy2)
+    """The cloning objective of each machine in the (k, 6, 6) stacks."""
+    copy, _ = _clone_copies(pair, u_alice, u_bob)
+    return _pure_rel_entropy(_psi_vec(pair), copy)
 
 
 def copy_asymmetry(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
-    """Trace-norm difference between the two copies at given parameters."""
-    copy1, copy2 = _clone_copies(pair, *_pair_unitaries(u_alice, u_bob, 8))
+    """Trace-norm difference between the two copies at given parameters;
+    zero up to round-off for every machine."""
+    copy1, copy2 = _clone_copies(pair, *_pair_unitaries(u_alice, u_bob, 6))
     return float(la.trace_norm(copy1 - copy2)[0])
 
 
@@ -483,19 +477,15 @@ def optimize_delete(
 def optimize_clone(
     pair: SchmidtPair, restarts: int, seed: int, max_evals: int = MAX_EVALS
 ) -> SearchReport:
-    """Search local-unitary-with-fixed-ancilla cloning machines.
+    """Search symmetric local cloning machines, one 6x6 unitary per party.
 
-    Seeded at the universal cloner and at the basis-copying machine, so
-    the result never exceeds :func:`clone_bound`; deterministic for fixed
-    (pair, restarts, seed).
+    Seeded at the universal cloner and at the basis copier (zero
+    parameters), so the result never exceeds :func:`clone_bound`;
+    deterministic for fixed (pair, restarts, seed).
     """
     reference = clone_bound(pair)
     cloner = cloner_seed_params().thetas
-    copier = basis_copy_seed_params().thetas
-    seeds = [
-        np.concatenate([cloner, cloner]),
-        np.concatenate([copier, copier]),
-    ]
+    seeds = [np.concatenate([cloner, cloner]), np.zeros(2 * cloner.size)]
     return _search(
-        pair, _clone_objectives, clone_objective, 8, seeds, reference, restarts, seed, max_evals
+        pair, _clone_objectives, clone_objective, 6, seeds, reference, restarts, seed, max_evals
     )

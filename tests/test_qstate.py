@@ -328,6 +328,20 @@ class TestRelativeEntropy:
             relative_entropy(rho, sigma)
 
 
+class TestPsdRule:
+    """The state layer and the support log share one PSD tolerance."""
+
+    def test_state_admitted_by_the_state_layer_has_a_log(self):
+        from dualent.deleting import min_over_product_pure
+
+        # smallest eigenvalue -5e-11: inside -PSD_TOL, below -SUPPORT_TOL
+        sigma = LabeledState(np.diag([0.5, 0.3, 0.2 + 5e-11, -5e-11]), (2, 2), ("A", "B"))
+        rho = dm_from_ket(Ket(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2)))
+        assert abs(relative_entropy(rho, sigma) - 1.0) < 1e-12
+        value, _ = min_over_product_pure(sigma)
+        assert abs(value - 1.0) < 1e-12
+
+
 @st.composite
 def relative_entropy_pairs(draw):
     """(rho, sigma) on two qubits: rho of rank 1-4, sigma of full rank with

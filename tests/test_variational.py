@@ -5,10 +5,9 @@ import pytest
 
 from dualent.cloning import clone_bound, rho_clone_closed_form
 from dualent.deleting import delete_bound, local_delete_swap
-from dualent.qstate import SchmidtPair
+from dualent.qstate import Ket, SchmidtPair, dm_from_ket, relative_entropy, trace_out
 from dualent.variational import (
     UnitaryParams,
-    basis_copy_seed_params,
     clone_objective,
     cloner_seed_params,
     copy_asymmetry,
@@ -75,14 +74,14 @@ class TestSeeds:
     def test_cloner_seed_reaches_the_cloner(self):
         from dualent.cloning import universal_clone_isometry
 
+        from dualent.variational import _SYMMETRIC
+
         u = param_to_unitary(cloner_seed_params())
-        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-10
-        v = universal_clone_isometry().matrix
-        assert np.max(np.abs(u[:, 0] - v[:, 0])) < 1e-10
-        assert np.max(np.abs(u[:, 4] - v[:, 1])) < 1e-10
+        assert u.shape == (6, 6)
+        assert np.max(np.abs(_SYMMETRIC @ u[:, :2] - universal_clone_isometry().matrix)) < 1e-12
         # the seed is a reflection: Hermitian and its own inverse
         assert np.max(np.abs(u - u.conj().T)) < 1e-12
-        assert np.max(np.abs(u @ u - np.eye(8))) < 1e-12
+        assert np.max(np.abs(u @ u - np.eye(6))) < 1e-12
 
     def test_cloner_seed_objective_matches_bound(self):
         pair = SchmidtPair(0.6)
@@ -90,8 +89,9 @@ class TestSeeds:
         assert abs(clone_objective(pair, seed, seed) - clone_bound(pair)) < 1e-6
 
     def test_copier_seed_realises_entropy_branch(self):
+        # zero parameters: the identity, which S turns into |x> -> |xx>|0>
         pair = SchmidtPair(0.6)
-        seed = basis_copy_seed_params()
+        seed = UnitaryParams(np.zeros(36))
         h = -(0.36 * math.log2(0.36) + 0.64 * math.log2(0.64))
         assert abs(clone_objective(pair, seed, seed) - h) < 1e-9
 
@@ -119,16 +119,15 @@ class TestDeleteObjective:
 
 class TestCloneObjective:
     def test_wrong_parameter_size_rejected(self):
-        with pytest.raises(ValueError, match="8x8"):
-            clone_objective(SchmidtPair(0.6), UnitaryParams(np.zeros(16)), UnitaryParams(np.zeros(16)))
+        with pytest.raises(ValueError, match="6x6"):
+            clone_objective(SchmidtPair(0.6), UnitaryParams(np.zeros(64)), UnitaryParams(np.zeros(36)))
 
-    def test_penalty_sees_asymmetry(self):
-        # a one-sided basis copier produces unequal copies
-        pair = SchmidtPair(0.6)
-        copier = basis_copy_seed_params()
-        identity = UnitaryParams(np.zeros(64))
-        assert copy_asymmetry(pair, copier, identity) > 1e-3
-        assert copy_asymmetry(pair, copier, copier) < 1e-12
+    def test_random_machines_give_equal_copies(self):
+        rng = np.random.default_rng(109)
+        for a in (0.0, 0.3, 0.6, SYM):
+            for _ in range(5):
+                alice, bob = (UnitaryParams(rng.uniform(-math.pi, math.pi, 36)) for _ in range(2))
+                assert copy_asymmetry(SchmidtPair(a), alice, bob) <= 1e-14
 
 
 class TestOptimizeDelete:
@@ -171,7 +170,7 @@ class TestOptimizeClone:
 
     def test_copies_nearly_symmetric_at_optimum(self):
         report = optimize_clone(SchmidtPair(0.55), restarts=3, seed=4, max_evals=FAST_EVALS)
-        assert copy_asymmetry(SchmidtPair(0.55), *report.best_params) < 1e-4
+        assert copy_asymmetry(SchmidtPair(0.55), *report.best_params) <= 1e-14
 
     def test_deterministic(self):
         first = optimize_clone(SchmidtPair(0.4), restarts=2, seed=8, max_evals=FAST_EVALS)
@@ -206,22 +205,60 @@ class TestMachineKernels:
                 assert np.max(np.abs(got_apbp - want_apbp)) < 1e-12
 
     def test_clone_copies_match_kron_reference(self):
-        from dualent.variational import _clone_copies
+        from dualent.variational import _SYMMETRIC, _clone_copies
 
         rng = np.random.default_rng(101)
         for a in (0.0, 0.3, 0.6, SYM):
             pair = SchmidtPair(a)
-            start = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)  # (A, A', Ae, B, B', Be)
-            start[0, 0, 0, 0, 0, 0] = pair.a
-            start[1, 0, 0, 1, 0, 0] = pair.b
+            psi = np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
             for _ in range(3):
-                u_a, u_b = _random_unitary(rng, 8), _random_unitary(rng, 8)
-                t = (np.kron(u_a, u_b) @ start.ravel()).reshape((2,) * 6)
+                u_a, u_b = _random_unitary(rng, 6), _random_unitary(rng, 6)
+                # each party's 8x2 map into (clone, clone, env)
+                machine = np.kron(_SYMMETRIC @ u_a[:, :2], _SYMMETRIC @ u_b[:, :2])
+                t = (machine @ psi).reshape((2,) * 6)  # (A, A', Ae, B, B', Be)
                 want1 = np.einsum("apebqf,cpedqf->abcd", t, t.conj()).reshape(4, 4)
                 want2 = np.einsum("apebqf,arebsf->pqrs", t, t.conj()).reshape(4, 4)
                 copy1, copy2 = _clone_copies(pair, u_a, u_b)
                 assert np.max(np.abs(copy1 - want1)) < 1e-12
                 assert np.max(np.abs(copy2 - want2)) < 1e-12
+
+
+class TestIndependentReevaluation:
+    """Each search optimum, rebuilt as an explicit state from U_A (x) U_B and
+    scored through the state layer, gives the search's own objective."""
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, SYM])
+    def test_delete_optimum(self, a):
+        from dualent.deleting import min_over_product_pure
+
+        pair = SchmidtPair(a)
+        report = optimize_delete(pair, restarts=3, seed=1, max_evals=FAST_EVALS)
+        u_a, u_b = (param_to_unitary(p) for p in report.best_params)
+        psi = np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
+        # (A, B, A', B') reordered to (A, A', B, B')
+        two = np.kron(psi, psi).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
+        out = dm_from_ket(Ket(np.kron(u_a, u_b) @ two, (2,) * 4), ("A", "A'", "B", "B'"))
+        target = dm_from_ket(Ket(psi, (2, 2)), ("A", "B"))
+        kept = relative_entropy(target, trace_out(out, ("A'", "B'")))
+        deleted, _ = min_over_product_pure(trace_out(out, ("A", "B")))
+        assert abs(0.5 * (kept + deleted) - report.best_objective) < 1e-10
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, SYM])
+    def test_clone_optimum(self, a):
+        from dualent.cloning import CLONE_LABELS
+        from dualent.variational import _SYMMETRIC
+
+        pair = SchmidtPair(a)
+        report = optimize_clone(pair, restarts=3, seed=1, max_evals=FAST_EVALS)
+        u_a, u_b = (param_to_unitary(p) for p in report.best_params)
+        psi = np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
+        machine = np.kron(_SYMMETRIC @ u_a[:, :2], _SYMMETRIC @ u_b[:, :2])
+        out = dm_from_ket(Ket(machine @ psi, (2,) * 6), CLONE_LABELS)
+        copy1 = trace_out(out, ("A'", "Ae", "B'", "Be"))
+        copy2 = trace_out(out, ("A", "Ae", "B", "Be"))
+        assert np.max(np.abs(copy1.matrix - copy2.matrix)) < 1e-14
+        value = relative_entropy(dm_from_ket(Ket(psi, (2, 2)), ("A", "B")), copy1)
+        assert abs(value - report.best_objective) < 1e-10
 
 
 class TestReachability:
@@ -239,7 +276,7 @@ class TestReachability:
         # the pipeline output at the seed is exactly the closed-form copy
         from dualent.variational import _clone_copies, _unitary_from_thetas
 
-        u = _unitary_from_thetas(seed.thetas, 8)
+        u = _unitary_from_thetas(seed.thetas, 6)
         copy1, copy2 = _clone_copies(pair, u, u)
         expected = rho_clone_closed_form(pair).matrix
         assert np.max(np.abs(copy1 - expected)) < 1e-10
@@ -330,7 +367,7 @@ class TestStackedKernels:
     def test_stack_matches_points_one_at_a_time(self, kind):
         from dualent.variational import _clone_objectives, _delete_objectives, _unitary_from_thetas
 
-        n, kernel = {"delete": (4, _delete_objectives), "clone": (8, _clone_objectives)}[kind]
+        n, kernel = {"delete": (4, _delete_objectives), "clone": (6, _clone_objectives)}[kind]
         rng = np.random.default_rng(103)
         pair = SchmidtPair(0.45)
         thetas_a, thetas_b = _random_thetas(rng, 6, n), _random_thetas(rng, 6, n)
