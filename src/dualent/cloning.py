@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import linalg as la
 from .qstate import (
@@ -134,15 +133,26 @@ def clone_bound_combined(pair: SchmidtPair) -> CloneBoundRecord:
 
 
 def crossover() -> float:
-    """Root of E_R(a) - S_clone(a) by Brent's method, to within 1e-7 in a.
+    """Root of E_R(a) - S_clone(a) by bisection, to within 1e-7 in a.
 
-    The bracket [0.3, 0.55] has E_R smaller at the left end and larger at
-    the right end; ``brentq`` evaluates each end once and raises
-    ``ValueError`` itself if the gap does not change sign there.
+    The gap rises through its one sign change on the bracket [0.3, 0.55]:
+    E_R is smaller at the left end and larger at the right end.  Each end is
+    evaluated once, and ``ValueError`` is raised if the gap does not change
+    sign there.  Halving until the bracket is at most 1e-7 wide takes 22
+    steps, so the gap is evaluated 24 times.
     """
 
     def gap(a: float) -> float:
         record = clone_bound_combined(SchmidtPair(a))
         return record.e_r - record.s_clone
 
-    return brentq(gap, 0.3, 0.55, xtol=1e-7)
+    lo, hi = 0.3, 0.55
+    if not gap(lo) < 0 < gap(hi):
+        raise ValueError(f"E_R - S_clone does not change sign from - to + on [{lo}, {hi}]")
+    while hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

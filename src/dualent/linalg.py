@@ -102,26 +102,12 @@ def _check_dims(dims: Sequence[int], total: int) -> tuple[int, ...]:
     return dims
 
 
-def permute_subsystems(matrix, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder the tensor factors of an operator.
+def permute_ket(amplitudes, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """Reorder the tensor factors of a state vector.
 
     ``perm[k]`` is the input factor that lands at output position ``k``;
     applying ``perm`` and then its inverse is the identity.
     """
-    m = as_matrix(matrix)
-    dims = _check_dims(dims, m.shape[0])
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"{perm} is not a permutation of {len(dims)} factors")
-    n = len(dims)
-    axes = perm + tuple(p + n for p in perm)
-    tensor = m.reshape(dims + dims).transpose(axes)
-    return tensor.reshape(m.shape)
-
-
-def permute_ket(amplitudes, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder the tensor factors of a state vector (same convention as
-    :func:`permute_subsystems`)."""
     vec = np.asarray(amplitudes, dtype=complex).ravel()
     dims = _check_dims(dims, vec.size)
     perm = tuple(int(p) for p in perm)

@@ -157,8 +157,6 @@ def schmidt_ket(pair: SchmidtPair) -> Ket:
 
 def dm_from_ket(ket: Ket, labels: Sequence[str] | None = None) -> LabeledState:
     """Rank-1 projector |k><k| as a labelled state (labels default q0, q1, ...)."""
-    if float(np.linalg.norm(ket.amplitudes)) < 1e-15:
-        raise ValueError("zero-norm ket has no density matrix")
     if labels is None:
         labels = tuple(f"q{k}" for k in range(len(ket.dims)))
     matrix = np.outer(ket.amplitudes, ket.amplitudes.conj())

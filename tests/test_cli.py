@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dualent.cli import main, render_sweep_csv, sweep_rows
@@ -211,3 +216,30 @@ class TestVariationalCommand:
         with pytest.raises(SystemExit) as exc:
             main(["variational", "teleport", "--a", "0.5", "--restarts", "1", "--seed", "0"])
         assert exc.value.code != 0
+
+
+# A None entry in sys.modules makes every scipy import raise ImportError.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from dualent import SchmidtPair, crossover, optimize_clone, optimize_delete
+from dualent.cli import main
+assert abs(crossover() - 0.4282653373032336) < 1e-7
+assert main(["crossover"]) == 0
+assert main(["clone-bound", "--a", "0.3"]) == 0
+for search in (optimize_delete, optimize_clone):
+    report = search(SchmidtPair(0.6), restarts=1, seed=1, max_evals=60)
+    assert report.best_objective < float("inf")
+"""
+
+
+def test_library_runs_without_scipy():
+    import dualent
+
+    env = dict(os.environ, PYTHONPATH=str(Path(dualent.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("crossover=0.428265\n")
+    assert "combined=" in done.stdout

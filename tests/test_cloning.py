@@ -5,6 +5,7 @@ import pytest
 
 from dualent import linalg as la
 from dualent.cloning import (
+    CloneBoundRecord,
     clone_bound,
     clone_bound_combined,
     crossover,
@@ -227,6 +228,30 @@ class TestCrossover:
 
         monkeypatch.setattr(cloning, "clone_bound_combined", counted)
         root = crossover()
-        assert len(calls) == 7
+        # both ends, then 22 halvings of the 0.25-wide bracket down to 1e-7
+        assert len(calls) == 24
         assert calls.count(0.3) == calls.count(0.55) == 1
         assert 0.4272 <= root <= 0.4292
+
+    def test_matches_brentq(self):
+        from scipy.optimize import brentq
+
+        def gap(a):
+            record = clone_bound_combined(SchmidtPair(a))
+            return record.e_r - record.s_clone
+
+        assert abs(crossover() - brentq(gap, 0.3, 0.55, xtol=1e-7)) < 1e-7
+
+    def test_no_sign_change_rejected(self, monkeypatch):
+        import dualent.cloning as cloning
+
+        calls = []
+
+        def e_r_always_above(pair):
+            calls.append(pair.a)
+            return CloneBoundRecord(pair.a, 1.0, 0.5, 0.5)
+
+        monkeypatch.setattr(cloning, "clone_bound_combined", e_r_always_above)
+        with pytest.raises(ValueError, match="does not change sign"):
+            crossover()
+        assert calls == [0.3]
