@@ -3,15 +3,16 @@ global deleting construction, and the Schmidt-rank obstruction to local
 deleting.
 
 Deleting works on two copies of a|00> + b|11> held as (A, B) and (A', B');
-the only closed local operations are local unitaries, so the machine here is
-the unitary that swaps A with A' at Alice's side, run through the same
-circuit kernel as the local-unitary search.  Its quality is the mean
-of two relative-entropy terms: kept copy against the input, and the best
-admissible separable target against the deleted copy.  For pure inputs the
-admissible targets are the pure product states, and
-:func:`min_over_product_pure` finds the best one for one deleted copy at a
-time.  The deleting search does not call it in its loop: it scores the fixed
-target |11> and reports each final machine through this minimum.
+the only closed local operations are local unitaries U_AA' (x) U_BB', run
+through the same circuit kernel as the local-unitary search.  The quality of
+one deleting machine is the mean of two relative-entropy terms: kept copy
+against the input, and the best admissible separable target against the
+deleted copy.  For pure inputs the admissible targets are the pure product
+states, and :func:`min_over_product_pure` finds the best one for one deleted
+copy at a time.  One scorer computes both terms, for the swap machine (swap
+A with A' at Alice's side) and for every machine the search reports.  The
+deleting search does not call it in its loop: it scores the fixed target
+|11> and reports each final machine through this scorer.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from .qstate import (
     Ket,
     LabeledState,
     SchmidtPair,
+    _pure_rel_entropy,
     basis_ket,
-    dm_from_ket,
     entropy_of_entanglement,
-    relative_entropy,
     schmidt_decompose,
     schmidt_ket,
 )
@@ -47,7 +47,7 @@ _PRODUCT_ITERATIONS = 30
 
 @dataclass(frozen=True, eq=False)
 class DeleteOutcome:
-    """Outputs and quality terms of one run of the swap deleting machine.
+    """Outputs and quality terms of one run of one deleting machine.
 
     ``objective`` is the arithmetic mean of ``term_keep`` (kept copy vs the
     input) and ``term_separable`` (best pure product target vs the deleted
@@ -98,19 +98,13 @@ def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     return psi, out_ab, out_apbp
 
 
-def local_delete_swap(pair: SchmidtPair) -> DeleteOutcome:
-    """Apply the swap deleter to two copies of a|00> + b|11>.
-
-    Runs the search's circuit kernel at the machine (swap on AA', identity
-    on BB'), which leaves diag(a^4, a^2 b^2, a^2 b^2, b^4) at both (A, B)
-    and (A', B'); the inner minimisation over pure product targets is
-    attained at |11> (for b >= a), giving the closed-form objective
-    E(psi) - 2 log2(b).
-    """
-    _, ab, apbp = _delete_terms(pair, swap_gate()[None], np.eye(4)[None])
+def _delete_outcome(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> DeleteOutcome:
+    """Run the deleting machine U_AA' (x) U_BB', given as (1, 4, 4) stacks
+    ``u_alice`` and ``u_bob``, and score both of its outputs."""
+    psi, ab, apbp = _delete_terms(pair, u_alice, u_bob)
     out_ab = LabeledState(ab[0], (2, 2), ("A", "B"))
     out_apbp = LabeledState(apbp[0], (2, 2), ("A'", "B'"))
-    term_keep = relative_entropy(dm_from_ket(schmidt_ket(pair)), out_ab)
+    term_keep = float(_pure_rel_entropy(psi, ab)[0])
     term_separable, _ = min_over_product_pure(out_apbp)
     return DeleteOutcome(
         out_ab=out_ab,
@@ -119,6 +113,17 @@ def local_delete_swap(pair: SchmidtPair) -> DeleteOutcome:
         term_separable=term_separable,
         objective=0.5 * (term_keep + term_separable),
     )
+
+
+def local_delete_swap(pair: SchmidtPair) -> DeleteOutcome:
+    """Apply the swap deleter to two copies of a|00> + b|11>.
+
+    The machine (swap on AA', identity on BB') leaves diag(a^4, a^2 b^2,
+    a^2 b^2, b^4) at both (A, B) and (A', B'); the inner minimisation over
+    pure product targets is attained at |11> (for b >= a), giving the
+    closed-form objective E(psi) - 2 log2(b).
+    """
+    return _delete_outcome(pair, swap_gate()[None], np.eye(4)[None])
 
 
 def delete_bound(pair: SchmidtPair) -> float:

@@ -5,15 +5,15 @@ never implicit: every operation that cares about tensor factors takes the
 factor dimensions as an explicit list, so six-register reorderings stay
 readable at the call site.
 
-Each function takes one matrix and checks it (``trace_norm`` alone also takes
-a stack).  The search kernels score Gram matrices they build themselves, so
-they call ``numpy.linalg.eigh`` on their stacks directly, unchecked.
+Each function takes one matrix and checks it.  The search kernels score Gram
+matrices they build themselves, so they call ``numpy.linalg.eigh`` on their
+stacks directly, unchecked.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,18 +24,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 PSD_TOL = 1e-10
-
-
-class EigenSystem(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``values`` are real and ascending; the columns of ``vectors`` are the
-    matching orthonormal eigenvectors, so ``vectors @ diag(values) @
-    vectors.conj().T`` reconstructs the input.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def as_matrix(matrix) -> np.ndarray:
@@ -52,8 +40,12 @@ def hermiticity_defect(matrix) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def hermitian_eig(matrix) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(values, vectors)`` of a Hermitian matrix.
+
+    ``values`` are real and ascending; the columns of ``vectors`` are the
+    matching orthonormal eigenvectors, so ``vectors @ diag(values) @
+    vectors.conj().T`` reconstructs the input.
 
     Raises ``ValueError`` if the input is not Hermitian within
     ``HERMITICITY_TOL`` and ``RuntimeError`` if the underlying solver fails
@@ -64,7 +56,7 @@ def hermitian_eig(matrix) -> EigenSystem:
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
     try:
-        return EigenSystem(*np.linalg.eigh(m))
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         n = m.shape[0]
         raise RuntimeError(f"eigendecomposition did not converge on a {n}x{n} matrix") from exc
@@ -133,9 +125,3 @@ def partial_trace(matrix, dims: Sequence[int], discard) -> np.ndarray:
         del remaining[idx]
     size = math.prod(remaining)
     return tensor.reshape(size, size)
-
-
-def trace_norm(matrix):
-    """Trace norm of a Hermitian matrix (sum of |eigenvalues|); of each
-    matrix, for a (k, n, n) stack."""
-    return np.add.reduce(np.abs(np.linalg.eigvalsh(matrix)), axis=-1)

@@ -225,6 +225,18 @@ def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
     return -von_neumann_entropy(rho) - float(np.trace(rho.matrix @ log_sigma).real)
 
 
+def _pure_rel_entropy(vec: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """S(|v><v| | rho) for a unit vector v and each rho of a (..., n, n)
+    stack; ``inf`` where |v> leaks off the support of rho."""
+    values, vectors = np.linalg.eigh(rho)
+    weights = np.abs(vectors.conj().swapaxes(-1, -2) @ vec) ** 2
+    on_support = values > la.SUPPORT_TOL
+    leak = np.add.reduce(weights, axis=-1, where=~on_support)
+    logs = np.log2(values, out=np.zeros_like(values), where=on_support)
+    value = -np.add.reduce(weights * logs, axis=-1)
+    return np.where(leak > SUPPORT_LEAK_TOL, math.inf, value)
+
+
 def entropy_of_entanglement(ket: Ket, cut=((0,), (1,))) -> float:
     """Entanglement of a bipartite pure state: the entropy of either
     marginal, whose spectrum is the squared singular values of the cut

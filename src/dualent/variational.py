@@ -7,21 +7,22 @@ parts of the upper triangle row by row).  A deleting machine is a 4x4
 unitary on (A, A').  A cloning machine is the first two columns of a 6x6
 unitary, mapped by the fixed isometry S onto Sym^2(C^2) (x) C^2_env inside
 (clone1, clone2, env): both clones are symmetric, so the two copies are
-equal by construction.  Searches are seeded at the known analytic machines,
-each written as a unitary involution W whose generator pi (I - W) / 2 is
-exact: the A/A' swap for deleting; for cloning, a reflection whose first two
-columns are the universal cloner, and the identity, which S turns into the
-basis copier.  So the best objective can never exceed the analytic
-reference bound.
+equal by construction and only the (A, B) copy is built.  Searches are
+seeded at the known analytic machines, each written as a unitary involution
+W whose generator pi (I - W) / 2 is exact: the A/A' swap for deleting; for
+cloning, a reflection whose first two columns are the universal cloner, and
+the identity, which S turns into the basis copier.  So the best objective
+can never exceed the analytic reference bound.
 
 Each machine family has one circuit kernel, taking the pair and two stacks
 of unitaries to one search score per machine, and both kernels score with
 the same pure-state relative entropy.  The deleting kernel runs the circuit
-:func:`~dualent.deleting.local_delete_swap` evaluates at the swap, and it
-scores the deleted copy against the fixed product target |11>, not against
-the best product target: local unitaries on A' and B' after the machine
-fold into U_A and U_B, so both scores have the same infimum.  The inner
-minimum over product targets runs only in :func:`delete_objective`.
+of :func:`~dualent.deleting.local_delete_swap`, and it scores the deleted
+copy against the fixed product target |11>, not against the best product
+target: local unitaries on A' and B' after the machine fold into U_A and
+U_B, so both scores have the same infimum.  The inner minimum over product
+targets runs only in the deleting machine's one scorer, which
+:func:`delete_objective` and ``local_delete_swap`` share.
 
 Both searches run one driver: every restart is an adaptive Nelder-Mead run
 (the same steps, bit for bit, as scipy's), written as a generator that
@@ -43,13 +44,13 @@ import numpy as np
 from . import linalg as la
 from .cloning import clone_bound, universal_clone_isometry
 from .deleting import (
+    _delete_outcome,
     _delete_terms,
-    _min_product_pure_matrix,
     _psi_vec,
     delete_bound,
     swap_gate,
 )
-from .qstate import SUPPORT_LEAK_TOL, SchmidtPair
+from .qstate import SchmidtPair, _pure_rel_entropy
 
 # infinite objectives are clipped to this inside the simplex search only
 OFF_SUPPORT_SENTINEL = 1e6
@@ -114,11 +115,6 @@ class SearchReport:
     winner: int
 
 
-def hermitian_from_params(params: UnitaryParams) -> np.ndarray:
-    """Assemble the Hermitian generator from a parameter vector."""
-    return _hermitian_from_thetas(params.thetas, params.dim)
-
-
 @functools.lru_cache(maxsize=8)
 def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major (i, j) positions of the strict upper triangle, i < j."""
@@ -142,7 +138,7 @@ def _hermitian_from_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
 
 
 def params_from_hermitian(h: np.ndarray) -> UnitaryParams:
-    """Inverse of :func:`hermitian_from_params`."""
+    """Inverse of ``_hermitian_from_thetas(params.thetas, params.dim)``."""
     h = la.as_matrix(h)
     defect = la.hermiticity_defect(h)
     if not defect <= la.HERMITICITY_TOL:
@@ -221,18 +217,6 @@ def cloner_seed_params() -> UnitaryParams:
     return params_from_hermitian(_involution_generator(np.eye(6) - 2 * q @ q.conj().T))
 
 
-def _pure_rel_entropy(vec: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """S(|v><v| | rho) for a unit vector v and each rho of a (..., n, n)
-    stack; ``inf`` where |v> leaks off the support of rho."""
-    values, vectors = np.linalg.eigh(rho)
-    weights = np.abs(vectors.conj().swapaxes(-1, -2) @ vec) ** 2
-    on_support = values > la.SUPPORT_TOL
-    leak = np.add.reduce(weights, axis=-1, where=~on_support)
-    logs = np.log2(values, out=np.zeros_like(values), where=on_support)
-    value = -np.add.reduce(weights * logs, axis=-1)
-    return np.where(leak > SUPPORT_LEAK_TOL, math.inf, value)
-
-
 # |11> on (A', B'): the product minimum of the swap deleter's deleted copy
 _DELETE_TARGET = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 
@@ -260,9 +244,7 @@ def delete_objective(
     instance the identity machine, whose deleted copy is still the
     entangled pure input).
     """
-    psi, out_ab, out_apbp = _delete_terms(pair, *_pair_unitaries(u_alice, u_bob, 4))
-    term_separable, _, _ = _min_product_pure_matrix(out_apbp[0])
-    return float(0.5 * (_pure_rel_entropy(psi, out_ab)[0] + term_separable))
+    return _delete_outcome(pair, *_pair_unitaries(u_alice, u_bob, 4)).objective
 
 
 def clone_objective(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
@@ -271,9 +253,10 @@ def clone_objective(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryPar
     return float(_clone_objectives(pair, *_pair_unitaries(u_alice, u_bob, 6))[0])
 
 
-def _clone_copies(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
-    """(A, B) and (A', B') marginals of the cloning circuit output, for each
-    pair of unitaries in the (..., 6, 6) stacks ``u_alice`` and ``u_bob``.
+def _clone_copy(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
+    """(A, B) marginal of the cloning circuit output, for each pair of
+    unitaries in the (..., 6, 6) stacks ``u_alice`` and ``u_bob``; the
+    (A', B') copy equals it by construction.
 
     Each party's machine is the 8x2 isometry S U[:, :2] from its qubit into
     (clone, clone, env).
@@ -281,22 +264,13 @@ def _clone_copies(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     alice, bob = _SYMMETRIC @ u_alice[..., :2], _SYMMETRIC @ u_bob[..., :2]
     out = (alice * (pair.a, pair.b)) @ bob.swapaxes(-1, -2)
     t = out.reshape(-1, 2, 2, 2, 2, 2, 2)  # (machine, A, A', Ae, B, B', Be)
-    first = t.transpose(0, 1, 4, 2, 3, 5, 6).reshape(out.shape[:-2] + (4, 16))
-    second = t.transpose(0, 2, 5, 1, 3, 4, 6).reshape(out.shape[:-2] + (4, 16))
-    return first @ first.conj().swapaxes(-1, -2), second @ second.conj().swapaxes(-1, -2)
+    ab = t.transpose(0, 1, 4, 2, 3, 5, 6).reshape(out.shape[:-2] + (4, 16))
+    return ab @ ab.conj().swapaxes(-1, -2)
 
 
 def _clone_objectives(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
     """The cloning objective of each machine in the (k, 6, 6) stacks."""
-    copy, _ = _clone_copies(pair, u_alice, u_bob)
-    return _pure_rel_entropy(_psi_vec(pair), copy)
-
-
-def copy_asymmetry(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
-    """Trace-norm difference between the two copies at given parameters;
-    zero up to round-off for every machine."""
-    copy1, copy2 = _clone_copies(pair, *_pair_unitaries(u_alice, u_bob, 6))
-    return float(la.trace_norm(copy1 - copy2)[0])
+    return _pure_rel_entropy(_psi_vec(pair), _clone_copy(pair, u_alice, u_bob))
 
 
 class _OutOfEvals(Exception):

@@ -189,14 +189,15 @@ class TestVariationalCommand:
         assert code_one == code_two == 0
         assert first == second
 
-    def test_clone_reports_copy_asymmetry(self, capsys):
+    @pytest.mark.parametrize("kind", ["clone", "delete"])
+    def test_report_keys_in_order(self, capsys, kind):
         code, out, _ = run_cli(
-            capsys, "variational", "clone", "--a", "0", "--restarts", "2", "--seed", "1"
+            capsys, "variational", kind, "--a", "0.6", "--restarts", "1", "--seed", "1"
         )
         assert code == 0
-        report = parse_report(out.strip())
-        assert float(report["copy_asymmetry"]) < 1e-4
-        assert float(report["best_objective"]) <= 1e-6
+        assert [item.partition("=")[0] for item in out.split()] == [
+            "kind", "a", "best_objective", "reference_bound", "restarts_used", "seed", "verdict"
+        ]
 
     def test_delete_accepts_the_rounded_symmetric_point(self, capsys):
         code, out, err = run_cli(

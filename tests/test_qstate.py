@@ -12,6 +12,7 @@ from dualent.qstate import (
     Ket,
     LabeledState,
     SchmidtPair,
+    _pure_rel_entropy,
     dm_from_ket,
     entropy_of_entanglement,
     rel_ent_entanglement_pure,
@@ -399,6 +400,54 @@ class TestRelativeEntropyProperties:
         for label in ("A", "B"):
             traced = relative_entropy(trace_out(rho, (label,)), trace_out(sigma, (label,)))
             assert traced <= whole + 1e-9
+
+
+def _unit_combination(rng, columns):
+    """A random unit vector in the span of ``columns``."""
+    raw = columns @ (rng.standard_normal((columns.shape[1], 2)) @ [1, 1j])
+    return raw / np.linalg.norm(raw)
+
+
+@st.composite
+def pure_target_cases(draw, off_support):
+    """(v, sigma) on two qubits: sigma of rank 1-4 (1-3 when ``off_support``),
+    drawn like the rho of :func:`relative_entropy_pairs`, and a unit v in its
+    support, or with weight at least 1e-6 off it when ``off_support``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, 3 if off_support else 4))
+    columns = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    sigma = columns @ columns.conj().T
+    # the first ``rank`` columns of q span the support, the rest its complement
+    q, _ = np.linalg.qr(columns, mode="complete")
+    vec = _unit_combination(rng, q[:, :rank])
+    if off_support:
+        leak = draw(st.floats(1e-6, 1.0))
+        vec = math.sqrt(1 - leak) * vec + math.sqrt(leak) * _unit_combination(rng, q[:, rank:])
+    return vec, LabeledState(sigma / np.trace(sigma).real, (2, 2), ("A", "B"))
+
+
+class TestPureTargetKernel:
+    """The search kernels' pure-target relative entropy against the state
+    layer's :func:`relative_entropy` of the projector |v><v|."""
+
+    @staticmethod
+    def _state_layer(vec, sigma):
+        return relative_entropy(dm_from_ket(Ket(vec, (2, 2)), ("A", "B")), sigma)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pure_target_cases(off_support=False))
+    def test_agrees_on_the_support(self, case):
+        vec, sigma = case
+        expected = self._state_layer(vec, sigma)
+        assert math.isfinite(expected)
+        assert abs(_pure_rel_entropy(vec, sigma.matrix[None])[0] - expected) <= 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pure_target_cases(off_support=True))
+    def test_both_infinite_off_the_support(self, case):
+        vec, sigma = case
+        assert math.isinf(self._state_layer(vec, sigma))
+        assert math.isinf(_pure_rel_entropy(vec, sigma.matrix[None])[0])
 
 
 class TestEntanglement:

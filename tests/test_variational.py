@@ -7,12 +7,12 @@ from dualent.cloning import clone_bound, rho_clone_closed_form
 from dualent.deleting import delete_bound, local_delete_swap
 from dualent.qstate import Ket, SchmidtPair, dm_from_ket, relative_entropy, trace_out
 from dualent.variational import (
+    _SYMMETRIC,
     UnitaryParams,
+    _hermitian_from_thetas,
     clone_objective,
     cloner_seed_params,
-    copy_asymmetry,
     delete_objective,
-    hermitian_from_params,
     optimize_clone,
     optimize_delete,
     param_to_unitary,
@@ -43,7 +43,7 @@ class TestParameterisation:
         rng = np.random.default_rng(83)
         for n in (2, 4, 8):
             params = UnitaryParams(rng.standard_normal(n * n))
-            back = params_from_hermitian(hermitian_from_params(params))
+            back = params_from_hermitian(_hermitian_from_thetas(params.thetas, n))
             assert np.max(np.abs(back.thetas - params.thetas)) < 1e-14
 
     def test_generator_layout_matches_loop_reference(self):
@@ -58,7 +58,7 @@ class TestParameterisation:
                     expected[i, j] = thetas[k] + 1j * thetas[k + 1]
                     expected[j, i] = thetas[k] - 1j * thetas[k + 1]
                     k += 2
-            assert np.array_equal(hermitian_from_params(UnitaryParams(thetas)), expected)
+            assert np.array_equal(_hermitian_from_thetas(thetas, n), expected)
 
     def test_non_square_length_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -73,8 +73,6 @@ class TestParameterisation:
 class TestSeeds:
     def test_cloner_seed_reaches_the_cloner(self):
         from dualent.cloning import universal_clone_isometry
-
-        from dualent.variational import _SYMMETRIC
 
         u = param_to_unitary(cloner_seed_params())
         assert u.shape == (6, 6)
@@ -126,8 +124,9 @@ class TestCloneObjective:
         rng = np.random.default_rng(109)
         for a in (0.0, 0.3, 0.6, SYM):
             for _ in range(5):
-                alice, bob = (UnitaryParams(rng.uniform(-math.pi, math.pi, 36)) for _ in range(2))
-                assert copy_asymmetry(SchmidtPair(a), alice, bob) <= 1e-14
+                u_a, u_b = _random_unitary(rng, 6), _random_unitary(rng, 6)
+                copy1, copy2 = _explicit_clone_copies(SchmidtPair(a), u_a, u_b)
+                assert np.max(np.abs(copy1 - copy2)) <= 1e-14
 
 
 class TestOptimizeDelete:
@@ -170,7 +169,9 @@ class TestOptimizeClone:
 
     def test_copies_nearly_symmetric_at_optimum(self):
         report = optimize_clone(SchmidtPair(0.55), restarts=3, seed=4, max_evals=FAST_EVALS)
-        assert copy_asymmetry(SchmidtPair(0.55), *report.best_params) <= 1e-14
+        u_a, u_b = (param_to_unitary(p) for p in report.best_params)
+        copy1, copy2 = _explicit_clone_copies(SchmidtPair(0.55), u_a, u_b)
+        assert np.max(np.abs(copy1 - copy2)) <= 1e-14
 
     def test_deterministic(self):
         first = optimize_clone(SchmidtPair(0.4), restarts=2, seed=8, max_evals=FAST_EVALS)
@@ -180,6 +181,17 @@ class TestOptimizeClone:
 
 def _random_unitary(rng, n):
     return param_to_unitary(UnitaryParams(rng.uniform(-math.pi, math.pi, n * n)))
+
+
+def _explicit_clone_copies(pair, u_a, u_b):
+    """Both copies of the six-qubit output kron(S U_A[:, :2], S U_B[:, :2])
+    psi, traced out register by register."""
+    psi = np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
+    machine = np.kron(_SYMMETRIC @ u_a[:, :2], _SYMMETRIC @ u_b[:, :2])
+    t = (machine @ psi).reshape((2,) * 6)  # (A, A', Ae, B, B', Be)
+    copy1 = np.einsum("apebqf,cpedqf->abcd", t, t.conj()).reshape(4, 4)
+    copy2 = np.einsum("apebqf,arebsf->pqrs", t, t.conj()).reshape(4, 4)
+    return copy1, copy2
 
 
 class TestMachineKernels:
@@ -205,22 +217,17 @@ class TestMachineKernels:
                 assert np.max(np.abs(got_apbp - want_apbp)) < 1e-12
 
     def test_clone_copies_match_kron_reference(self):
-        from dualent.variational import _SYMMETRIC, _clone_copies
+        from dualent.variational import _clone_copy
 
         rng = np.random.default_rng(101)
         for a in (0.0, 0.3, 0.6, SYM):
             pair = SchmidtPair(a)
-            psi = np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
             for _ in range(3):
                 u_a, u_b = _random_unitary(rng, 6), _random_unitary(rng, 6)
-                # each party's 8x2 map into (clone, clone, env)
-                machine = np.kron(_SYMMETRIC @ u_a[:, :2], _SYMMETRIC @ u_b[:, :2])
-                t = (machine @ psi).reshape((2,) * 6)  # (A, A', Ae, B, B', Be)
-                want1 = np.einsum("apebqf,cpedqf->abcd", t, t.conj()).reshape(4, 4)
-                want2 = np.einsum("apebqf,arebsf->pqrs", t, t.conj()).reshape(4, 4)
-                copy1, copy2 = _clone_copies(pair, u_a, u_b)
-                assert np.max(np.abs(copy1 - want1)) < 1e-12
-                assert np.max(np.abs(copy2 - want2)) < 1e-12
+                want1, want2 = _explicit_clone_copies(pair, u_a, u_b)
+                copy = _clone_copy(pair, u_a, u_b)
+                assert np.max(np.abs(copy - want1)) < 1e-12
+                assert np.max(np.abs(copy - want2)) < 1e-12
 
 
 class TestIndependentReevaluation:
@@ -246,7 +253,6 @@ class TestIndependentReevaluation:
     @pytest.mark.parametrize("a", [0.3, 0.5, SYM])
     def test_clone_optimum(self, a):
         from dualent.cloning import CLONE_LABELS
-        from dualent.variational import _SYMMETRIC
 
         pair = SchmidtPair(a)
         report = optimize_clone(pair, restarts=3, seed=1, max_evals=FAST_EVALS)
@@ -273,14 +279,15 @@ class TestReachability:
         pair = SchmidtPair(0.45)
         seed = cloner_seed_params()
         assert abs(clone_objective(pair, seed, seed) - clone_bound(pair)) < 1e-6
-        # the pipeline output at the seed is exactly the closed-form copy
-        from dualent.variational import _clone_copies, _unitary_from_thetas
+        # the kernel's copy at the seed is exactly the closed-form copy, and
+        # so is the other copy of the explicit six-qubit output
+        from dualent.variational import _clone_copy, _unitary_from_thetas
 
         u = _unitary_from_thetas(seed.thetas, 6)
-        copy1, copy2 = _clone_copies(pair, u, u)
         expected = rho_clone_closed_form(pair).matrix
-        assert np.max(np.abs(copy1 - expected)) < 1e-10
-        assert np.max(np.abs(copy1 - copy2)) < 1e-10
+        assert np.max(np.abs(_clone_copy(pair, u, u) - expected)) < 1e-10
+        _, copy2 = _explicit_clone_copies(pair, u, u)
+        assert np.max(np.abs(copy2 - expected)) < 1e-10
 
 
 def _drive(run, f):
