@@ -7,12 +7,12 @@ parts of the upper triangle row by row).  A deleting machine is a 4x4
 unitary on (A, A').  A cloning machine is the first two columns of a 6x6
 unitary, mapped by the fixed isometry S onto Sym^2(C^2) (x) C^2_env inside
 (clone1, clone2, env): both clones are symmetric, so the two copies are
-equal by construction and only the (A, B) copy is built.  Searches are
-seeded at the known analytic machines, each written as a unitary involution
-W whose generator pi (I - W) / 2 is exact: the A/A' swap for deleting; for
-cloning, a reflection whose first two columns are the universal cloner, and
-the identity, which S turns into the basis copier.  So the best objective
-can never exceed the analytic reference bound.
+equal by construction and only the (A, B) copy is built.  A search moves
+only the first k rows of H, for the k columns its input reaches: 2kn - k^2
+reals per party, all 16 for deleting and 20 of 36 for cloning.  It starts
+at the analytic machines (the A/A' swap; the universal cloner and the
+identity, which S turns into the basis copier), so its best objective can
+never exceed the analytic reference bound.
 
 Each machine family has one circuit kernel, taking the pair and two stacks
 of unitaries to one search score per machine, and both kernels score with
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .cloning import clone_bound, universal_clone_isometry
+from .cloning import clone_bound
 from .deleting import (
     _delete_outcome,
     _delete_terms,
@@ -164,8 +164,8 @@ def _unitary_from_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
 
 
 def _unitary_pairs(xs: np.ndarray, n: int):
-    """The (U_A, U_B) stacks of the rows of ``xs`` (k, 2 n^2), each row the
-    parameters of U_A then of U_B; one stacked ``eigh`` for all 2k."""
+    """The (U_A, U_B) stacks of the rows of ``xs`` (m, 2 n^2), each row the
+    parameters of U_A then of U_B; one stacked ``eigh`` for all 2m."""
     unitaries = _unitary_from_thetas(xs.reshape(-1, n * n), n).reshape(-1, 2, n, n)
     return unitaries[:, 0], unitaries[:, 1]
 
@@ -181,15 +181,10 @@ def _pair_unitaries(u_alice: UnitaryParams, u_bob: UnitaryParams, n: int):
     return _unitary_pairs(np.concatenate([u_alice.thetas, u_bob.thetas])[None], n)
 
 
-def _involution_generator(w: np.ndarray) -> np.ndarray:
-    """Hermitian H with exp(iH) = W for a unitary involution W (W^2 = I)."""
-    return math.pi * (np.eye(w.shape[0]) - w) / 2.0
-
-
 def swap_delete_seed() -> tuple[UnitaryParams, UnitaryParams]:
     """Parameters reproducing the swap deleting machine: Alice swaps A with
-    A', Bob does nothing."""
-    alice = params_from_hermitian(_involution_generator(swap_gate()))
+    A', Bob does nothing (the swap W squares to I, so H = pi (I - W) / 2)."""
+    alice = params_from_hermitian(math.pi * (np.eye(4) - swap_gate()) / 2.0)
     bob = UnitaryParams(np.zeros(16))
     return alice, bob
 
@@ -204,17 +199,14 @@ _SYMMETRIC[[2, 4, 3, 5], [4, 4, 5, 5]] = math.sqrt(0.5)
 
 
 def cloner_seed_params() -> UnitaryParams:
-    """Parameters of a 6x6 involution whose first two columns, through S,
-    are the universal cloner.
-
-    With d_k = e_k - S^dag v_k for the cloner's columns v_k, the reflection
-    W = I - 2Q, Q the projector onto span{d_0, d_1}, sends e_k to S^dag v_k:
-    <e_0|S^dag v_0> = sqrt(2/3) is real, the other three overlaps vanish and
-    d_0 is orthogonal to d_1.
-    """
-    d = np.eye(6)[:, :2] - _SYMMETRIC.T @ universal_clone_isometry().matrix
-    q, _ = np.linalg.qr(d)
-    return params_from_hermitian(_involution_generator(np.eye(6) - 2 * q @ q.conj().T))
+    """Parameters whose first two columns, through S, are the universal
+    cloner: in S's columns, a turn by arccos sqrt(2/3) from e_0 toward e_5
+    and a quarter turn from e_1 to sqrt(2/3) e_3 + sqrt(1/3) e_4, in
+    orthogonal planes, so their generators add."""
+    h = np.zeros((6, 6), dtype=complex)
+    h[0, 5] = 1j * math.acos(math.sqrt(2 / 3))
+    h[1, [3, 4]] = 0.5j * math.pi * np.sqrt([2 / 3, 1 / 3])
+    return params_from_hermitian(h - h.T)
 
 
 # |11> on (A', B'): the product minimum of the swap deleter's deleted copy
@@ -361,9 +353,12 @@ def _nelder_mead(x0: np.ndarray, max_evals: int):
     return sim[0], float(np.min(fsim)), nfev, iterations
 
 
-def _search(pair, kernel, score, n, seeds, reference, restarts, seed, max_evals) -> SearchReport:
+def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals) -> SearchReport:
     """Multi-restart simplex search of ``kernel(pair, U_A, U_B)`` over pairs
-    of n x n unitaries, x holding the parameters of U_A then of U_B.
+    of n x n unitaries whose input reaches only their first k columns: x
+    holds the 2kn - k^2 generator coordinates in rows i < k of U_A, then of
+    U_B.  The (k:, k:) block stays zero, as it must be in the (params_A,
+    params_B) ``seeds``; exp(iH)[:, :k] still reaches every n x k isometry.
 
     Restart 0, 1, ... start at the analytic seeds; later restarts alternate
     between perturbations of the first seed (scale 0.2) and fully random
@@ -375,20 +370,27 @@ def _search(pair, kernel, score, n, seeds, reference, restarts, seed, max_evals)
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    size = n * n
+    n, size = seeds[0][0].dim, seeds[0][0].thetas.size
+    free = np.r_[:k, n : n + 2 * (k * n - k * (k + 1) // 2)]
+    seeds = [np.concatenate([params.thetas[free] for params in machine]) for machine in seeds]
+
+    def thetas_of(xs):  # (m, 2 |free|) search points -> (m, 2 n^2) parameters
+        thetas = np.zeros((len(xs), 2, size))
+        thetas[:, :, free] = xs.reshape(len(xs), 2, free.size)
+        return thetas.reshape(len(xs), 2 * size)
 
     starts, runs = [], []
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         if r < len(seeds):
             starts.append("seed")
-            x0 = seeds[r].copy()
+            x0 = seeds[r]
         elif (r - len(seeds)) % 2 == 0:
             starts.append("perturbed")
-            x0 = seeds[0] + 0.2 * rng.standard_normal(2 * size)
+            x0 = seeds[0] + 0.2 * rng.standard_normal(seeds[0].size)
         else:
             starts.append("random")
-            x0 = rng.uniform(-math.pi, math.pi, 2 * size)
+            x0 = rng.uniform(-math.pi, math.pi, seeds[0].size)
         runs.append(_nelder_mead(x0, max_evals))
 
     pending, results = {}, [None] * restarts
@@ -404,11 +406,12 @@ def _search(pair, kernel, score, n, seeds, reference, restarts, seed, max_evals)
         advance(r, None)
     while pending:
         live = list(pending)
-        values = kernel(pair, *_unitary_pairs(np.stack([pending[r] for r in live]), n))
+        values = kernel(pair, *_unitary_pairs(thetas_of(np.stack([pending[r] for r in live])), n))
         for r, value in zip(live, np.where(np.isinf(values), OFF_SUPPORT_SENTINEL, values)):
             advance(r, value)
 
-    finals = [(UnitaryParams(x[:size]), UnitaryParams(x[size:])) for x, _, _, _ in results]
+    ends = thetas_of(np.stack([x for x, _, _, _ in results]))
+    finals = [(UnitaryParams(t[:size]), UnitaryParams(t[size:])) for t in ends]
     scores = [score(pair, *params) for params in finals]
     winner = min(range(restarts), key=scores.__getitem__)  # first of any tie
     records = tuple(
@@ -439,10 +442,7 @@ def optimize_delete(
     """
     reference = delete_bound(pair)
     alice, bob = swap_delete_seed()
-    seeds = [
-        np.concatenate([alice.thetas, bob.thetas]),
-        np.concatenate([bob.thetas, alice.thetas]),
-    ]
+    seeds = [(alice, bob), (bob, alice)]
     return _search(
         pair, _delete_objectives, delete_objective, 4, seeds, reference, restarts, seed, max_evals
     )
@@ -451,15 +451,15 @@ def optimize_delete(
 def optimize_clone(
     pair: SchmidtPair, restarts: int, seed: int, max_evals: int = MAX_EVALS
 ) -> SearchReport:
-    """Search symmetric local cloning machines, one 6x6 unitary per party.
+    """Search symmetric local cloning machines: rows 0, 1 of a 6x6 generator.
 
     Seeded at the universal cloner and at the basis copier (zero
     parameters), so the result never exceeds :func:`clone_bound`;
     deterministic for fixed (pair, restarts, seed).
     """
     reference = clone_bound(pair)
-    cloner = cloner_seed_params().thetas
-    seeds = [np.concatenate([cloner, cloner]), np.zeros(2 * cloner.size)]
+    cloner, copier = cloner_seed_params(), UnitaryParams(np.zeros(36))
+    seeds = [(cloner, cloner), (copier, copier)]
     return _search(
-        pair, _clone_objectives, clone_objective, 6, seeds, reference, restarts, seed, max_evals
+        pair, _clone_objectives, clone_objective, 2, seeds, reference, restarts, seed, max_evals
     )

@@ -74,12 +74,12 @@ class TestSeeds:
     def test_cloner_seed_reaches_the_cloner(self):
         from dualent.cloning import universal_clone_isometry
 
-        u = param_to_unitary(cloner_seed_params())
+        seed = cloner_seed_params()
+        # the seed lies in the search's chart: a zero (2:, 2:) generator block
+        assert not _hermitian_from_thetas(seed.thetas, 6)[2:, 2:].any()
+        u = param_to_unitary(seed)
         assert u.shape == (6, 6)
         assert np.max(np.abs(_SYMMETRIC @ u[:, :2] - universal_clone_isometry().matrix)) < 1e-12
-        # the seed is a reflection: Hermitian and its own inverse
-        assert np.max(np.abs(u - u.conj().T)) < 1e-12
-        assert np.max(np.abs(u @ u - np.eye(6))) < 1e-12
 
     def test_cloner_seed_objective_matches_bound(self):
         pair = SchmidtPair(0.6)
@@ -177,6 +177,20 @@ class TestOptimizeClone:
         first = optimize_clone(SchmidtPair(0.4), restarts=2, seed=8, max_evals=FAST_EVALS)
         second = optimize_clone(SchmidtPair(0.4), restarts=2, seed=8, max_evals=FAST_EVALS)
         assert first.best_objective == second.best_objective
+
+    def test_search_never_leaves_the_chart(self):
+        # only rows 0 and 1 of each generator move: thetas[:2] and the
+        # upper-triangle pairs of those rows, thetas[6:24]
+        report = optimize_clone(SchmidtPair(0.45), restarts=5, seed=1, max_evals=FAST_EVALS)
+        for params in report.best_params:
+            assert not params.thetas[2:6].any() and not params.thetas[24:].any()
+            assert params.thetas[6:24].any()
+
+    @pytest.mark.parametrize("a, below", [(0.3, 0.30), (0.5, 0.60)])
+    def test_finds_machines_below_the_closed_forms(self, a, below):
+        # clone_bound_combined gives 0.436 at a = 0.3 and 0.723 at a = 0.5
+        report = optimize_clone(SchmidtPair(a), restarts=5, seed=1)
+        assert report.best_objective < below
 
 
 def _random_unitary(rng, n):
