@@ -9,10 +9,11 @@ one deleting machine is the mean of two relative-entropy terms: kept copy
 against the input, and the best admissible separable target against the
 deleted copy.  For pure inputs the admissible targets are the pure product
 states, and :func:`min_over_product_pure` finds the best one for one deleted
-copy at a time.  One scorer computes both terms, for the swap machine (swap
-A with A' at Alice's side) and for every machine the search reports.  The
-deleting search does not call it in its loop: it scores the fixed target
-|11> and reports each final machine through this scorer.
+copy at a time.  One scorer's arithmetic computes both terms, for the swap
+machine (swap A with A' at Alice's side), with validated output states, and
+for every machine the search reports, without them.  The deleting search
+does not call it in its loop: it scores the fixed target |11> and reports
+each final machine through this scorer.
 """
 
 from __future__ import annotations
@@ -85,8 +86,10 @@ def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     of unitaries in the (..., 4, 4) stacks ``u_alice`` and ``u_bob``.
 
     Arranged as a matrix M over (AA', BB'), psi (x) psi is diag(a^2, ab,
-    ab, b^2), and the local unitaries map it to U_A M U_B^T.  Returns psi
-    and the stacked (A, B) and (A', B') marginals.
+    ab, b^2), and the local unitaries map it to U_A M U_B^T.  Returns psi,
+    the stacked (A, B) and (A', B') marginals, and the stacked output K
+    with rows (A, B) and columns (A', B'): out_AB = K K^dag and out_A'B' =
+    K^T K^*.
     """
     psi = _psi_vec(pair)
     weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
@@ -95,13 +98,23 @@ def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     kept = t.swapaxes(-3, -2).reshape(out.shape)  # rows (A, B), columns (A', B')
     out_ab = kept @ kept.conj().swapaxes(-1, -2)
     out_apbp = kept.swapaxes(-1, -2) @ kept.conj()
-    return psi, out_ab, out_apbp
+    return psi, out_ab, out_apbp, kept
+
+
+def _delete_objective(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> float:
+    """The ``objective`` of :func:`_delete_outcome`, bit for bit, without
+    building its validated states and argmin ket: the same kernels on the
+    same marginals, with the product minimum's checked support log."""
+    psi, ab, apbp, _ = _delete_terms(pair, u_alice, u_bob)
+    term_keep = float(_pure_rel_entropy(psi, ab)[0])
+    term_separable = float(_min_product_pure_matrix(apbp[0])[0])
+    return 0.5 * (term_keep + term_separable)
 
 
 def _delete_outcome(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> DeleteOutcome:
     """Run the deleting machine U_AA' (x) U_BB', given as (1, 4, 4) stacks
     ``u_alice`` and ``u_bob``, and score both of its outputs."""
-    psi, ab, apbp = _delete_terms(pair, u_alice, u_bob)
+    psi, ab, apbp, _ = _delete_terms(pair, u_alice, u_bob)
     out_ab = LabeledState(ab[0], (2, 2), ("A", "B"))
     out_apbp = LabeledState(apbp[0], (2, 2), ("A'", "B'"))
     term_keep = float(_pure_rel_entropy(psi, ab)[0])

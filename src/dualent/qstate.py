@@ -228,13 +228,48 @@ def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
 def _pure_rel_entropy(vec: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """S(|v><v| | rho) for a unit vector v and each rho of a (..., n, n)
     stack; ``inf`` where |v> leaks off the support of rho."""
-    values, vectors = np.linalg.eigh(rho)
-    weights = np.abs(vectors.conj().swapaxes(-1, -2) @ vec) ** 2
+    return _pure_rel_entropy_on(vec, *np.linalg.eigh(rho))[0]
+
+
+def _pure_rel_entropy_on(vec: np.ndarray, values: np.ndarray, vectors: np.ndarray):
+    """:func:`_pure_rel_entropy` from the eigendecompositions of the rhos;
+    also returns the overlaps <e_l|v> and the support mask."""
+    overlaps = vectors.conj().swapaxes(-1, -2) @ vec
+    weights = np.abs(overlaps) ** 2
     on_support = values > la.SUPPORT_TOL
     leak = np.add.reduce(weights, axis=-1, where=~on_support)
     logs = np.log2(values, out=np.zeros_like(values), where=on_support)
     value = -np.add.reduce(weights * logs, axis=-1)
-    return np.where(leak > SUPPORT_LEAK_TOL, math.inf, value)
+    return np.where(leak > SUPPORT_LEAK_TOL, math.inf, value), overlaps, on_support
+
+
+def _pure_rel_entropy_grad(vec: np.ndarray, rho: np.ndarray):
+    """:func:`_pure_rel_entropy` and its gradient G, dS = tr(G d rho) for
+    Hermitian d rho, for each rho of a (..., n, n) stack.
+
+    S = -<v|g(rho)|v> with g = log2 on the support and 0 off it, as the value
+    is computed; Daleckii-Krein gives G = -W (L o W^dag |v><v| W) W^dag with
+    L the divided differences of g on the eigenvalues (Bhatia, Matrix
+    Analysis, ch. V).  Eigenvalues on the support are all above SUPPORT_TOL,
+    so L is finite; G is meaningless where the value is ``inf``.
+    """
+    values, vectors = np.linalg.eigh(rho)
+    value, overlaps, on_support = _pure_rel_entropy_on(vec, values, vectors)
+    low = np.minimum(values[..., :, None], values[..., None, :])
+    high = np.maximum(values[..., :, None], values[..., None, :])
+    gap = high - low
+    both = on_support[..., :, None] & on_support[..., None, :]
+    one = on_support[..., :, None] ^ on_support[..., None, :]
+    zeros = np.zeros_like(gap)
+    # both on the support: log1p(gap / low) / gap, the limit 1 / low at gap 0
+    ratio = np.divide(gap, low, out=zeros.copy(), where=both)
+    diff = np.divide(1.0, low, out=zeros.copy(), where=both)
+    np.divide(np.log1p(ratio), gap, out=diff, where=both & (gap > 0))
+    # one on the support, the larger eigenvalue: its log / gap
+    logs = np.log(high, out=zeros.copy(), where=one)
+    np.divide(logs, gap, out=diff, where=one)
+    inner = (diff / math.log(2.0)) * (overlaps[..., :, None] * overlaps[..., None, :].conj())
+    return value, -(vectors @ inner @ vectors.conj().swapaxes(-1, -2))
 
 
 def entropy_of_entanglement(ket: Ket, cut=((0,), (1,))) -> float:

@@ -1,4 +1,4 @@
-"""Derivative-free search over parameterised local unitaries, tightening the
+"""Gradient search over parameterised local unitaries, tightening the
 cloning and deleting bounds from within the corresponding machine families.
 
 Unitaries are encoded as U = exp(iH) with H Hermitian, assembled from a real
@@ -24,17 +24,21 @@ U_B, so both scores have the same infimum.  The inner minimum over product
 targets runs only in the deleting machine's one scorer, which
 :func:`delete_objective` and ``local_delete_swap`` share.
 
-Both searches run one driver: every restart is an adaptive Nelder-Mead run
-(the same steps, bit for bit, as scipy's), written as a generator that
-yields the points it needs.  The driver runs all restarts in lock-step and
-scores the pending point of every unfinished run with one stacked kernel
-call per round, so the restarts share each numpy call of the kernel.  The
-final point of every run is then scored by the family's public objective,
+Both searches run one driver: every restart is an L-BFGS run, written as a
+generator that yields the points it needs and is sent their values and
+gradients.  Both kernels have exact gradients: the search scores are
+-<v|log2 rho|v>, and Daleckii-Krein divided differences differentiate both
+log2 rho and exp(iH) from the eigendecompositions the values already take.
+The driver runs all restarts in lock-step and evaluates the pending point of
+every unfinished run with one stacked value-and-gradient call per round, so
+the restarts share each numpy call of the kernel.  The final point of every
+run is then scored by the family's public objective,
 :func:`delete_objective` or :func:`clone_objective`, which picks the winner.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -44,22 +48,23 @@ import numpy as np
 from . import linalg as la
 from .cloning import clone_bound
 from .deleting import (
-    _delete_outcome,
+    _delete_objective,
     _delete_terms,
     _psi_vec,
     delete_bound,
     swap_gate,
 )
-from .qstate import SchmidtPair, _pure_rel_entropy
+from .qstate import SchmidtPair, _pure_rel_entropy, _pure_rel_entropy_grad
 
-# infinite objectives are clipped to this inside the simplex search only
-OFF_SUPPORT_SENTINEL = 1e6
+# value-and-gradient evaluations per restart; deleting keeps twice the
+# budget, as its slowest restart on a 20-point grid of a takes 1947
 MAX_EVALS = 2000
-# the fixed-target deleting search needs the larger budget: with MAX_EVALS
-# its optima on a 20-point grid of a end up to 2.3e-2 bits higher
 DELETE_MAX_EVALS = 2 * MAX_EVALS
-SIMPLEX_TOL = 1e-8
-SIMPLEX_FTOL = 1e-12
+_HISTORY = 10  # curvature pairs an L-BFGS run keeps
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_GRAD_TOL = 1e-9  # converged: max |gradient| at most this ...
+_DECREASE_TOL = 1e-14  # ... or a step lowers the value by at most this, relative
+_STEP_TOL = 1e-12  # stalled: the line search shrank the step below this
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +89,16 @@ class UnitaryParams:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """How one simplex run of a search went.
+    """How one L-BFGS run of a search went.
 
-    ``start`` is ``"seed"``, ``"perturbed"`` or ``"random"``; ``exit`` is
-    ``"converged"`` (simplex within ``SIMPLEX_TOL`` and ``SIMPLEX_FTOL``) or
-    ``"maxfev"`` (evaluation budget spent).  ``objective`` is the family's
-    public objective (:func:`delete_objective` or :func:`clone_objective`) at
-    the run's final point; for deleting it can lie below the run's simplex
-    values, which score the fixed target |11>.
+    ``start`` is ``"seed"``, ``"perturbed"`` or ``"random"``; ``nfev``
+    counts value-and-gradient evaluations and ``nit`` accepted steps.
+    ``exit`` is ``"converged"`` (gradient or decrease below tolerance),
+    ``"maxfev"`` (evaluation budget spent) or ``"stalled"`` (a line search
+    found no decrease).  ``objective`` is the family's public objective
+    (:func:`delete_objective` or :func:`clone_objective`) at the run's
+    final point; for deleting it can lie below the run's own values, which
+    score the fixed target |11>.
     """
 
     start: str
@@ -159,26 +166,49 @@ def param_to_unitary(params: UnitaryParams) -> np.ndarray:
 
 def _unitary_from_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
     """exp(iH) for each row of ``thetas`` (..., n^2), by one stacked ``eigh``."""
-    values, vectors = np.linalg.eigh(_hermitian_from_thetas(thetas, n))
+    return _exp_i(*np.linalg.eigh(_hermitian_from_thetas(thetas, n)))
+
+
+def _exp_i(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """exp(iH) from the eigendecompositions of a stack of generators H."""
     return (vectors * np.exp(1j * values)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
-def _unitary_pairs(xs: np.ndarray, n: int):
-    """The (U_A, U_B) stacks of the rows of ``xs`` (m, 2 n^2), each row the
-    parameters of U_A then of U_B; one stacked ``eigh`` for all 2m."""
-    unitaries = _unitary_from_thetas(xs.reshape(-1, n * n), n).reshape(-1, 2, n, n)
-    return unitaries[:, 0], unitaries[:, 1]
+def _thetas_gradient(values: np.ndarray, vectors: np.ndarray, grad_u: np.ndarray) -> np.ndarray:
+    """Gradients (..., n^2) in the parameters of a real objective of U =
+    exp(iH), given the eigendecompositions of the stacked H and the
+    objective's gradients in U: d objective = Re tr(grad_u^dag dU).
+
+    Daleckii-Krein: dU = V (F o V^dag dH V) V^dag, with F the divided
+    differences of exp(i lambda), i exp(i (l_j + l_k) / 2) sinc((l_j - l_k)
+    / 2), exact at equal eigenvalues.  So d objective = Re tr(K^dag dH) for
+    K = V (F^* o V^dag grad_u V) V^dag, read off at each parameter's dH.
+    """
+    n = values.shape[-1]
+    mean = 0.5 * (values[..., :, None] + values[..., None, :])
+    gap = values[..., :, None] - values[..., None, :]
+    divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2 * math.pi))
+    vh = vectors.conj().swapaxes(-1, -2)
+    k = vectors @ (divided.conj() * (vh @ grad_u @ vectors)) @ vh
+    rows, cols = _upper_indices(n)
+    upper, lower = k[..., rows, cols], k[..., cols, rows]
+    grad = np.empty(values.shape[:-1] + (n * n,))
+    grad[..., :n] = np.diagonal(k, axis1=-2, axis2=-1).real
+    grad[..., n::2] = (upper + lower).real
+    grad[..., n + 1 :: 2] = (upper - lower).imag
+    return grad
 
 
 def _pair_unitaries(u_alice: UnitaryParams, u_bob: UnitaryParams, n: int):
     """The two n x n unitaries a parameter pair encodes, each as a stack of
-    one."""
+    one, from one stacked ``eigh``."""
     for params in (u_alice, u_bob):
         if params.dim != n:
             raise ValueError(
                 f"expected parameters for a {n}x{n} unitary, got {params.dim}x{params.dim}"
             )
-    return _unitary_pairs(np.concatenate([u_alice.thetas, u_bob.thetas])[None], n)
+    unitaries = _unitary_from_thetas(np.stack([u_alice.thetas, u_bob.thetas]), n)
+    return unitaries[:1], unitaries[1:]
 
 
 def swap_delete_seed() -> tuple[UnitaryParams, UnitaryParams]:
@@ -222,8 +252,29 @@ def _delete_objectives(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray
     out_AB alone and turns the inner argmin into |11>, and it folds into
     U_A or U_B.
     """
-    psi, out_ab, out_apbp = _delete_terms(pair, u_alice, u_bob)
+    psi, out_ab, out_apbp, _ = _delete_terms(pair, u_alice, u_bob)
     return 0.5 * (_pure_rel_entropy(psi, out_ab) + _pure_rel_entropy(_DELETE_TARGET, out_apbp))
+
+
+def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
+    """:func:`_delete_objectives`, bit for bit, and the gradients in U_A and
+    U_B as a (k, 2, 4, 4) stack (d value = Re tr(G_A^dag dU_A + G_B^dag
+    dU_B)).
+
+    With out_AB = K K^dag and out_A'B' = K^T K^*, the two terms' gradients
+    G1, G2 in their states give G_K = G1 K + K G2^*; K is a reshuffle of
+    out = U_A D U_B^T, D = diag(psi (x) psi).
+    """
+    psi, out_ab, out_apbp, kept = _delete_terms(pair, u_alice, u_bob)
+    keep, grad_ab = _pure_rel_entropy_grad(psi, out_ab)
+    deleted, grad_apbp = _pure_rel_entropy_grad(_DELETE_TARGET, out_apbp)
+    grad_kept = grad_ab @ kept + kept @ grad_apbp.conj()
+    grad_out = grad_kept.reshape(kept.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
+    grad_out = grad_out.reshape(kept.shape)
+    weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
+    grad_a = (grad_out @ u_bob.conj()) * weights
+    grad_b = (grad_out.swapaxes(-1, -2) @ u_alice.conj()) * weights
+    return 0.5 * (keep + deleted), np.stack([grad_a, grad_b], axis=-3)
 
 
 def delete_objective(
@@ -236,7 +287,7 @@ def delete_objective(
     instance the identity machine, whose deleted copy is still the
     entangled pure input).
     """
-    return _delete_outcome(pair, *_pair_unitaries(u_alice, u_bob, 4)).objective
+    return _delete_objective(pair, *_pair_unitaries(u_alice, u_bob, 4))
 
 
 def clone_objective(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
@@ -253,11 +304,17 @@ def _clone_copy(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np
     Each party's machine is the 8x2 isometry S U[:, :2] from its qubit into
     (clone, clone, env).
     """
+    ab = _clone_amplitudes(pair, u_alice, u_bob)
+    return ab @ ab.conj().swapaxes(-1, -2)
+
+
+def _clone_amplitudes(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
+    """The (..., 4, 16) output amplitudes with rows (A, B) and columns (A',
+    Ae, B', Be), whose Gram matrix is :func:`_clone_copy`."""
     alice, bob = _SYMMETRIC @ u_alice[..., :2], _SYMMETRIC @ u_bob[..., :2]
     out = (alice * (pair.a, pair.b)) @ bob.swapaxes(-1, -2)
     t = out.reshape(-1, 2, 2, 2, 2, 2, 2)  # (machine, A, A', Ae, B, B', Be)
-    ab = t.transpose(0, 1, 4, 2, 3, 5, 6).reshape(out.shape[:-2] + (4, 16))
-    return ab @ ab.conj().swapaxes(-1, -2)
+    return t.transpose(0, 1, 4, 2, 3, 5, 6).reshape(out.shape[:-2] + (4, 16))
 
 
 def _clone_objectives(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
@@ -265,106 +322,121 @@ def _clone_objectives(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray)
     return _pure_rel_entropy(_psi_vec(pair), _clone_copy(pair, u_alice, u_bob))
 
 
-class _OutOfEvals(Exception):
-    """The evaluation budget of a simplex run is spent."""
+def _clone_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
+    """:func:`_clone_objectives`, bit for bit, and the gradients in U_A and
+    U_B as a (k, 2, 6, 6) stack (d value = Re tr(G_A^dag dU_A + G_B^dag
+    dU_B)); only their first two columns, the ones the input reaches, are
+    nonzero.
 
-
-def _nelder_mead(x0: np.ndarray, max_evals: int):
-    """Adaptive Nelder-Mead (Gao & Han 2012) as a generator: it yields each
-    point it needs and is sent that point's value back.  Returns ``(x, fun,
-    nfev, nit)``.
-
-    It repeats scipy's ``minimize(method="Nelder-Mead")`` with options
-    ``maxfev=max_evals, xatol=SIMPLEX_TOL, fatol=SIMPLEX_FTOL,
-    adaptive=True`` operation for operation, so both give the same points
-    bit for bit: the initial simplex steps each coordinate by 5 % (0.00025
-    when it is zero), the vertices are ordered by ``argsort``/``take``, and
-    a run whose budget ends inside an iteration stops there, without the
-    value that iteration still needed.
+    With copy = M M^dag for the amplitudes M, G_M = 2 G M; M is a reshuffle
+    of out = S U_A[:, :2] diag(a, b) (S U_B[:, :2])^T.
     """
-    nfev = 0
+    ab = _clone_amplitudes(pair, u_alice, u_bob)
+    value, grad_copy = _pure_rel_entropy_grad(_psi_vec(pair), ab @ ab.conj().swapaxes(-1, -2))
+    grad_ab = 2.0 * grad_copy @ ab
+    grad_out = grad_ab.reshape(-1, 2, 2, 2, 2, 2, 2).transpose(0, 1, 3, 4, 2, 5, 6)
+    grad_out = grad_out.reshape(ab.shape[:-2] + (8, 8))
+    alice, bob = _SYMMETRIC @ u_alice[..., :2], _SYMMETRIC @ u_bob[..., :2]
+    grads = np.zeros(ab.shape[:-2] + (2, 6, 6), dtype=complex)
+    grads[..., 0, :, :2] = _SYMMETRIC.T @ (grad_out @ bob.conj())
+    grads[..., 1, :, :2] = _SYMMETRIC.T @ (grad_out.swapaxes(-1, -2) @ alice.conj())
+    grads[..., :2] *= (pair.a, pair.b)
+    return value, grads
 
-    def ask(x):
-        nonlocal nfev
-        if nfev >= max_evals:
-            raise _OutOfEvals
-        nfev += 1
-        return (yield x)
 
-    dim = len(x0)
-    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
-    sim = np.empty((dim + 1, dim))
-    sim[0] = x0
-    for k in range(dim):
-        y = np.array(x0, copy=True)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full(dim + 1, np.inf)
-    try:
-        for k in range(dim + 1):
-            fsim[k] = yield from ask(sim[k])
-    except _OutOfEvals:
-        pass
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS direction -H grad from the curvature pairs (s, y, 1/s.y),
+    oldest first, with H's initial scale s.y / y.y of the newest pair."""
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q = q - alphas[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        q = q * ((s @ y) / (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - rho * (y @ q)) * s
+    return q
 
-    iterations = 1
-    while nfev < max_evals:
-        try:
-            if (
-                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= SIMPLEX_TOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= SIMPLEX_FTOL
-            ):
+
+def _lbfgs(x0: np.ndarray, max_evals: int):
+    """L-BFGS (Liu & Nocedal 1989) as a generator: it yields each point it
+    needs and is sent that point's ``(value, gradient)`` back.  Returns
+    ``(x, value, nfev, nit, exit)`` at the last accepted point.
+
+    Each step backtracks along the two-loop direction until the Armijo
+    condition holds, moving to the minimiser of the quadratic through the
+    value, the slope and the failed trial, kept within [0.1, 0.5] of the
+    step; an infinite trial value (off the support) is a failed trial.  The
+    first trial moves min(1, 1 / |g|) along -g, at most a unit distance.  A
+    curvature pair enters the history only when s.y > 1e-12 y.y, which
+    keeps H positive definite.
+    """
+    value, grad = yield x0
+    x, nfev, nit = x0, 1, 0
+    if not math.isfinite(value):
+        return x, value, nfev, nit, "stalled"
+    pairs = collections.deque(maxlen=_HISTORY)
+    while np.max(np.abs(grad)) > _GRAD_TOL:
+        direction = _two_loop(grad, pairs)
+        slope = grad @ direction
+        # Armijo then accepts only decreases, so a run never ends above its
+        # start (the seeds' reference bounds); H is positive definite, so
+        # only round-off could make the slope nonnegative
+        if not slope < 0:
+            pairs.clear()
+            direction, slope = -grad, -(grad @ grad)
+        step = 1.0 if pairs else min(1.0, 1.0 / math.sqrt(grad @ grad))
+        while True:
+            if nfev >= max_evals:
+                return x, value, nfev, nit, "maxfev"
+            trial = x + step * direction
+            trial_value, trial_grad = yield trial
+            nfev += 1
+            if trial_value <= value + _ARMIJO * step * slope:
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / dim
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = yield from ask(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = yield from ask(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = yield from ask(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
-            else:
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = yield from ask(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, dim + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = yield from ask(sim[j])
-            iterations += 1
-        except _OutOfEvals:
-            pass
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    return sim[0], float(np.min(fsim)), nfev, iterations
+            quadratic = -slope * step * step / (2.0 * (trial_value - value - slope * step))
+            step = min(max(quadratic, 0.1 * step), 0.5 * step)
+            if step * np.max(np.abs(direction)) < _STEP_TOL:
+                return x, value, nfev, nit, "stalled"
+        s, y = trial - x, trial_grad - grad
+        if s @ y > 1e-12 * (y @ y):
+            pairs.append((s, y, 1.0 / (s @ y)))
+        nit += 1
+        decrease = value - trial_value
+        scale = max(abs(value), abs(trial_value), 1.0)
+        x, value, grad = trial, trial_value, trial_grad
+        if decrease <= _DECREASE_TOL * scale:
+            break
+    return x, value, nfev, nit, "converged"
+
+
+def _stacked_values_and_gradients(pair, kernel, thetas: np.ndarray, n: int):
+    """Values and parameter gradients of ``kernel`` (a family's value and
+    unitary-gradient kernel) at the rows of ``thetas`` (m, 2 n^2), each
+    the parameters of U_A then of U_B.  One stacked ``eigh`` gives the
+    unitaries and the chain rule through exp(iH)."""
+    values, vectors = np.linalg.eigh(_hermitian_from_thetas(thetas.reshape(-1, n * n), n))
+    unitaries = _exp_i(values, vectors).reshape(-1, 2, n, n)
+    objectives, grad_u = kernel(pair, unitaries[:, 0], unitaries[:, 1])
+    grads = _thetas_gradient(values, vectors, grad_u.reshape(-1, n, n))
+    return objectives, grads.reshape(len(thetas), 2 * n * n)
 
 
 def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals) -> SearchReport:
-    """Multi-restart simplex search of ``kernel(pair, U_A, U_B)`` over pairs
-    of n x n unitaries whose input reaches only their first k columns: x
-    holds the 2kn - k^2 generator coordinates in rows i < k of U_A, then of
-    U_B.  The (k:, k:) block stays zero, as it must be in the (params_A,
-    params_B) ``seeds``; exp(iH)[:, :k] still reaches every n x k isometry.
+    """Multi-restart L-BFGS search of the values of ``kernel(pair, U_A,
+    U_B)``, a family's value-and-gradient kernel, over pairs of n x n
+    unitaries whose input reaches only their first k columns: x holds the
+    2kn - k^2 generator coordinates in rows i < k of U_A, then of U_B.  The
+    (k:, k:) block stays zero, as it must be in the (params_A, params_B)
+    ``seeds``; exp(iH)[:, :k] still reaches every n x k isometry.
 
     Restart 0, 1, ... start at the analytic seeds; later restarts alternate
     between perturbations of the first seed (scale 0.2) and fully random
     draws uniform in [-pi, pi].  All restarts run in lock-step: each round
-    stacks the next point of every unfinished run into one kernel call.
-    The final point of each run is then scored by the family's public
+    stacks the next point of every unfinished run into one value-and-gradient
+    call.  The final point of each run is then scored by the family's public
     objective ``score(pair, params_A, params_B)``; the lowest score wins,
     ties keeping the lower restart index.
     """
@@ -373,11 +445,12 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     n, size = seeds[0][0].dim, seeds[0][0].thetas.size
     free = np.r_[:k, n : n + 2 * (k * n - k * (k + 1) // 2)]
     seeds = [np.concatenate([params.thetas[free] for params in machine]) for machine in seeds]
+    columns = np.concatenate([free, size + free])
 
     def thetas_of(xs):  # (m, 2 |free|) search points -> (m, 2 n^2) parameters
-        thetas = np.zeros((len(xs), 2, size))
-        thetas[:, :, free] = xs.reshape(len(xs), 2, free.size)
-        return thetas.reshape(len(xs), 2 * size)
+        thetas = np.zeros((len(xs), 2 * size))
+        thetas[:, columns] = xs
+        return thetas
 
     starts, runs = [], []
     for r in range(restarts):
@@ -391,13 +464,13 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
         else:
             starts.append("random")
             x0 = rng.uniform(-math.pi, math.pi, seeds[0].size)
-        runs.append(_nelder_mead(x0, max_evals))
+        runs.append(_lbfgs(x0, max_evals))
 
     pending, results = {}, [None] * restarts
 
-    def advance(r, value):
+    def advance(r, sent):
         try:
-            pending[r] = runs[r].send(value)
+            pending[r] = runs[r].send(sent)
         except StopIteration as stop:
             pending.pop(r, None)
             results[r] = stop.value
@@ -406,17 +479,18 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
         advance(r, None)
     while pending:
         live = list(pending)
-        values = kernel(pair, *_unitary_pairs(thetas_of(np.stack([pending[r] for r in live])), n))
-        for r, value in zip(live, np.where(np.isinf(values), OFF_SUPPORT_SENTINEL, values)):
-            advance(r, value)
+        thetas = thetas_of(np.stack([pending[r] for r in live]))
+        values, grads = _stacked_values_and_gradients(pair, kernel, thetas, n)
+        for r, value, grad in zip(live, values, grads[:, columns]):
+            advance(r, (float(value), grad))
 
-    ends = thetas_of(np.stack([x for x, _, _, _ in results]))
+    ends = thetas_of(np.stack([x for x, *_ in results]))
     finals = [(UnitaryParams(t[:size]), UnitaryParams(t[size:])) for t in ends]
     scores = [score(pair, *params) for params in finals]
     winner = min(range(restarts), key=scores.__getitem__)  # first of any tie
     records = tuple(
-        RestartRecord(start, nfev, nit, "maxfev" if nfev >= max_evals else "converged", value)
-        for start, (_, _, nfev, nit), value in zip(starts, results, scores)
+        RestartRecord(start, nfev, nit, exit, value)
+        for start, (_, _, nfev, nit, exit), value in zip(starts, results, scores)
     )
     return SearchReport(
         best_objective=scores[winner],
@@ -434,7 +508,7 @@ def optimize_delete(
 ) -> SearchReport:
     """Search local-unitary deleting machines for the best objective.
 
-    The simplex runs score each machine against the fixed target |11>
+    The L-BFGS runs score each machine against the fixed target |11>
     (:func:`_delete_objectives`); each run's final machine is then scored by
     :func:`delete_objective`, which can only be lower.  Seeded at the A-side
     and B-side swaps, so the result never exceeds :func:`delete_bound`;
@@ -443,9 +517,8 @@ def optimize_delete(
     reference = delete_bound(pair)
     alice, bob = swap_delete_seed()
     seeds = [(alice, bob), (bob, alice)]
-    return _search(
-        pair, _delete_objectives, delete_objective, 4, seeds, reference, restarts, seed, max_evals
-    )
+    kernel, score = _delete_objectives_grad, delete_objective
+    return _search(pair, kernel, score, 4, seeds, reference, restarts, seed, max_evals)
 
 
 def optimize_clone(
@@ -460,6 +533,5 @@ def optimize_clone(
     reference = clone_bound(pair)
     cloner, copier = cloner_seed_params(), UnitaryParams(np.zeros(36))
     seeds = [(cloner, cloner), (copier, copier)]
-    return _search(
-        pair, _clone_objectives, clone_objective, 2, seeds, reference, restarts, seed, max_evals
-    )
+    kernel, score = _clone_objectives_grad, clone_objective
+    return _search(pair, kernel, score, 2, seeds, reference, restarts, seed, max_evals)

@@ -2,7 +2,7 @@
 PASS/FAIL line (run with ``pytest -s`` to see them inline).
 
 The variational criterion exercises the searches at their full evaluation
-budget on a 20-point grid and takes a few minutes; everything else is
+budget on a 20-point grid and takes about 20 seconds; everything else is
 seconds.
 """
 
@@ -32,6 +32,23 @@ from dualent.variational import optimize_clone, optimize_delete
 SYM = 1.0 / math.sqrt(2.0)
 GRID_50 = np.linspace(0.01, SYM, 50)
 GRID_20 = np.linspace(0.01, SYM, 20)
+# best objectives of the budget-capped Nelder-Mead searches that L-BFGS
+# replaced (restarts=5, seed=1), per GRID_20 point, to 12 decimals: no
+# search may end above them
+SIMPLEX_BESTS = {
+    "delete": (
+        0.000494636384, 0.005101432609, 0.012269454955, 0.023745226726, 0.037211064334,
+        0.057477402196, 0.079805492670, 0.107896472101, 0.140918543126, 0.179320368738,
+        0.222915351550, 0.273266898524, 0.331151112599, 0.393474825146, 0.459320948861,
+        0.523983589437, 0.593780229815, 0.663200639850, 0.733918819421, 0.811278131979,
+    ),
+    "clone": (
+        0.001165313815, 0.016019176461, 0.039545120370, 0.068694522774, 0.105328137069,
+        0.135732785514, 0.177823829549, 0.221647895184, 0.270150396475, 0.318012984930,
+        0.375593461879, 0.434553709314, 0.494462576535, 0.553809045902, 0.610809063199,
+        0.663404772699, 0.709132187671, 0.745287851825, 0.769057134269, 0.777607578664,
+    ),
+}
 
 
 def report(number, ok, detail):
@@ -134,13 +151,14 @@ def test_criterion_8_measure_and_forget_witness():
 
 @pytest.mark.slow
 def test_criterion_9_variational_sanity():
-    worst_excess = -math.inf
-    for a in GRID_20:
+    worst_excess = worst_regress = -math.inf
+    for k, a in enumerate(GRID_20):
         pair = SchmidtPair(float(a))
-        for search in (optimize_delete, optimize_clone):
+        for kind, search in (("delete", optimize_delete), ("clone", optimize_clone)):
             rep = search(pair, restarts=5, seed=1)
             worst_excess = max(worst_excess, rep.best_objective - rep.reference_bound)
-    bounded = worst_excess <= 1e-6
+            worst_regress = max(worst_regress, rep.best_objective - SIMPLEX_BESTS[kind][k])
+    bounded = worst_excess <= 1e-6 and worst_regress <= 1e-9
     probe = SchmidtPair(float(GRID_20[7]))
     deterministic = True
     for search in (optimize_delete, optimize_clone):
@@ -154,7 +172,8 @@ def test_criterion_9_variational_sanity():
     report(
         9,
         bounded and deterministic,
-        f"worst best-minus-reference = {worst_excess:.2e}, deterministic = {deterministic}",
+        f"worst best-minus-reference = {worst_excess:.2e}, worst best-minus-simplex = "
+        f"{worst_regress:.2e}, deterministic = {deterministic}",
     )
 
 
