@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg as la
 from .qstate import (
     LabeledState,
     SchmidtPair,
@@ -70,18 +69,20 @@ def local_clone_pipeline(pair: SchmidtPair):
     """Run the cloner locally on both halves of a|00> + b|11>.
 
     Each party feeds its qubit plus a |0> blank and a |0> environment to the
-    cloner, Alice swaps her two clone registers, and the environments plus
-    the opposite clone pair are traced away.  Returns ``(eta, copy1, copy2)``
-    where ``eta`` is the six-qubit post-swap state over (A, A', Ae, B, B',
-    Be), ``copy1`` the (A, B) marginal and ``copy2`` the (A', B') marginal.
-    Both copies equal :func:`rho_clone_closed_form` to machine precision.
+    cloner, and the environments plus the opposite clone pair are traced
+    away.  Returns ``(eta, copy1, copy2)`` where ``eta`` is the six-qubit
+    output over (A, A', Ae, B, B', Be), ``copy1`` the (A, B) marginal and
+    ``copy2`` the (A', B') marginal.  Both copies equal
+    :func:`rho_clone_closed_form` to machine precision.
+
+    No register swap is applied.  The cloner is symmetric, its image lying
+    in Sym^2(C^2) (x) C^2_env, so swapping Alice's two clone registers A and
+    A' would leave ``eta`` unchanged, bit for bit.
     """
     v = universal_clone_isometry().matrix
     psi = schmidt_ket(pair)
-    out = la.kron(v, v) @ psi.amplitudes  # factors (A, A', Ae, B, B', Be)
-    dims = (2,) * 6
-    out = la.permute_ket(out, dims, (1, 0, 2, 3, 4, 5))  # Alice swaps A <-> A'
-    eta = LabeledState(np.outer(out, out.conj()), dims, CLONE_LABELS)
+    out = np.kron(v, v) @ psi.amplitudes  # factors (A, A', Ae, B, B', Be)
+    eta = LabeledState(np.outer(out, out.conj()), (2,) * 6, CLONE_LABELS)
     copy1 = trace_out(eta, ("A'", "Ae", "B'", "Be"))
     copy2 = trace_out(eta, ("A", "Ae", "B", "Be"))
     return eta, copy1, copy2

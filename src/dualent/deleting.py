@@ -241,7 +241,9 @@ def _min_product_pure_matrix(matrix: np.ndarray):
     values = np.where(valid, values, math.inf)
     # with no start inside the support, report the least leaky one
     best = values.argmin() if valid.any() else leaks.argmin()
-    return values[best], mx[best, 1:], my[best, 1:]
+    # relative entropies are nonnegative: clamp round-off below zero (and
+    # -0.0) to 0.0, after the argmin, so that the chosen pair does not move
+    return np.maximum(values[best], 0.0), mx[best, 1:], my[best, 1:]
 
 
 def min_over_product_pure(state: LabeledState):
@@ -278,7 +280,7 @@ def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:
     spectrum = np.clip(values[::-1], 0.0, None)
     deleted = np.diag(spectrum.astype(complex))
     return LabeledState(
-        la.kron(rho_ab.matrix, deleted),
+        np.kron(rho_ab.matrix, deleted),
         rho_ab.dims + rho_apbp.dims,
         rho_ab.labels + rho_apbp.labels,
     )

@@ -2,7 +2,7 @@
 
 Operators are plain ``numpy.ndarray`` of complex128.  Subsystem structure is
 never implicit: every operation that cares about tensor factors takes the
-factor dimensions as an explicit list, so six-register reorderings stay
+factor dimensions as an explicit list, so six-register partial traces stay
 readable at the call site.
 
 Each function takes one matrix and checks it.  The search kernels score Gram
@@ -80,11 +80,6 @@ def matrix_log2_on_support(matrix):
     return (cols * weights) @ cols.conj().T, cols @ cols.conj().T
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product of two operators."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def _check_dims(dims: Sequence[int], total: int) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
@@ -92,20 +87,6 @@ def _check_dims(dims: Sequence[int], total: int) -> tuple[int, ...]:
     if math.prod(dims) != total:
         raise ValueError(f"factor dimensions {dims} do not multiply to {total}")
     return dims
-
-
-def permute_ket(amplitudes, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder the tensor factors of a state vector.
-
-    ``perm[k]`` is the input factor that lands at output position ``k``;
-    applying ``perm`` and then its inverse is the identity.
-    """
-    vec = np.asarray(amplitudes, dtype=complex).ravel()
-    dims = _check_dims(dims, vec.size)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"{perm} is not a permutation of {len(dims)} factors")
-    return vec.reshape(dims).transpose(perm).ravel()
 
 
 def partial_trace(matrix, dims: Sequence[int], discard) -> np.ndarray:

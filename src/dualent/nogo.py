@@ -68,25 +68,18 @@ def apply_kraus(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
     return sum(op @ rho @ op.conj().T for op in kraus.operators)
 
 
-def measure_forget_channel(alpha: Ket, basis: np.ndarray | None = None):
+def measure_forget_channel(alpha: Ket):
     """Measure a qubit and forget the outcome, keeping the environment.
 
-    Dilates the projective measurement {|0><0|, |1><1|} (conjugated into
-    ``basis`` when given) and returns ``(system_out, env_out)``.  Both equal
-    diag(|a|^2, |b|^2) in the measurement basis: the environment retains the
-    local state, so the operation leaks and is not closed.
+    Dilates the projective measurement {|0><0|, |1><1|} and returns
+    ``(system_out, env_out)``.  Both equal diag(|a|^2, |b|^2): the
+    environment retains the local state, so the operation leaks and is not
+    closed.  Any other measurement basis is a local unitary on the input
+    away from this one.
     """
     if alpha.amplitudes.size != 2:
         raise ValueError(f"qubit ket required, got dimension {alpha.amplitudes.size}")
-    if basis is None:
-        basis = np.eye(2, dtype=complex)
-    else:
-        basis = la.as_matrix(basis)
-        if not np.max(np.abs(basis.conj().T @ basis - np.eye(2))) <= 1e-10:
-            raise ValueError("measurement basis must be unitary")
-    projectors = tuple(
-        np.outer(basis[:, k], basis[:, k].conj()) for k in range(2)
-    )
+    projectors = tuple(np.outer(e, e.conj()) for e in np.eye(2, dtype=complex))
     isometry = stinespring_isometry(KrausSet(projectors))
     rho = np.outer(alpha.amplitudes, alpha.amplitudes.conj())
     full = isometry @ rho @ isometry.conj().T

@@ -9,7 +9,7 @@ returned as ``math.inf`` rather than raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -109,7 +109,8 @@ def basis_ket(dims: Sequence[int], occupations: Sequence[int]) -> Ket:
 
 @dataclass(frozen=True)
 class SchmidtPair:
-    """Schmidt coefficients (a, b) of the two-qubit family a|00> + b|11>.
+    """Schmidt coefficients (a, b) of the two-qubit family a|00> + b|11>,
+    given by a alone: b = sqrt(1 - a^2) is computed, never passed.
 
     The canonical family has 0 < a <= 1/sqrt(2) <= b, but the boundary
     values a = 0 and a = 1 (product states) are admitted so the separable
@@ -117,19 +118,14 @@ class SchmidtPair:
     """
 
     a: float
-    b: float | None = None  # derived from a when omitted
+    b: float = field(init=False)
 
     def __post_init__(self):
         a = float(self.a)
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"Schmidt coefficient a = {a} outside [0, 1]")
-        b = math.sqrt(max(0.0, 1.0 - a * a)) if self.b is None else float(self.b)
-        if b < 0.0:
-            raise ValueError(f"Schmidt coefficient b = {b} is negative")
-        if not abs(a * a + b * b - 1.0) <= 1e-12:
-            raise ValueError(f"a^2 + b^2 = {a * a + b * b}, expected 1")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", math.sqrt(max(0.0, 1.0 - a * a)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +235,8 @@ def _pure_rel_entropy_on(vec: np.ndarray, values: np.ndarray, vectors: np.ndarra
     on_support = values > la.SUPPORT_TOL
     leak = np.add.reduce(weights, axis=-1, where=~on_support)
     logs = np.log2(values, out=np.zeros_like(values), where=on_support)
-    value = -np.add.reduce(weights * logs, axis=-1)
+    # relative entropies are nonnegative; the clamp also turns -0.0 into 0.0
+    value = np.maximum(-np.add.reduce(weights * logs, axis=-1), 0.0)
     return np.where(leak > SUPPORT_LEAK_TOL, math.inf, value), overlaps, on_support
 
 

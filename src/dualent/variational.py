@@ -243,23 +243,16 @@ def cloner_seed_params() -> UnitaryParams:
 _DELETE_TARGET = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 
 
-def _delete_objectives(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
-    """The search score of each machine in the (k, 4, 4) stacks: the
-    deleting objective with the deleted copy scored against |11> alone.
-
-    It is never below :func:`delete_objective`, and has the same infimum
-    over machines: a local unitary on A' or B' after the machine leaves
-    out_AB alone and turns the inner argmin into |11>, and it folds into
-    U_A or U_B.
-    """
-    psi, out_ab, out_apbp, _ = _delete_terms(pair, u_alice, u_bob)
-    return 0.5 * (_pure_rel_entropy(psi, out_ab) + _pure_rel_entropy(_DELETE_TARGET, out_apbp))
-
-
 def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
-    """:func:`_delete_objectives`, bit for bit, and the gradients in U_A and
-    U_B as a (k, 2, 4, 4) stack (d value = Re tr(G_A^dag dU_A + G_B^dag
-    dU_B)).
+    """The search score of each machine in the (k, 4, 4) stacks, and its
+    gradients in U_A and U_B as a (k, 2, 4, 4) stack (d value = Re tr(G_A^dag
+    dU_A + G_B^dag dU_B)).
+
+    The score is the deleting objective with the deleted copy scored against
+    |11> alone.  It is never below :func:`delete_objective`, and has the same
+    infimum over machines: a local unitary on A' or B' after the machine
+    leaves out_AB alone and turns the inner argmin into |11>, and it folds
+    into U_A or U_B.
 
     With out_AB = K K^dag and out_A'B' = K^T K^*, the two terms' gradients
     G1, G2 in their states give G_K = G1 K + K G2^*; K is a reshuffle of
@@ -509,10 +502,10 @@ def optimize_delete(
     """Search local-unitary deleting machines for the best objective.
 
     The L-BFGS runs score each machine against the fixed target |11>
-    (:func:`_delete_objectives`); each run's final machine is then scored by
-    :func:`delete_objective`, which can only be lower.  Seeded at the A-side
-    and B-side swaps, so the result never exceeds :func:`delete_bound`;
-    deterministic for fixed (pair, restarts, seed).
+    (:func:`_delete_objectives_grad`); each run's final machine is then
+    scored by :func:`delete_objective`, which can only be lower.  Seeded at
+    the A-side and B-side swaps, so the result never exceeds
+    :func:`delete_bound`; deterministic for fixed (pair, restarts, seed).
     """
     reference = delete_bound(pair)
     alice, bob = swap_delete_seed()

@@ -174,13 +174,16 @@ class TestNogoCommand:
 
 class TestVariationalCommand:
     def test_delete_product_input(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "variational", "delete", "--a", "0", "--restarts", "2", "--seed", "1"
-        )
-        assert code == 0
-        report = parse_report(out.strip())
-        assert float(report["best_objective"]) <= 1e-6
-        assert report["verdict"] == "PASS"
+        # both families reach exactly 0 on the product input, printed
+        # without the sign that round-off below zero would give
+        for kind in ("delete", "clone"):
+            code, out, _ = run_cli(
+                capsys, "variational", kind, "--a", "0", "--restarts", "2", "--seed", "1"
+            )
+            assert code == 0
+            report = parse_report(out.strip())
+            assert report["best_objective"] == "0.000000000000"
+            assert report["verdict"] == "PASS"
 
     def test_same_seed_same_bytes(self, capsys):
         argv = ["variational", "delete", "--a", "0.5", "--restarts", "2", "--seed", "3"]
@@ -220,27 +223,43 @@ class TestVariationalCommand:
 
 
 # A None entry in sys.modules makes every scipy import raise ImportError.
+# The script runs every CLI subcommand as the CI step "Runtime without
+# scipy" runs them; the sweep writes to the path given as its argument.
 WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
 from dualent import SchmidtPair, crossover, optimize_clone, optimize_delete
 from dualent.cli import main
 assert abs(crossover() - 0.4282653373032336) < 1e-7
-assert main(["crossover"]) == 0
-assert main(["clone-bound", "--a", "0.3"]) == 0
+for argv in [
+    ["crossover"],
+    ["clone-bound", "--a", "0.3"],
+    ["delete-bound", "--a", "0.6"],
+    ["sweep", "--points", "5", "--out", sys.argv[1]],
+    ["nogo", "schmidt"],
+    ["nogo", "measure-forget"],
+    ["nogo", "distill"],
+    ["variational", "delete", "--a", "0.6", "--restarts", "1", "--seed", "1"],
+    ["variational", "clone", "--a", "0.6", "--restarts", "3", "--seed", "1"],
+]:
+    assert main(argv) == 0, argv
 for search in (optimize_delete, optimize_clone):
     report = search(SchmidtPair(0.6), restarts=1, seed=1, max_evals=60)
     assert report.best_objective < float("inf")
 """
 
 
-def test_library_runs_without_scipy():
+def test_library_runs_without_scipy(tmp_path):
     import dualent
 
     env = dict(os.environ, PYTHONPATH=str(Path(dualent.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", WITHOUT_SCIPY], env=env, capture_output=True, text=True
+        [sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path / "s.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("crossover=0.428265\n")
     assert "combined=" in done.stdout
+    assert (tmp_path / "s.csv").read_text().count("\n") == 6

@@ -123,6 +123,18 @@ class TestPipeline:
         assert np.linalg.eigvalsh(copy1.matrix)[0] > -1e-12
         assert eta.labels == ("A", "A'", "Ae", "B", "B'", "Be")
 
+    def test_alice_register_swap_changes_no_bit(self):
+        # the cloner's image is symmetric in its two clones, so swapping
+        # Alice's clone factors A and A' leaves the six-qubit output as it is
+        v = universal_clone_isometry().matrix
+        for a in A_GRID:
+            pair = SchmidtPair(float(a))
+            out = np.kron(v, v) @ schmidt_ket(pair).amplitudes
+            swapped = out.reshape((2,) * 6).transpose(1, 0, 2, 3, 4, 5).ravel()
+            assert swapped.tobytes() == out.tobytes()
+            eta, _, _ = local_clone_pipeline(pair)
+            assert eta.matrix.tobytes() == np.outer(out, out.conj()).tobytes()
+
     def test_closed_form_agreement_on_grid(self):
         worst_closed = worst_symmetry = 0.0
         for a in A_GRID:
@@ -164,10 +176,10 @@ class TestCloneBound:
             raw = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
             us = [np.linalg.qr(raw[k])[0] for k in range(2)]
             ua, ub = us
-            v_a = la.kron(la.kron(ua, ua), np.eye(2)) @ v @ ua.conj().T
-            v_b = la.kron(la.kron(ub, ub), np.eye(2)) @ v @ ub.conj().T
-            psi_rot = la.kron(ua, ub) @ psi
-            out = la.kron(v_a, v_b) @ psi_rot
+            v_a = np.kron(np.kron(ua, ua), np.eye(2)) @ v @ ua.conj().T
+            v_b = np.kron(np.kron(ub, ub), np.eye(2)) @ v @ ub.conj().T
+            psi_rot = np.kron(ua, ub) @ psi
+            out = np.kron(v_a, v_b) @ psi_rot
             rho = np.outer(out, out.conj())
             copy1 = la.partial_trace(rho, (2,) * 6, (1, 2, 4, 5))
             value = relative_entropy(

@@ -15,8 +15,8 @@ from dualent.deleting import (
     schmidt_rank_nogo_check,
     two_copy_ket,
 )
-from dualent.qstate import Ket, LabeledState, SchmidtPair, dm_from_ket, schmidt_ket
-from dualent.variational import optimize_delete
+from dualent.qstate import Ket, LabeledState, SchmidtPair, basis_ket, dm_from_ket, schmidt_ket
+from dualent.variational import delete_objective, optimize_delete, swap_delete_seed
 
 SYM = 1 / math.sqrt(2)
 A_GRID = np.linspace(0.01, SYM, 50)
@@ -64,9 +64,7 @@ class TestLocalDeleteSwap:
         # the deleter is unitary, so the four-qubit output stays pure
         pair = SchmidtPair(0.6)
         ket = two_copy_ket(pair)
-        from dualent import linalg as la
-
-        swapped = la.permute_ket(ket.amplitudes, ket.dims, (2, 1, 0, 3))
+        swapped = ket.amplitudes.reshape(ket.dims).transpose(2, 1, 0, 3).ravel()
         values = np.linalg.eigvalsh(np.outer(swapped, swapped.conj()))
         expected = np.zeros(16)
         expected[-1] = 1.0
@@ -111,6 +109,17 @@ class TestSchmidtPairEdges:
 
     def test_deleting_bound_vanishes_on_the_product(self):
         assert delete_bound(SchmidtPair(0.0)) == 0.0
+
+    def test_scores_at_the_product_end_are_never_negative(self):
+        # relative entropies are clamped where they are formed, so round-off
+        # gives neither -0.0 nor a tiny negative score
+        out = local_delete_swap(SchmidtPair(0.0))
+        for value in (out.term_keep, out.term_separable, out.objective):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        eleven = dm_from_ket(basis_ket((2, 2), (1, 1)), labels=("A", "B"))
+        value, _ = min_over_product_pure(eleven)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert delete_objective(SchmidtPair(1e-12), *swap_delete_seed()) >= 0.0
 
     @pytest.mark.parametrize("a", [0.8, 1.0])
     @pytest.mark.parametrize(

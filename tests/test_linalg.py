@@ -69,74 +69,6 @@ def test_log2_rejects_negative_eigenvalue():
         la.matrix_log2_on_support(np.diag([1.0, -0.5]))
 
 
-def test_kron_identity():
-    assert np.allclose(la.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_of_local_marginals():
-    a2, b2 = 0.36, 0.64
-    single = np.diag([a2, b2])
-    product = la.kron(single, single)
-    assert np.allclose(np.diag(product), [a2 * a2, a2 * b2, a2 * b2, b2 * b2])
-
-
-def test_kron_bit_flip_on_00():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    assert np.allclose(la.kron(x, x) @ ket00, [0, 0, 0, 1])
-
-
-def random_ket(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def test_permute_swap_basis_state():
-    ket01 = np.array([0, 1, 0, 0], dtype=complex)  # |01>
-    swapped = la.permute_ket(ket01, (2, 2), (1, 0))
-    assert np.array_equal(swapped, [0, 0, 1, 0])  # |10>
-
-
-def test_permute_identity_is_noop():
-    rng = np.random.default_rng(3)
-    vec = random_ket(rng, 8)
-    assert np.array_equal(la.permute_ket(vec, (2, 2, 2), (0, 1, 2)), vec)
-
-
-def test_permute_swaps_product_factors():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        psi = random_ket(rng, 2)
-        phi = random_ket(rng, 3)
-        swapped = la.permute_ket(np.kron(psi, phi), (2, 3), (1, 0))
-        assert np.allclose(swapped, np.kron(phi, psi))
-
-
-def test_permute_then_inverse_is_identity():
-    rng = np.random.default_rng(7)
-    vec = random_ket(rng, 12)
-    dims = (2, 3, 2)
-    perm = (2, 0, 1)
-    inverse = tuple(np.argsort(perm))
-    once = la.permute_ket(vec, dims, perm)
-    dims_permuted = tuple(dims[p] for p in perm)
-    back = la.permute_ket(once, dims_permuted, inverse)
-    assert np.array_equal(back, vec)
-
-
-def test_permute_preserves_norm():
-    rng = np.random.default_rng(9)
-    vec = random_ket(rng, 8)
-    permuted = la.permute_ket(vec, (2, 2, 2), (2, 0, 1))
-    assert abs(np.linalg.norm(permuted) - np.linalg.norm(vec)) < 1e-12
-
-
-def test_permute_rejects_bad_dims():
-    with pytest.raises(ValueError):
-        la.permute_ket(np.ones(4), (2, 3), (0, 1))
-    with pytest.raises(ValueError):
-        la.permute_ket(np.ones(4), (2, 2), (0, 0))
-
-
 def test_partial_trace_bell_marginal():
     bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     rho = np.outer(bell, bell.conj())
@@ -147,7 +79,7 @@ def test_partial_trace_factorizes_products():
     rng = np.random.default_rng(13)
     rho = random_psd(rng, 2)
     sigma = random_psd(rng, 3)
-    reduced = la.partial_trace(la.kron(rho, sigma), (2, 3), (1,))
+    reduced = la.partial_trace(np.kron(rho, sigma), (2, 3), (1,))
     assert np.allclose(reduced, rho * np.trace(sigma))
 
 
@@ -190,7 +122,7 @@ def test_partial_trace_recovers_kron_factors():
     for _ in range(100):
         rho = random_psd(rng, 2)
         sigma = random_psd(rng, 2)
-        product = la.kron(rho, sigma)
+        product = np.kron(rho, sigma)
         left = la.partial_trace(product, (2, 2), (1,))
         right = la.partial_trace(product, (2, 2), (0,))
         assert np.allclose(left, rho * np.trace(sigma), atol=1e-10)

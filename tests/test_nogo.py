@@ -64,14 +64,17 @@ class TestMeasureForget:
             assert np.max(np.abs(system_out.matrix - env_out.matrix)) < 1e-12
 
     def test_rotated_basis(self):
+        # measuring in the basis W is measuring W^dag |alpha> in the
+        # computational basis, with the system rotated back by W
         hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         plus = Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,))
-        system_out, env_out = measure_forget_channel(plus, basis=hadamard)
+        rotated_input = Ket(hadamard.conj().T @ plus.amplitudes, (2,))
+        system_out, env_out = measure_forget_channel(rotated_input)
         # |+> is a basis state of the rotated measurement: undisturbed
-        assert np.max(np.abs(system_out.matrix - np.outer(plus.amplitudes, plus.amplitudes.conj()))) < 1e-12
-        # the two outputs agree once the system is read in the measurement basis
-        rotated = hadamard.conj().T @ system_out.matrix @ hadamard
-        assert np.max(np.abs(rotated - env_out.matrix)) < 1e-12
+        rotated = hadamard @ system_out.matrix @ hadamard.conj().T
+        assert np.max(np.abs(rotated - np.outer(plus.amplitudes, plus.amplitudes.conj()))) < 1e-12
+        # the two outputs agree in the measurement basis
+        assert np.max(np.abs(system_out.matrix - env_out.matrix)) < 1e-12
 
     def test_non_qubit_rejected(self):
         with pytest.raises(ValueError, match="qubit"):
