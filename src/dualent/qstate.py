@@ -222,15 +222,16 @@ def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
 
 
 def _pure_rel_entropy(vec: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """S(|v><v| | rho) for a unit vector v and each rho of a (..., n, n)
-    stack; ``inf`` where |v> leaks off the support of rho."""
+    """S(|v><v| | rho) for each rho of a (..., n, n) stack and the unit
+    vectors v of ``vec`` (..., n), broadcast against it; ``inf`` where |v>
+    leaks off the support of rho."""
     return _pure_rel_entropy_on(vec, *np.linalg.eigh(rho))[0]
 
 
 def _pure_rel_entropy_on(vec: np.ndarray, values: np.ndarray, vectors: np.ndarray):
     """:func:`_pure_rel_entropy` from the eigendecompositions of the rhos;
     also returns the overlaps <e_l|v> and the support mask."""
-    overlaps = vectors.conj().swapaxes(-1, -2) @ vec
+    overlaps = (vectors.conj().swapaxes(-1, -2) @ vec[..., None])[..., 0]
     weights = np.abs(overlaps) ** 2
     on_support = values > la.SUPPORT_TOL
     leak = np.add.reduce(weights, axis=-1, where=~on_support)

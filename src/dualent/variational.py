@@ -14,6 +14,14 @@ at the analytic machines (the A/A' swap; the universal cloner and the
 identity, which S turns into the basis copier), so its best objective can
 never exceed the analytic reference bound.
 
+Each restart searches a chart centred on its own starting machine U_0: U =
+U_0 exp(iH(x)), from x = 0 (Lezcano-Casado, "Trivializations for
+gradient-based optimization on manifolds", NeurIPS 2019).  In one global
+chart a random start has eigenvalue gaps of H near 2 pi, where the
+derivative of exp(iH) nearly vanishes and the run crawls; centred, H starts
+at zero.  A unitary log maps each final machine back to the n^2 parameters
+of :func:`param_to_unitary`, which the reports carry.
+
 Each machine family has one circuit kernel, taking the pair and two stacks
 of unitaries to one search score per machine, and both kernels score with
 the same pure-state relative entropy.  The deleting kernel runs the circuit
@@ -31,9 +39,10 @@ gradients.  Both kernels have exact gradients: the search scores are
 log2 rho and exp(iH) from the eigendecompositions the values already take.
 The driver runs all restarts in lock-step and evaluates the pending point of
 every unfinished run with one stacked value-and-gradient call per round, so
-the restarts share each numpy call of the kernel.  The final point of every
-run is then scored by the family's public objective,
-:func:`delete_objective` or :func:`clone_objective`, which picks the winner.
+the restarts share each numpy call of the kernel; a run's bits do not depend
+on how many others are still live.  The final machine of every run is then
+scored by the family's public objective, :func:`delete_objective` or
+:func:`clone_objective`, which picks the winner.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from .deleting import (
 from .qstate import SchmidtPair, _pure_rel_entropy, _pure_rel_entropy_grad
 
 # value-and-gradient evaluations per restart; deleting keeps twice the
-# budget, as its slowest restart on a 20-point grid of a takes 1947
+# budget, as its restarts on a 20-point grid of a take up to 1016
 MAX_EVALS = 2000
 DELETE_MAX_EVALS = 2 * MAX_EVALS
 _HISTORY = 10  # curvature pairs an L-BFGS run keeps
@@ -259,15 +268,16 @@ def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nd
     out = U_A D U_B^T, D = diag(psi (x) psi).
     """
     psi, out_ab, out_apbp, kept = _delete_terms(pair, u_alice, u_bob)
-    keep, grad_ab = _pure_rel_entropy_grad(psi, out_ab)
-    deleted, grad_apbp = _pure_rel_entropy_grad(_DELETE_TARGET, out_apbp)
-    grad_kept = grad_ab @ kept + kept @ grad_apbp.conj()
+    terms, grads = _pure_rel_entropy_grad(
+        np.stack([psi, _DELETE_TARGET]), np.stack([out_ab, out_apbp], axis=-3)
+    )
+    grad_kept = grads[..., 0, :, :] @ kept + kept @ grads[..., 1, :, :].conj()
     grad_out = grad_kept.reshape(kept.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
     grad_out = grad_out.reshape(kept.shape)
     weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
     grad_a = (grad_out @ u_bob.conj()) * weights
     grad_b = (grad_out.swapaxes(-1, -2) @ u_alice.conj()) * weights
-    return 0.5 * (keep + deleted), np.stack([grad_a, grad_b], axis=-3)
+    return 0.5 * (terms[..., 0] + terms[..., 1]), np.stack([grad_a, grad_b], axis=-3)
 
 
 def delete_objective(
@@ -405,33 +415,54 @@ def _lbfgs(x0: np.ndarray, max_evals: int):
     return x, value, nfev, nit, "converged"
 
 
-def _stacked_values_and_gradients(pair, kernel, thetas: np.ndarray, n: int):
+def _stacked_values_and_gradients(pair, kernel, bases: np.ndarray, thetas: np.ndarray, n: int):
     """Values and parameter gradients of ``kernel`` (a family's value and
-    unitary-gradient kernel) at the rows of ``thetas`` (m, 2 n^2), each
-    the parameters of U_A then of U_B.  One stacked ``eigh`` gives the
-    unitaries and the chain rule through exp(iH)."""
+    unitary-gradient kernel) at the machines bases @ exp(iH), for the rows
+    of ``thetas`` (m, 2 n^2), each the parameters of H_A then of H_B, and
+    the (m, 2, n, n) stack of base unitaries.  One stacked ``eigh`` gives
+    exp(iH) and the chain rule through it, which the unitary gradients G
+    enter as bases^dag G."""
     values, vectors = np.linalg.eigh(_hermitian_from_thetas(thetas.reshape(-1, n * n), n))
-    unitaries = _exp_i(values, vectors).reshape(-1, 2, n, n)
+    unitaries = bases @ _exp_i(values, vectors).reshape(-1, 2, n, n)
     objectives, grad_u = kernel(pair, unitaries[:, 0], unitaries[:, 1])
-    grads = _thetas_gradient(values, vectors, grad_u.reshape(-1, n, n))
+    pulled = bases.conj().swapaxes(-1, -2) @ grad_u
+    grads = _thetas_gradient(values, vectors, pulled.reshape(-1, n, n))
     return objectives, grads.reshape(len(thetas), 2 * n * n)
+
+
+def _params_from_unitary(u: np.ndarray) -> UnitaryParams:
+    """Parameters of a generator H with exp(iH) = u, for an n x n unitary u.
+
+    ``eig``'s eigenvectors, orthonormalised by QR, give u's Schur form,
+    which is diagonal because u is normal; H takes the angles of its
+    diagonal, in (-pi, pi].  QR also orthonormalises the eigenvectors that
+    ``eig`` returns for a repeated eigenvalue.
+    """
+    q = np.linalg.qr(np.linalg.eig(u)[1])[0]
+    angles = np.angle(np.diagonal(q.conj().T @ u @ q))
+    return params_from_hermitian((q * angles) @ q.conj().T)
 
 
 def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals) -> SearchReport:
     """Multi-restart L-BFGS search of the values of ``kernel(pair, U_A,
     U_B)``, a family's value-and-gradient kernel, over pairs of n x n
-    unitaries whose input reaches only their first k columns: x holds the
-    2kn - k^2 generator coordinates in rows i < k of U_A, then of U_B.  The
-    (k:, k:) block stays zero, as it must be in the (params_A, params_B)
-    ``seeds``; exp(iH)[:, :k] still reaches every n x k isometry.
+    unitaries whose input reaches only their first k columns.
 
-    Restart 0, 1, ... start at the analytic seeds; later restarts alternate
-    between perturbations of the first seed (scale 0.2) and fully random
-    draws uniform in [-pi, pi].  All restarts run in lock-step: each round
-    stacks the next point of every unfinished run into one value-and-gradient
-    call.  The final point of each run is then scored by the family's public
-    objective ``score(pair, params_A, params_B)``; the lowest score wins,
-    ties keeping the lower restart index.
+    Restart 0, 1, ... start at the analytic seeds, the (params_A, params_B)
+    pairs in ``seeds``; later restarts alternate between perturbations of
+    the first seed (scale 0.2) and fully random draws uniform in [-pi, pi].
+    A start moves only the 2kn - k^2 generator coordinates in rows i < k,
+    and its (k:, k:) block is zero, as in the seeds.  Each restart then
+    searches the chart U = U_0 exp(iH(x)) centred on its start U_0, from x
+    = 0: x holds the same coordinates of H_A, then of H_B, and exp(iH)[:,
+    :k] still reaches every n x k isometry.  Centred, every run starts at
+    H = 0, where no wide eigenvalue gap damps the gradient through exp(iH).
+
+    All restarts run in lock-step: each round stacks the next point of every
+    unfinished run into one value-and-gradient call.  Each run's final
+    machine U_0 exp(iH(x)) is mapped back to parameters by a unitary log
+    and scored by the family's public objective ``score(pair, params_A,
+    params_B)``; the lowest score wins, ties keeping the lower restart index.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -440,24 +471,28 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     seeds = [np.concatenate([params.thetas[free] for params in machine]) for machine in seeds]
     columns = np.concatenate([free, size + free])
 
-    def thetas_of(xs):  # (m, 2 |free|) search points -> (m, 2 n^2) parameters
+    def thetas_of(xs):  # (m, 2 |free|) chart points -> (m, 2 n^2) parameters
         thetas = np.zeros((len(xs), 2 * size))
         thetas[:, columns] = xs
         return thetas
 
-    starts, runs = [], []
+    def machines(xs):  # (m, 2 |free|) chart points -> (m, 2, n, n) exp(iH)
+        return _unitary_from_thetas(thetas_of(xs).reshape(-1, size), n).reshape(-1, 2, n, n)
+
+    starts, x0s = [], []
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         if r < len(seeds):
             starts.append("seed")
-            x0 = seeds[r]
+            x0s.append(seeds[r])
         elif (r - len(seeds)) % 2 == 0:
             starts.append("perturbed")
-            x0 = seeds[0] + 0.2 * rng.standard_normal(seeds[0].size)
+            x0s.append(seeds[0] + 0.2 * rng.standard_normal(seeds[0].size))
         else:
             starts.append("random")
-            x0 = rng.uniform(-math.pi, math.pi, seeds[0].size)
-        runs.append(_lbfgs(x0, max_evals))
+            x0s.append(rng.uniform(-math.pi, math.pi, seeds[0].size))
+    bases = machines(np.stack(x0s))
+    runs = [_lbfgs(np.zeros(columns.size), max_evals) for _ in range(restarts)]
 
     pending, results = {}, [None] * restarts
 
@@ -473,12 +508,14 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     while pending:
         live = list(pending)
         thetas = thetas_of(np.stack([pending[r] for r in live]))
-        values, grads = _stacked_values_and_gradients(pair, kernel, thetas, n)
-        for r, value, grad in zip(live, values, grads[:, columns]):
+        values, grads = _stacked_values_and_gradients(pair, kernel, bases[live], thetas, n)
+        # contiguous rows: a strided row would round its dot products
+        # differently, and make a run's bits depend on how many are live
+        for r, value, grad in zip(live, values, np.ascontiguousarray(grads[:, columns])):
             advance(r, (float(value), grad))
 
-    ends = thetas_of(np.stack([x for x, *_ in results]))
-    finals = [(UnitaryParams(t[:size]), UnitaryParams(t[size:])) for t in ends]
+    ends = bases @ machines(np.stack([x for x, *_ in results]))
+    finals = [tuple(_params_from_unitary(u) for u in machine) for machine in ends]
     scores = [score(pair, *params) for params in finals]
     winner = min(range(restarts), key=scores.__getitem__)  # first of any tie
     records = tuple(

@@ -2,7 +2,7 @@
 PASS/FAIL line (run with ``pytest -s`` to see them inline).
 
 The variational criterion exercises the searches at their full evaluation
-budget on a 20-point grid and takes about 17 seconds; everything else is
+budget on a 20-point grid and takes about 7 seconds; everything else is
 seconds.
 """
 

@@ -239,8 +239,8 @@ for argv in [
     ["nogo", "schmidt"],
     ["nogo", "measure-forget"],
     ["nogo", "distill"],
-    ["variational", "delete", "--a", "0.6", "--restarts", "1", "--seed", "1"],
-    ["variational", "clone", "--a", "0.6", "--restarts", "3", "--seed", "1"],
+    ["variational", "delete", "--a", "0.6", "--restarts", "5", "--seed", "1"],
+    ["variational", "clone", "--a", "0.6", "--restarts", "5", "--seed", "1"],
 ]:
     assert main(argv) == 0, argv
 for search in (optimize_delete, optimize_clone):

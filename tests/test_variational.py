@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualent.cloning import clone_bound, rho_clone_closed_form
 from dualent.deleting import delete_bound, local_delete_swap
@@ -68,6 +70,55 @@ class TestParameterisation:
         alice, bob = swap_delete_seed()
         assert np.max(np.abs(param_to_unitary(alice) - swap_gate())) < 1e-12
         assert np.max(np.abs(param_to_unitary(bob) - np.eye(4))) < 1e-12
+
+
+@st.composite
+def unitaries(draw):
+    """Random 4x4 and 6x6 unitaries; half of them with eigenvalues drawn
+    from {1, -1, i, e^2i}, so most spectra repeat, in a random eigenbasis."""
+    n = draw(st.sampled_from([4, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = _random_unitary(rng, n)
+    if draw(st.booleans()):
+        u = (u * rng.choice([1.0, -1.0, 1j, np.exp(2j)], n)) @ u.conj().T
+    return u
+
+
+def _degenerate_unitaries():
+    from dualent.variational import _unitary_from_thetas
+
+    cloner = _unitary_from_thetas(cloner_seed_params().thetas, 6)
+    return {
+        "identity-4": np.eye(4),
+        "identity-6": np.eye(6),
+        "swap": swap_gate(),
+        "cloner-seed": cloner,
+        "repeated-phases": np.diag(np.exp(1j * np.array([0.3, 0.3, -2.0, 0.3, -2.0, 1.0]))),
+        "minus-one": np.diag([-1.0, -1.0, 1.0, -1.0]).astype(complex),
+        "minus-identity": -np.eye(6, dtype=complex),
+    }
+
+
+class TestUnitaryLog:
+    """The unitary log that maps each search's final machine back to
+    parameters; it raises if the generator it builds is not Hermitian."""
+
+    @staticmethod
+    def _check(u):
+        from dualent.variational import _params_from_unitary
+
+        params = _params_from_unitary(u)
+        assert params.dim == len(u)
+        assert np.max(np.abs(param_to_unitary(params) - u)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(unitaries())
+    def test_random_unitaries(self, u):
+        self._check(u)
+
+    @pytest.mark.parametrize("name", sorted(_degenerate_unitaries()))
+    def test_degenerate_spectra(self, name):
+        self._check(_degenerate_unitaries()[name])
 
 
 class TestSeeds:
@@ -190,13 +241,18 @@ class TestOptimizeClone:
         second = optimize_clone(SchmidtPair(0.4), restarts=2, seed=8, max_evals=FAST_EVALS)
         assert first.best_objective == second.best_objective
 
-    def test_search_never_leaves_the_chart(self):
-        # only rows 0 and 1 of each generator move: thetas[:2] and the
-        # upper-triangle pairs of those rows, thetas[6:24]
-        report = optimize_clone(SchmidtPair(0.45), restarts=5, seed=1, max_evals=FAST_EVALS)
-        for params in report.best_params:
-            assert not params.thetas[2:6].any() and not params.thetas[24:].any()
-            assert params.thetas[6:24].any()
+    def test_search_never_leaves_the_chart(self, monkeypatch):
+        # every point a run sends moves only rows 0 and 1 of each chart
+        # generator: thetas[:2] and the upper-triangle pairs of those rows,
+        # thetas[6:24]; the reported params rebuild the winner's final
+        # machine, whose log has no zero (2:, 2:) block
+        pair = SchmidtPair(0.45)
+        report, sent, finals = _spied_search(monkeypatch, optimize_clone, pair, 5, 1)
+        thetas = np.concatenate(sent).reshape(-1, 36)
+        assert not thetas[:, 2:6].any() and not thetas[:, 24:].any()
+        assert thetas[:, 6:24].any()
+        for params, machine in zip(report.best_params, finals[report.winner]):
+            assert np.max(np.abs(param_to_unitary(params) - machine)) <= 1e-12
 
     @pytest.mark.parametrize("a, below", [(0.3, 0.30), (0.5, 0.60)])
     def test_finds_machines_below_the_closed_forms(self, a, below):
@@ -207,6 +263,34 @@ class TestOptimizeClone:
 
 def _random_unitary(rng, n):
     return param_to_unitary(UnitaryParams(rng.uniform(-math.pi, math.pi, n * n)))
+
+
+def _random_bases(rng, count, n):
+    """A (count, 2, n, n) stack of random chart bases."""
+    return np.array([[_random_unitary(rng, n) for _ in range(2)] for _ in range(count)])
+
+
+def _spied_search(monkeypatch, search, pair, restarts, seed):
+    """Run ``search`` at FAST_EVALS, recording the (m, 2 n^2) parameter
+    stacks its runs send and the final (U_A, U_B) machine of each restart,
+    before the unitary log turns them into the reported params."""
+    from dualent import variational
+
+    sent, finals = [], []
+    evaluate, log = variational._stacked_values_and_gradients, variational._params_from_unitary
+
+    def spy_evaluate(pair, kernel, bases, thetas, n):
+        sent.append(thetas)
+        return evaluate(pair, kernel, bases, thetas, n)
+
+    def spy_log(u):
+        finals.append(u)
+        return log(u)
+
+    monkeypatch.setattr(variational, "_stacked_values_and_gradients", spy_evaluate)
+    monkeypatch.setattr(variational, "_params_from_unitary", spy_log)
+    report = search(pair, restarts=restarts, seed=seed, max_evals=FAST_EVALS)
+    return report, sent, list(zip(finals[::2], finals[1::2]))
 
 
 def _explicit_clone_copies(pair, u_a, u_b):
@@ -377,14 +461,15 @@ class TestStackedKernels:
         rng = np.random.default_rng(109)
         pair = SchmidtPair(0.45)
         thetas = rng.uniform(-math.pi, math.pi, (6, 2 * n * n))
-        thetas[2] = 0.0  # the identity machine
-        values, grads = evaluate(pair, thetas)
+        bases = _random_bases(rng, 6, n)
+        thetas[2], bases[2] = 0.0, np.eye(n)  # the identity machine
+        values, grads = evaluate(pair, thetas, bases)
         for k in range(6):
-            value, grad = evaluate(pair, thetas[k : k + 1])
+            value, grad = evaluate(pair, thetas[k : k + 1], bases[k : k + 1])
             assert np.array_equal(value, values[k : k + 1], equal_nan=True)
             assert np.array_equal(grad, grads[k : k + 1], equal_nan=True)
         order = rng.permutation(6)
-        shuffled_values, shuffled_grads = evaluate(pair, thetas[order])
+        shuffled_values, shuffled_grads = evaluate(pair, thetas[order], bases[order])
         assert np.array_equal(shuffled_values, values[order], equal_nan=True)
         assert np.array_equal(shuffled_grads, grads[order], equal_nan=True)
 
@@ -452,13 +537,35 @@ class TestSearchRecords:
 
     @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
     def test_short_budget_caps_every_restart(self, search):
-        # a run ends on the budget unless it converged or stalled before it
-        report = search(SchmidtPair(0.6), restarts=3, seed=2, max_evals=60)
+        # a run ends on the budget unless it converged or stalled before it;
+        # the clone search's random restart converges in 60 evaluations
+        budget = {optimize_delete: 60, optimize_clone: 30}[search]
+        report = search(SchmidtPair(0.6), restarts=3, seed=2, max_evals=budget)
         records = report.restart_records
-        assert all(r.nfev <= 60 and (r.exit == "maxfev") == (r.nfev == 60) for r in records)
+        assert all(
+            r.nfev <= budget and (r.exit == "maxfev") == (r.nfev == budget) for r in records
+        )
         assert all(r.exit in ("converged", "maxfev", "stalled") for r in records)
         assert any(r.exit == "maxfev" for r in records)
         assert records[report.winner].objective == report.best_objective
+
+    @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
+    def test_best_params_rebuild_the_winning_machine(self, monkeypatch, search):
+        pair = SchmidtPair(0.45)
+        score = {optimize_delete: delete_objective, optimize_clone: clone_objective}[search]
+        report, _, finals = _spied_search(monkeypatch, search, pair, 5, 3)
+        assert score(pair, *report.best_params) == report.best_objective
+        for params, machine in zip(report.best_params, finals[report.winner]):
+            assert np.max(np.abs(param_to_unitary(params) - machine)) <= 1e-12
+
+    @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
+    @pytest.mark.parametrize("a", [0.05, 0.3, 0.55, 0.7])
+    def test_a_run_does_not_depend_on_its_company(self, search, a):
+        # the lock-step rounds hand each run a contiguous gradient row, so
+        # its bits do not depend on how many other runs are still live
+        three = search(SchmidtPair(a), restarts=3, seed=7)
+        five = search(SchmidtPair(a), restarts=5, seed=7)
+        assert three.restart_records == five.restart_records[:3]
 
     @pytest.mark.parametrize("a", [0.1, 0.3, 0.6])
     def test_copier_seed_stops_at_its_start(self, a):
@@ -499,17 +606,24 @@ def _value_and_gradient(kind):
 
     kernel = {"delete": _delete_objectives_grad, "clone": _clone_objectives_grad}[kind]
     n = _FAMILIES[kind]
-    return lambda pair, thetas: _stacked_values_and_gradients(pair, kernel, thetas, n)
+
+    def evaluate(pair, thetas, bases=None):
+        # identity bases by default: the machines exp(iH) themselves
+        if bases is None:
+            bases = np.broadcast_to(np.eye(n), (len(thetas), 2, n, n))
+        return _stacked_values_and_gradients(pair, kernel, bases, thetas, n)
+
+    return evaluate
 
 
 class TestGradients:
     """The analytic stacked gradients against central differences of the
     values, and the clone values against the value-only clone kernel."""
 
-    def _check(self, kind, pair, thetas):
+    def _check(self, kind, pair, thetas, bases=None):
         evaluate = _value_and_gradient(kind)
-        _, grad = evaluate(pair, thetas)
-        numeric = _central_differences(lambda x: evaluate(pair, x)[0], thetas)
+        _, grad = evaluate(pair, thetas, bases)
+        numeric = _central_differences(lambda x: evaluate(pair, x, bases)[0], thetas)
         assert np.max(np.abs(grad - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(numeric)))
         return grad
 
@@ -518,7 +632,10 @@ class TestGradients:
         n = _FAMILIES[kind]
         rng = np.random.default_rng(131)
         for a in (0.0, 0.3, 0.6, SYM):
-            self._check(kind, SchmidtPair(a), rng.uniform(-math.pi, math.pi, (3, 2 * n * n)))
+            thetas = rng.uniform(-math.pi, math.pi, (3, 2 * n * n))
+            self._check(kind, SchmidtPair(a), thetas)
+            # the same generators in charts centred on random machines
+            self._check(kind, SchmidtPair(a), thetas, _random_bases(rng, 3, n))
 
     @pytest.mark.parametrize("a", [0.3, 0.5, SYM])
     def test_seeds_with_degenerate_spectra(self, a):
@@ -535,8 +652,12 @@ class TestGradients:
         ]:
             thetas = np.concatenate([params.thetas for params in machine])[None]
             grad = self._check(kind, pair, thetas)
+            # where each search run starts: zero generators, in the chart
+            # centred on the seed machine
+            bases = np.array([[param_to_unitary(params) for params in machine]])
+            centred = self._check(kind, pair, np.zeros_like(thetas), bases)
             if machine[0] is copier:
-                assert not grad.any()
+                assert not grad.any() and not centred.any()
 
     @pytest.mark.parametrize("kind", ["clone"])
     def test_values_equal_the_value_only_kernel(self, kind):
@@ -549,8 +670,9 @@ class TestGradients:
         rng = np.random.default_rng(137)
         pair = SchmidtPair(0.45)
         thetas = rng.uniform(-math.pi, math.pi, (6, 2 * n * n))
-        values, _ = _value_and_gradient(kind)(pair, thetas)
-        unitaries = _unitary_from_thetas(thetas.reshape(-1, n * n), n).reshape(-1, 2, n, n)
+        bases = _random_bases(rng, 6, n)
+        values, _ = _value_and_gradient(kind)(pair, thetas, bases)
+        unitaries = bases @ _unitary_from_thetas(thetas.reshape(-1, n * n), n).reshape(-1, 2, n, n)
         assert np.array_equal(values, kernel(pair, unitaries[:, 0], unitaries[:, 1]))
 
 
