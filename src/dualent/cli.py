@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_nonneg_float, default=None)
     p.set_defaults(func=_cmd_nogo)
 
-    p = sub.add_parser("variational", help="seeded L-BFGS search over local unitaries")
+    p = sub.add_parser("variational", help="seeded BFGS search over local unitaries")
     p.add_argument("kind", choices=["clone", "delete"])
     p.add_argument("--a", type=_family_a, required=True)
     p.add_argument("--restarts", type=int, required=True)

@@ -32,7 +32,8 @@ U_B, so both scores have the same infimum.  The inner minimum over product
 targets runs only in the deleting machine's one scorer, which
 :func:`delete_objective` and ``local_delete_swap`` share.
 
-Both searches run one driver: every restart is an L-BFGS run, written as a
+Both searches run one driver: every restart is a BFGS run, which keeps a
+dense inverse Hessian (the charts have only 32 or 40 reals), written as a
 generator that yields the points it needs and is sent their values and
 gradients.  Both kernels have exact gradients: the search scores are
 -<v|log2 rho|v>, and Daleckii-Krein divided differences differentiate both
@@ -47,7 +48,6 @@ scored by the family's public objective, :func:`delete_objective` or
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -65,11 +65,9 @@ from .deleting import (
 )
 from .qstate import SchmidtPair, _pure_rel_entropy, _pure_rel_entropy_grad
 
-# value-and-gradient evaluations per restart; deleting keeps twice the
-# budget, as its restarts on a 20-point grid of a take up to 1016
+# value-and-gradient evaluations per restart; the longest restart seen, a
+# random deleting restart at a = 0.7022, took 1670
 MAX_EVALS = 2000
-DELETE_MAX_EVALS = 2 * MAX_EVALS
-_HISTORY = 10  # curvature pairs an L-BFGS run keeps
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _GRAD_TOL = 1e-9  # converged: max |gradient| at most this ...
 _DECREASE_TOL = 1e-14  # ... or a step lowers the value by at most this, relative
@@ -98,7 +96,7 @@ class UnitaryParams:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """How one L-BFGS run of a search went.
+    """How one BFGS run of a search went.
 
     ``start`` is ``"seed"``, ``"perturbed"`` or ``"random"``; ``nfev``
     counts value-and-gradient evaluations and ``nit`` accepted steps.
@@ -347,50 +345,36 @@ def _clone_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nda
     return value, grads
 
 
-def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
-    """The L-BFGS direction -H grad from the curvature pairs (s, y, 1/s.y),
-    oldest first, with H's initial scale s.y / y.y of the newest pair."""
-    q = -grad
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alphas.append(rho * (s @ q))
-        q = q - alphas[-1] * y
-    if pairs:
-        s, y, _ = pairs[-1]
-        q = q * ((s @ y) / (y @ y))
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q = q + (alpha - rho * (y @ q)) * s
-    return q
+def _bfgs(x0: np.ndarray, max_evals: int):
+    """BFGS (Nocedal & Wright, Numerical Optimization, 2nd ed. 2006, section
+    6.1) as a generator: it yields each point it needs and is sent that
+    point's ``(value, gradient)`` back.  Returns ``(x, value, nfev, nit,
+    exit)`` at the last accepted point.
 
-
-def _lbfgs(x0: np.ndarray, max_evals: int):
-    """L-BFGS (Liu & Nocedal 1989) as a generator: it yields each point it
-    needs and is sent that point's ``(value, gradient)`` back.  Returns
-    ``(x, value, nfev, nit, exit)`` at the last accepted point.
-
-    Each step backtracks along the two-loop direction until the Armijo
-    condition holds, moving to the minimiser of the quadratic through the
-    value, the slope and the failed trial, kept within [0.1, 0.5] of the
-    step; an infinite trial value (off the support) is a failed trial.  The
-    first trial moves min(1, 1 / |g|) along -g, at most a unit distance.  A
-    curvature pair enters the history only when s.y > 1e-12 y.y, which
-    keeps H positive definite.
+    Each step backtracks along -H g until the Armijo condition holds, moving
+    to the minimiser of the quadratic through the value, the slope and the
+    failed trial, kept within [0.1, 0.5] of the step; an infinite trial
+    value (off the support) is a failed trial.  Until the first curvature
+    pair (s, y) enters, the run moves along -g, first trying min(1, 1 / |g|),
+    at most a unit distance; that pair first sets the inverse Hessian H to
+    s.y / y.y times the identity (eq. 6.20).  A pair updates H only when s.y
+    > 1e-12 y.y, which keeps H positive definite.
     """
     value, grad = yield x0
     x, nfev, nit = x0, 1, 0
     if not math.isfinite(value):
         return x, value, nfev, nit, "stalled"
-    pairs = collections.deque(maxlen=_HISTORY)
+    h = None  # the inverse Hessian estimate, once a curvature pair entered
     while np.max(np.abs(grad)) > _GRAD_TOL:
-        direction = _two_loop(grad, pairs)
+        direction = -grad if h is None else -(h @ grad)
         slope = grad @ direction
         # Armijo then accepts only decreases, so a run never ends above its
         # start (the seeds' reference bounds); H is positive definite, so
         # only round-off could make the slope nonnegative
         if not slope < 0:
-            pairs.clear()
+            h = None
             direction, slope = -grad, -(grad @ grad)
-        step = 1.0 if pairs else min(1.0, 1.0 / math.sqrt(grad @ grad))
+        step = 1.0 if h is not None else min(1.0, 1.0 / math.sqrt(grad @ grad))
         while True:
             if nfev >= max_evals:
                 return x, value, nfev, nit, "maxfev"
@@ -404,8 +388,13 @@ def _lbfgs(x0: np.ndarray, max_evals: int):
             if step * np.max(np.abs(direction)) < _STEP_TOL:
                 return x, value, nfev, nit, "stalled"
         s, y = trial - x, trial_grad - grad
-        if s @ y > 1e-12 * (y @ y):
-            pairs.append((s, y, 1.0 / (s @ y)))
+        sy = s @ y
+        if sy > 1e-12 * (y @ y):
+            if h is None:
+                h = np.eye(s.size) * (sy / (y @ y))
+            hy, rho = h @ y, 1.0 / sy
+            h += (rho + rho * rho * (y @ hy)) * np.outer(s, s)
+            h -= rho * (np.outer(hy, s) + np.outer(s, hy))
         nit += 1
         decrease = value - trial_value
         scale = max(abs(value), abs(trial_value), 1.0)
@@ -444,7 +433,7 @@ def _params_from_unitary(u: np.ndarray) -> UnitaryParams:
 
 
 def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals) -> SearchReport:
-    """Multi-restart L-BFGS search of the values of ``kernel(pair, U_A,
+    """Multi-restart BFGS search of the values of ``kernel(pair, U_A,
     U_B)``, a family's value-and-gradient kernel, over pairs of n x n
     unitaries whose input reaches only their first k columns.
 
@@ -492,7 +481,7 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
             starts.append("random")
             x0s.append(rng.uniform(-math.pi, math.pi, seeds[0].size))
     bases = machines(np.stack(x0s))
-    runs = [_lbfgs(np.zeros(columns.size), max_evals) for _ in range(restarts)]
+    runs = [_bfgs(np.zeros(columns.size), max_evals) for _ in range(restarts)]
 
     pending, results = {}, [None] * restarts
 
@@ -534,11 +523,11 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
 
 
 def optimize_delete(
-    pair: SchmidtPair, restarts: int, seed: int, max_evals: int = DELETE_MAX_EVALS
+    pair: SchmidtPair, restarts: int, seed: int, max_evals: int = MAX_EVALS
 ) -> SearchReport:
     """Search local-unitary deleting machines for the best objective.
 
-    The L-BFGS runs score each machine against the fixed target |11>
+    The BFGS runs score each machine against the fixed target |11>
     (:func:`_delete_objectives_grad`); each run's final machine is then
     scored by :func:`delete_objective`, which can only be lower.  Seeded at
     the A-side and B-side swaps, so the result never exceeds

@@ -694,16 +694,16 @@ def _rosenbrock(x):
     return float(value), grad
 
 
-class TestLbfgs:
+class TestBfgs:
     def test_converges_on_rosenbrock(self):
-        from dualent.variational import _lbfgs
+        from dualent.variational import _bfgs
 
-        x, value, nfev, nit, exit = _drive(_lbfgs(np.array([-1.2, 1.0]), 2000), _rosenbrock)
+        x, value, nfev, nit, exit = _drive(_bfgs(np.array([-1.2, 1.0]), 2000), _rosenbrock)
         assert exit == "converged" and nfev < 2000 and nit >= 1
         assert np.max(np.abs(x - 1.0)) < 1e-6 and value < 1e-12
 
     def test_budget_ends_the_run_at_the_last_accepted_point(self):
-        from dualent.variational import _lbfgs
+        from dualent.variational import _bfgs
 
         seen = []
 
@@ -711,7 +711,7 @@ class TestLbfgs:
             seen.append(x)
             return _rosenbrock(x)
 
-        x, value, nfev, _, exit = _drive(_lbfgs(np.array([-1.2, 1.0, 0.0, 0.7]), 7), f)
+        x, value, nfev, _, exit = _drive(_bfgs(np.array([-1.2, 1.0, 0.0, 0.7]), 7), f)
         assert (nfev, exit) == (7, "maxfev") and len(seen) == 7
         assert value == min(_rosenbrock(p)[0] for p in seen)
         assert any(np.array_equal(x, p) for p in seen)
@@ -719,20 +719,35 @@ class TestLbfgs:
     def test_infinite_trials_are_failed_steps(self):
         # a bowl centred outside the unit ball, infinite off it: the runs
         # must stay inside and end on its boundary
-        from dualent.variational import _lbfgs
+        from dualent.variational import _bfgs
 
         def f(x):
             if x @ x > 1.0:
                 return math.inf, np.zeros_like(x)
             return float(np.sum((x - 2.0) ** 2)), 2.0 * (x - 2.0)
 
-        x, value, _, _, exit = _drive(_lbfgs(np.zeros(2), 500), f)
+        x, value, _, _, exit = _drive(_bfgs(np.zeros(2), 500), f)
         assert math.isfinite(value) and x @ x <= 1.0
         assert exit in ("converged", "stalled")
         assert np.max(np.abs(x - math.sqrt(0.5))) < 1e-3
 
     def test_a_stationary_start_costs_one_evaluation(self):
-        from dualent.variational import _lbfgs
+        from dualent.variational import _bfgs
 
-        result = _drive(_lbfgs(np.ones(4), 100), _rosenbrock)
+        result = _drive(_bfgs(np.ones(4), 100), _rosenbrock)
         assert result[2:] == (1, 0, "converged")
+
+    def test_ill_conditioned_quadratic(self):
+        # condition number 1e4 in 32 rotated coordinates, the size of the
+        # deleting chart: the dense inverse Hessian learns the whole spectrum
+        from dualent.variational import _bfgs
+
+        rng = np.random.default_rng(0)
+        rotation = np.linalg.qr(rng.standard_normal((32, 32)))[0]
+        hessian = (rotation * np.geomspace(1.0, 1e4, 32)) @ rotation.T
+
+        def f(x):
+            return 0.5 * float(x @ hessian @ x), hessian @ x
+
+        x, _, _, _, exit = _drive(_bfgs(np.ones(32), 400), f)
+        assert exit == "converged" and np.max(np.abs(x)) <= 1e-8
