@@ -37,11 +37,12 @@ dense inverse Hessian (the charts have only 32 or 40 reals), written as a
 generator that yields the points it needs and is sent their values and
 gradients.  Both kernels have exact gradients: the search scores are
 -<v|log2 rho|v>, and Daleckii-Krein divided differences differentiate both
-log2 rho and exp(iH) from the eigendecompositions the values already take.
+log2 rho and exp(iH) from the eigendecompositions the values already take;
+one cached linear map assembles the generators and reads their gradients.
 The driver runs all restarts in lock-step and evaluates the pending point of
 every unfinished run with one stacked value-and-gradient call per round, so
-the restarts share each numpy call of the kernel; a run's bits do not depend
-on how many others are still live.  The final machine of every run is then
+the restarts share each numpy call; a run's bits do not depend on how many
+others are still live.  The final machine of every run is then
 scored by the family's public objective, :func:`delete_objective` or
 :func:`clone_objective`, which picks the winner.
 """
@@ -133,22 +134,30 @@ class SearchReport:
 def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major (i, j) positions of the strict upper triangle, i < j."""
     rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
+    rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
+
+
+@functools.lru_cache(maxsize=8)
+def _generator_map(n: int) -> np.ndarray:
+    """The read-only (n^2, 2 n^2) map whose row p is dH / d theta_p, flattened
+    row-major, real and imaginary parts side by side: thetas @ map, viewed as
+    complex, is H, and (K viewed as reals) @ map^T is Re tr(K^dag dH) in each
+    parameter.  Entries 0 and +-1 keep both bit-equal to entry-by-entry sums."""
+    rows, cols = _upper_indices(n)
+    p = np.arange(n, n * n, 2)
+    b = np.zeros((n * n, n, n), dtype=complex)
+    b[range(n), range(n), range(n)] = b[p, rows, cols] = b[p, cols, rows] = 1.0
+    b[p + 1, rows, cols], b[p + 1, cols, rows] = 1j, -1j
+    b = b.reshape(n * n, n * n).view(float)
+    b.flags.writeable = False
+    return b
 
 
 def _hermitian_from_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
     """Generators of the parameter vectors in the rows of ``thetas`` (...,
     n^2), as a (..., n, n) stack."""
-    rows, cols = _upper_indices(n)
-    upper = thetas[..., n::2] + 1j * thetas[..., n + 1 :: 2]
-    h = np.zeros(thetas.shape[:-1] + (n * n,), dtype=complex)
-    h[..., :: n + 1] = thetas[..., :n]
-    h = h.reshape(thetas.shape[:-1] + (n, n))
-    h[..., rows, cols] = upper
-    h[..., cols, rows] = upper.conj()
-    return h
+    return (thetas @ _generator_map(n)).view(complex).reshape(thetas.shape[:-1] + (n, n))
 
 
 def params_from_hermitian(h: np.ndarray) -> UnitaryParams:
@@ -179,31 +188,6 @@ def _unitary_from_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
 def _exp_i(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """exp(iH) from the eigendecompositions of a stack of generators H."""
     return (vectors * np.exp(1j * values)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-
-
-def _thetas_gradient(values: np.ndarray, vectors: np.ndarray, grad_u: np.ndarray) -> np.ndarray:
-    """Gradients (..., n^2) in the parameters of a real objective of U =
-    exp(iH), given the eigendecompositions of the stacked H and the
-    objective's gradients in U: d objective = Re tr(grad_u^dag dU).
-
-    Daleckii-Krein: dU = V (F o V^dag dH V) V^dag, with F the divided
-    differences of exp(i lambda), i exp(i (l_j + l_k) / 2) sinc((l_j - l_k)
-    / 2), exact at equal eigenvalues.  So d objective = Re tr(K^dag dH) for
-    K = V (F^* o V^dag grad_u V) V^dag, read off at each parameter's dH.
-    """
-    n = values.shape[-1]
-    mean = 0.5 * (values[..., :, None] + values[..., None, :])
-    gap = values[..., :, None] - values[..., None, :]
-    divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2 * math.pi))
-    vh = vectors.conj().swapaxes(-1, -2)
-    k = vectors @ (divided.conj() * (vh @ grad_u @ vectors)) @ vh
-    rows, cols = _upper_indices(n)
-    upper, lower = k[..., rows, cols], k[..., cols, rows]
-    grad = np.empty(values.shape[:-1] + (n * n,))
-    grad[..., :n] = np.diagonal(k, axis1=-2, axis2=-1).real
-    grad[..., n::2] = (upper + lower).real
-    grad[..., n + 1 :: 2] = (upper - lower).imag
-    return grad
 
 
 def _pair_unitaries(u_alice: UnitaryParams, u_bob: UnitaryParams, n: int):
@@ -246,8 +230,13 @@ def cloner_seed_params() -> UnitaryParams:
     return params_from_hermitian(h - h.T)
 
 
-# |11> on (A', B'): the product minimum of the swap deleter's deleted copy
-_DELETE_TARGET = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+@functools.lru_cache(maxsize=8)
+def _delete_constants(pair: SchmidtPair) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only targets psi, |11> and weights diag(psi (x) psi) of the deleting score."""
+    targets = np.stack([_psi_vec(pair), [0.0, 0.0, 0.0, 1.0]])
+    weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
+    targets.flags.writeable = weights.flags.writeable = False
+    return targets, weights
 
 
 def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
@@ -265,17 +254,17 @@ def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nd
     G1, G2 in their states give G_K = G1 K + K G2^*; K is a reshuffle of
     out = U_A D U_B^T, D = diag(psi (x) psi).
     """
-    psi, out_ab, out_apbp, kept = _delete_terms(pair, u_alice, u_bob)
-    terms, grads = _pure_rel_entropy_grad(
-        np.stack([psi, _DELETE_TARGET]), np.stack([out_ab, out_apbp], axis=-3)
-    )
+    _, out_ab, out_apbp, kept = _delete_terms(pair, u_alice, u_bob)
+    targets, weights = _delete_constants(pair)
+    states = np.concatenate([out_ab[..., None, :, :], out_apbp[..., None, :, :]], axis=-3)
+    terms, grads = _pure_rel_entropy_grad(targets, states)
     grad_kept = grads[..., 0, :, :] @ kept + kept @ grads[..., 1, :, :].conj()
     grad_out = grad_kept.reshape(kept.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
     grad_out = grad_out.reshape(kept.shape)
-    weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
-    grad_a = (grad_out @ u_bob.conj()) * weights
-    grad_b = (grad_out.swapaxes(-1, -2) @ u_alice.conj()) * weights
-    return 0.5 * (terms[..., 0] + terms[..., 1]), np.stack([grad_a, grad_b], axis=-3)
+    grad_u = np.empty(kept.shape[:-2] + (2, 4, 4), dtype=complex)
+    np.multiply(grad_out @ u_bob.conj(), weights, out=grad_u[..., 0, :, :])
+    np.multiply(grad_out.swapaxes(-1, -2) @ u_alice.conj(), weights, out=grad_u[..., 1, :, :])
+    return 0.5 * (terms[..., 0] + terms[..., 1]), grad_u
 
 
 def delete_objective(
@@ -305,17 +294,17 @@ def _clone_copy(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np
     Each party's machine is the 8x2 isometry S U[:, :2] from its qubit into
     (clone, clone, env).
     """
-    ab = _clone_amplitudes(pair, u_alice, u_bob)
+    ab = _clone_amplitudes(pair, u_alice, u_bob)[0]
     return ab @ ab.conj().swapaxes(-1, -2)
 
 
-def _clone_amplitudes(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
-    """The (..., 4, 16) output amplitudes with rows (A, B) and columns (A',
-    Ae, B', Be), whose Gram matrix is :func:`_clone_copy`."""
+def _clone_amplitudes(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
+    """The (..., 4, 16) output amplitudes, rows (A, B) and columns (A', Ae, B',
+    Be), whose Gram matrix is :func:`_clone_copy`, and the isometries S U[:, :2]."""
     alice, bob = _SYMMETRIC @ u_alice[..., :2], _SYMMETRIC @ u_bob[..., :2]
     out = (alice * (pair.a, pair.b)) @ bob.swapaxes(-1, -2)
     t = out.reshape(-1, 2, 2, 2, 2, 2, 2)  # (machine, A, A', Ae, B, B', Be)
-    return t.transpose(0, 1, 4, 2, 3, 5, 6).reshape(out.shape[:-2] + (4, 16))
+    return t.transpose(0, 1, 4, 2, 3, 5, 6).reshape(out.shape[:-2] + (4, 16)), alice, bob
 
 
 def _clone_objectives(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
@@ -332,12 +321,11 @@ def _clone_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nda
     With copy = M M^dag for the amplitudes M, G_M = 2 G M; M is a reshuffle
     of out = S U_A[:, :2] diag(a, b) (S U_B[:, :2])^T.
     """
-    ab = _clone_amplitudes(pair, u_alice, u_bob)
+    ab, alice, bob = _clone_amplitudes(pair, u_alice, u_bob)
     value, grad_copy = _pure_rel_entropy_grad(_psi_vec(pair), ab @ ab.conj().swapaxes(-1, -2))
     grad_ab = 2.0 * grad_copy @ ab
     grad_out = grad_ab.reshape(-1, 2, 2, 2, 2, 2, 2).transpose(0, 1, 3, 4, 2, 5, 6)
     grad_out = grad_out.reshape(ab.shape[:-2] + (8, 8))
-    alice, bob = _SYMMETRIC @ u_alice[..., :2], _SYMMETRIC @ u_bob[..., :2]
     grads = np.zeros(ab.shape[:-2] + (2, 6, 6), dtype=complex)
     grads[..., 0, :, :2] = _SYMMETRIC.T @ (grad_out @ bob.conj())
     grads[..., 1, :, :2] = _SYMMETRIC.T @ (grad_out.swapaxes(-1, -2) @ alice.conj())
@@ -365,7 +353,7 @@ def _bfgs(x0: np.ndarray, max_evals: int):
     if not math.isfinite(value):
         return x, value, nfev, nit, "stalled"
     h = None  # the inverse Hessian estimate, once a curvature pair entered
-    while np.max(np.abs(grad)) > _GRAD_TOL:
+    while np.abs(grad).max() > _GRAD_TOL:
         direction = -grad if h is None else -(h @ grad)
         slope = grad @ direction
         # Armijo then accepts only decreases, so a run never ends above its
@@ -385,7 +373,7 @@ def _bfgs(x0: np.ndarray, max_evals: int):
                 break
             quadratic = -slope * step * step / (2.0 * (trial_value - value - slope * step))
             step = min(max(quadratic, 0.1 * step), 0.5 * step)
-            if step * np.max(np.abs(direction)) < _STEP_TOL:
+            if step * np.abs(direction).max() < _STEP_TOL:
                 return x, value, nfev, nit, "stalled"
         s, y = trial - x, trial_grad - grad
         sy = s @ y
@@ -393,8 +381,9 @@ def _bfgs(x0: np.ndarray, max_evals: int):
             if h is None:
                 h = np.eye(s.size) * (sy / (y @ y))
             hy, rho = h @ y, 1.0 / sy
-            h += (rho + rho * rho * (y @ hy)) * np.outer(s, s)
-            h -= rho * (np.outer(hy, s) + np.outer(s, hy))
+            h += (rho + rho * rho * (y @ hy)) * (s[:, None] * s)
+            hys = hy[:, None] * s
+            h -= rho * (hys + hys.T)
         nit += 1
         decrease = value - trial_value
         scale = max(abs(value), abs(trial_value), 1.0)
@@ -404,23 +393,36 @@ def _bfgs(x0: np.ndarray, max_evals: int):
     return x, value, nfev, nit, "converged"
 
 
-def _stacked_values_and_gradients(pair, kernel, bases: np.ndarray, thetas: np.ndarray, n: int):
-    """Values and parameter gradients of ``kernel`` (a family's value and
-    unitary-gradient kernel) at the machines bases @ exp(iH), for the rows
-    of ``thetas`` (m, 2 n^2), each the parameters of H_A then of H_B, and
-    the (m, 2, n, n) stack of base unitaries.  One stacked ``eigh`` gives
-    exp(iH) and the chain rule through it, which the unitary gradients G
-    enter as bases^dag G."""
-    values, vectors = np.linalg.eigh(_hermitian_from_thetas(thetas.reshape(-1, n * n), n))
-    unitaries = bases @ _exp_i(values, vectors).reshape(-1, 2, n, n)
+def _stacked_values_and_gradients(pair, kernel, bases: np.ndarray, xs: np.ndarray, generators):
+    """Values and chart gradients of ``kernel``, a family's value and
+    unitary-gradient kernel, at the machines bases @ exp(iH(x)), for chart
+    points ``xs`` (m, 2 f) (H_A, then H_B), (m, 2, n, n) ``bases`` and the f
+    rows of :func:`_generator_map` the chart moves, ``generators``.  One
+    stacked ``eigh`` gives exp(iH) and, by Daleckii-Krein, the chain rule
+    through it: dU = V (F o V^dag dH V) V^dag with F the divided differences
+    i exp(i (l_j + l_k) / 2) sinc((l_j - l_k) / 2) of exp(i lambda), so d
+    value = Re tr(K^dag dH), K = V (F^* o V^dag bases^dag G V) V^dag for the
+    unitary gradients G; the map reads K off into C-contiguous rows (a
+    strided row rounds the BFGS runs' dot products differently)."""
+    m, n = len(xs), bases.shape[-1]
+    h = (xs.reshape(2 * m, -1) @ generators).view(complex).reshape(2 * m, n, n)
+    values, vectors = np.linalg.eigh(h)
+    vh = vectors.conj().swapaxes(-1, -2)
+    unitaries = bases @ ((vectors * np.exp(1j * values)[..., None, :]) @ vh).reshape(m, 2, n, n)
     objectives, grad_u = kernel(pair, unitaries[:, 0], unitaries[:, 1])
-    pulled = bases.conj().swapaxes(-1, -2) @ grad_u
-    grads = _thetas_gradient(values, vectors, pulled.reshape(-1, n, n))
-    return objectives, grads.reshape(len(thetas), 2 * n * n)
+    pulled = (bases.conj().swapaxes(-1, -2) @ grad_u).reshape(2 * m, n, n)
+    mean = 0.5 * (values[:, :, None] + values[:, None, :])
+    # sinc((l_j - l_k) / 2) as np.sinc computes it
+    half_gap = math.pi * ((values[:, :, None] - values[:, None, :]) / (2 * math.pi))
+    half_gap = np.where(half_gap, half_gap, np.finfo(float).eps)
+    divided = 1j * np.exp(1j * mean) * (np.sin(half_gap) / half_gap)
+    k = vectors @ (divided.conj() * (vh @ pulled @ vectors)) @ vh
+    grads = k.reshape(2 * m, n * n).view(float) @ generators.T
+    return objectives, grads.reshape(m, -1)
 
 
-def _params_from_unitary(u: np.ndarray) -> UnitaryParams:
-    """Parameters of a generator H with exp(iH) = u, for an n x n unitary u.
+def _params_from_unitary(u: np.ndarray) -> list[UnitaryParams]:
+    """Parameters of a generator H with exp(iH) = u, for each unitary u of a stack.
 
     ``eig``'s eigenvectors, orthonormalised by QR, give u's Schur form,
     which is diagonal because u is normal; H takes the angles of its
@@ -428,8 +430,9 @@ def _params_from_unitary(u: np.ndarray) -> UnitaryParams:
     ``eig`` returns for a repeated eigenvalue.
     """
     q = np.linalg.qr(np.linalg.eig(u)[1])[0]
-    angles = np.angle(np.diagonal(q.conj().T @ u @ q))
-    return params_from_hermitian((q * angles) @ q.conj().T)
+    qh = q.conj().swapaxes(-1, -2)
+    angles = np.angle(np.diagonal(qh @ u @ q, axis1=-2, axis2=-1))
+    return [params_from_hermitian(h) for h in (q * angles[..., None, :]) @ qh]
 
 
 def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals) -> SearchReport:
@@ -455,18 +458,14 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    n, size = seeds[0][0].dim, seeds[0][0].thetas.size
+    n = seeds[0][0].dim
     free = np.r_[:k, n : n + 2 * (k * n - k * (k + 1) // 2)]
+    generators = _generator_map(n)[free]
     seeds = [np.concatenate([params.thetas[free] for params in machine]) for machine in seeds]
-    columns = np.concatenate([free, size + free])
-
-    def thetas_of(xs):  # (m, 2 |free|) chart points -> (m, 2 n^2) parameters
-        thetas = np.zeros((len(xs), 2 * size))
-        thetas[:, columns] = xs
-        return thetas
 
     def machines(xs):  # (m, 2 |free|) chart points -> (m, 2, n, n) exp(iH)
-        return _unitary_from_thetas(thetas_of(xs).reshape(-1, size), n).reshape(-1, 2, n, n)
+        h = (xs.reshape(-1, free.size) @ generators).view(complex).reshape(-1, n, n)
+        return _exp_i(*np.linalg.eigh(h)).reshape(-1, 2, n, n)
 
     starts, x0s = [], []
     for r in range(restarts):
@@ -481,9 +480,9 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
             starts.append("random")
             x0s.append(rng.uniform(-math.pi, math.pi, seeds[0].size))
     bases = machines(np.stack(x0s))
-    runs = [_bfgs(np.zeros(columns.size), max_evals) for _ in range(restarts)]
+    runs = [_bfgs(np.zeros(2 * free.size), max_evals) for _ in range(restarts)]
 
-    pending, results = {}, [None] * restarts
+    pending, results, live = {}, [None] * restarts, []
 
     def advance(r, sent):
         try:
@@ -495,16 +494,17 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     for r in range(restarts):
         advance(r, None)
     while pending:
-        live = list(pending)
-        thetas = thetas_of(np.stack([pending[r] for r in live]))
-        values, grads = _stacked_values_and_gradients(pair, kernel, bases[live], thetas, n)
-        # contiguous rows: a strided row would round its dot products
-        # differently, and make a run's bits depend on how many are live
-        for r, value, grad in zip(live, values, np.ascontiguousarray(grads[:, columns])):
+        if len(live) != len(pending):  # runs only finish, never join
+            live = list(pending)
+            live_bases = bases[live]
+        xs = np.array([pending[r] for r in live])
+        values, grads = _stacked_values_and_gradients(pair, kernel, live_bases, xs, generators)
+        for r, value, grad in zip(live, values, grads):
             advance(r, (float(value), grad))
 
     ends = bases @ machines(np.stack([x for x, *_ in results]))
-    finals = [tuple(_params_from_unitary(u) for u in machine) for machine in ends]
+    logs = _params_from_unitary(ends.reshape(-1, n, n))
+    finals = list(zip(logs[::2], logs[1::2]))
     scores = [score(pair, *params) for params in finals]
     winner = min(range(restarts), key=scores.__getitem__)  # first of any tie
     records = tuple(

@@ -72,6 +72,54 @@ class TestParameterisation:
         assert np.max(np.abs(param_to_unitary(bob) - np.eye(4))) < 1e-12
 
 
+def _elementwise_read_off(k, n):
+    """Re tr(K^dag dH) at each parameter's dH, entry by entry: the diagonal,
+    then (re, im) of the upper triangle row by row."""
+    rows, cols = np.triu_indices(n, 1)
+    upper, lower = k[..., rows, cols], k[..., cols, rows]
+    grad = np.empty(k.shape[:-2] + (n * n,))
+    grad[..., :n] = np.diagonal(k, axis1=-2, axis2=-1).real
+    grad[..., n::2] = (upper + lower).real
+    grad[..., n + 1 :: 2] = (upper - lower).imag
+    return grad
+
+
+class TestGeneratorMap:
+    """The cached map that assembles generators from chart points and reads
+    gradients back, against the entry-by-entry layout, bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_read_off_matches_elementwise_reference(self, n):
+        from dualent.variational import _generator_map
+
+        rng = np.random.default_rng(139)
+        k = rng.standard_normal((10, n, n)) + 1j * rng.standard_normal((10, n, n))
+        got = k.reshape(10, n * n).view(float) @ _generator_map(n).T
+        assert got.tobytes() == _elementwise_read_off(k, n).tobytes()
+
+    # the chart rows i < 2: the diagonal entries 0, 1 and the upper-triangle
+    # pairs of rows 0 and 1
+    @pytest.mark.parametrize(
+        "n, free", [(4, np.r_[:4, 4:16]), (4, np.r_[:2, 4:14]), (6, np.r_[:2, 6:24])]
+    )
+    def test_free_rows_match_the_full_map(self, n, free):
+        from dualent.variational import _generator_map, _hermitian_from_thetas
+
+        rng = np.random.default_rng(149)
+        full, rows = _generator_map(n), _generator_map(n)[free]
+        columns = np.concatenate([free, n * n + free])  # the (A, B) pair's parameters
+        k = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        read_full = (k.reshape(6, n * n).view(float) @ full.T).reshape(3, -1)
+        read_free = (k.reshape(6, n * n).view(float) @ rows.T).reshape(3, -1)
+        assert read_free.tobytes() == np.ascontiguousarray(read_full[:, columns]).tobytes()
+        xs = rng.standard_normal((3, 2 * free.size))
+        thetas = np.zeros((3, 2 * n * n))
+        thetas[:, columns] = xs
+        assembled = (xs.reshape(6, -1) @ rows).view(complex).reshape(6, n, n)
+        scattered = _hermitian_from_thetas(thetas.reshape(6, n * n), n)
+        assert assembled.tobytes() == scattered.tobytes()
+
+
 @st.composite
 def unitaries(draw):
     """Random 4x4 and 6x6 unitaries; half of them with eigenvalues drawn
@@ -107,7 +155,7 @@ class TestUnitaryLog:
     def _check(u):
         from dualent.variational import _params_from_unitary
 
-        params = _params_from_unitary(u)
+        (params,) = _params_from_unitary(u[None])
         assert params.dim == len(u)
         assert np.max(np.abs(param_to_unitary(params) - u)) <= 1e-12
 
@@ -119,6 +167,16 @@ class TestUnitaryLog:
     @pytest.mark.parametrize("name", sorted(_degenerate_unitaries()))
     def test_degenerate_spectra(self, name):
         self._check(_degenerate_unitaries()[name])
+
+    def test_stack_matches_one_at_a_time(self):
+        # a search logs all its final machines in one stacked call
+        from dualent.variational import _params_from_unitary
+
+        rng = np.random.default_rng(151)
+        for n in (4, 6):
+            us = np.array([_random_unitary(rng, n) for _ in range(5)] + [np.eye(n)])
+            alone = [_params_from_unitary(u[None])[0].thetas.tobytes() for u in us]
+            assert [p.thetas.tobytes() for p in _params_from_unitary(us)] == alone
 
 
 class TestSeeds:
@@ -242,15 +300,15 @@ class TestOptimizeClone:
         assert first.best_objective == second.best_objective
 
     def test_search_never_leaves_the_chart(self, monkeypatch):
-        # every point a run sends moves only rows 0 and 1 of each chart
-        # generator: thetas[:2] and the upper-triangle pairs of those rows,
-        # thetas[6:24]; the reported params rebuild the winner's final
-        # machine, whose log has no zero (2:, 2:) block
+        # every generator a round builds moves only rows 0 and 1 (and their
+        # conjugate columns): its (2:, 2:) block is exactly zero; the
+        # reported params rebuild the winner's final machine, whose log has
+        # no zero (2:, 2:) block
         pair = SchmidtPair(0.45)
         report, sent, finals = _spied_search(monkeypatch, optimize_clone, pair, 5, 1)
-        thetas = np.concatenate(sent).reshape(-1, 36)
-        assert not thetas[:, 2:6].any() and not thetas[:, 24:].any()
-        assert thetas[:, 6:24].any()
+        generators = np.concatenate(sent)
+        assert not generators[:, 2:, 2:].any()
+        assert generators[:, :2, 2:].any()
         for params, machine in zip(report.best_params, finals[report.winner]):
             assert np.max(np.abs(param_to_unitary(params) - machine)) <= 1e-12
 
@@ -271,20 +329,23 @@ def _random_bases(rng, count, n):
 
 
 def _spied_search(monkeypatch, search, pair, restarts, seed):
-    """Run ``search`` at FAST_EVALS, recording the (m, 2 n^2) parameter
-    stacks its runs send and the final (U_A, U_B) machine of each restart,
-    before the unitary log turns them into the reported params."""
+    """Run ``search`` at FAST_EVALS, recording the (2 m, n, n) stacks of
+    generators H_A, H_B its rounds build from the chart points its runs
+    send, and the final (U_A, U_B) machine of each restart, before the
+    unitary log turns them into the reported params."""
     from dualent import variational
 
     sent, finals = [], []
     evaluate, log = variational._stacked_values_and_gradients, variational._params_from_unitary
 
-    def spy_evaluate(pair, kernel, bases, thetas, n):
-        sent.append(thetas)
-        return evaluate(pair, kernel, bases, thetas, n)
+    def spy_evaluate(pair, kernel, bases, xs, generators):
+        n = bases.shape[-1]
+        h = (xs.reshape(-1, len(generators)) @ generators).view(complex)
+        sent.append(h.reshape(-1, n, n))
+        return evaluate(pair, kernel, bases, xs, generators)
 
     def spy_log(u):
-        finals.append(u)
+        finals.extend(u)
         return log(u)
 
     monkeypatch.setattr(variational, "_stacked_values_and_gradients", spy_evaluate)
@@ -567,6 +628,38 @@ class TestSearchRecords:
         five = search(SchmidtPair(a), restarts=5, seed=7)
         assert three.restart_records == five.restart_records[:3]
 
+    @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
+    def test_gradient_rows_are_contiguous(self, monkeypatch, search):
+        # each round's gradient rows, and each row a run is sent, are
+        # C-contiguous: a strided row (a .real view, say) rounds the dot
+        # products differently, which the records of runs with and without
+        # company need not show
+        from dualent import variational
+
+        evaluate, bfgs, seen = variational._stacked_values_and_gradients, variational._bfgs, []
+
+        def spy_evaluate(*args):
+            values, grads = evaluate(*args)
+            seen.append(("round", grads.flags.c_contiguous))
+            return values, grads
+
+        def spy_bfgs(x0, max_evals):
+            run = bfgs(x0, max_evals)
+            point = next(run)
+            while True:
+                sent = yield point
+                seen.append(("run", sent[1].flags.c_contiguous))
+                try:
+                    point = run.send(sent)
+                except StopIteration as stop:
+                    return stop.value
+
+        monkeypatch.setattr(variational, "_stacked_values_and_gradients", spy_evaluate)
+        monkeypatch.setattr(variational, "_bfgs", spy_bfgs)
+        search(SchmidtPair(0.45), restarts=5, seed=3, max_evals=FAST_EVALS)
+        assert {kind for kind, _ in seen} == {"round", "run"}
+        assert all(contiguous for _, contiguous in seen)
+
     @pytest.mark.parametrize("a", [0.1, 0.3, 0.6])
     def test_copier_seed_stops_at_its_start(self, a):
         # the basis copier is a stationary point: its gradient is exactly 0
@@ -601,6 +694,7 @@ def _value_and_gradient(kind):
     from dualent.variational import (
         _clone_objectives_grad,
         _delete_objectives_grad,
+        _generator_map,
         _stacked_values_and_gradients,
     )
 
@@ -608,10 +702,11 @@ def _value_and_gradient(kind):
     n = _FAMILIES[kind]
 
     def evaluate(pair, thetas, bases=None):
-        # identity bases by default: the machines exp(iH) themselves
+        # identity bases by default: the machines exp(iH) themselves; every
+        # generator row, so the chart points are the full parameters
         if bases is None:
             bases = np.broadcast_to(np.eye(n), (len(thetas), 2, n, n))
-        return _stacked_values_and_gradients(pair, kernel, bases, thetas, n)
+        return _stacked_values_and_gradients(pair, kernel, bases, thetas, _generator_map(n))
 
     return evaluate
 
