@@ -18,6 +18,7 @@ each final machine through this scorer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,6 +82,15 @@ def _psi_vec(pair: SchmidtPair) -> np.ndarray:
     return np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
 
 
+@functools.lru_cache(maxsize=8)
+def _delete_constants(pair: SchmidtPair) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only targets psi, |11> and weights diag(psi (x) psi) of the deleting score."""
+    targets = np.stack([_psi_vec(pair), [0.0, 0.0, 0.0, 1.0]])
+    weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
+    targets.flags.writeable = weights.flags.writeable = False
+    return targets, weights
+
+
 def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     """Marginals of (U_AA' (x) U_BB') applied to psi (x) psi, for each pair
     of unitaries in the (..., 4, 4) stacks ``u_alice`` and ``u_bob``.
@@ -91,14 +101,13 @@ def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     with rows (A, B) and columns (A', B'): out_AB = K K^dag and out_A'B' =
     K^T K^*.
     """
-    psi = _psi_vec(pair)
-    weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
+    targets, weights = _delete_constants(pair)
     out = (u_alice * weights) @ u_bob.swapaxes(-1, -2)
     t = out.reshape(out.shape[:-2] + (2, 2, 2, 2))  # (A, A', B, B')
     kept = t.swapaxes(-3, -2).reshape(out.shape)  # rows (A, B), columns (A', B')
     out_ab = kept @ kept.conj().swapaxes(-1, -2)
     out_apbp = kept.swapaxes(-1, -2) @ kept.conj()
-    return psi, out_ab, out_apbp, kept
+    return targets[0], out_ab, out_apbp, kept
 
 
 def _delete_objective(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> float:

@@ -258,14 +258,13 @@ def _pure_rel_entropy_grad(vec: np.ndarray, rho: np.ndarray):
     gap = high - low
     both = on_support[..., :, None] & on_support[..., None, :]
     one = on_support[..., :, None] ^ on_support[..., None, :]
-    zeros = np.zeros_like(gap)
-    # both on the support: log1p(gap / low) / gap, the limit 1 / low at gap 0
-    ratio = np.divide(gap, low, out=zeros.copy(), where=both)
-    diff = np.divide(1.0, low, out=zeros.copy(), where=both)
-    np.divide(np.log1p(ratio), gap, out=diff, where=both & (gap > 0))
-    # one on the support, the larger eigenvalue: its log / gap
-    logs = np.log(high, out=zeros.copy(), where=one)
-    np.divide(logs, gap, out=diff, where=one)
+    # computed everywhere, then selected: both on the support, log1p(gap /
+    # low) / gap, the limit 1 / low at gap 0; one on the support, the larger
+    # eigenvalue's log / gap; neither, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = np.where(gap > 0, np.log1p(gap / low) / gap, 1 / low)
+        edge = np.log(high) / gap
+    diff = np.where(both, inside, np.where(one, edge, 0.0))
     inner = (diff / math.log(2.0)) * (overlaps[..., :, None] * overlaps[..., None, :].conj())
     return value, -(vectors @ inner @ vectors.conj().swapaxes(-1, -2))
 

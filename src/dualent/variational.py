@@ -14,13 +14,14 @@ at the analytic machines (the A/A' swap; the universal cloner and the
 identity, which S turns into the basis copier), so its best objective can
 never exceed the analytic reference bound.
 
-Each restart searches a chart centred on its own starting machine U_0: U =
-U_0 exp(iH(x)), from x = 0 (Lezcano-Casado, "Trivializations for
-gradient-based optimization on manifolds", NeurIPS 2019).  In one global
-chart a random start has eigenvalue gaps of H near 2 pi, where the
-derivative of exp(iH) nearly vanishes and the run crawls; centred, H starts
-at zero.  A unitary log maps each final machine back to the n^2 parameters
-of :func:`param_to_unitary`, which the reports carry.
+Each restart is a Riemannian descent on the unitary group: it carries its
+current machine U and steps to U exp(iH) for a generator H of the moved
+coordinates (Abrudan, Eriksson and Koivunen, IEEE Trans. Signal Process. 56,
+1134 (2008); Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008).  Every gradient is read at H = 0 in the chart of the
+machine it belongs to, where exp(iH) has derivative iH.  A unitary log maps
+each final machine back to the n^2 parameters of :func:`param_to_unitary`,
+which the reports carry.
 
 Each machine family has one circuit kernel, taking the pair and two stacks
 of unitaries to one search score per machine, and both kernels score with
@@ -33,18 +34,18 @@ targets runs only in the deleting machine's one scorer, which
 :func:`delete_objective` and ``local_delete_swap`` share.
 
 Both searches run one driver: every restart is a BFGS run, which keeps a
-dense inverse Hessian (the charts have only 32 or 40 reals), written as a
-generator that yields the points it needs and is sent their values and
-gradients.  Both kernels have exact gradients: the search scores are
--<v|log2 rho|v>, and Daleckii-Krein divided differences differentiate both
-log2 rho and exp(iH) from the eigendecompositions the values already take;
-one cached linear map assembles the generators and reads their gradients.
-The driver runs all restarts in lock-step and evaluates the pending point of
-every unfinished run with one stacked value-and-gradient call per round, so
-the restarts share each numpy call; a run's bits do not depend on how many
-others are still live.  The final machine of every run is then
-scored by the family's public objective, :func:`delete_objective` or
-:func:`clone_objective`, which picks the winner.
+dense inverse Hessian (the steps have only 32 or 40 reals), written as a
+generator that yields the steps it needs and is sent their values,
+gradients and machines.  Both kernels have exact gradients: the search
+scores are -<v|log2 rho|v>, and Daleckii-Krein divided differences
+differentiate log2 rho from the eigendecompositions the values already
+take; one cached linear map assembles the generators and reads their
+gradients.  The driver runs all restarts in lock-step and evaluates the
+pending trial of every unfinished run with one stacked value-and-gradient
+call per round, so the restarts share each numpy call; a run's bits do not
+depend on how many others are still live.  The final machine of every run
+is then scored by the family's public objective, :func:`delete_objective`
+or :func:`clone_objective`, which picks the winner.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import numpy as np
 from . import linalg as la
 from .cloning import clone_bound
 from .deleting import (
+    _delete_constants,
     _delete_objective,
     _delete_terms,
     _psi_vec,
@@ -67,7 +69,7 @@ from .deleting import (
 from .qstate import SchmidtPair, _pure_rel_entropy, _pure_rel_entropy_grad
 
 # value-and-gradient evaluations per restart; the longest restart seen, a
-# random deleting restart at a = 0.7022, took 1670
+# perturbed deleting restart at a = 0.7022, took 448
 MAX_EVALS = 2000
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _GRAD_TOL = 1e-9  # converged: max |gradient| at most this ...
@@ -230,15 +232,6 @@ def cloner_seed_params() -> UnitaryParams:
     return params_from_hermitian(h - h.T)
 
 
-@functools.lru_cache(maxsize=8)
-def _delete_constants(pair: SchmidtPair) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only targets psi, |11> and weights diag(psi (x) psi) of the deleting score."""
-    targets = np.stack([_psi_vec(pair), [0.0, 0.0, 0.0, 1.0]])
-    weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
-    targets.flags.writeable = weights.flags.writeable = False
-    return targets, weights
-
-
 def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     """The search score of each machine in the (k, 4, 4) stacks, and its
     gradients in U_A and U_B as a (k, 2, 4, 4) stack (d value = Re tr(G_A^dag
@@ -333,25 +326,29 @@ def _clone_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nda
     return value, grads
 
 
-def _bfgs(x0: np.ndarray, max_evals: int):
+def _bfgs(start, size: int, max_evals: int):
     """BFGS (Nocedal & Wright, Numerical Optimization, 2nd ed. 2006, section
-    6.1) as a generator: it yields each point it needs and is sent that
-    point's ``(value, gradient)`` back.  Returns ``(x, value, nfev, nit,
-    exit)`` at the last accepted point.
+    6.1) as a generator over an opaque point: it yields ``(point, step)`` for
+    each trial it needs, a step of ``size`` reals away from its current
+    point, and is sent the trial's ``(value, gradient, trial)`` back, the
+    gradient read in the trial's own coordinates.  An accepted trial becomes
+    the point; the curvature pair is the step s and y = g_trial - g.
+    Returns ``(point, value, nfev, nit, exit)`` at the last accepted point.
 
-    Each step backtracks along -H g until the Armijo condition holds, moving
-    to the minimiser of the quadratic through the value, the slope and the
-    failed trial, kept within [0.1, 0.5] of the step; an infinite trial
-    value (off the support) is a failed trial.  Until the first curvature
-    pair (s, y) enters, the run moves along -g, first trying min(1, 1 / |g|),
-    at most a unit distance; that pair first sets the inverse Hessian H to
-    s.y / y.y times the identity (eq. 6.20).  A pair updates H only when s.y
-    > 1e-12 y.y, which keeps H positive definite.
+    The first trial is the zero step from ``start``.  Each step backtracks
+    along -H g until the Armijo condition holds, moving to the minimiser of
+    the quadratic through the value, the slope and the failed trial, kept
+    within [0.1, 0.5] of the step; an infinite trial value (off the support)
+    is a failed trial.  Until the first curvature pair enters, the run moves
+    along -g, first trying min(1, 1 / |g|), at most a unit distance; that
+    pair first sets the inverse Hessian H to s.y / y.y times the identity
+    (eq. 6.20).  A pair updates H only when s.y > 1e-12 y.y, which keeps H
+    positive definite.
     """
-    value, grad = yield x0
-    x, nfev, nit = x0, 1, 0
+    value, grad, _ = yield start, np.zeros(size)
+    point, nfev, nit = start, 1, 0
     if not math.isfinite(value):
-        return x, value, nfev, nit, "stalled"
+        return point, value, nfev, nit, "stalled"
     h = None  # the inverse Hessian estimate, once a curvature pair entered
     while np.abs(grad).max() > _GRAD_TOL:
         direction = -grad if h is None else -(h @ grad)
@@ -365,17 +362,17 @@ def _bfgs(x0: np.ndarray, max_evals: int):
         step = 1.0 if h is not None else min(1.0, 1.0 / math.sqrt(grad @ grad))
         while True:
             if nfev >= max_evals:
-                return x, value, nfev, nit, "maxfev"
-            trial = x + step * direction
-            trial_value, trial_grad = yield trial
+                return point, value, nfev, nit, "maxfev"
+            s = step * direction
+            trial_value, trial_grad, trial = yield point, s
             nfev += 1
             if trial_value <= value + _ARMIJO * step * slope:
                 break
             quadratic = -slope * step * step / (2.0 * (trial_value - value - slope * step))
             step = min(max(quadratic, 0.1 * step), 0.5 * step)
             if step * np.abs(direction).max() < _STEP_TOL:
-                return x, value, nfev, nit, "stalled"
-        s, y = trial - x, trial_grad - grad
+                return point, value, nfev, nit, "stalled"
+        y = trial_grad - grad
         sy = s @ y
         if sy > 1e-12 * (y @ y):
             if h is None:
@@ -387,38 +384,29 @@ def _bfgs(x0: np.ndarray, max_evals: int):
         nit += 1
         decrease = value - trial_value
         scale = max(abs(value), abs(trial_value), 1.0)
-        x, value, grad = trial, trial_value, trial_grad
+        point, value, grad = trial, trial_value, trial_grad
         if decrease <= _DECREASE_TOL * scale:
             break
-    return x, value, nfev, nit, "converged"
+    return point, value, nfev, nit, "converged"
 
 
-def _stacked_values_and_gradients(pair, kernel, bases: np.ndarray, xs: np.ndarray, generators):
-    """Values and chart gradients of ``kernel``, a family's value and
-    unitary-gradient kernel, at the machines bases @ exp(iH(x)), for chart
-    points ``xs`` (m, 2 f) (H_A, then H_B), (m, 2, n, n) ``bases`` and the f
-    rows of :func:`_generator_map` the chart moves, ``generators``.  One
-    stacked ``eigh`` gives exp(iH) and, by Daleckii-Krein, the chain rule
-    through it: dU = V (F o V^dag dH V) V^dag with F the divided differences
-    i exp(i (l_j + l_k) / 2) sinc((l_j - l_k) / 2) of exp(i lambda), so d
-    value = Re tr(K^dag dH), K = V (F^* o V^dag bases^dag G V) V^dag for the
-    unitary gradients G; the map reads K off into C-contiguous rows (a
-    strided row rounds the BFGS runs' dot products differently)."""
-    m, n = len(xs), bases.shape[-1]
-    h = (xs.reshape(2 * m, -1) @ generators).view(complex).reshape(2 * m, n, n)
-    values, vectors = np.linalg.eigh(h)
-    vh = vectors.conj().swapaxes(-1, -2)
-    unitaries = bases @ ((vectors * np.exp(1j * values)[..., None, :]) @ vh).reshape(m, 2, n, n)
-    objectives, grad_u = kernel(pair, unitaries[:, 0], unitaries[:, 1])
-    pulled = (bases.conj().swapaxes(-1, -2) @ grad_u).reshape(2 * m, n, n)
-    mean = 0.5 * (values[:, :, None] + values[:, None, :])
-    # sinc((l_j - l_k) / 2) as np.sinc computes it
-    half_gap = math.pi * ((values[:, :, None] - values[:, None, :]) / (2 * math.pi))
-    half_gap = np.where(half_gap, half_gap, np.finfo(float).eps)
-    divided = 1j * np.exp(1j * mean) * (np.sin(half_gap) / half_gap)
-    k = vectors @ (divided.conj() * (vh @ pulled @ vectors)) @ vh
+def _stacked_values_and_gradients(pair, kernel, machines, steps, generators):
+    """Values, gradients and machines of the trials T = U exp(iH(s)), for
+    ``kernel``, a family's value and unitary-gradient kernel, (m, 2, n, n)
+    ``machines`` U, (m, 2 f) ``steps`` s (H_A, then H_B) and the f rows of
+    :func:`_generator_map` a step moves, ``generators``.  One stacked
+    ``eigh`` of the step generators builds exp(iH).  Each gradient is read
+    in its trial's own frame, at H = 0 in T exp(iH): d value = Re tr(K^dag
+    dH) with K = -i T^dag G for the unitary gradients G; the map reads K off
+    into C-contiguous rows (a strided row rounds the BFGS runs' dot
+    products differently)."""
+    m, n = len(steps), machines.shape[-1]
+    h = (steps.reshape(2 * m, -1) @ generators).view(complex).reshape(2 * m, n, n)
+    trials = machines @ _exp_i(*np.linalg.eigh(h)).reshape(m, 2, n, n)
+    objectives, grad_u = kernel(pair, trials[:, 0], trials[:, 1])
+    k = -1j * (trials.conj().swapaxes(-1, -2) @ grad_u)
     grads = k.reshape(2 * m, n * n).view(float) @ generators.T
-    return objectives, grads.reshape(m, -1)
+    return objectives, grads.reshape(m, -1), trials
 
 
 def _params_from_unitary(u: np.ndarray) -> list[UnitaryParams]:
@@ -444,15 +432,15 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     pairs in ``seeds``; later restarts alternate between perturbations of
     the first seed (scale 0.2) and fully random draws uniform in [-pi, pi].
     A start moves only the 2kn - k^2 generator coordinates in rows i < k,
-    and its (k:, k:) block is zero, as in the seeds.  Each restart then
-    searches the chart U = U_0 exp(iH(x)) centred on its start U_0, from x
-    = 0: x holds the same coordinates of H_A, then of H_B, and exp(iH)[:,
-    :k] still reaches every n x k isometry.  Centred, every run starts at
-    H = 0, where no wide eigenvalue gap damps the gradient through exp(iH).
+    and its (k:, k:) block is zero, as in the seeds.  Each run carries its
+    current machine U and steps to U exp(iH(s)), where s holds the same
+    coordinates of H_A, then of H_B; exp(iH)[:, :k] still reaches every n x
+    k isometry.  An accepted trial becomes the run's machine, so every
+    gradient is read at H = 0, where exp(iH) has derivative iH.
 
-    All restarts run in lock-step: each round stacks the next point of every
-    unfinished run into one value-and-gradient call.  Each run's final
-    machine U_0 exp(iH(x)) is mapped back to parameters by a unitary log
+    All restarts run in lock-step: each round stacks the machine and the
+    next step of every unfinished run into one value-and-gradient call.
+    Each run's final machine is mapped back to parameters by a unitary log
     and scored by the family's public objective ``score(pair, params_A,
     params_B)``; the lowest score wins, ties keeping the lower restart index.
     """
@@ -462,27 +450,22 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     free = np.r_[:k, n : n + 2 * (k * n - k * (k + 1) // 2)]
     generators = _generator_map(n)[free]
     seeds = [np.concatenate([params.thetas[free] for params in machine]) for machine in seeds]
-
-    def machines(xs):  # (m, 2 |free|) chart points -> (m, 2, n, n) exp(iH)
-        h = (xs.reshape(-1, free.size) @ generators).view(complex).reshape(-1, n, n)
-        return _exp_i(*np.linalg.eigh(h)).reshape(-1, 2, n, n)
-
-    starts, x0s = [], []
+    starts, thetas = [], np.zeros((restarts, 2, n * n))
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         if r < len(seeds):
             starts.append("seed")
-            x0s.append(seeds[r])
+            x0 = seeds[r]
         elif (r - len(seeds)) % 2 == 0:
             starts.append("perturbed")
-            x0s.append(seeds[0] + 0.2 * rng.standard_normal(seeds[0].size))
+            x0 = seeds[0] + 0.2 * rng.standard_normal(seeds[0].size)
         else:
             starts.append("random")
-            x0s.append(rng.uniform(-math.pi, math.pi, seeds[0].size))
-    bases = machines(np.stack(x0s))
-    runs = [_bfgs(np.zeros(2 * free.size), max_evals) for _ in range(restarts)]
+            x0 = rng.uniform(-math.pi, math.pi, seeds[0].size)
+        thetas[r][:, free] = x0.reshape(2, -1)
+    runs = [_bfgs(u, 2 * free.size, max_evals) for u in _unitary_from_thetas(thetas, n)]
 
-    pending, results, live = {}, [None] * restarts, []
+    pending, results = {}, [None] * restarts
 
     def advance(r, sent):
         try:
@@ -494,16 +477,16 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     for r in range(restarts):
         advance(r, None)
     while pending:
-        if len(live) != len(pending):  # runs only finish, never join
-            live = list(pending)
-            live_bases = bases[live]
-        xs = np.array([pending[r] for r in live])
-        values, grads = _stacked_values_and_gradients(pair, kernel, live_bases, xs, generators)
-        for r, value, grad in zip(live, values, grads):
-            advance(r, (float(value), grad))
+        live = list(pending)
+        machines = np.stack([pending[r][0] for r in live])
+        steps = np.stack([pending[r][1] for r in live])
+        values, grads, trials = _stacked_values_and_gradients(
+            pair, kernel, machines, steps, generators
+        )
+        for r, value, grad, trial in zip(live, values, grads, trials):
+            advance(r, (float(value), grad, trial))
 
-    ends = bases @ machines(np.stack([x for x, *_ in results]))
-    logs = _params_from_unitary(ends.reshape(-1, n, n))
+    logs = _params_from_unitary(np.stack([u for u, *_ in results]).reshape(-1, n, n))
     finals = list(zip(logs[::2], logs[1::2]))
     scores = [score(pair, *params) for params in finals]
     winner = min(range(restarts), key=scores.__getitem__)  # first of any tie

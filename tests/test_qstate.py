@@ -13,6 +13,8 @@ from dualent.qstate import (
     LabeledState,
     SchmidtPair,
     _pure_rel_entropy,
+    _pure_rel_entropy_grad,
+    _pure_rel_entropy_on,
     dm_from_ket,
     entropy_of_entanglement,
     rel_ent_entanglement_pure,
@@ -447,6 +449,52 @@ class TestPureTargetKernel:
         vec, sigma = case
         assert math.isinf(self._state_layer(vec, sigma))
         assert math.isinf(_pure_rel_entropy(vec, sigma.matrix[None])[0])
+
+
+def _masked_rel_entropy_grad(vec, rho):
+    """:func:`_pure_rel_entropy_grad` as masked in-place divides: every
+    divided difference written only where its mask selects it."""
+    values, vectors = np.linalg.eigh(rho)
+    value, overlaps, on_support = _pure_rel_entropy_on(vec, values, vectors)
+    low = np.minimum(values[..., :, None], values[..., None, :])
+    high = np.maximum(values[..., :, None], values[..., None, :])
+    gap = high - low
+    both = on_support[..., :, None] & on_support[..., None, :]
+    one = on_support[..., :, None] ^ on_support[..., None, :]
+    zeros = np.zeros_like(gap)
+    ratio = np.divide(gap, low, out=zeros.copy(), where=both)
+    diff = np.divide(1.0, low, out=zeros.copy(), where=both)
+    np.divide(np.log1p(ratio), gap, out=diff, where=both & (gap > 0))
+    logs = np.log(high, out=zeros.copy(), where=one)
+    np.divide(logs, gap, out=diff, where=one)
+    inner = (diff / math.log(2.0)) * (overlaps[..., :, None] * overlaps[..., None, :].conj())
+    return value, -(vectors @ inner @ vectors.conj().swapaxes(-1, -2))
+
+
+class TestPureTargetGradient:
+    def test_selecting_equals_masked_divides_byte_for_byte(self):
+        # 1200 stacks of seven two-qubit states of rank 1-4, each stack
+        # holding I/4 once, against unit targets in the support or drawn
+        # at random: off-support eigenvalues, equal eigenvalues and every
+        # mask combination occur
+        rng = np.random.default_rng(149)
+        shape = (1200, 7, 4, 4)
+        columns = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        columns *= np.arange(4) < rng.integers(1, 5, shape[:2])[..., None, None]
+        rho = columns @ columns.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+        rho[np.arange(1200), np.arange(1200) % 7] = np.eye(4) / 4
+        vec = np.where(
+            rng.random(shape[:2] + (1,)) < 0.5,
+            (columns @ rng.standard_normal(shape[:3] + (1,)))[..., 0],
+            rng.standard_normal(shape[:3]) + 1j * rng.standard_normal(shape[:3]),
+        )
+        vec /= np.linalg.norm(vec, axis=-1, keepdims=True)
+        value, grad = _pure_rel_entropy_grad(vec, rho)
+        expected_value, expected_grad = _masked_rel_entropy_grad(vec, rho)
+        assert np.isinf(value).any() and np.isfinite(value).any()
+        assert value.tobytes() == expected_value.tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
 
 
 class TestEntanglement:

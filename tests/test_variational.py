@@ -85,7 +85,7 @@ def _elementwise_read_off(k, n):
 
 
 class TestGeneratorMap:
-    """The cached map that assembles generators from chart points and reads
+    """The cached map that assembles generators from parameter rows and reads
     gradients back, against the entry-by-entry layout, bit for bit."""
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -184,7 +184,7 @@ class TestSeeds:
         from dualent.cloning import universal_clone_isometry
 
         seed = cloner_seed_params()
-        # the seed lies in the search's chart: a zero (2:, 2:) generator block
+        # the seed moves only the search's rows: a zero (2:, 2:) generator block
         assert not _hermitian_from_thetas(seed.thetas, 6)[2:, 2:].any()
         u = param_to_unitary(seed)
         assert u.shape == (6, 6)
@@ -324,25 +324,25 @@ def _random_unitary(rng, n):
 
 
 def _random_bases(rng, count, n):
-    """A (count, 2, n, n) stack of random chart bases."""
+    """A (count, 2, n, n) stack of random machine pairs."""
     return np.array([[_random_unitary(rng, n) for _ in range(2)] for _ in range(count)])
 
 
-def _spied_search(monkeypatch, search, pair, restarts, seed):
-    """Run ``search`` at FAST_EVALS, recording the (2 m, n, n) stacks of
-    generators H_A, H_B its rounds build from the chart points its runs
-    send, and the final (U_A, U_B) machine of each restart, before the
+def _spied_search(monkeypatch, search, pair, restarts, seed, max_evals=FAST_EVALS):
+    """Run ``search`` at ``max_evals``, recording the (2 m, n, n) stacks of
+    generators H_A, H_B its rounds build from the steps its runs send,
+    and the final (U_A, U_B) machine of each restart, before the
     unitary log turns them into the reported params."""
     from dualent import variational
 
     sent, finals = [], []
     evaluate, log = variational._stacked_values_and_gradients, variational._params_from_unitary
 
-    def spy_evaluate(pair, kernel, bases, xs, generators):
-        n = bases.shape[-1]
-        h = (xs.reshape(-1, len(generators)) @ generators).view(complex)
+    def spy_evaluate(pair, kernel, machines, steps, generators):
+        n = machines.shape[-1]
+        h = (steps.reshape(-1, len(generators)) @ generators).view(complex)
         sent.append(h.reshape(-1, n, n))
-        return evaluate(pair, kernel, bases, xs, generators)
+        return evaluate(pair, kernel, machines, steps, generators)
 
     def spy_log(u):
         finals.extend(u)
@@ -350,7 +350,7 @@ def _spied_search(monkeypatch, search, pair, restarts, seed):
 
     monkeypatch.setattr(variational, "_stacked_values_and_gradients", spy_evaluate)
     monkeypatch.setattr(variational, "_params_from_unitary", spy_log)
-    report = search(pair, restarts=restarts, seed=seed, max_evals=FAST_EVALS)
+    report = search(pair, restarts=restarts, seed=seed, max_evals=max_evals)
     return report, sent, list(zip(finals[::2], finals[1::2]))
 
 
@@ -524,15 +524,17 @@ class TestStackedKernels:
         thetas = rng.uniform(-math.pi, math.pi, (6, 2 * n * n))
         bases = _random_bases(rng, 6, n)
         thetas[2], bases[2] = 0.0, np.eye(n)  # the identity machine
-        values, grads = evaluate(pair, thetas, bases)
+        values, grads, trials = evaluate(pair, thetas, bases)
         for k in range(6):
-            value, grad = evaluate(pair, thetas[k : k + 1], bases[k : k + 1])
+            value, grad, trial = evaluate(pair, thetas[k : k + 1], bases[k : k + 1])
             assert np.array_equal(value, values[k : k + 1], equal_nan=True)
             assert np.array_equal(grad, grads[k : k + 1], equal_nan=True)
+            assert np.array_equal(trial, trials[k : k + 1])
         order = rng.permutation(6)
-        shuffled_values, shuffled_grads = evaluate(pair, thetas[order], bases[order])
-        assert np.array_equal(shuffled_values, values[order], equal_nan=True)
-        assert np.array_equal(shuffled_grads, grads[order], equal_nan=True)
+        shuffled = evaluate(pair, thetas[order], bases[order])
+        assert np.array_equal(shuffled[0], values[order], equal_nan=True)
+        assert np.array_equal(shuffled[1], grads[order], equal_nan=True)
+        assert np.array_equal(shuffled[2], trials[order])
 
     def test_rank_deficient_deleted_copies(self):
         # on the product input |11> with Bob acting on B' alone, the deleted
@@ -639,12 +641,12 @@ class TestSearchRecords:
         evaluate, bfgs, seen = variational._stacked_values_and_gradients, variational._bfgs, []
 
         def spy_evaluate(*args):
-            values, grads = evaluate(*args)
+            values, grads, trials = evaluate(*args)
             seen.append(("round", grads.flags.c_contiguous))
-            return values, grads
+            return values, grads, trials
 
-        def spy_bfgs(x0, max_evals):
-            run = bfgs(x0, max_evals)
+        def spy_bfgs(start, size, max_evals):
+            run = bfgs(start, size, max_evals)
             point = next(run)
             while True:
                 sent = yield point
@@ -659,6 +661,23 @@ class TestSearchRecords:
         search(SchmidtPair(0.45), restarts=5, seed=3, max_evals=FAST_EVALS)
         assert {kind for kind, _ in seen} == {"round", "run"}
         assert all(contiguous for _, contiguous in seen)
+
+    def test_slow_random_restart_near_the_symmetric_point(self, monkeypatch):
+        # the slowest random deleting restart of the bench plans, near
+        # 1/sqrt(2): every restart of this search ends within 600
+        # evaluations, and each run's machine, a product of accepted steps,
+        # stays unitary to round-off
+        from dualent.variational import MAX_EVALS
+
+        pair = SchmidtPair(0.7021614044636904)
+        report, _, finals = _spied_search(
+            monkeypatch, optimize_delete, pair, 5, 1942530881, MAX_EVALS
+        )
+        assert report.restart_records[3].start == "random"
+        assert max(r.nfev for r in report.restart_records) <= 600
+        machines = np.array(finals)
+        defect = machines.conj().swapaxes(-1, -2) @ machines - np.eye(4)
+        assert np.abs(defect).max() <= 1e-12
 
     @pytest.mark.parametrize("a", [0.1, 0.3, 0.6])
     def test_copier_seed_stops_at_its_start(self, a):
@@ -701,24 +720,38 @@ def _value_and_gradient(kind):
     kernel = {"delete": _delete_objectives_grad, "clone": _clone_objectives_grad}[kind]
     n = _FAMILIES[kind]
 
-    def evaluate(pair, thetas, bases=None):
-        # identity bases by default: the machines exp(iH) themselves; every
-        # generator row, so the chart points are the full parameters
+    def evaluate(pair, steps, bases=None):
+        # identity bases by default: the trials are the machines exp(iH)
+        # themselves; every generator row, so the steps are full parameters
         if bases is None:
-            bases = np.broadcast_to(np.eye(n), (len(thetas), 2, n, n))
-        return _stacked_values_and_gradients(pair, kernel, bases, thetas, _generator_map(n))
+            bases = np.broadcast_to(np.eye(n), (len(steps), 2, n, n))
+        return _stacked_values_and_gradients(pair, kernel, bases, steps, _generator_map(n))
 
     return evaluate
 
 
 class TestGradients:
-    """The analytic stacked gradients against central differences of the
-    values, and the clone values against the value-only clone kernel."""
+    """The round's gradient rows against central differences of the kernel
+    along T exp(i eps H(e_p)) at each trial T, and the clone values against
+    the value-only clone kernel."""
 
-    def _check(self, kind, pair, thetas, bases=None):
-        evaluate = _value_and_gradient(kind)
-        _, grad = evaluate(pair, thetas, bases)
-        numeric = _central_differences(lambda x: evaluate(pair, x, bases)[0], thetas)
+    def _check(self, kind, pair, steps, bases=None):
+        from dualent.variational import (
+            _clone_objectives_grad,
+            _delete_objectives_grad,
+            _unitary_from_thetas,
+        )
+
+        n = _FAMILIES[kind]
+        kernel = {"delete": _delete_objectives_grad, "clone": _clone_objectives_grad}[kind]
+        values, grad, trials = _value_and_gradient(kind)(pair, steps, bases)
+
+        def along(x):
+            moved = trials @ _unitary_from_thetas(x.reshape(-1, 2, n * n), n)
+            return kernel(pair, moved[:, 0], moved[:, 1])[0]
+
+        assert np.array_equal(along(np.zeros_like(steps)), values)
+        numeric = _central_differences(along, np.zeros_like(steps))
         assert np.max(np.abs(grad - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(numeric)))
         return grad
 
@@ -727,10 +760,10 @@ class TestGradients:
         n = _FAMILIES[kind]
         rng = np.random.default_rng(131)
         for a in (0.0, 0.3, 0.6, SYM):
-            thetas = rng.uniform(-math.pi, math.pi, (3, 2 * n * n))
-            self._check(kind, SchmidtPair(a), thetas)
-            # the same generators in charts centred on random machines
-            self._check(kind, SchmidtPair(a), thetas, _random_bases(rng, 3, n))
+            steps = rng.uniform(-math.pi, math.pi, (3, 2 * n * n))
+            self._check(kind, SchmidtPair(a), steps)
+            # the same steps from random machines
+            self._check(kind, SchmidtPair(a), steps, _random_bases(rng, 3, n))
 
     @pytest.mark.parametrize("a", [0.3, 0.5, SYM])
     def test_seeds_with_degenerate_spectra(self, a):
@@ -747,12 +780,11 @@ class TestGradients:
         ]:
             thetas = np.concatenate([params.thetas for params in machine])[None]
             grad = self._check(kind, pair, thetas)
-            # where each search run starts: zero generators, in the chart
-            # centred on the seed machine
+            # where each search run starts: the zero step from the seed machine
             bases = np.array([[param_to_unitary(params) for params in machine]])
-            centred = self._check(kind, pair, np.zeros_like(thetas), bases)
+            start = self._check(kind, pair, np.zeros_like(thetas), bases)
             if machine[0] is copier:
-                assert not grad.any() and not centred.any()
+                assert not grad.any() and not start.any()
 
     @pytest.mark.parametrize("kind", ["clone"])
     def test_values_equal_the_value_only_kernel(self, kind):
@@ -766,17 +798,20 @@ class TestGradients:
         pair = SchmidtPair(0.45)
         thetas = rng.uniform(-math.pi, math.pi, (6, 2 * n * n))
         bases = _random_bases(rng, 6, n)
-        values, _ = _value_and_gradient(kind)(pair, thetas, bases)
+        values, _, trials = _value_and_gradient(kind)(pair, thetas, bases)
         unitaries = bases @ _unitary_from_thetas(thetas.reshape(-1, n * n), n).reshape(-1, 2, n, n)
+        assert np.array_equal(trials, unitaries)
         assert np.array_equal(values, kernel(pair, unitaries[:, 0], unitaries[:, 1]))
 
 
 def _drive(run, f):
-    """Run an optimiser generator on a function returning (value, gradient)."""
+    """Run an optimiser generator on a function returning (value, gradient),
+    in Euclidean space: the trial of a step from a point is point + step."""
     try:
-        x = next(run)
+        point, step = next(run)
         while True:
-            x = run.send(f(x))
+            trial = point + step
+            point, step = run.send(f(trial) + (trial,))
     except StopIteration as stop:
         return stop.value
 
@@ -793,7 +828,7 @@ class TestBfgs:
     def test_converges_on_rosenbrock(self):
         from dualent.variational import _bfgs
 
-        x, value, nfev, nit, exit = _drive(_bfgs(np.array([-1.2, 1.0]), 2000), _rosenbrock)
+        x, value, nfev, nit, exit = _drive(_bfgs(np.array([-1.2, 1.0]), 2, 2000), _rosenbrock)
         assert exit == "converged" and nfev < 2000 and nit >= 1
         assert np.max(np.abs(x - 1.0)) < 1e-6 and value < 1e-12
 
@@ -806,7 +841,7 @@ class TestBfgs:
             seen.append(x)
             return _rosenbrock(x)
 
-        x, value, nfev, _, exit = _drive(_bfgs(np.array([-1.2, 1.0, 0.0, 0.7]), 7), f)
+        x, value, nfev, _, exit = _drive(_bfgs(np.array([-1.2, 1.0, 0.0, 0.7]), 4, 7), f)
         assert (nfev, exit) == (7, "maxfev") and len(seen) == 7
         assert value == min(_rosenbrock(p)[0] for p in seen)
         assert any(np.array_equal(x, p) for p in seen)
@@ -821,7 +856,7 @@ class TestBfgs:
                 return math.inf, np.zeros_like(x)
             return float(np.sum((x - 2.0) ** 2)), 2.0 * (x - 2.0)
 
-        x, value, _, _, exit = _drive(_bfgs(np.zeros(2), 500), f)
+        x, value, _, _, exit = _drive(_bfgs(np.zeros(2), 2, 500), f)
         assert math.isfinite(value) and x @ x <= 1.0
         assert exit in ("converged", "stalled")
         assert np.max(np.abs(x - math.sqrt(0.5))) < 1e-3
@@ -829,12 +864,12 @@ class TestBfgs:
     def test_a_stationary_start_costs_one_evaluation(self):
         from dualent.variational import _bfgs
 
-        result = _drive(_bfgs(np.ones(4), 100), _rosenbrock)
+        result = _drive(_bfgs(np.ones(4), 4, 100), _rosenbrock)
         assert result[2:] == (1, 0, "converged")
 
     def test_ill_conditioned_quadratic(self):
-        # condition number 1e4 in 32 rotated coordinates, the size of the
-        # deleting chart: the dense inverse Hessian learns the whole spectrum
+        # condition number 1e4 in 32 rotated coordinates, the size of a
+        # deleting step: the dense inverse Hessian learns the whole spectrum
         from dualent.variational import _bfgs
 
         rng = np.random.default_rng(0)
@@ -844,5 +879,5 @@ class TestBfgs:
         def f(x):
             return 0.5 * float(x @ hessian @ x), hessian @ x
 
-        x, _, _, _, exit = _drive(_bfgs(np.ones(32), 400), f)
+        x, _, _, _, exit = _drive(_bfgs(np.ones(32), 32, 400), f)
         assert exit == "converged" and np.max(np.abs(x)) <= 1e-8
