@@ -1,27 +1,25 @@
-"""Gradient search over parameterised local unitaries, tightening the
-cloning and deleting bounds from within the corresponding machine families.
+"""Gradient search over local unitaries, tightening the cloning and
+deleting bounds from within the corresponding machine families.
 
-Unitaries are encoded as U = exp(iH) with H Hermitian, assembled from a real
-parameter vector of length n^2 (n diagonal entries, then the real/imaginary
-parts of the upper triangle row by row).  A deleting machine is a 4x4
-unitary on (A, A').  A cloning machine is the first two columns of a 6x6
-unitary, mapped by the fixed isometry S onto Sym^2(C^2) (x) C^2_env inside
-(clone1, clone2, env): both clones are symmetric, so the two copies are
-equal by construction and only the (A, B) copy is built.  A search moves
-only the first k rows of H, for the k columns its input reaches: 2kn - k^2
-reals per party, all 16 for deleting and 20 of 36 for cloning.  It starts
-at the analytic machines (the A/A' swap; the universal cloner and the
-identity, which S turns into the basis copier), so its best objective can
-never exceed the analytic reference bound.
+A machine is one unitary per party, held as a validated
+:class:`LocalUnitary`.  A deleting machine is a 4x4 unitary on (A, A').  A
+cloning machine is the first two columns of a 6x6 unitary, mapped by the
+fixed isometry S onto Sym^2(C^2) (x) C^2_env inside (clone1, clone2, env):
+both clones are symmetric, so the two copies are equal by construction and
+only the (A, B) copy is built.  A search moves only the first k rows of
+its step generators, for the k columns its input reaches: 2kn - k^2 reals
+per party, all 16 for deleting and 20 of 36 for cloning.  It starts at the
+analytic machines (the A/A' swap; the universal cloner and the identity,
+which S turns into the basis copier), so its best objective can never
+exceed the analytic reference bound.
 
 Each restart is a Riemannian descent on the unitary group: it carries its
 current machine U and steps to U exp(iH) for a generator H of the moved
 coordinates (Abrudan, Eriksson and Koivunen, IEEE Trans. Signal Process. 56,
 1134 (2008); Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008).  Every gradient is read at H = 0 in the chart of the
-machine it belongs to, where exp(iH) has derivative iH.  A unitary log maps
-each final machine back to the n^2 parameters of :func:`param_to_unitary`,
-which the reports carry.
+machine it belongs to, where exp(iH) has derivative iH.  The reports carry
+each run's final machine as it is.
 
 Each machine family has one circuit kernel, taking the pair and two stacks
 of unitaries to one search score per machine, and both kernels score with
@@ -66,7 +64,7 @@ from .deleting import (
     delete_bound,
     swap_gate,
 )
-from .qstate import SchmidtPair, _pure_rel_entropy, _pure_rel_entropy_grad
+from .qstate import SchmidtPair, _pure_rel_entropy_grad
 
 # value-and-gradient evaluations per restart; the longest restart seen, a
 # perturbed deleting restart at a = 0.7022, took 448
@@ -78,23 +76,24 @@ _STEP_TOL = 1e-12  # stalled: the line search shrank the step below this
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryParams:
-    """Real parameter vector of length n^2 encoding an n x n unitary."""
+class LocalUnitary:
+    """One party's local machine: an n x n unitary, to within 1e-12 in
+    each entry of U^dag U - I."""
 
-    thetas: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float).ravel()
-        object.__setattr__(self, "thetas", thetas)
-        if not np.all(np.isfinite(thetas)):
-            raise ValueError("unitary parameters must be finite")
-        n = math.isqrt(thetas.size)
-        if n * n != thetas.size:
-            raise ValueError(f"parameter vector length {thetas.size} is not a square")
+        matrix = la.as_matrix(self.matrix)
+        object.__setattr__(self, "matrix", matrix)
+        if not np.isfinite(matrix).all():
+            raise ValueError("local machine must be finite")
+        gram = matrix.conj().T @ matrix
+        if not np.max(np.abs(gram - np.eye(len(matrix)))) <= 1e-12:
+            raise ValueError("local machine is not unitary")
 
     @property
     def dim(self) -> int:
-        return math.isqrt(self.thetas.size)
+        return len(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class RestartRecord:
     ``"maxfev"`` (evaluation budget spent) or ``"stalled"`` (a line search
     found no decrease).  ``objective`` is the family's public objective
     (:func:`delete_objective` or :func:`clone_objective`) at the run's
-    final point; for deleting it can lie below the run's own values, which
+    final machine; for deleting it can lie below the run's own values, which
     score the fixed target |11>.
     """
 
@@ -124,7 +123,7 @@ class SearchReport:
     restart in ``restart_records`` that found ``best_params``."""
 
     best_objective: float
-    best_params: tuple[UnitaryParams, UnitaryParams]
+    best_params: tuple[LocalUnitary, LocalUnitary]
     restarts_used: int
     seed: int
     reference_bound: float
@@ -133,20 +132,14 @@ class SearchReport:
 
 
 @functools.lru_cache(maxsize=8)
-def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major (i, j) positions of the strict upper triangle, i < j."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-@functools.lru_cache(maxsize=8)
 def _generator_map(n: int) -> np.ndarray:
-    """The read-only (n^2, 2 n^2) map whose row p is dH / d theta_p, flattened
-    row-major, real and imaginary parts side by side: thetas @ map, viewed as
-    complex, is H, and (K viewed as reals) @ map^T is Re tr(K^dag dH) in each
-    parameter.  Entries 0 and +-1 keep both bit-equal to entry-by-entry sums."""
-    rows, cols = _upper_indices(n)
+    """The read-only (n^2, 2 n^2) map whose row p is dH / dx_p for the real
+    coordinates x of a Hermitian H (n diagonal entries, then the real and
+    imaginary parts of the upper triangle row by row), flattened row-major,
+    real and imaginary parts side by side: x @ map, viewed as complex, is H,
+    and (K viewed as reals) @ map^T is Re tr(K^dag dH) in each coordinate.
+    Entries 0 and +-1 keep both bit-equal to entry-by-entry sums."""
+    rows, cols = np.triu_indices(n, 1)
     p = np.arange(n, n * n, 2)
     b = np.zeros((n * n, n, n), dtype=complex)
     b[range(n), range(n), range(n)] = b[p, rows, cols] = b[p, cols, rows] = 1.0
@@ -156,60 +149,44 @@ def _generator_map(n: int) -> np.ndarray:
     return b
 
 
-def _hermitian_from_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
-    """Generators of the parameter vectors in the rows of ``thetas`` (...,
-    n^2), as a (..., n, n) stack."""
-    return (thetas @ _generator_map(n)).view(complex).reshape(thetas.shape[:-1] + (n, n))
+def _hermitian(x: np.ndarray, generators: np.ndarray, n: int) -> np.ndarray:
+    """The generators H(x) of the coordinate rows of ``x`` (..., f), for the
+    f rows of :func:`_generator_map` in ``generators``, as a (..., n, n) stack."""
+    return (x @ generators).view(complex).reshape(x.shape[:-1] + (n, n))
 
 
-def params_from_hermitian(h: np.ndarray) -> UnitaryParams:
-    """Inverse of ``_hermitian_from_thetas(params.thetas, params.dim)``."""
-    h = la.as_matrix(h)
-    defect = la.hermiticity_defect(h)
-    if not defect <= la.HERMITICITY_TOL:
-        raise ValueError(f"generator is not Hermitian: defect {defect:.3e}")
-    n = h.shape[0]
-    upper = h[_upper_indices(n)]
-    thetas = np.empty(n * n)
-    thetas[:n] = np.diag(h).real
-    thetas[n::2] = upper.real
-    thetas[n + 1 :: 2] = upper.imag
-    return UnitaryParams(thetas)
-
-
-def param_to_unitary(params: UnitaryParams) -> np.ndarray:
-    """U = exp(iH) for the encoded Hermitian generator; zero gives I."""
-    return _unitary_from_thetas(params.thetas, params.dim)
-
-
-def _unitary_from_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
-    """exp(iH) for each row of ``thetas`` (..., n^2), by one stacked ``eigh``."""
-    return _exp_i(*np.linalg.eigh(_hermitian_from_thetas(thetas, n)))
-
-
-def _exp_i(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """exp(iH) from the eigendecompositions of a stack of generators H."""
+def _exp_i(h: np.ndarray) -> np.ndarray:
+    """exp(iH) for each generator H of a (..., n, n) stack, by one stacked ``eigh``."""
+    values, vectors = np.linalg.eigh(h)
     return (vectors * np.exp(1j * values)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
-def _pair_unitaries(u_alice: UnitaryParams, u_bob: UnitaryParams, n: int):
-    """The two n x n unitaries a parameter pair encodes, each as a stack of
-    one, from one stacked ``eigh``."""
-    for params in (u_alice, u_bob):
-        if params.dim != n:
-            raise ValueError(
-                f"expected parameters for a {n}x{n} unitary, got {params.dim}x{params.dim}"
-            )
-    unitaries = _unitary_from_thetas(np.stack([u_alice.thetas, u_bob.thetas]), n)
-    return unitaries[:1], unitaries[1:]
+def param_to_unitary(machine: LocalUnitary) -> np.ndarray:
+    """The machine's n x n unitary matrix."""
+    return machine.matrix
 
 
-def swap_delete_seed() -> tuple[UnitaryParams, UnitaryParams]:
-    """Parameters reproducing the swap deleting machine: Alice swaps A with
-    A', Bob does nothing (the swap W squares to I, so H = pi (I - W) / 2)."""
-    alice = params_from_hermitian(math.pi * (np.eye(4) - swap_gate()) / 2.0)
-    bob = UnitaryParams(np.zeros(16))
-    return alice, bob
+def _pair_unitaries(u_alice: LocalUnitary, u_bob: LocalUnitary, n: int):
+    """The two machines' n x n matrices, each as a stack of one."""
+    for machine in (u_alice, u_bob):
+        if machine.dim != n:
+            raise ValueError(f"expected a {n}x{n} unitary, got {machine.dim}x{machine.dim}")
+    return u_alice.matrix[None], u_bob.matrix[None]
+
+
+def _swap_generators() -> np.ndarray:
+    """Generators (H_A, H_B) of the swap deleting machine: Alice swaps A with
+    A', Bob does nothing (the swap W squares to I, so H_A = pi (I - W) / 2)."""
+    h = np.zeros((2, 4, 4), dtype=complex)
+    h[0] = math.pi * (np.eye(4) - swap_gate()) / 2.0
+    return h
+
+
+def swap_delete_seed() -> tuple[LocalUnitary, LocalUnitary]:
+    """The swap deleting machine exp(iH) of :func:`_swap_generators`, where
+    the deleting search's first restart starts."""
+    alice, bob = _exp_i(_swap_generators())
+    return LocalUnitary(alice), LocalUnitary(bob)
 
 
 # S, the 8x6 isometry onto Sym^2(C^2) (x) C^2_env (basis index clone1*4 +
@@ -221,15 +198,21 @@ _SYMMETRIC[[0, 6, 1, 7], [0, 1, 2, 3]] = 1.0
 _SYMMETRIC[[2, 4, 3, 5], [4, 4, 5, 5]] = math.sqrt(0.5)
 
 
-def cloner_seed_params() -> UnitaryParams:
-    """Parameters whose first two columns, through S, are the universal
-    cloner: in S's columns, a turn by arccos sqrt(2/3) from e_0 toward e_5
-    and a quarter turn from e_1 to sqrt(2/3) e_3 + sqrt(1/3) e_4, in
-    orthogonal planes, so their generators add."""
+def _cloner_generator() -> np.ndarray:
+    """A generator whose unitary's first two columns, through S, are the
+    universal cloner: in S's columns, a turn by arccos sqrt(2/3) from e_0
+    toward e_5 and a quarter turn from e_1 to sqrt(2/3) e_3 + sqrt(1/3) e_4,
+    in orthogonal planes, so their generators add."""
     h = np.zeros((6, 6), dtype=complex)
     h[0, 5] = 1j * math.acos(math.sqrt(2 / 3))
     h[1, [3, 4]] = 0.5j * math.pi * np.sqrt([2 / 3, 1 / 3])
-    return params_from_hermitian(h - h.T)
+    return h - h.T
+
+
+def cloner_seed_params() -> LocalUnitary:
+    """The universal cloner's machine exp(iH) of :func:`_cloner_generator`,
+    where the cloning search's first restart starts on both sides."""
+    return LocalUnitary(_exp_i(_cloner_generator()))
 
 
 def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
@@ -260,9 +243,7 @@ def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nd
     return 0.5 * (terms[..., 0] + terms[..., 1]), grad_u
 
 
-def delete_objective(
-    pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams
-) -> float:
+def delete_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnitary) -> float:
     """Deleting quality of the machine U_AA' (x) U_BB', in bits.
 
     Half the sum of S(psi | out_AB) and the best pure-product relative
@@ -273,43 +254,28 @@ def delete_objective(
     return _delete_objective(pair, *_pair_unitaries(u_alice, u_bob, 4))
 
 
-def clone_objective(pair: SchmidtPair, u_alice: UnitaryParams, u_bob: UnitaryParams) -> float:
+def clone_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnitary) -> float:
     """Cloning quality S(psi | copy) of the symmetric machines that 6x6
     unitaries on (A, B) encode, in bits; the two copies are equal."""
-    return float(_clone_objectives(pair, *_pair_unitaries(u_alice, u_bob, 6))[0])
-
-
-def _clone_copy(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
-    """(A, B) marginal of the cloning circuit output, for each pair of
-    unitaries in the (..., 6, 6) stacks ``u_alice`` and ``u_bob``; the
-    (A', B') copy equals it by construction.
-
-    Each party's machine is the 8x2 isometry S U[:, :2] from its qubit into
-    (clone, clone, env).
-    """
-    ab = _clone_amplitudes(pair, u_alice, u_bob)[0]
-    return ab @ ab.conj().swapaxes(-1, -2)
+    return float(_clone_objectives_grad(pair, *_pair_unitaries(u_alice, u_bob, 6))[0][0])
 
 
 def _clone_amplitudes(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     """The (..., 4, 16) output amplitudes, rows (A, B) and columns (A', Ae, B',
-    Be), whose Gram matrix is :func:`_clone_copy`, and the isometries S U[:, :2]."""
+    Be), whose Gram matrix is the (A, B) marginal of the cloning circuit output
+    (the (A', B') copy equals it by construction), and each party's machine,
+    the 8x2 isometry S U[:, :2] from its qubit into (clone, clone, env)."""
     alice, bob = _SYMMETRIC @ u_alice[..., :2], _SYMMETRIC @ u_bob[..., :2]
     out = (alice * (pair.a, pair.b)) @ bob.swapaxes(-1, -2)
     t = out.reshape(-1, 2, 2, 2, 2, 2, 2)  # (machine, A, A', Ae, B, B', Be)
     return t.transpose(0, 1, 4, 2, 3, 5, 6).reshape(out.shape[:-2] + (4, 16)), alice, bob
 
 
-def _clone_objectives(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
-    """The cloning objective of each machine in the (k, 6, 6) stacks."""
-    return _pure_rel_entropy(_psi_vec(pair), _clone_copy(pair, u_alice, u_bob))
-
-
 def _clone_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
-    """:func:`_clone_objectives`, bit for bit, and the gradients in U_A and
-    U_B as a (k, 2, 6, 6) stack (d value = Re tr(G_A^dag dU_A + G_B^dag
-    dU_B)); only their first two columns, the ones the input reaches, are
-    nonzero.
+    """The cloning objective of each machine in the (k, 6, 6) stacks, and its
+    gradients in U_A and U_B as a (k, 2, 6, 6) stack (d value = Re
+    tr(G_A^dag dU_A + G_B^dag dU_B)); only their first two columns, the ones
+    the input reaches, are nonzero.
 
     With copy = M M^dag for the amplitudes M, G_M = 2 G M; M is a reshuffle
     of out = S U_A[:, :2] diag(a, b) (S U_B[:, :2])^T.
@@ -401,26 +367,12 @@ def _stacked_values_and_gradients(pair, kernel, machines, steps, generators):
     into C-contiguous rows (a strided row rounds the BFGS runs' dot
     products differently)."""
     m, n = len(steps), machines.shape[-1]
-    h = (steps.reshape(2 * m, -1) @ generators).view(complex).reshape(2 * m, n, n)
-    trials = machines @ _exp_i(*np.linalg.eigh(h)).reshape(m, 2, n, n)
+    h = _hermitian(steps.reshape(2 * m, -1), generators, n)
+    trials = machines @ _exp_i(h).reshape(m, 2, n, n)
     objectives, grad_u = kernel(pair, trials[:, 0], trials[:, 1])
     k = -1j * (trials.conj().swapaxes(-1, -2) @ grad_u)
     grads = k.reshape(2 * m, n * n).view(float) @ generators.T
     return objectives, grads.reshape(m, -1), trials
-
-
-def _params_from_unitary(u: np.ndarray) -> list[UnitaryParams]:
-    """Parameters of a generator H with exp(iH) = u, for each unitary u of a stack.
-
-    ``eig``'s eigenvectors, orthonormalised by QR, give u's Schur form,
-    which is diagonal because u is normal; H takes the angles of its
-    diagonal, in (-pi, pi].  QR also orthonormalises the eigenvectors that
-    ``eig`` returns for a repeated eigenvalue.
-    """
-    q = np.linalg.qr(np.linalg.eig(u)[1])[0]
-    qh = q.conj().swapaxes(-1, -2)
-    angles = np.angle(np.diagonal(qh @ u @ q, axis1=-2, axis2=-1))
-    return [params_from_hermitian(h) for h in (q * angles[..., None, :]) @ qh]
 
 
 def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals) -> SearchReport:
@@ -428,42 +380,44 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     U_B)``, a family's value-and-gradient kernel, over pairs of n x n
     unitaries whose input reaches only their first k columns.
 
-    Restart 0, 1, ... start at the analytic seeds, the (params_A, params_B)
-    pairs in ``seeds``; later restarts alternate between perturbations of
-    the first seed (scale 0.2) and fully random draws uniform in [-pi, pi].
-    A start moves only the 2kn - k^2 generator coordinates in rows i < k,
-    and its (k:, k:) block is zero, as in the seeds.  Each run carries its
-    current machine U and steps to U exp(iH(s)), where s holds the same
-    coordinates of H_A, then of H_B; exp(iH)[:, :k] still reaches every n x
-    k isometry.  An accepted trial becomes the run's machine, so every
-    gradient is read at H = 0, where exp(iH) has derivative iH.
+    Restart 0, 1, ... start at exp(iH) of the analytic seeds, the (2, n, n)
+    generator pairs (H_A, H_B) in ``seeds``; later restarts alternate
+    between perturbations of the first seed's generators (scale 0.2) and
+    generators with coordinates drawn uniform in [-pi, pi].  A start moves
+    only the 2kn - k^2 generator coordinates in rows i < k, and its (k:, k:)
+    block is zero, as in the seeds.  Each run carries its current machine U
+    and steps to U exp(iH(s)), where s holds the same coordinates of H_A,
+    then of H_B; exp(iH)[:, :k] still reaches every n x k isometry.  An
+    accepted trial becomes the run's machine, so every gradient is read at
+    H = 0, where exp(iH) has derivative iH.
 
     All restarts run in lock-step: each round stacks the machine and the
     next step of every unfinished run into one value-and-gradient call.
-    Each run's final machine is mapped back to parameters by a unitary log
-    and scored by the family's public objective ``score(pair, params_A,
-    params_B)``; the lowest score wins, ties keeping the lower restart index.
+    Each run's final machine becomes a pair of :class:`LocalUnitary`
+    records, scored by the family's public objective ``score(pair, U_A,
+    U_B)``; the lowest score wins, ties keeping the lower restart index.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    n = seeds[0][0].dim
+    n = seeds[0].shape[-1]
     free = np.r_[:k, n : n + 2 * (k * n - k * (k + 1) // 2)]
     generators = _generator_map(n)[free]
-    seeds = [np.concatenate([params.thetas[free] for params in machine]) for machine in seeds]
-    starts, thetas = [], np.zeros((restarts, 2, n * n))
+    size = 2 * free.size
+    starts, h = [], np.empty((restarts, 2, n, n), dtype=complex)
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         if r < len(seeds):
             starts.append("seed")
-            x0 = seeds[r]
+            h[r] = seeds[r]
         elif (r - len(seeds)) % 2 == 0:
             starts.append("perturbed")
-            x0 = seeds[0] + 0.2 * rng.standard_normal(seeds[0].size)
+            x = 0.2 * rng.standard_normal(size)
+            h[r] = seeds[0] + _hermitian(x.reshape(2, -1), generators, n)
         else:
             starts.append("random")
-            x0 = rng.uniform(-math.pi, math.pi, seeds[0].size)
-        thetas[r][:, free] = x0.reshape(2, -1)
-    runs = [_bfgs(u, 2 * free.size, max_evals) for u in _unitary_from_thetas(thetas, n)]
+            x = rng.uniform(-math.pi, math.pi, size)
+            h[r] = _hermitian(x.reshape(2, -1), generators, n)
+    runs = [_bfgs(u, size, max_evals) for u in _exp_i(h)]
 
     pending, results = {}, [None] * restarts
 
@@ -486,9 +440,8 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
         for r, value, grad, trial in zip(live, values, grads, trials):
             advance(r, (float(value), grad, trial))
 
-    logs = _params_from_unitary(np.stack([u for u, *_ in results]).reshape(-1, n, n))
-    finals = list(zip(logs[::2], logs[1::2]))
-    scores = [score(pair, *params) for params in finals]
+    finals = [(LocalUnitary(u_a), LocalUnitary(u_b)) for (u_a, u_b), *_ in results]
+    scores = [score(pair, *machine) for machine in finals]
     winner = min(range(restarts), key=scores.__getitem__)  # first of any tie
     records = tuple(
         RestartRecord(start, nfev, nit, exit, value)
@@ -517,8 +470,8 @@ def optimize_delete(
     :func:`delete_bound`; deterministic for fixed (pair, restarts, seed).
     """
     reference = delete_bound(pair)
-    alice, bob = swap_delete_seed()
-    seeds = [(alice, bob), (bob, alice)]
+    swap = _swap_generators()
+    seeds = [swap, swap[::-1]]
     kernel, score = _delete_objectives_grad, delete_objective
     return _search(pair, kernel, score, 4, seeds, reference, restarts, seed, max_evals)
 
@@ -528,12 +481,12 @@ def optimize_clone(
 ) -> SearchReport:
     """Search symmetric local cloning machines: rows 0, 1 of a 6x6 generator.
 
-    Seeded at the universal cloner and at the basis copier (zero
-    parameters), so the result never exceeds :func:`clone_bound`;
+    Seeded at the universal cloner and at the basis copier (the zero
+    generator), so the result never exceeds :func:`clone_bound`;
     deterministic for fixed (pair, restarts, seed).
     """
     reference = clone_bound(pair)
-    cloner, copier = cloner_seed_params(), UnitaryParams(np.zeros(36))
-    seeds = [(cloner, cloner), (copier, copier)]
+    cloner = _cloner_generator()
+    seeds = [np.array([cloner, cloner]), np.zeros((2, 6, 6))]
     kernel, score = _clone_objectives_grad, clone_objective
     return _search(pair, kernel, score, 2, seeds, reference, restarts, seed, max_evals)

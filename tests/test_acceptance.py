@@ -184,7 +184,7 @@ def test_criterion_9_variational_sanity():
         second = search(probe, restarts=5, seed=1)
         deterministic &= first.best_objective == second.best_objective
         deterministic &= all(
-            np.array_equal(p.thetas, q.thetas)
+            p.matrix.tobytes() == q.matrix.tobytes()
             for p, q in zip(first.best_params, second.best_params)
         )
     report(

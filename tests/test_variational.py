@@ -2,23 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dualent.cloning import clone_bound, rho_clone_closed_form
 from dualent.deleting import delete_bound, local_delete_swap
 from dualent.qstate import Ket, SchmidtPair, dm_from_ket, relative_entropy, trace_out
 from dualent.variational import (
     _SYMMETRIC,
-    UnitaryParams,
-    _hermitian_from_thetas,
+    LocalUnitary,
+    _exp_i,
+    _generator_map,
+    _hermitian,
     clone_objective,
     cloner_seed_params,
     delete_objective,
     optimize_clone,
     optimize_delete,
     param_to_unitary,
-    params_from_hermitian,
     swap_delete_seed,
     swap_gate,
 )
@@ -29,24 +28,25 @@ SYM = 1 / math.sqrt(2)
 FAST_EVALS = 250
 
 
+def _unitaries(x, n):
+    """exp(iH(x)) for each row x (..., n^2) of generator coordinates on the
+    whole map: the diagonal, then (re, im) of the upper triangle row by row."""
+    return _exp_i(_hermitian(x, _generator_map(n), n))
+
+
 class TestParameterisation:
+    """exp(iH(x)), as the searches build their starts and steps."""
+
     def test_zero_gives_identity(self):
         for n in (2, 4, 8):
-            u = param_to_unitary(UnitaryParams(np.zeros(n * n)))
+            u = _unitaries(np.zeros(n * n), n)
             assert np.max(np.abs(u - np.eye(n))) < 1e-12
 
     def test_random_params_give_unitary(self):
         rng = np.random.default_rng(79)
         for n in (2, 4, 8):
-            u = param_to_unitary(UnitaryParams(rng.uniform(-math.pi, math.pi, n * n)))
+            u = _unitaries(rng.uniform(-math.pi, math.pi, n * n), n)
             assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-10
-
-    def test_roundtrip_through_generator(self):
-        rng = np.random.default_rng(83)
-        for n in (2, 4, 8):
-            params = UnitaryParams(rng.standard_normal(n * n))
-            back = params_from_hermitian(_hermitian_from_thetas(params.thetas, n))
-            assert np.max(np.abs(back.thetas - params.thetas)) < 1e-14
 
     def test_generator_layout_matches_loop_reference(self):
         # diagonal first, then (re, im) of the upper triangle row by row
@@ -60,11 +60,11 @@ class TestParameterisation:
                     expected[i, j] = thetas[k] + 1j * thetas[k + 1]
                     expected[j, i] = thetas[k] - 1j * thetas[k + 1]
                     k += 2
-            assert np.array_equal(_hermitian_from_thetas(thetas, n), expected)
+            assert np.array_equal(_hermitian(thetas, _generator_map(n), n), expected)
 
     def test_non_square_length_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            UnitaryParams(np.zeros(5))
+            LocalUnitary(np.zeros(5))
 
     def test_swap_seed_reproduces_swap(self):
         alice, bob = swap_delete_seed()
@@ -90,8 +90,6 @@ class TestGeneratorMap:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_read_off_matches_elementwise_reference(self, n):
-        from dualent.variational import _generator_map
-
         rng = np.random.default_rng(139)
         k = rng.standard_normal((10, n, n)) + 1j * rng.standard_normal((10, n, n))
         got = k.reshape(10, n * n).view(float) @ _generator_map(n).T
@@ -103,8 +101,8 @@ class TestGeneratorMap:
         "n, free", [(4, np.r_[:4, 4:16]), (4, np.r_[:2, 4:14]), (6, np.r_[:2, 6:24])]
     )
     def test_free_rows_match_the_full_map(self, n, free):
-        from dualent.variational import _generator_map, _hermitian_from_thetas
-
+        # so a start assembled from its free coordinates alone is the
+        # generator of the same coordinates scattered into zeros, bit for bit
         rng = np.random.default_rng(149)
         full, rows = _generator_map(n), _generator_map(n)[free]
         columns = np.concatenate([free, n * n + free])  # the (A, B) pair's parameters
@@ -115,78 +113,48 @@ class TestGeneratorMap:
         xs = rng.standard_normal((3, 2 * free.size))
         thetas = np.zeros((3, 2 * n * n))
         thetas[:, columns] = xs
-        assembled = (xs.reshape(6, -1) @ rows).view(complex).reshape(6, n, n)
-        scattered = _hermitian_from_thetas(thetas.reshape(6, n * n), n)
+        assembled = _hermitian(xs.reshape(6, -1), rows, n)
+        scattered = _hermitian(thetas.reshape(6, n * n), full, n)
         assert assembled.tobytes() == scattered.tobytes()
 
 
-@st.composite
-def unitaries(draw):
-    """Random 4x4 and 6x6 unitaries; half of them with eigenvalues drawn
-    from {1, -1, i, e^2i}, so most spectra repeat, in a random eigenbasis."""
-    n = draw(st.sampled_from([4, 6]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u = _random_unitary(rng, n)
-    if draw(st.booleans()):
-        u = (u * rng.choice([1.0, -1.0, 1j, np.exp(2j)], n)) @ u.conj().T
-    return u
+class TestLocalUnitary:
+    """The public machine record: one n x n unitary, to 1e-12 in each entry
+    of U^dag U - I, as each search's final machines are (their drift is
+    about 3e-14 on the acceptance grid)."""
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_holds_the_unitary_it_is_given(self, n):
+        u = _random_unitary(np.random.default_rng(151), n)
+        record = LocalUnitary(u)
+        assert record.dim == n and record.matrix.tobytes() == u.tobytes()
+        assert param_to_unitary(record) is record.matrix
 
-def _degenerate_unitaries():
-    from dualent.variational import _unitary_from_thetas
-
-    cloner = _unitary_from_thetas(cloner_seed_params().thetas, 6)
-    return {
-        "identity-4": np.eye(4),
-        "identity-6": np.eye(6),
-        "swap": swap_gate(),
-        "cloner-seed": cloner,
-        "repeated-phases": np.diag(np.exp(1j * np.array([0.3, 0.3, -2.0, 0.3, -2.0, 1.0]))),
-        "minus-one": np.diag([-1.0, -1.0, 1.0, -1.0]).astype(complex),
-        "minus-identity": -np.eye(6, dtype=complex),
-    }
-
-
-class TestUnitaryLog:
-    """The unitary log that maps each search's final machine back to
-    parameters; it raises if the generator it builds is not Hermitian."""
-
-    @staticmethod
-    def _check(u):
-        from dualent.variational import _params_from_unitary
-
-        (params,) = _params_from_unitary(u[None])
-        assert params.dim == len(u)
-        assert np.max(np.abs(param_to_unitary(params) - u)) <= 1e-12
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(unitaries())
-    def test_random_unitaries(self, u):
-        self._check(u)
-
-    @pytest.mark.parametrize("name", sorted(_degenerate_unitaries()))
-    def test_degenerate_spectra(self, name):
-        self._check(_degenerate_unitaries()[name])
-
-    def test_stack_matches_one_at_a_time(self):
-        # a search logs all its final machines in one stacked call
-        from dualent.variational import _params_from_unitary
-
-        rng = np.random.default_rng(151)
-        for n in (4, 6):
-            us = np.array([_random_unitary(rng, n) for _ in range(5)] + [np.eye(n)])
-            alone = [_params_from_unitary(u[None])[0].thetas.tobytes() for u in us]
-            assert [p.thetas.tobytes() for p in _params_from_unitary(us)] == alone
+    def test_rejects_what_is_not_a_unitary(self):
+        rng = np.random.default_rng(157)
+        u = _random_unitary(rng, 4)
+        nan, inf = u.copy(), u.copy()
+        nan[1, 2], inf[3, 0] = np.nan, np.inf
+        bad = {
+            "non-square": u[:, :3],
+            "nan": nan,
+            "inf": inf,
+            "twice the identity": 2.0 * np.eye(4),
+            "perturbed by 1e-9": u + 1e-9 * rng.standard_normal((4, 4)),
+        }
+        for matrix in bad.values():
+            with pytest.raises(ValueError):
+                LocalUnitary(matrix)
 
 
 class TestSeeds:
     def test_cloner_seed_reaches_the_cloner(self):
         from dualent.cloning import universal_clone_isometry
+        from dualent.variational import _cloner_generator
 
-        seed = cloner_seed_params()
         # the seed moves only the search's rows: a zero (2:, 2:) generator block
-        assert not _hermitian_from_thetas(seed.thetas, 6)[2:, 2:].any()
-        u = param_to_unitary(seed)
+        assert not _cloner_generator()[2:, 2:].any()
+        u = param_to_unitary(cloner_seed_params())
         assert u.shape == (6, 6)
         assert np.max(np.abs(_SYMMETRIC @ u[:, :2] - universal_clone_isometry().matrix)) < 1e-12
 
@@ -196,9 +164,9 @@ class TestSeeds:
         assert abs(clone_objective(pair, seed, seed) - clone_bound(pair)) < 1e-6
 
     def test_copier_seed_realises_entropy_branch(self):
-        # zero parameters: the identity, which S turns into |x> -> |xx>|0>
+        # the identity, which S turns into |x> -> |xx>|0>
         pair = SchmidtPair(0.6)
-        seed = UnitaryParams(np.zeros(36))
+        seed = LocalUnitary(np.eye(6))
         h = -(0.36 * math.log2(0.36) + 0.64 * math.log2(0.64))
         assert abs(clone_objective(pair, seed, seed) - h) < 1e-9
 
@@ -209,14 +177,36 @@ class TestSeeds:
         assert abs(value - local_delete_swap(pair).objective) < 1e-6
         assert abs(value - 1.5865393790302167) < 1e-6
 
+    def test_public_seeds_are_where_the_searches_start(self, monkeypatch):
+        from dualent import variational
+
+        starts, bfgs = [], variational._bfgs
+
+        def spy_bfgs(start, size, max_evals):
+            starts.append(start)
+            return bfgs(start, size, max_evals)
+
+        monkeypatch.setattr(variational, "_bfgs", spy_bfgs)
+        optimize_delete(SchmidtPair(0.6), restarts=2, seed=1, max_evals=1)
+        optimize_clone(SchmidtPair(0.6), restarts=2, seed=1, max_evals=1)
+        alice, bob = swap_delete_seed()
+        cloner, copier = cloner_seed_params(), np.eye(6, dtype=complex)
+        want = [
+            (alice.matrix, bob.matrix),
+            (bob.matrix, alice.matrix),
+            (cloner.matrix, cloner.matrix),
+            (copier, copier),
+        ]
+        assert [start.tobytes() for start in starts] == [np.array(w).tobytes() for w in want]
+
 
 class TestDeleteObjective:
     def test_identity_machine_is_infinite_for_entangled_input(self):
-        identity = UnitaryParams(np.zeros(16))
+        identity = LocalUnitary(np.eye(4))
         assert math.isinf(delete_objective(SchmidtPair(0.6), identity, identity))
 
     def test_identity_machine_on_product_input(self):
-        identity = UnitaryParams(np.zeros(16))
+        identity = LocalUnitary(np.eye(4))
         assert abs(delete_objective(SchmidtPair(0.0), identity, identity)) < 1e-12
 
     def test_matches_the_validated_outcome_bit_for_bit(self):
@@ -226,20 +216,20 @@ class TestDeleteObjective:
         for a in (0.0, 0.3, 0.6, SYM):
             pair = SchmidtPair(a)
             for _ in range(5):
-                alice, bob = (UnitaryParams(rng.uniform(-math.pi, math.pi, 16)) for _ in range(2))
-                u_a, u_b = param_to_unitary(alice)[None], param_to_unitary(bob)[None]
+                alice, bob = (LocalUnitary(_random_unitary(rng, 4)) for _ in range(2))
+                u_a, u_b = alice.matrix[None], bob.matrix[None]
                 outcome = _delete_outcome(pair, u_a, u_b)
                 assert delete_objective(pair, alice, bob) == outcome.objective
 
     def test_wrong_parameter_size_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
-            delete_objective(SchmidtPair(0.6), UnitaryParams(np.zeros(4)), UnitaryParams(np.zeros(16)))
+            delete_objective(SchmidtPair(0.6), LocalUnitary(np.eye(2)), LocalUnitary(np.eye(4)))
 
 
 class TestCloneObjective:
     def test_wrong_parameter_size_rejected(self):
         with pytest.raises(ValueError, match="6x6"):
-            clone_objective(SchmidtPair(0.6), UnitaryParams(np.zeros(64)), UnitaryParams(np.zeros(36)))
+            clone_objective(SchmidtPair(0.6), LocalUnitary(np.eye(8)), LocalUnitary(np.eye(6)))
 
     def test_random_machines_give_equal_copies(self):
         rng = np.random.default_rng(109)
@@ -268,7 +258,8 @@ class TestOptimizeDelete:
         first = optimize_delete(SchmidtPair(0.5), restarts=3, seed=11, max_evals=FAST_EVALS)
         second = optimize_delete(SchmidtPair(0.5), restarts=3, seed=11, max_evals=FAST_EVALS)
         assert first.best_objective == second.best_objective
-        assert np.array_equal(first.best_params[0].thetas, second.best_params[0].thetas)
+        for p, q in zip(first.best_params, second.best_params):
+            assert p.matrix.tobytes() == q.matrix.tobytes()
 
     def test_restart_validation(self):
         with pytest.raises(ValueError, match="restarts"):
@@ -302,15 +293,14 @@ class TestOptimizeClone:
     def test_search_never_leaves_the_chart(self, monkeypatch):
         # every generator a round builds moves only rows 0 and 1 (and their
         # conjugate columns): its (2:, 2:) block is exactly zero; the
-        # reported params rebuild the winner's final machine, whose log has
-        # no zero (2:, 2:) block
+        # reported records are the winner's final machine
         pair = SchmidtPair(0.45)
         report, sent, finals = _spied_search(monkeypatch, optimize_clone, pair, 5, 1)
         generators = np.concatenate(sent)
         assert not generators[:, 2:, 2:].any()
         assert generators[:, :2, 2:].any()
-        for params, machine in zip(report.best_params, finals[report.winner]):
-            assert np.max(np.abs(param_to_unitary(params) - machine)) <= 1e-12
+        for record, machine in zip(report.best_params, finals[report.winner]):
+            assert record.matrix.tobytes() == machine.tobytes()
 
     @pytest.mark.parametrize("a, below", [(0.3, 0.30), (0.5, 0.60)])
     def test_finds_machines_below_the_closed_forms(self, a, below):
@@ -320,7 +310,7 @@ class TestOptimizeClone:
 
 
 def _random_unitary(rng, n):
-    return param_to_unitary(UnitaryParams(rng.uniform(-math.pi, math.pi, n * n)))
+    return _unitaries(rng.uniform(-math.pi, math.pi, n * n), n)
 
 
 def _random_bases(rng, count, n):
@@ -331,12 +321,11 @@ def _random_bases(rng, count, n):
 def _spied_search(monkeypatch, search, pair, restarts, seed, max_evals=FAST_EVALS):
     """Run ``search`` at ``max_evals``, recording the (2 m, n, n) stacks of
     generators H_A, H_B its rounds build from the steps its runs send,
-    and the final (U_A, U_B) machine of each restart, before the
-    unitary log turns them into the reported params."""
+    and the final (U_A, U_B) machine each restart's BFGS run returns."""
     from dualent import variational
 
     sent, finals = [], []
-    evaluate, log = variational._stacked_values_and_gradients, variational._params_from_unitary
+    evaluate, bfgs = variational._stacked_values_and_gradients, variational._bfgs
 
     def spy_evaluate(pair, kernel, machines, steps, generators):
         n = machines.shape[-1]
@@ -344,14 +333,18 @@ def _spied_search(monkeypatch, search, pair, restarts, seed, max_evals=FAST_EVAL
         sent.append(h.reshape(-1, n, n))
         return evaluate(pair, kernel, machines, steps, generators)
 
-    def spy_log(u):
-        finals.extend(u)
-        return log(u)
+    def spy_bfgs(start, size, max_evals):
+        # the runs are made in restart order, and end in any order
+        final = []
+        finals.append(final)
+        result = yield from bfgs(start, size, max_evals)
+        final.extend(result[0])
+        return result
 
     monkeypatch.setattr(variational, "_stacked_values_and_gradients", spy_evaluate)
-    monkeypatch.setattr(variational, "_params_from_unitary", spy_log)
+    monkeypatch.setattr(variational, "_bfgs", spy_bfgs)
     report = search(pair, restarts=restarts, seed=seed, max_evals=max_evals)
-    return report, sent, list(zip(finals[::2], finals[1::2]))
+    return report, sent, [tuple(final) for final in finals]
 
 
 def _explicit_clone_copies(pair, u_a, u_b):
@@ -389,7 +382,7 @@ class TestMachineKernels:
                 assert np.array_equal(got_ab, got_kept @ got_kept.conj().T)
 
     def test_clone_copies_match_kron_reference(self):
-        from dualent.variational import _clone_copy
+        from dualent.variational import _clone_amplitudes
 
         rng = np.random.default_rng(101)
         for a in (0.0, 0.3, 0.6, SYM):
@@ -397,7 +390,8 @@ class TestMachineKernels:
             for _ in range(3):
                 u_a, u_b = _random_unitary(rng, 6), _random_unitary(rng, 6)
                 want1, want2 = _explicit_clone_copies(pair, u_a, u_b)
-                copy = _clone_copy(pair, u_a, u_b)
+                ab = _clone_amplitudes(pair, u_a, u_b)[0]
+                copy = ab @ ab.conj().T
                 assert np.max(np.abs(copy - want1)) < 1e-12
                 assert np.max(np.abs(copy - want2)) < 1e-12
 
@@ -453,11 +447,12 @@ class TestReachability:
         assert abs(clone_objective(pair, seed, seed) - clone_bound(pair)) < 1e-6
         # the kernel's copy at the seed is exactly the closed-form copy, and
         # so is the other copy of the explicit six-qubit output
-        from dualent.variational import _clone_copy, _unitary_from_thetas
+        from dualent.variational import _clone_amplitudes
 
-        u = _unitary_from_thetas(seed.thetas, 6)
+        u = param_to_unitary(seed)
+        ab = _clone_amplitudes(pair, u, u)[0]
         expected = rho_clone_closed_form(pair).matrix
-        assert np.max(np.abs(_clone_copy(pair, u, u) - expected)) < 1e-10
+        assert np.max(np.abs(ab @ ab.conj().T - expected)) < 1e-10
         _, copy2 = _explicit_clone_copies(pair, u, u)
         assert np.max(np.abs(copy2 - expected)) < 1e-10
 
@@ -471,32 +466,30 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("kind", ["delete", "clone"])
     def test_stack_matches_points_one_at_a_time(self, kind):
-        from dualent.variational import (
-            _clone_objectives,
-            _delete_objectives_grad,
-            _unitary_from_thetas,
-        )
+        from dualent.variational import _clone_objectives_grad, _delete_objectives_grad
 
-        def delete_values(pair, u_a, u_b):
-            return _delete_objectives_grad(pair, u_a, u_b)[0]
+        kernels = {"delete": _delete_objectives_grad, "clone": _clone_objectives_grad}
+        n, with_grads = _FAMILIES[kind], kernels[kind]
 
-        n, kernel = {"delete": (4, delete_values), "clone": (6, _clone_objectives)}[kind]
+        def kernel(pair, u_a, u_b):
+            return with_grads(pair, u_a, u_b)[0]
+
         rng = np.random.default_rng(103)
         pair = SchmidtPair(0.45)
         thetas_a, thetas_b = _random_thetas(rng, 6, n), _random_thetas(rng, 6, n)
         # the identity machine: off support for deleting an entangled input
         thetas_a[2] = thetas_b[2] = 0.0
-        stacked = kernel(pair, _unitary_from_thetas(thetas_a, n), _unitary_from_thetas(thetas_b, n))
+        stacked = kernel(pair, _unitaries(thetas_a, n), _unitaries(thetas_b, n))
         alone = [
-            kernel(pair, _unitary_from_thetas(ta[None], n), _unitary_from_thetas(tb[None], n))[0]
+            kernel(pair, _unitaries(ta[None], n), _unitaries(tb[None], n))[0]
             for ta, tb in zip(thetas_a, thetas_b)
         ]
         assert np.array_equal(stacked, alone)
         if kind == "clone":
             # the clone kernel is the public objective
             public = [
-                clone_objective(pair, UnitaryParams(ta), UnitaryParams(tb))
-                for ta, tb in zip(thetas_a, thetas_b)
+                clone_objective(pair, LocalUnitary(u_a), LocalUnitary(u_b))
+                for u_a, u_b in zip(_unitaries(thetas_a, n), _unitaries(thetas_b, n))
             ]
             assert np.array_equal(stacked, public)
         else:
@@ -504,15 +497,9 @@ class TestStackedKernels:
 
         # order and company do not matter
         order = rng.permutation(6)
-        shuffled = kernel(
-            pair,
-            _unitary_from_thetas(thetas_a[order], n),
-            _unitary_from_thetas(thetas_b[order], n),
-        )
+        shuffled = kernel(pair, _unitaries(thetas_a[order], n), _unitaries(thetas_b[order], n))
         assert np.array_equal(shuffled, stacked[order])
-        pairs = kernel(
-            pair, _unitary_from_thetas(thetas_a[3:5], n), _unitary_from_thetas(thetas_b[3:5], n)
-        )
+        pairs = kernel(pair, _unitaries(thetas_a[3:5], n), _unitaries(thetas_b[3:5], n))
         assert np.array_equal(pairs, stacked[3:5])
 
     @pytest.mark.parametrize("kind", ["delete", "clone"])
@@ -545,17 +532,42 @@ class TestStackedKernels:
 
         rng = np.random.default_rng(107)
         pair = SchmidtPair(0.0)
-        machines = [(UnitaryParams(np.zeros(16)), UnitaryParams(np.zeros(16)))]
+        machines = [(LocalUnitary(np.eye(4)), LocalUnitary(np.eye(4)))]
         for _ in range(3):
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            bob = params_from_hermitian(np.kron(np.eye(2), h + h.conj().T))
-            machines.append((UnitaryParams(rng.uniform(-math.pi, math.pi, 16)), bob))
-        u_a = np.array([param_to_unitary(alice) for alice, _ in machines])
-        u_b = np.array([param_to_unitary(bob) for _, bob in machines])
+            bob = LocalUnitary(_exp_i(np.kron(np.eye(2), h + h.conj().T)))
+            machines.append((LocalUnitary(_random_unitary(rng, 4)), bob))
+        u_a = np.array([alice.matrix for alice, _ in machines])
+        u_b = np.array([bob.matrix for _, bob in machines])
         _, _, deleted, _ = _delete_terms(pair, u_a, u_b)
         assert list(np.linalg.matrix_rank(deleted, tol=1e-9)) == [1, 2, 2, 2]
         values = [delete_objective(pair, alice, bob) for alice, bob in machines]
         assert np.isfinite(values).all() and abs(values[0]) < 1e-12
+
+
+class TestObjectProbeCalls:
+    """The calls ``object_probes`` in bench/layers.py makes, which tier-1
+    would not otherwise see: the public seeds, both objectives on them and
+    on a short search's records, ``param_to_unitary`` on every record and
+    its ``.dim``, which the tracer reads to label spans."""
+
+    @pytest.mark.parametrize("kind, dim", [("delete", 4), ("clone", 6)])
+    def test_call_shapes(self, kind, dim):
+        from dualent import variational
+
+        alice, bob = variational.swap_delete_seed()
+        cloner = variational.cloner_seed_params()
+        seed = (alice, bob) if kind == "delete" else (cloner, cloner)
+        search = getattr(variational, f"optimize_{kind}")
+        objective = getattr(variational, f"{kind}_objective")
+        pair = SchmidtPair(0.6)
+        report = search(pair, restarts=1, seed=1, max_evals=20)
+        best = report.best_params
+        assert math.isfinite(objective(pair, *seed))
+        assert objective(pair, *best) == report.best_objective
+        for record in (*seed, *best):
+            assert record.dim == dim
+            assert variational.param_to_unitary(record).shape == (dim, dim)
 
 
 def _onto_one(ket):
@@ -575,8 +587,8 @@ class TestFixedTargetKernel:
         rng = np.random.default_rng(113)
         for _ in range(120):
             pair = SchmidtPair(float(rng.uniform(0.0, SYM)))
-            alice, bob = (UnitaryParams(rng.uniform(-math.pi, math.pi, 16)) for _ in range(2))
-            u_a, u_b = param_to_unitary(alice)[None], param_to_unitary(bob)[None]
+            alice, bob = (LocalUnitary(_random_unitary(rng, 4)) for _ in range(2))
+            u_a, u_b = alice.matrix[None], bob.matrix[None]
             value = delete_objective(pair, alice, bob)
             assert _delete_objectives_grad(pair, u_a, u_b)[0][0] >= value - 1e-12
             _, _, deleted, _ = _delete_terms(pair, u_a, u_b)
@@ -617,9 +629,10 @@ class TestSearchRecords:
         pair = SchmidtPair(0.45)
         score = {optimize_delete: delete_objective, optimize_clone: clone_objective}[search]
         report, _, finals = _spied_search(monkeypatch, search, pair, 5, 3)
+        for record, machine in zip(report.best_params, finals[report.winner]):
+            assert record.matrix.tobytes() == machine.tobytes()
         assert score(pair, *report.best_params) == report.best_objective
-        for params, machine in zip(report.best_params, finals[report.winner]):
-            assert np.max(np.abs(param_to_unitary(params) - machine)) <= 1e-12
+        assert report.restart_records[report.winner].objective == report.best_objective
 
     @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
     @pytest.mark.parametrize("a", [0.05, 0.3, 0.55, 0.7])
@@ -685,9 +698,8 @@ class TestSearchRecords:
         report = optimize_clone(SchmidtPair(a), restarts=2, seed=1)
         copier = report.restart_records[1]
         assert (copier.nfev, copier.nit, copier.exit) == (1, 0, "converged")
-        assert copier.objective == clone_objective(
-            SchmidtPair(a), UnitaryParams(np.zeros(36)), UnitaryParams(np.zeros(36))
-        )
+        identity = LocalUnitary(np.eye(6))
+        assert copier.objective == clone_objective(SchmidtPair(a), identity, identity)
 
     @pytest.mark.parametrize("a, below", [(0.3, 0.1365), (0.5, 0.41)])
     def test_delete_finds_machines_below_the_simplex_values(self, a, below):
@@ -733,21 +745,17 @@ def _value_and_gradient(kind):
 class TestGradients:
     """The round's gradient rows against central differences of the kernel
     along T exp(i eps H(e_p)) at each trial T, and the clone values against
-    the value-only clone kernel."""
+    the public objective."""
 
     def _check(self, kind, pair, steps, bases=None):
-        from dualent.variational import (
-            _clone_objectives_grad,
-            _delete_objectives_grad,
-            _unitary_from_thetas,
-        )
+        from dualent.variational import _clone_objectives_grad, _delete_objectives_grad
 
         n = _FAMILIES[kind]
         kernel = {"delete": _delete_objectives_grad, "clone": _clone_objectives_grad}[kind]
         values, grad, trials = _value_and_gradient(kind)(pair, steps, bases)
 
         def along(x):
-            moved = trials @ _unitary_from_thetas(x.reshape(-1, 2, n * n), n)
+            moved = trials @ _unitaries(x.reshape(-1, 2, n * n), n)
             return kernel(pair, moved[:, 0], moved[:, 1])[0]
 
         assert np.array_equal(along(np.zeros_like(steps)), values)
@@ -767,41 +775,39 @@ class TestGradients:
 
     @pytest.mark.parametrize("a", [0.3, 0.5, SYM])
     def test_seeds_with_degenerate_spectra(self, a):
-        # the zero generator has one eigenvalue, and the swap at 1/sqrt(2)
-        # deletes into a rank-deficient copy
+        # the zero step, where each search run starts, has a generator with
+        # one eigenvalue, and the swap at 1/sqrt(2) deletes into a
+        # rank-deficient copy
         pair = SchmidtPair(a)
         alice, bob = swap_delete_seed()
-        cloner, copier = cloner_seed_params(), UnitaryParams(np.zeros(36))
+        cloner, copier = cloner_seed_params(), LocalUnitary(np.eye(6))
         for kind, machine in [
             ("delete", (alice, bob)),
             ("delete", (bob, alice)),
             ("clone", (cloner, cloner)),
             ("clone", (copier, copier)),
         ]:
-            thetas = np.concatenate([params.thetas for params in machine])[None]
-            grad = self._check(kind, pair, thetas)
-            # where each search run starts: the zero step from the seed machine
-            bases = np.array([[param_to_unitary(params) for params in machine]])
-            start = self._check(kind, pair, np.zeros_like(thetas), bases)
+            n = _FAMILIES[kind]
+            bases = np.array([[record.matrix for record in machine]])
+            start = self._check(kind, pair, np.zeros((1, 2 * n * n)), bases)
             if machine[0] is copier:
-                assert not grad.any() and not start.any()
+                assert not start.any()
 
     @pytest.mark.parametrize("kind", ["clone"])
     def test_values_equal_the_value_only_kernel(self, kind):
-        # deleting has no value-only kernel: its search scores only come
-        # with their gradients
-        from dualent.variational import _clone_objectives, _unitary_from_thetas
-
+        # deleting's public objective scores the best product target, not
+        # the search's fixed |11>
         n = _FAMILIES[kind]
-        kernel = _clone_objectives
         rng = np.random.default_rng(137)
         pair = SchmidtPair(0.45)
         thetas = rng.uniform(-math.pi, math.pi, (6, 2 * n * n))
         bases = _random_bases(rng, 6, n)
         values, _, trials = _value_and_gradient(kind)(pair, thetas, bases)
-        unitaries = bases @ _unitary_from_thetas(thetas.reshape(-1, n * n), n).reshape(-1, 2, n, n)
+        unitaries = bases @ _unitaries(thetas.reshape(-1, n * n), n).reshape(-1, 2, n, n)
         assert np.array_equal(trials, unitaries)
-        assert np.array_equal(values, kernel(pair, unitaries[:, 0], unitaries[:, 1]))
+        records = [(LocalUnitary(u_a), LocalUnitary(u_b)) for u_a, u_b in trials]
+        public = [clone_objective(pair, *machine) for machine in records]
+        assert np.array(public).tobytes() == values.tobytes()
 
 
 def _drive(run, f):
