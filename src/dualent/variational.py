@@ -11,7 +11,8 @@ its step generators, for the k columns its input reaches: 2kn - k^2 reals
 per party, all 16 for deleting and 20 of 36 for cloning.  It starts at the
 analytic machines (the A/A' swap; the universal cloner and the identity,
 which S turns into the basis copier), so its best objective can never
-exceed the analytic reference bound.
+exceed the analytic reference bound; every other start is a step from a
+machine, seed exp(iH) for a perturbed start and exp(iH) for a random one.
 
 Each restart is a Riemannian descent on the unitary group: it carries its
 current machine U and steps to U exp(iH) for a generator H of the moved
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .cloning import clone_bound
+from .cloning import clone_bound, universal_clone_isometry
 from .deleting import (
     _delete_constants,
     _delete_objective,
@@ -100,8 +101,9 @@ class LocalUnitary:
 class RestartRecord:
     """How one BFGS run of a search went.
 
-    ``start`` is ``"seed"``, ``"perturbed"`` or ``"random"``; ``nfev``
-    counts value-and-gradient evaluations and ``nit`` accepted steps.
+    ``start`` is ``"seed"`` (an analytic machine as it is), ``"perturbed"``
+    (the first seed times exp(iH), H small) or ``"random"`` (exp(iH));
+    ``nfev`` counts value-and-gradient evaluations and ``nit`` accepted steps.
     ``exit`` is ``"converged"`` (gradient or decrease below tolerance),
     ``"maxfev"`` (evaluation budget spent) or ``"stalled"`` (a line search
     found no decrease).  ``objective`` is the family's public objective
@@ -174,19 +176,11 @@ def _pair_unitaries(u_alice: LocalUnitary, u_bob: LocalUnitary, n: int):
     return u_alice.matrix[None], u_bob.matrix[None]
 
 
-def _swap_generators() -> np.ndarray:
-    """Generators (H_A, H_B) of the swap deleting machine: Alice swaps A with
-    A', Bob does nothing (the swap W squares to I, so H_A = pi (I - W) / 2)."""
-    h = np.zeros((2, 4, 4), dtype=complex)
-    h[0] = math.pi * (np.eye(4) - swap_gate()) / 2.0
-    return h
-
-
 def swap_delete_seed() -> tuple[LocalUnitary, LocalUnitary]:
-    """The swap deleting machine exp(iH) of :func:`_swap_generators`, where
-    the deleting search's first restart starts."""
-    alice, bob = _exp_i(_swap_generators())
-    return LocalUnitary(alice), LocalUnitary(bob)
+    """The swap deleting machine that :func:`~dualent.deleting.local_delete_swap`
+    runs, Alice swapping A with A' and Bob doing nothing, where the deleting
+    search's first restart starts."""
+    return LocalUnitary(swap_gate()), LocalUnitary(np.eye(4))
 
 
 # S, the 8x6 isometry onto Sym^2(C^2) (x) C^2_env (basis index clone1*4 +
@@ -198,21 +192,13 @@ _SYMMETRIC[[0, 6, 1, 7], [0, 1, 2, 3]] = 1.0
 _SYMMETRIC[[2, 4, 3, 5], [4, 4, 5, 5]] = math.sqrt(0.5)
 
 
-def _cloner_generator() -> np.ndarray:
-    """A generator whose unitary's first two columns, through S, are the
-    universal cloner: in S's columns, a turn by arccos sqrt(2/3) from e_0
-    toward e_5 and a quarter turn from e_1 to sqrt(2/3) e_3 + sqrt(1/3) e_4,
-    in orthogonal planes, so their generators add."""
-    h = np.zeros((6, 6), dtype=complex)
-    h[0, 5] = 1j * math.acos(math.sqrt(2 / 3))
-    h[1, [3, 4]] = 0.5j * math.pi * np.sqrt([2 / 3, 1 / 3])
-    return h - h.T
-
-
 def cloner_seed_params() -> LocalUnitary:
-    """The universal cloner's machine exp(iH) of :func:`_cloner_generator`,
-    where the cloning search's first restart starts on both sides."""
-    return LocalUnitary(_exp_i(_cloner_generator()))
+    """The universal cloner as a 6x6 unitary, where the cloning search's
+    first restart starts on both sides: S^T V for the cloner V, completed by
+    a QR of those two columns next to the identity."""
+    columns = _SYMMETRIC.T @ universal_clone_isometry().matrix
+    q = np.linalg.qr(np.concatenate([columns, np.eye(6)], axis=1))[0]
+    return LocalUnitary(np.concatenate([columns, q[:, 2:]], axis=1))
 
 
 def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
@@ -249,7 +235,8 @@ def delete_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnita
     Half the sum of S(psi | out_AB) and the best pure-product relative
     entropy against out_A'B'; ``math.inf`` when either support fails (for
     instance the identity machine, whose deleted copy is still the
-    entangled pure input).
+    entangled pure input).  At a = 1/sqrt(2) a machine moved by 8.6e-15 can
+    move the value by 1.9e-10: compare values there to 1e-9.
     """
     return _delete_objective(pair, *_pair_unitaries(u_alice, u_bob, 4))
 
@@ -380,16 +367,15 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     U_B)``, a family's value-and-gradient kernel, over pairs of n x n
     unitaries whose input reaches only their first k columns.
 
-    Restart 0, 1, ... start at exp(iH) of the analytic seeds, the (2, n, n)
-    generator pairs (H_A, H_B) in ``seeds``; later restarts alternate
-    between perturbations of the first seed's generators (scale 0.2) and
-    generators with coordinates drawn uniform in [-pi, pi].  A start moves
-    only the 2kn - k^2 generator coordinates in rows i < k, and its (k:, k:)
-    block is zero, as in the seeds.  Each run carries its current machine U
-    and steps to U exp(iH(s)), where s holds the same coordinates of H_A,
-    then of H_B; exp(iH)[:, :k] still reaches every n x k isometry.  An
-    accepted trial becomes the run's machine, so every gradient is read at
-    H = 0, where exp(iH) has derivative iH.
+    Restart 0, 1, ... start at the analytic seeds, the (2, n, n) machine
+    pairs (U_A, U_B) in ``seeds``, as they are; every later start is a step
+    base exp(iH(x)), alternately from the first seed with x normal of scale
+    0.2 and from the identity with x uniform in [-pi, pi].  Each run carries
+    its machine U and steps to U exp(iH(s)); s holds the 2kn - k^2
+    coordinates of H_A in rows i < k, then those of H_B, and exp(iH)[:, :k]
+    still reaches every n x k isometry.  An accepted trial becomes the run's
+    machine, so every gradient is read at H = 0, where exp(iH) has
+    derivative iH.
 
     All restarts run in lock-step: each round stacks the machine and the
     next step of every unfinished run into one value-and-gradient call.
@@ -403,21 +389,19 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
     free = np.r_[:k, n : n + 2 * (k * n - k * (k + 1) // 2)]
     generators = _generator_map(n)[free]
     size = 2 * free.size
-    starts, h = [], np.empty((restarts, 2, n, n), dtype=complex)
-    for r in range(restarts):
+    # seeds keep their bytes: a product with exp(0) would flip signed zeros
+    starts, origins = ["seed"] * min(restarts, len(seeds)), list(seeds[:restarts])
+    for r in range(len(seeds), restarts):
         rng = np.random.default_rng(seed + r)
-        if r < len(seeds):
-            starts.append("seed")
-            h[r] = seeds[r]
-        elif (r - len(seeds)) % 2 == 0:
+        if (r - len(seeds)) % 2 == 0:
             starts.append("perturbed")
             x = 0.2 * rng.standard_normal(size)
-            h[r] = seeds[0] + _hermitian(x.reshape(2, -1), generators, n)
         else:
             starts.append("random")
             x = rng.uniform(-math.pi, math.pi, size)
-            h[r] = _hermitian(x.reshape(2, -1), generators, n)
-    runs = [_bfgs(u, size, max_evals) for u in _exp_i(h)]
+        step = _exp_i(_hermitian(x.reshape(2, -1), generators, n))
+        origins.append(seeds[0] @ step if starts[-1] == "perturbed" else step)
+    runs = [_bfgs(u, size, max_evals) for u in origins]
 
     pending, results = {}, [None] * restarts
 
@@ -470,7 +454,7 @@ def optimize_delete(
     :func:`delete_bound`; deterministic for fixed (pair, restarts, seed).
     """
     reference = delete_bound(pair)
-    swap = _swap_generators()
+    swap = np.array([machine.matrix for machine in swap_delete_seed()])
     seeds = [swap, swap[::-1]]
     kernel, score = _delete_objectives_grad, delete_objective
     return _search(pair, kernel, score, 4, seeds, reference, restarts, seed, max_evals)
@@ -481,12 +465,12 @@ def optimize_clone(
 ) -> SearchReport:
     """Search symmetric local cloning machines: rows 0, 1 of a 6x6 generator.
 
-    Seeded at the universal cloner and at the basis copier (the zero
-    generator), so the result never exceeds :func:`clone_bound`;
-    deterministic for fixed (pair, restarts, seed).
+    Seeded at the universal cloner and at the basis copier (the identity),
+    so the result never exceeds :func:`clone_bound`; deterministic for fixed
+    (pair, restarts, seed).
     """
     reference = clone_bound(pair)
-    cloner = _cloner_generator()
-    seeds = [np.array([cloner, cloner]), np.zeros((2, 6, 6))]
+    cloner = cloner_seed_params().matrix
+    seeds = [np.array([cloner, cloner]), np.array([np.eye(6, dtype=complex)] * 2)]
     kernel, score = _clone_objectives_grad, clone_objective
     return _search(pair, kernel, score, 2, seeds, reference, restarts, seed, max_evals)

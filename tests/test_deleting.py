@@ -139,6 +139,23 @@ class TestMinOverProductPure:
         assert abs(value - 1.2877123795494492) < 1e-9  # -4 log2(0.8)
         assert abs(abs(argmin.amplitudes[3]) - 1.0) < 1e-6
 
+    def test_swap_outputs_stop_after_three_sweeps(self, monkeypatch):
+        # the fewest sweeps the stop rule allows, two best responses each, on
+        # every grid swap output: the cap would cost ten times as much
+        from dualent import deleting
+
+        calls, unit_rows = [], deleting._unit_rows
+
+        def spy(v, out):
+            calls.append(None)
+            unit_rows(v, out)
+
+        monkeypatch.setattr(deleting, "_unit_rows", spy)
+        for a in A_GRID:
+            calls.clear()
+            local_delete_swap(SchmidtPair(float(a)))
+            assert 0 < len(calls) <= 2 * 3
+
     def test_flat_spectrum(self):
         state = LabeledState(np.eye(4) / 4, (2, 2), ("A", "B"))
         value, _ = min_over_product_pure(state)

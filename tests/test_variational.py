@@ -67,9 +67,10 @@ class TestParameterisation:
             LocalUnitary(np.zeros(5))
 
     def test_swap_seed_reproduces_swap(self):
+        # the seed is the analytic machine itself, byte for byte
         alice, bob = swap_delete_seed()
-        assert np.max(np.abs(param_to_unitary(alice) - swap_gate())) < 1e-12
-        assert np.max(np.abs(param_to_unitary(bob) - np.eye(4))) < 1e-12
+        assert param_to_unitary(alice).tobytes() == swap_gate().tobytes()
+        assert param_to_unitary(bob).tobytes() == np.eye(4, dtype=complex).tobytes()
 
 
 def _elementwise_read_off(k, n):
@@ -149,14 +150,14 @@ class TestLocalUnitary:
 
 class TestSeeds:
     def test_cloner_seed_reaches_the_cloner(self):
+        # S maps the seed's first two columns back onto the cloner, and the
+        # completed seed is unitary, both to round-off
         from dualent.cloning import universal_clone_isometry
-        from dualent.variational import _cloner_generator
 
-        # the seed moves only the search's rows: a zero (2:, 2:) generator block
-        assert not _cloner_generator()[2:, 2:].any()
         u = param_to_unitary(cloner_seed_params())
         assert u.shape == (6, 6)
-        assert np.max(np.abs(_SYMMETRIC @ u[:, :2] - universal_clone_isometry().matrix)) < 1e-12
+        assert np.max(np.abs(_SYMMETRIC @ u[:, :2] - universal_clone_isometry().matrix)) <= 1e-15
+        assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-15
 
     def test_cloner_seed_objective_matches_bound(self):
         pair = SchmidtPair(0.6)
@@ -171,10 +172,12 @@ class TestSeeds:
         assert abs(clone_objective(pair, seed, seed) - h) < 1e-9
 
     def test_swap_seed_objective_matches_swap_machine(self):
-        pair = SchmidtPair(0.6)
-        alice, bob = swap_delete_seed()
-        value = delete_objective(pair, alice, bob)
-        assert abs(value - local_delete_swap(pair).objective) < 1e-6
+        # the seed is the matrix pair local_delete_swap runs, so the two
+        # scores are equal, not merely close
+        for a in np.linspace(0.01, SYM, 50):
+            pair = SchmidtPair(float(a))
+            assert delete_objective(pair, *swap_delete_seed()) == local_delete_swap(pair).objective
+        value = delete_objective(SchmidtPair(0.6), *swap_delete_seed())
         assert abs(value - 1.5865393790302167) < 1e-6
 
     def test_public_seeds_are_where_the_searches_start(self, monkeypatch):
@@ -198,6 +201,40 @@ class TestSeeds:
             (copier, copier),
         ]
         assert [start.tobytes() for start in starts] == [np.array(w).tobytes() for w in want]
+
+    @pytest.mark.parametrize("kind", ["delete", "clone"])
+    def test_later_starts_are_steps(self, monkeypatch, kind):
+        # restarts 2 and 4 step from the first seed, restart 3 from the
+        # identity, with coordinates redrawn from default_rng(seed + r); the
+        # steps move the generator rows i < 4 (deleting) or i < 2 (cloning)
+        from dualent import variational
+
+        if kind == "delete":
+            search, n, free = optimize_delete, 4, np.r_[:16]
+            first = np.array([machine.matrix for machine in swap_delete_seed()])
+        else:
+            search, n, free = optimize_clone, 6, np.r_[:2, 6:24]
+            first = np.array([cloner_seed_params().matrix] * 2)
+
+        starts, bfgs = [], variational._bfgs
+
+        def spy_bfgs(start, size, max_evals):
+            starts.append(start)
+            return bfgs(start, size, max_evals)
+
+        monkeypatch.setattr(variational, "_bfgs", spy_bfgs)
+        search(SchmidtPair(0.6), restarts=5, seed=4, max_evals=1)
+        generators, size = _generator_map(n)[free], 2 * free.size
+
+        def step(x):
+            return _exp_i(_hermitian(x.reshape(2, -1), generators, n))
+
+        for r in (2, 4):
+            xi = np.random.default_rng(4 + r).standard_normal(size)
+            want = first @ step(0.2 * xi)
+            assert starts[r].tobytes() == want.tobytes()
+        x = np.random.default_rng(4 + 3).uniform(-math.pi, math.pi, size)
+        assert starts[3].tobytes() == step(x).tobytes()
 
 
 class TestDeleteObjective:
@@ -435,8 +472,8 @@ class TestIndependentReevaluation:
 
 class TestReachability:
     def test_swap_is_reachable_from_its_parameters(self):
-        # seeding at the Hermitian logarithm of the swap reproduces the
-        # analytic machine's objective
+        # the swap seed is the analytic machine itself, so it reproduces
+        # the closed-form bound
         pair = SchmidtPair(0.45)
         alice, bob = swap_delete_seed()
         assert abs(delete_objective(pair, alice, bob) - delete_bound(pair)) < 1e-6
