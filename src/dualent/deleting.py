@@ -9,11 +9,11 @@ one deleting machine is the mean of two relative-entropy terms: kept copy
 against the input, and the best admissible separable target against the
 deleted copy.  For pure inputs the admissible targets are the pure product
 states, and :func:`min_over_product_pure` finds the best one for one deleted
-copy at a time.  One scorer's arithmetic computes both terms, for the swap
-machine (swap A with A' at Alice's side), with validated output states, and
-for every machine the search reports, without them.  The deleting search
-does not call it in its loop: it scores the fixed target |11> and reports
-each final machine through this scorer.
+copy at a time.  One scorer computes both terms, with validated output
+states, for the swap machine (swap A with A' at Alice's side) and for the
+public deleting objective of any machine.  The deleting search never calls
+it: it scores the deleted copy against the fixed product target |11> and
+reports that score.
 """
 
 from __future__ import annotations
@@ -108,16 +108,6 @@ def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     out_ab = kept @ kept.conj().swapaxes(-1, -2)
     out_apbp = kept.swapaxes(-1, -2) @ kept.conj()
     return targets[0], out_ab, out_apbp, kept
-
-
-def _delete_objective(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> float:
-    """The ``objective`` of :func:`_delete_outcome`, bit for bit, without
-    building its validated states and argmin ket: the same kernels on the
-    same marginals, with the product minimum's checked support log."""
-    psi, ab, apbp, _ = _delete_terms(pair, u_alice, u_bob)
-    term_keep = float(_pure_rel_entropy(psi, ab)[0])
-    term_separable = float(_min_product_pure_matrix(apbp[0])[0])
-    return 0.5 * (term_keep + term_separable)
 
 
 def _delete_outcome(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> DeleteOutcome:

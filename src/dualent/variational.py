@@ -42,9 +42,10 @@ take; one cached linear map assembles the generators and reads their
 gradients.  The driver runs all restarts in lock-step and evaluates the
 pending trial of every unfinished run with one stacked value-and-gradient
 call per round, so the restarts share each numpy call; a run's bits do not
-depend on how many others are still live.  The final machine of every run
-is then scored by the family's public objective, :func:`delete_objective`
-or :func:`clone_objective`, which picks the winner.
+depend on how many others are still live.  Each run reports the score it
+minimised at its final machine, and the lowest wins: for cloning that is
+:func:`clone_objective`, for deleting the fixed-target score, an upper
+bound on :func:`delete_objective` of the same machine.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from . import linalg as la
 from .cloning import clone_bound, universal_clone_isometry
 from .deleting import (
     _delete_constants,
-    _delete_objective,
+    _delete_outcome,
     _delete_terms,
     _psi_vec,
     delete_bound,
@@ -106,10 +107,9 @@ class RestartRecord:
     ``nfev`` counts value-and-gradient evaluations and ``nit`` accepted steps.
     ``exit`` is ``"converged"`` (gradient or decrease below tolerance),
     ``"maxfev"`` (evaluation budget spent) or ``"stalled"`` (a line search
-    found no decrease).  ``objective`` is the family's public objective
-    (:func:`delete_objective` or :func:`clone_objective`) at the run's
-    final machine; for deleting it can lie below the run's own values, which
-    score the fixed target |11>.
+    found no decrease).  ``objective`` is the score the run minimised, at its
+    final machine (for deleting, the fixed-target score of
+    :func:`optimize_delete`).
     """
 
     start: str
@@ -122,7 +122,8 @@ class RestartRecord:
 @dataclass(frozen=True, eq=False)
 class SearchReport:
     """Outcome of one seeded multi-restart search; ``winner`` indexes the
-    restart in ``restart_records`` that found ``best_params``."""
+    restart in ``restart_records`` that found ``best_params``, and
+    ``best_objective`` is that restart's ``objective``."""
 
     best_objective: float
     best_params: tuple[LocalUnitary, LocalUnitary]
@@ -207,10 +208,10 @@ def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nd
     dU_A + G_B^dag dU_B)).
 
     The score is the deleting objective with the deleted copy scored against
-    |11> alone.  It is never below :func:`delete_objective`, and has the same
-    infimum over machines: a local unitary on A' or B' after the machine
-    leaves out_AB alone and turns the inner argmin into |11>, and it folds
-    into U_A or U_B.
+    |11> alone.  In exact arithmetic it is never below
+    :func:`delete_objective`, and it has the same infimum over machines: a
+    local unitary on A' or B' after the machine leaves out_AB alone and
+    turns the inner argmin into |11>, and it folds into U_A or U_B.
 
     With out_AB = K K^dag and out_A'B' = K^T K^*, the two terms' gradients
     G1, G2 in their states give G_K = G1 K + K G2^*; K is a reshuffle of
@@ -238,7 +239,7 @@ def delete_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnita
     entangled pure input).  At a = 1/sqrt(2) a machine moved by 8.6e-15 can
     move the value by 1.9e-10: compare values there to 1e-9.
     """
-    return _delete_objective(pair, *_pair_unitaries(u_alice, u_bob, 4))
+    return _delete_outcome(pair, *_pair_unitaries(u_alice, u_bob, 4)).objective
 
 
 def clone_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnitary) -> float:
@@ -362,7 +363,7 @@ def _stacked_values_and_gradients(pair, kernel, machines, steps, generators):
     return objectives, grads.reshape(m, -1), trials
 
 
-def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals) -> SearchReport:
+def _search(pair, kernel, k, seeds, reference, restarts, seed, max_evals) -> SearchReport:
     """Multi-restart BFGS search of the values of ``kernel(pair, U_A,
     U_B)``, a family's value-and-gradient kernel, over pairs of n x n
     unitaries whose input reaches only their first k columns.
@@ -379,9 +380,9 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
 
     All restarts run in lock-step: each round stacks the machine and the
     next step of every unfinished run into one value-and-gradient call.
-    Each run's final machine becomes a pair of :class:`LocalUnitary`
-    records, scored by the family's public objective ``score(pair, U_A,
-    U_B)``; the lowest score wins, ties keeping the lower restart index.
+    Each run's record holds the kernel's value at its final machine; the
+    lowest wins, ties keeping the lower restart index, and its machine
+    becomes a pair of :class:`LocalUnitary` records.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -424,16 +425,14 @@ def _search(pair, kernel, score, k, seeds, reference, restarts, seed, max_evals)
         for r, value, grad, trial in zip(live, values, grads, trials):
             advance(r, (float(value), grad, trial))
 
-    finals = [(LocalUnitary(u_a), LocalUnitary(u_b)) for (u_a, u_b), *_ in results]
-    scores = [score(pair, *machine) for machine in finals]
-    winner = min(range(restarts), key=scores.__getitem__)  # first of any tie
     records = tuple(
         RestartRecord(start, nfev, nit, exit, value)
-        for start, (_, _, nfev, nit, exit), value in zip(starts, results, scores)
+        for start, (_, value, nfev, nit, exit) in zip(starts, results)
     )
+    winner = min(range(restarts), key=lambda r: records[r].objective)  # first of any tie
     return SearchReport(
-        best_objective=scores[winner],
-        best_params=finals[winner],
+        best_objective=records[winner].objective,
+        best_params=tuple(LocalUnitary(u) for u in results[winner][0]),
         restarts_used=restarts,
         seed=seed,
         reference_bound=reference,
@@ -447,17 +446,18 @@ def optimize_delete(
 ) -> SearchReport:
     """Search local-unitary deleting machines for the best objective.
 
-    The BFGS runs score each machine against the fixed target |11>
-    (:func:`_delete_objectives_grad`); each run's final machine is then
-    scored by :func:`delete_objective`, which can only be lower.  Seeded at
-    the A-side and B-side swaps, so the result never exceeds
-    :func:`delete_bound`; deterministic for fixed (pair, restarts, seed).
+    The BFGS runs score each machine with the deleted copy against the
+    fixed target |11> (:func:`_delete_objectives_grad`), and the best is
+    that score of the winning machine.  |11> is an admissible target, so
+    the best is an upper bound, and :func:`delete_objective` of the same
+    machine can only be lower in exact arithmetic.  Seeded at the A-side
+    and B-side swaps, so the result never exceeds :func:`delete_bound`;
+    deterministic for fixed (pair, restarts, seed).
     """
     reference = delete_bound(pair)
     swap = np.array([machine.matrix for machine in swap_delete_seed()])
     seeds = [swap, swap[::-1]]
-    kernel, score = _delete_objectives_grad, delete_objective
-    return _search(pair, kernel, score, 4, seeds, reference, restarts, seed, max_evals)
+    return _search(pair, _delete_objectives_grad, 4, seeds, reference, restarts, seed, max_evals)
 
 
 def optimize_clone(
@@ -472,5 +472,4 @@ def optimize_clone(
     reference = clone_bound(pair)
     cloner = cloner_seed_params().matrix
     seeds = [np.array([cloner, cloner]), np.array([np.eye(6, dtype=complex)] * 2)]
-    kernel, score = _clone_objectives_grad, clone_objective
-    return _search(pair, kernel, score, 2, seeds, reference, restarts, seed, max_evals)
+    return _search(pair, _clone_objectives_grad, 2, seeds, reference, restarts, seed, max_evals)

@@ -23,6 +23,7 @@ from dualent.variational import (
 )
 
 SYM = 1 / math.sqrt(2)
+GRID_20 = np.linspace(0.01, SYM, 20)
 # unit tests keep the search budget small; the spec-level budget is
 # exercised by the acceptance suite
 FAST_EVALS = 250
@@ -245,18 +246,6 @@ class TestDeleteObjective:
     def test_identity_machine_on_product_input(self):
         identity = LocalUnitary(np.eye(4))
         assert abs(delete_objective(SchmidtPair(0.0), identity, identity)) < 1e-12
-
-    def test_matches_the_validated_outcome_bit_for_bit(self):
-        from dualent.deleting import _delete_outcome
-
-        rng = np.random.default_rng(127)
-        for a in (0.0, 0.3, 0.6, SYM):
-            pair = SchmidtPair(a)
-            for _ in range(5):
-                alice, bob = (LocalUnitary(_random_unitary(rng, 4)) for _ in range(2))
-                u_a, u_b = alice.matrix[None], bob.matrix[None]
-                outcome = _delete_outcome(pair, u_a, u_b)
-                assert delete_objective(pair, alice, bob) == outcome.objective
 
     def test_wrong_parameter_size_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
@@ -637,6 +626,94 @@ class TestFixedTargetKernel:
             assert abs(rotated[0] - value) < 1e-12
 
 
+def _haar_unitary(rng, n):
+    """A Haar-random n x n unitary: QR of a complex Ginibre matrix, with
+    the phases of R's diagonal moved into Q."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestInvarianceOracles:
+    """Exact symmetries of the objectives, checked at searched bests: they
+    need no reference value."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            0.3,
+            pytest.param(
+                float(GRID_20[17]),
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the product minimum ends above the value of |11> on a rank-2 "
+                    "deleted copy whose small eigenvalues sit just under SUPPORT_TOL",
+                ),
+            ),
+        ],
+    )
+    def test_public_delete_objective_at_most_the_search_score(self, a):
+        # |11> is an admissible target, so the inner minimum can only lower
+        # the search's score of the same machine; at GRID_20[17] it ends
+        # 1.7e-11 above it
+        pair = SchmidtPair(a)
+        report = optimize_delete(pair, restarts=5, seed=1)
+        assert delete_objective(pair, *report.best_params) <= report.best_objective + 1e-12
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            pytest.param(
+                0.01,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="a 2.4e-12 eigenvalue makes the deleted copy rank 3 by "
+                    "SUPPORT_TOL, and the product minimum's sweeps miss its in-support "
+                    "product kets once V and W turn them off the computational corners",
+                ),
+            ),
+            0.3,
+            float(GRID_20[17]),
+        ],
+    )
+    def test_delete_objective_ignores_unitaries_on_the_deleted_copy(self, a):
+        # V on A' and W on B' after the machine map product targets to
+        # product targets and leave the kept copy alone; at a = 0.01 the
+        # value moves by up to 12.6 bits over these draws
+        pair = SchmidtPair(a)
+        alice, bob = optimize_delete(pair, restarts=5, seed=1).best_params
+        value = delete_objective(pair, alice, bob)
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            v, w = (np.kron(np.eye(2), _haar_unitary(rng, 2)) for _ in range(2))
+            moved = delete_objective(
+                pair, LocalUnitary(v @ alice.matrix), LocalUnitary(w @ bob.matrix)
+            )
+            assert abs(moved - value) <= 1e-12
+
+    @pytest.mark.parametrize("a", [0.1, 0.5, SYM])
+    def test_clone_objective_ignores_unitaries_on_the_environments(self, a):
+        # S^T (I_4 (x) V) S acts on a party's environment qubit alone, which
+        # the (A, B) copy traces out
+        def on_environment(rng):
+            return _SYMMETRIC.T @ np.kron(np.eye(4), _haar_unitary(rng, 2)) @ _SYMMETRIC
+
+        pair = SchmidtPair(a)
+        rng = np.random.default_rng(17)
+        machines = [optimize_clone(pair, restarts=5, seed=1).best_params]
+        machines.append((cloner_seed_params(),) * 2)
+        for _ in range(4):
+            machines.append(tuple(LocalUnitary(_haar_unitary(rng, 6)) for _ in range(2)))
+        for alice, bob in machines:
+            value = clone_objective(pair, alice, bob)
+            for _ in range(4):
+                v, w = on_environment(rng), on_environment(rng)
+                moved = clone_objective(
+                    pair, LocalUnitary(v @ alice.matrix), LocalUnitary(w @ bob.matrix)
+                )
+                assert abs(moved - value) <= 1e-13
+
+
 class TestSearchRecords:
     def test_one_record_per_restart(self):
         report = optimize_delete(SchmidtPair(0.5), restarts=5, seed=3, max_evals=FAST_EVALS)
@@ -663,13 +740,33 @@ class TestSearchRecords:
 
     @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
     def test_best_params_rebuild_the_winning_machine(self, monkeypatch, search):
+        # the best is the search's own score of the winning machine: for
+        # deleting, the fixed-target kernel on a stack of one; for cloning,
+        # the kernel is the public objective
+        from dualent.variational import _delete_objectives_grad
+
         pair = SchmidtPair(0.45)
-        score = {optimize_delete: delete_objective, optimize_clone: clone_objective}[search]
         report, _, finals = _spied_search(monkeypatch, search, pair, 5, 3)
         for record, machine in zip(report.best_params, finals[report.winner]):
             assert record.matrix.tobytes() == machine.tobytes()
-        assert score(pair, *report.best_params) == report.best_objective
+        if search is optimize_delete:
+            u_a, u_b = (record.matrix[None] for record in report.best_params)
+            assert _delete_objectives_grad(pair, u_a, u_b)[0][0] == report.best_objective
+        else:
+            assert clone_objective(pair, *report.best_params) == report.best_objective
         assert report.restart_records[report.winner].objective == report.best_objective
+
+    def test_delete_search_never_runs_the_product_minimum(self, monkeypatch):
+        # the near-product best at a = 0.01, whose public score runs the
+        # product minimum to its sweep cap, comes from the search alone
+        from dualent import deleting
+
+        def refuse(matrix):
+            raise AssertionError("the search ran the product minimum")
+
+        monkeypatch.setattr(deleting, "_min_product_pure_matrix", refuse)
+        report = optimize_delete(SchmidtPair(0.01), restarts=5, seed=1)
+        assert report.best_objective < 1.45e-4
 
     @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
     @pytest.mark.parametrize("a", [0.05, 0.3, 0.55, 0.7])
