@@ -174,10 +174,12 @@ def _cmd_variational(args) -> int:
 
 
 def _family_a(text: str) -> float:
+    """An a in [0, A_MAX]; a rounding of 1/sqrt(2) from above reads as
+    1/sqrt(2), where b >= a still holds."""
     value = float(text)
     if not 0.0 <= value <= A_MAX:
         raise argparse.ArgumentTypeError(f"a must be in [0, 1/sqrt(2)], got {text}")
-    return value
+    return min(value, 1.0 / math.sqrt(2.0))
 
 
 def _nonneg_float(text: str) -> float:

@@ -1,11 +1,15 @@
 """The universal symmetric qubit cloner, the two-party local cloning
 pipeline built from it, and the resulting entanglement-of-cloning bounds.
 
-The cloner is an isometry from one qubit into (clone1, clone2, environment);
-run locally by both parties on a shared pure state a|00> + b|11> it yields a
-closed-form two-qubit copy whose relative-entropy distance to the input is
-the cloning-side upper bound.  The other upper bound is the relative entropy
-of entanglement of the input itself; the reported bound is their minimum.
+The cloner is an isometry from one qubit into (clone1, clone2, environment).
+Its image lies in Sym^2(C^2) (x) C^2_env, so it is defined once, as two
+columns in the basis of the fixed isometry S onto that subspace; the 8x2
+isometry and the cloning search's seed are both read off those columns.
+Run locally by both parties on a shared pure state a|00> + b|11> it yields
+a closed-form two-qubit copy whose relative-entropy distance to the input
+is the cloning-side upper bound.  The other upper bound is the relative
+entropy of entanglement of the input itself; the reported bound is their
+minimum.
 """
 
 from __future__ import annotations
@@ -44,25 +48,31 @@ class CloneIsometry:
             raise ValueError("clone isometry columns are not orthonormal")
 
 
+# S, the 8x6 isometry onto Sym^2(C^2) (x) C^2_env (basis index clone1*4 +
+# clone2*2 + env), with columns |00>|0>, |11>|0>, |00>|1>, |11>|1>, |Psi+>|0>
+# and |Psi+>|1>: it takes the first two columns of the identity to the basis
+# copier |x> -> |xx>|0>
+_SYMMETRIC = np.zeros((8, 6))
+_SYMMETRIC[[0, 6, 1, 7], [0, 1, 2, 3]] = 1.0
+_SYMMETRIC[[2, 4, 3, 5], [4, 4, 5, 5]] = math.sqrt(0.5)
+# the universal cloner in S's basis: |0> -> sqrt(2/3)|00>|0> + sqrt(1/3)|Psi+>|1>
+# and its bit flip |1> -> sqrt(2/3)|11>|1> + sqrt(1/3)|Psi+>|0>
+_CLONER = np.zeros((6, 2), dtype=complex)
+_CLONER[[0, 3], [0, 1]] = math.sqrt(2.0 / 3.0)
+_CLONER[[5, 4], [0, 1]] = math.sqrt(1.0 / 3.0)
+_SYMMETRIC.flags.writeable = _CLONER.flags.writeable = False
+
+
 def universal_clone_isometry() -> CloneIsometry:
-    """The input-independent symmetric 1->2 qubit cloner.
+    """The input-independent symmetric 1->2 qubit cloner, S times its two
+    columns in S's basis.
 
     |0> maps to sqrt(2/3)|00>|e> + sqrt(1/6)(|01> + |10>)|e_perp> and
     |1> to the bit-flipped image, with |e> = |0>, |e_perp> = |1> as the
     environment basis.  Each clone of a basis input carries the marginal
     diag(5/6, 1/6).
     """
-    root23 = math.sqrt(2.0 / 3.0)
-    root16 = math.sqrt(1.0 / 6.0)
-    v = np.zeros((8, 2), dtype=complex)
-    # basis index = clone1*4 + clone2*2 + environment
-    v[0b000, 0] = root23
-    v[0b011, 0] = root16
-    v[0b101, 0] = root16
-    v[0b111, 1] = root23
-    v[0b010, 1] = root16
-    v[0b100, 1] = root16
-    return CloneIsometry(v)
+    return CloneIsometry(_SYMMETRIC @ _CLONER)
 
 
 def local_clone_pipeline(pair: SchmidtPair):

@@ -70,22 +70,16 @@ def two_copy_ket(pair: SchmidtPair) -> Ket:
 
 
 def swap_gate() -> np.ndarray:
-    """The two-qubit swap |ij> -> |ji> as a 4x4 matrix."""
-    s = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            s[2 * j + i, 2 * i + j] = 1.0
-    return s
-
-
-def _psi_vec(pair: SchmidtPair) -> np.ndarray:
-    return np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
+    """The two-qubit swap |ij> -> |ji> as a 4x4 matrix: the identity with
+    rows |01> and |10> exchanged."""
+    return np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 @functools.lru_cache(maxsize=8)
 def _delete_constants(pair: SchmidtPair) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only targets psi, |11> and weights diag(psi (x) psi) of the deleting score."""
-    targets = np.stack([_psi_vec(pair), [0.0, 0.0, 0.0, 1.0]])
+    """Read-only targets psi, |11> and weights diag(psi (x) psi) of the deleting
+    score; psi, validated once per pair, is the input both search kernels read."""
+    targets = np.stack([schmidt_ket(pair).amplitudes, [0.0, 0.0, 0.0, 1.0]])
     weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
     targets.flags.writeable = weights.flags.writeable = False
     return targets, weights
@@ -96,27 +90,26 @@ def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     of unitaries in the (..., 4, 4) stacks ``u_alice`` and ``u_bob``.
 
     Arranged as a matrix M over (AA', BB'), psi (x) psi is diag(a^2, ab,
-    ab, b^2), and the local unitaries map it to U_A M U_B^T.  Returns psi,
-    the stacked (A, B) and (A', B') marginals, and the stacked output K
-    with rows (A, B) and columns (A', B'): out_AB = K K^dag and out_A'B' =
-    K^T K^*.
+    ab, b^2), and the local unitaries map it to U_A M U_B^T.  Returns the
+    stacked (A, B) and (A', B') marginals and the stacked output K with rows
+    (A, B) and columns (A', B'): out_AB = K K^dag and out_A'B' = K^T K^*.
     """
-    targets, weights = _delete_constants(pair)
+    weights = _delete_constants(pair)[1]
     out = (u_alice * weights) @ u_bob.swapaxes(-1, -2)
     t = out.reshape(out.shape[:-2] + (2, 2, 2, 2))  # (A, A', B, B')
     kept = t.swapaxes(-3, -2).reshape(out.shape)  # rows (A, B), columns (A', B')
     out_ab = kept @ kept.conj().swapaxes(-1, -2)
     out_apbp = kept.swapaxes(-1, -2) @ kept.conj()
-    return targets[0], out_ab, out_apbp, kept
+    return out_ab, out_apbp, kept
 
 
 def _delete_outcome(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> DeleteOutcome:
     """Run the deleting machine U_AA' (x) U_BB', given as (1, 4, 4) stacks
     ``u_alice`` and ``u_bob``, and score both of its outputs."""
-    psi, ab, apbp, _ = _delete_terms(pair, u_alice, u_bob)
+    ab, apbp, _ = _delete_terms(pair, u_alice, u_bob)
     out_ab = LabeledState(ab[0], (2, 2), ("A", "B"))
     out_apbp = LabeledState(apbp[0], (2, 2), ("A'", "B'"))
-    term_keep = float(_pure_rel_entropy(psi, ab)[0])
+    term_keep = float(_pure_rel_entropy(_delete_constants(pair)[0][0], ab)[0])
     term_separable, _ = min_over_product_pure(out_apbp)
     return DeleteOutcome(
         out_ab=out_ab,

@@ -6,13 +6,15 @@ A machine is one unitary per party, held as a validated
 cloning machine is the first two columns of a 6x6 unitary, mapped by the
 fixed isometry S onto Sym^2(C^2) (x) C^2_env inside (clone1, clone2, env):
 both clones are symmetric, so the two copies are equal by construction and
-only the (A, B) copy is built.  A search moves only the first k rows of
-its step generators, for the k columns its input reaches: 2kn - k^2 reals
-per party, all 16 for deleting and 20 of 36 for cloning.  It starts at the
-analytic machines (the A/A' swap; the universal cloner and the identity,
-which S turns into the basis copier), so its best objective can never
-exceed the analytic reference bound; every other start is a step from a
-machine, seed exp(iH) for a perturbed start and exp(iH) for a random one.
+only the (A, B) copy is built.  S and the universal cloner's two columns in
+its basis are defined in :mod:`dualent.cloning`, next to the cloner.  A
+search moves only the first k rows of its step generators, for the k
+columns its input reaches: 2kn - k^2 reals per party, all 16 for deleting
+and 20 of 36 for cloning.  It starts at the analytic machines (the A/A'
+swap; the universal cloner and the identity, which S turns into the basis
+copier), so its best objective can never exceed the analytic reference
+bound; every other start is a step from a machine, seed exp(iH) for a
+perturbed start and exp(iH) for a random one.
 
 Each restart is a Riemannian descent on the unitary group: it carries its
 current machine U and steps to U exp(iH) for a generator H of the moved
@@ -57,16 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .cloning import clone_bound, universal_clone_isometry
-from .deleting import (
-    _delete_constants,
-    _delete_outcome,
-    _delete_terms,
-    _psi_vec,
-    delete_bound,
-    swap_gate,
-)
-from .qstate import SchmidtPair, _pure_rel_entropy_grad
+from .cloning import _CLONER, _SYMMETRIC, clone_bound
+from .deleting import _delete_constants, _delete_outcome, _delete_terms, delete_bound, swap_gate
+from .qstate import SchmidtPair, _pure_rel_entropy, _pure_rel_entropy_grad
 
 # value-and-gradient evaluations per restart; the longest restart seen, a
 # perturbed deleting restart at a = 0.7022, took 448
@@ -184,22 +179,12 @@ def swap_delete_seed() -> tuple[LocalUnitary, LocalUnitary]:
     return LocalUnitary(swap_gate()), LocalUnitary(np.eye(4))
 
 
-# S, the 8x6 isometry onto Sym^2(C^2) (x) C^2_env (basis index clone1*4 +
-# clone2*2 + env), with columns |00>|0>, |11>|0>, |00>|1>, |11>|1>, |Psi+>|0>
-# and |Psi+>|1>: it takes the first two columns of the identity to the basis
-# copier |x> -> |xx>|0>
-_SYMMETRIC = np.zeros((8, 6))
-_SYMMETRIC[[0, 6, 1, 7], [0, 1, 2, 3]] = 1.0
-_SYMMETRIC[[2, 4, 3, 5], [4, 4, 5, 5]] = math.sqrt(0.5)
-
-
 def cloner_seed_params() -> LocalUnitary:
     """The universal cloner as a 6x6 unitary, where the cloning search's
-    first restart starts on both sides: S^T V for the cloner V, completed by
-    a QR of those two columns next to the identity."""
-    columns = _SYMMETRIC.T @ universal_clone_isometry().matrix
-    q = np.linalg.qr(np.concatenate([columns, np.eye(6)], axis=1))[0]
-    return LocalUnitary(np.concatenate([columns, q[:, 2:]], axis=1))
+    first restart starts on both sides: its two columns in S's basis,
+    completed by a QR of those columns next to the identity."""
+    q = np.linalg.qr(np.concatenate([_CLONER, np.eye(6)], axis=1))[0]
+    return LocalUnitary(np.concatenate([_CLONER, q[:, 2:]], axis=1))
 
 
 def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
@@ -217,7 +202,7 @@ def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nd
     G1, G2 in their states give G_K = G1 K + K G2^*; K is a reshuffle of
     out = U_A D U_B^T, D = diag(psi (x) psi).
     """
-    _, out_ab, out_apbp, kept = _delete_terms(pair, u_alice, u_bob)
+    out_ab, out_apbp, kept = _delete_terms(pair, u_alice, u_bob)
     targets, weights = _delete_constants(pair)
     states = np.concatenate([out_ab[..., None, :, :], out_apbp[..., None, :, :]], axis=-3)
     terms, grads = _pure_rel_entropy_grad(targets, states)
@@ -244,8 +229,12 @@ def delete_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnita
 
 def clone_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnitary) -> float:
     """Cloning quality S(psi | copy) of the symmetric machines that 6x6
-    unitaries on (A, B) encode, in bits; the two copies are equal."""
-    return float(_clone_objectives_grad(pair, *_pair_unitaries(u_alice, u_bob, 6))[0][0])
+    unitaries on (A, B) encode, in bits; the two copies are equal.  The
+    value of the search kernel :func:`_clone_objectives_grad`, bit for bit,
+    without its gradient."""
+    ab = _clone_amplitudes(pair, *_pair_unitaries(u_alice, u_bob, 6))[0]
+    psi = _delete_constants(pair)[0][0]
+    return float(_pure_rel_entropy(psi, ab @ ab.conj().swapaxes(-1, -2))[0])
 
 
 def _clone_amplitudes(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
@@ -269,7 +258,8 @@ def _clone_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nda
     of out = S U_A[:, :2] diag(a, b) (S U_B[:, :2])^T.
     """
     ab, alice, bob = _clone_amplitudes(pair, u_alice, u_bob)
-    value, grad_copy = _pure_rel_entropy_grad(_psi_vec(pair), ab @ ab.conj().swapaxes(-1, -2))
+    psi = _delete_constants(pair)[0][0]
+    value, grad_copy = _pure_rel_entropy_grad(psi, ab @ ab.conj().swapaxes(-1, -2))
     grad_ab = 2.0 * grad_copy @ ab
     grad_out = grad_ab.reshape(-1, 2, 2, 2, 2, 2, 2).transpose(0, 1, 3, 4, 2, 5, 6)
     grad_out = grad_out.reshape(ab.shape[:-2] + (8, 8))

@@ -60,6 +60,13 @@ class TestDeleteBoundCommand:
         assert (code, err) == (0, "")
         assert abs(float(parse_report(out.strip())["D_bound"]) - 2.0) < 1e-8
 
+    def test_rounding_from_above_reads_as_the_symmetric_point(self, capsys):
+        # a 8.1e-10 above 1/sqrt(2) is read as 1/sqrt(2), so the bound is 2
+        code, out, _ = run_cli(capsys, "delete-bound", "--a", "0.707106782")
+        assert code == 0
+        report = parse_report(out.strip())
+        assert (report["a"], report["D_bound"]) == ("0.707106781", "2.000000000")
+
     def test_product_end_is_admitted(self, capsys):
         code, out, _ = run_cli(capsys, "delete-bound", "--a", "0")
         assert code == 0
@@ -209,6 +216,15 @@ class TestVariationalCommand:
         assert (code, err) == (0, "")
         assert parse_report(out.strip())["verdict"] == "PASS"
 
+    def test_delete_reads_the_rounded_symmetric_point_as_it(self, capsys):
+        # above 1/sqrt(2) the swap's best product target would be |00>, not
+        # the |11> the search scores, and its score would exceed 2
+        code, out, _ = run_cli(
+            capsys, "variational", "delete", "--a", "0.707106782", "--restarts", "1", "--seed", "1"
+        )
+        assert code == 0
+        assert parse_report(out.strip())["best_objective"] == "2.000000000000"
+
     @pytest.mark.parametrize("kind", ["clone", "delete"])
     def test_a_above_the_family_range_is_usage_error(self, kind):
         # the bound commands reject this a too: the family has b >= a
@@ -223,13 +239,20 @@ class TestVariationalCommand:
 
 
 # A None entry in sys.modules makes every scipy import raise ImportError.
-# The script runs every CLI subcommand as the CI step "Runtime without
-# scipy" runs them; the sweep writes to the path given as its argument.
+# The script runs every CLI subcommand and checks the seeds' objectives as
+# the CI step "Runtime without scipy" does; the sweep writes to the path
+# given as its argument.
 WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
-from dualent import SchmidtPair, crossover, optimize_clone, optimize_delete
+import numpy as np
+from dualent import (
+    LocalUnitary, SchmidtPair, clone_bound, clone_objective, crossover, delete_bound,
+    delete_objective, optimize_clone, optimize_delete,
+)
 from dualent.cli import main
+from dualent.deleting import swap_gate
+from dualent.variational import cloner_seed_params
 assert abs(crossover() - 0.4282653373032336) < 1e-7
 for argv in [
     ["crossover"],
@@ -241,8 +264,13 @@ for argv in [
     ["nogo", "distill"],
     ["variational", "delete", "--a", "0.6", "--restarts", "5", "--seed", "1"],
     ["variational", "clone", "--a", "0.6", "--restarts", "5", "--seed", "1"],
+    ["variational", "delete", "--a", "0.707106782", "--restarts", "1", "--seed", "1"],
 ]:
     assert main(argv) == 0, argv
+pair, cloner = SchmidtPair(0.6), cloner_seed_params()
+swap = delete_objective(pair, LocalUnitary(swap_gate()), LocalUnitary(np.eye(4)))
+assert abs(swap - delete_bound(pair)) <= 1e-12
+assert abs(clone_objective(pair, cloner, cloner) - clone_bound(pair)) <= 1e-12
 for search in (optimize_delete, optimize_clone):
     report = search(SchmidtPair(0.6), restarts=1, seed=1, max_evals=60)
     assert report.best_objective < float("inf")
@@ -262,4 +290,5 @@ def test_library_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("crossover=0.428265\n")
     assert "combined=" in done.stdout
+    assert "kind=delete a=0.707106781 best_objective=2.000000000000 " in done.stdout
     assert (tmp_path / "s.csv").read_text().count("\n") == 6

@@ -257,6 +257,11 @@ class TestMinOverProductPureProperties:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(density_matrices())
     def test_returned_ket_attains_value_and_beats_grid(self, matrix):
+        """The returned ket attains the value, and no grid product ket inside
+        the support does better.  On rank-2 and rank-3 supports the grid
+        comparison is vacuous: a grid point almost never lies in the support,
+        so the grid minimum is +inf there.  The exact in-support product kets
+        of ``TestProductMinimumOracles`` check those ranks."""
         value, ket = min_over_product_pure(LabeledState(matrix, (2, 2), ("A", "B")))
         log_rho, projector = la.matrix_log2_on_support(matrix)
         complement = np.eye(4) - projector
@@ -284,6 +289,194 @@ class TestMinOverProductPureProperties:
         value, _ = min_over_product_pure(LabeledState(matrix, (2, 2), ("A", "B")))
         log_rho, projector = la.matrix_log2_on_support(matrix)
         assert value <= _grid_minimum(log_rho, np.eye(4) - projector) + 1e-9
+
+
+def _haar_unitary(rng, n):
+    """A Haar-random n x n unitary: QR of a complex Ginibre matrix, with
+    the phases of R's diagonal moved into Q."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _ginibre_state(rng, rank):
+    """rho = X X^dag / tr for one 4 x rank complex Ginibre draw X."""
+    x = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    matrix = x @ x.conj().T
+    return matrix / np.trace(matrix).real
+
+
+def _product_minimum(matrix):
+    return min_over_product_pure(LabeledState(matrix, (2, 2), ("A", "B")))[0]
+
+
+def _rotated(matrix, rng):
+    """(U (x) V) rho (U (x) V)^dag for one Haar pair (U, V) drawn from ``rng``."""
+    w = np.kron(_haar_unitary(rng, 2), _haar_unitary(rng, 2))
+    return w @ matrix @ w.conj().T
+
+
+def _invariance_case(rank, case):
+    """Case ``case`` of a fresh default_rng(7): each case is one Ginibre state
+    of the rank, then one Haar pair; returns rho and its rotation."""
+    rng = np.random.default_rng(7)
+    for _ in range(case + 1):
+        matrix = _ginibre_state(rng, rank)
+        rotated = _rotated(matrix, rng)
+    return matrix, rotated
+
+
+def _rank_two_draw(draw):
+    """Draw ``draw`` of 4x2 Ginibre states from default_rng(5)."""
+    rng = np.random.default_rng(5)
+    for _ in range(draw + 1):
+        matrix = _ginibre_state(rng, 2)
+    return matrix
+
+
+def _rank_two_product_kets(matrix):
+    """The product kets in a rank-2 support.  With the support's eigenvectors
+    e1, e2 as 2x2 matrices M1, M2, t e1 + e2 is a product ket iff det(t M1 +
+    M2) = 0, a quadratic in t that always has roots over C."""
+    vectors = np.linalg.eigh(matrix)[1]
+    m1, m2 = vectors[:, 3].reshape(2, 2), vectors[:, 2].reshape(2, 2)
+    cross = m1[0, 0] * m2[1, 1] + m1[1, 1] * m2[0, 0] - m1[0, 1] * m2[1, 0] - m1[1, 0] * m2[0, 1]
+    roots = np.roots([np.linalg.det(m1), cross, np.linalg.det(m2)])
+    kets = roots[:, None] * vectors[:, 3] + vectors[:, 2]
+    return kets / np.linalg.norm(kets, axis=1)[:, None]
+
+
+def _rank_three_product_kets(matrix, xs):
+    """For each x in the rows of ``xs``, the product ket x (x) y(x) in a rank-3
+    support: |xy> is in it iff x^T conj(W) y = 0 for the null vector w as a
+    2x2 matrix W, so y is proportional to (c_1, -c_0) with c = conj(W)^T x."""
+    c = xs @ np.linalg.eigh(matrix)[1][:, 0].conj().reshape(2, 2)
+    ys = np.stack([c[:, 1], -c[:, 0]], axis=1)
+    ys /= np.linalg.norm(ys, axis=1)[:, None]
+    return np.einsum("ki,kj->kij", xs, ys).reshape(-1, 4)
+
+
+def _in_support_values(matrix, kets):
+    """-<v|log2 rho|v> and |(I - P) v|^2, the weight off the support, for
+    each row v of ``kets``."""
+    log_rho = la.matrix_log2_on_support(matrix)[0]
+    values = -np.einsum("ki,ij,kj->k", kets.conj(), log_rho, kets).real
+    eigenvalues, vectors = np.linalg.eigh(matrix)
+    off = vectors[:, eigenvalues <= la.SUPPORT_TOL]
+    return values, np.sum(np.abs(kets.conj() @ off) ** 2, axis=1)
+
+
+class TestProductMinimumOracles:
+    """Oracles for min_over_product_pure that need no tolerance on a
+    reference optimiser: invariance under local unitaries on the state, and
+    exact product kets inside rank-2 and rank-3 supports."""
+
+    def test_invariant_under_local_unitaries_on_swap_outputs(self):
+        # full-rank diagonal copies; the worst change measured is 3.5e-15
+        rng = np.random.default_rng(11)
+        for a in A_GRID:
+            matrix = local_delete_swap(SchmidtPair(float(a))).out_apbp.matrix
+            value = _product_minimum(matrix)
+            for _ in range(4):
+                assert abs(_product_minimum(_rotated(matrix, rng)) - value) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "rank, case",
+        [
+            pytest.param(
+                2,
+                164,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the 1e6 off-support surrogate trades support for value: the "
+                    "sweeps end on kets leaking 7.5e-11 and 8.5e-11, inside "
+                    "SUPPORT_LEAK_TOL, at values that depend on the frame (moves by 1.9e-5 bits)",
+                ),
+            ),
+            pytest.param(
+                3,
+                0,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the sweeps cannot follow the curve of product kets inside a "
+                    "rank-3 support (moves by 0.167 bits)",
+                ),
+            ),
+            pytest.param(
+                3,
+                57,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the sweeps cannot follow the curve of product kets inside a "
+                    "rank-3 support (moves by 1.42 bits)",
+                ),
+            ),
+        ],
+    )
+    def test_invariant_under_local_unitaries_off_full_rank(self, rank, case):
+        # over 200 cases per rank, 4 rank-2 and all 200 rank-3 cases move by
+        # more than 1e-9; rank 4 is left out, its 2 moving cases move by at
+        # most 1.4e-9, too close to round-off for a strict xfail
+        matrix, rotated = _invariance_case(rank, case)
+        assert abs(_product_minimum(rotated) - _product_minimum(matrix)) <= 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a 2.4e-12 eigenvalue, above SUPPORT_TOL, makes the copy rank 3, and the "
+        "sweeps miss its in-support product kets once the rotation turns them off the "
+        "computational corners: the value rises from 1.4e-4 to 4.9-25 bits",
+    )
+    def test_invariant_under_local_unitaries_near_rank_two(self):
+        # the deleted copy of the a = 0.01 deleting best, eigenvalues 3.1e-14,
+        # 2.4e-12, 1.0e-4 and 0.9999
+        from dualent.deleting import _delete_terms
+
+        pair = SchmidtPair(0.01)
+        alice, bob = optimize_delete(pair, restarts=5, seed=1).best_params
+        matrix = _delete_terms(pair, alice.matrix[None], bob.matrix[None])[1][0]
+        value = _product_minimum(matrix)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            assert abs(_product_minimum(_rotated(matrix, rng)) - value) <= 1e-12
+
+    @pytest.mark.parametrize("draw, want", [(74, 0.3118), (207, 0.2323)])
+    def test_rank_two_oracle_kets_are_in_support_products(self, draw, want):
+        matrix = _rank_two_draw(draw)
+        kets = _rank_two_product_kets(matrix)
+        assert np.linalg.svd(kets.reshape(-1, 2, 2), compute_uv=False)[:, 1].max() <= 1e-15
+        values, leaks = _in_support_values(matrix, kets)
+        assert leaks.max() <= 1e-30
+        assert abs(values.min() - want) <= 1e-4
+
+    @pytest.mark.parametrize("draw", [74, 207])
+    @pytest.mark.xfail(
+        strict=True,
+        reason="every start's sweeps end on a ket leaking more than SUPPORT_LEAK_TOL, "
+        "so the minimum reads +inf though the support holds two product kets",
+    )
+    def test_rank_two_minimum_at_most_an_in_support_product(self, draw):
+        matrix = _rank_two_draw(draw)
+        oracle = _in_support_values(matrix, _rank_two_product_kets(matrix))[0].min()
+        value = _product_minimum(matrix)
+        assert math.isfinite(value) and value <= oracle + 1e-9
+
+    def test_rank_three_oracle_kets_are_in_support_products(self):
+        matrix = _invariance_case(3, 0)[0]
+        kets = _rank_three_product_kets(matrix, GRID_KETS)
+        assert np.linalg.svd(kets.reshape(-1, 2, 2), compute_uv=False)[:, 1].max() <= 1e-15
+        assert _in_support_values(matrix, kets)[1].max() <= 1e-30
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the sweeps cannot follow the curve of product kets inside a rank-3 "
+        "support: they end 0.26 bits above the best grid ket on it",
+    )
+    def test_rank_three_minimum_at_most_the_in_support_products(self):
+        # the case-0 rank-3 state of the invariance oracle
+        matrix = _invariance_case(3, 0)[0]
+        oracle = _in_support_values(matrix, _rank_three_product_kets(matrix, GRID_KETS))[0]
+        value = _product_minimum(matrix)
+        assert math.isfinite(value) and value <= oracle.min() + 1e-9
 
 
 class TestGlobalDelete:

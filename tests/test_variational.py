@@ -163,7 +163,7 @@ class TestSeeds:
     def test_cloner_seed_objective_matches_bound(self):
         pair = SchmidtPair(0.6)
         seed = cloner_seed_params()
-        assert abs(clone_objective(pair, seed, seed) - clone_bound(pair)) < 1e-6
+        assert abs(clone_objective(pair, seed, seed) - clone_bound(pair)) < 1e-12
 
     def test_copier_seed_realises_entropy_branch(self):
         # the identity, which S turns into |x> -> |xx>|0>
@@ -388,12 +388,15 @@ class TestMachineKernels:
     """The circuit kernels against explicit U_A (x) U_B references."""
 
     def test_delete_terms_match_kron_reference(self):
-        from dualent.variational import _delete_terms
+        from dualent.variational import _delete_constants, _delete_terms
 
         rng = np.random.default_rng(97)
         for a in (0.0, 0.3, 0.6, SYM):
             pair = SchmidtPair(a)
             psi = np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
+            targets = _delete_constants(pair)[0]
+            assert np.array_equal(targets, [psi, [0, 0, 0, 1]])
+            assert not targets.flags.writeable
             # (A, B, A', B') reordered to (A, A', B, B')
             two = np.kron(psi, psi).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
             for _ in range(3):
@@ -401,8 +404,7 @@ class TestMachineKernels:
                 t = (np.kron(u_a, u_b) @ two).reshape(2, 2, 2, 2)
                 want_ab = np.einsum("apbq,cpdq->abcd", t, t.conj()).reshape(4, 4)
                 want_apbp = np.einsum("apbq,arbs->pqrs", t, t.conj()).reshape(4, 4)
-                got_psi, got_ab, got_apbp, got_kept = _delete_terms(pair, u_a, u_b)
-                assert np.max(np.abs(got_psi - psi)) < 1e-15
+                got_ab, got_apbp, got_kept = _delete_terms(pair, u_a, u_b)
                 assert np.max(np.abs(got_ab - want_ab)) < 1e-12
                 assert np.max(np.abs(got_apbp - want_apbp)) < 1e-12
                 assert np.array_equal(got_ab, got_kept @ got_kept.conj().T)
@@ -565,7 +567,7 @@ class TestStackedKernels:
             machines.append((LocalUnitary(_random_unitary(rng, 4)), bob))
         u_a = np.array([alice.matrix for alice, _ in machines])
         u_b = np.array([bob.matrix for _, bob in machines])
-        _, _, deleted, _ = _delete_terms(pair, u_a, u_b)
+        _, deleted, _ = _delete_terms(pair, u_a, u_b)
         assert list(np.linalg.matrix_rank(deleted, tol=1e-9)) == [1, 2, 2, 2]
         values = [delete_objective(pair, alice, bob) for alice, bob in machines]
         assert np.isfinite(values).all() and abs(values[0]) < 1e-12
@@ -617,7 +619,7 @@ class TestFixedTargetKernel:
             u_a, u_b = alice.matrix[None], bob.matrix[None]
             value = delete_objective(pair, alice, bob)
             assert _delete_objectives_grad(pair, u_a, u_b)[0][0] >= value - 1e-12
-            _, _, deleted, _ = _delete_terms(pair, u_a, u_b)
+            _, deleted, _ = _delete_terms(pair, u_a, u_b)
             _, n_x, n_y = _min_product_pure_matrix(deleted[0])
             v_x, v_y = (_onto_one(_ket_of_bloch(n)) for n in (n_x, n_y))
             rotated, _ = _delete_objectives_grad(
