@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloning import clone_bound_combined, crossover
-from .deleting import A_MAX, delete_bound, schmidt_rank_nogo_check
+from .deleting import _on_convention, delete_bound, schmidt_rank_nogo_check
 from .nogo import measure_forget_channel, no_local_cloning_certificate
 from .qstate import Ket, SchmidtPair, entropy_of_entanglement, schmidt_ket
 from .variational import optimize_clone, optimize_delete
@@ -174,12 +174,11 @@ def _cmd_variational(args) -> int:
 
 
 def _family_a(text: str) -> float:
-    """An a in [0, A_MAX]; a rounding of 1/sqrt(2) from above reads as
-    1/sqrt(2), where b >= a still holds."""
-    value = float(text)
-    if not 0.0 <= value <= A_MAX:
-        raise argparse.ArgumentTypeError(f"a must be in [0, 1/sqrt(2)], got {text}")
-    return min(value, 1.0 / math.sqrt(2.0))
+    """An a in [0, 1/sqrt(2)], read as the deleting bound reads it."""
+    try:
+        return _on_convention(SchmidtPair(float(text))).a
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"a must be in [0, 1/sqrt(2)], got {text}") from None
 
 
 def _nonneg_float(text: str) -> float:

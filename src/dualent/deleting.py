@@ -131,14 +131,21 @@ def local_delete_swap(pair: SchmidtPair) -> DeleteOutcome:
     return _delete_outcome(pair, swap_gate()[None], np.eye(4)[None])
 
 
+def _on_convention(pair: SchmidtPair) -> SchmidtPair:
+    """``pair`` under the convention b >= a: an a in (1/sqrt(2), ``A_MAX``], a
+    decimal rounding of 1/sqrt(2), reads as 1/sqrt(2); a larger a raises."""
+    if not pair.a <= A_MAX:
+        raise ValueError(f"convention b >= a violated: a = {pair.a}, b = {pair.b}")
+    return pair if pair.b >= pair.a else SchmidtPair(1.0 / math.sqrt(2.0))
+
+
 def delete_bound(pair: SchmidtPair) -> float:
     """Closed-form deleting bound E(psi) - 2 log2(b), in bits.
 
-    Requires the convention b >= a, that is a <= ``A_MAX``; equals the swap
-    deleter's objective.
+    Requires the convention b >= a, that is a <= ``A_MAX``, and reads an a
+    above 1/sqrt(2) as 1/sqrt(2); equals the swap deleter's objective.
     """
-    if not pair.a <= A_MAX:
-        raise ValueError(f"convention b >= a violated: a = {pair.a}, b = {pair.b}")
+    pair = _on_convention(pair)
     return entropy_of_entanglement(schmidt_ket(pair)) - 2.0 * math.log2(pair.b)
 
 

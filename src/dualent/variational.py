@@ -60,8 +60,9 @@ import numpy as np
 
 from . import linalg as la
 from .cloning import _CLONER, _SYMMETRIC, clone_bound
-from .deleting import _delete_constants, _delete_outcome, _delete_terms, delete_bound, swap_gate
-from .qstate import SchmidtPair, _pure_rel_entropy, _pure_rel_entropy_grad
+from .deleting import _delete_constants, _delete_outcome, _delete_terms, _on_convention
+from .deleting import delete_bound, swap_gate
+from .qstate import SchmidtPair, _pure_rel_entropy_grad
 
 # value-and-gradient evaluations per restart; the longest restart seen, a
 # perturbed deleting restart at a = 0.7022, took 448
@@ -229,12 +230,8 @@ def delete_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnita
 
 def clone_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnitary) -> float:
     """Cloning quality S(psi | copy) of the symmetric machines that 6x6
-    unitaries on (A, B) encode, in bits; the two copies are equal.  The
-    value of the search kernel :func:`_clone_objectives_grad`, bit for bit,
-    without its gradient."""
-    ab = _clone_amplitudes(pair, *_pair_unitaries(u_alice, u_bob, 6))[0]
-    psi = _delete_constants(pair)[0][0]
-    return float(_pure_rel_entropy(psi, ab @ ab.conj().swapaxes(-1, -2))[0])
+    unitaries on (A, B) encode, in bits; the two copies are equal."""
+    return float(_clone_objectives_grad(pair, *_pair_unitaries(u_alice, u_bob, 6))[0][0])
 
 
 def _clone_amplitudes(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
@@ -441,9 +438,10 @@ def optimize_delete(
     that score of the winning machine.  |11> is an admissible target, so
     the best is an upper bound, and :func:`delete_objective` of the same
     machine can only be lower in exact arithmetic.  Seeded at the A-side
-    and B-side swaps, so the result never exceeds :func:`delete_bound`;
-    deterministic for fixed (pair, restarts, seed).
+    and B-side swaps, so the result never exceeds :func:`delete_bound`,
+    whose reading of a it shares; deterministic for fixed (pair, restarts, seed).
     """
+    pair = _on_convention(pair)
     reference = delete_bound(pair)
     swap = np.array([machine.matrix for machine in swap_delete_seed()])
     seeds = [swap, swap[::-1]]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import haar_unitary
 
 from dualent.cloning import clone_bound, rho_clone_closed_form
 from dualent.deleting import delete_bound, local_delete_swap
@@ -628,14 +629,6 @@ class TestFixedTargetKernel:
             assert abs(rotated[0] - value) < 1e-12
 
 
-def _haar_unitary(rng, n):
-    """A Haar-random n x n unitary: QR of a complex Ginibre matrix, with
-    the phases of R's diagonal moved into Q."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 class TestInvarianceOracles:
     """Exact symmetries of the objectives, checked at searched bests: they
     need no reference value."""
@@ -671,7 +664,8 @@ class TestInvarianceOracles:
                     strict=True,
                     reason="a 2.4e-12 eigenvalue makes the deleted copy rank 3 by "
                     "SUPPORT_TOL, and the product minimum's sweeps miss its in-support "
-                    "product kets once V and W turn them off the computational corners",
+                    "product kets once V and W turn them off the computational corners: "
+                    "the minimum rises from 1.4e-4 to 4.9-25 bits",
                 ),
             ),
             0.3,
@@ -687,7 +681,7 @@ class TestInvarianceOracles:
         value = delete_objective(pair, alice, bob)
         rng = np.random.default_rng(11)
         for _ in range(8):
-            v, w = (np.kron(np.eye(2), _haar_unitary(rng, 2)) for _ in range(2))
+            v, w = (np.kron(np.eye(2), haar_unitary(rng, 2)) for _ in range(2))
             moved = delete_objective(
                 pair, LocalUnitary(v @ alice.matrix), LocalUnitary(w @ bob.matrix)
             )
@@ -698,14 +692,14 @@ class TestInvarianceOracles:
         # S^T (I_4 (x) V) S acts on a party's environment qubit alone, which
         # the (A, B) copy traces out
         def on_environment(rng):
-            return _SYMMETRIC.T @ np.kron(np.eye(4), _haar_unitary(rng, 2)) @ _SYMMETRIC
+            return _SYMMETRIC.T @ np.kron(np.eye(4), haar_unitary(rng, 2)) @ _SYMMETRIC
 
         pair = SchmidtPair(a)
         rng = np.random.default_rng(17)
         machines = [optimize_clone(pair, restarts=5, seed=1).best_params]
         machines.append((cloner_seed_params(),) * 2)
         for _ in range(4):
-            machines.append(tuple(LocalUnitary(_haar_unitary(rng, 6)) for _ in range(2)))
+            machines.append(tuple(LocalUnitary(haar_unitary(rng, 6)) for _ in range(2)))
         for alice, bob in machines:
             value = clone_objective(pair, alice, bob)
             for _ in range(4):
