@@ -9,11 +9,12 @@ one deleting machine is the mean of two relative-entropy terms: kept copy
 against the input, and the best admissible separable target against the
 deleted copy.  For pure inputs the admissible targets are the pure product
 states, and :func:`min_over_product_pure` finds the best one for one deleted
-copy at a time.  One scorer computes both terms, with validated output
-states, for the swap machine (swap A with A' at Alice's side) and for the
-public deleting objective of any machine.  The deleting search never calls
-it: it scores the deleted copy against the fixed product target |11> and
-reports that score.
+copy at a time, over the product kets inside its support, in the form the
+support's rank allows.  One scorer computes both terms, with validated output states, for the swap
+machine (swap A with A' at Alice's side) and for the public deleting
+objective of any machine.  The deleting search never calls it: it scores
+the deleted copy against the fixed product target |11> and reports that
+score.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ import numpy as np
 
 from . import linalg as la
 from .qstate import (
-    SUPPORT_LEAK_TOL,
+    SCHMIDT_RANK_TOL,
     Ket,
     LabeledState,
     SchmidtPair,
     _pure_rel_entropy,
+    _pure_rel_entropy_on,
     basis_ket,
     entropy_of_entanglement,
     schmidt_decompose,
@@ -41,10 +43,6 @@ from .qstate import (
 # the convention b >= a, stated on a alone: a <= 1/sqrt(2), with slack for
 # decimal roundings of 1/sqrt(2) such as 0.7071067812
 A_MAX = 1.0 / math.sqrt(2.0) + 1e-9
-# surrogate weight steering the product search back onto the support
-_OFF_SUPPORT_WEIGHT = 1e6
-_PRODUCT_RESTARTS = 20
-_PRODUCT_ITERATIONS = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +67,14 @@ def two_copy_ket(pair: SchmidtPair) -> Ket:
     return Ket(np.kron(psi.amplitudes, psi.amplitudes), (2, 2, 2, 2))
 
 
+# amplitude order of a two-qubit ket with its parties exchanged
+_EXCHANGE = [0, 2, 1, 3]
+
+
 def swap_gate() -> np.ndarray:
     """The two-qubit swap |ij> -> |ji> as a 4x4 matrix: the identity with
     rows |01> and |10> exchanged."""
-    return np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    return np.eye(4, dtype=complex)[_EXCHANGE]
 
 
 @functools.lru_cache(maxsize=8)
@@ -149,116 +151,110 @@ def delete_bound(pair: SchmidtPair) -> float:
     return entropy_of_entanglement(schmidt_ket(pair)) - 2.0 * math.log2(pair.b)
 
 
-# Row 4 mu + nu maps a row-major flattened 4x4 G to Tr(G sigma_mu (x) sigma_nu) / 4
-# (Pauli order I, X, Y, Z), so <xy|G|xy> = (1, n_x) . C . (1, n_y) for the Bloch
-# vectors n_x and n_y of |x> and |y>.
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_PAULI_COEFFS = np.einsum("mab,ncd->mnbdac", _PAULIS, _PAULIS).reshape(16, 16) / 4
+# the sphere search's starts: qubit kets on a 13 x 24 polar x azimuthal grid
+_HALF_POLAR, _PHASES = np.linspace(0.0, math.pi / 2, 13), np.exp(1j * np.pi / 12 * np.arange(24))
+_GRID = np.stack([np.cos(_HALF_POLAR).repeat(24), np.outer(np.sin(_HALF_POLAR), _PHASES).flat], 1)
+# its 3 x 3 stencil of chart offsets u = p + i q, in units of _STEP, and the
+# least-squares fit of f0 + g.(p, q) + (p, q).H.(p, q) / 2 to values on it
+_STEP = 1e-5
+_STENCIL = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+_P, _Q = _STENCIL.real, _STENCIL.imag
+_FIT = np.linalg.pinv(np.stack([np.ones(9), _P, _Q, _P * _P / 2, _Q * _Q / 2, _P * _Q], 1))
 
 
-def _bloch_of_kets(kets: np.ndarray) -> np.ndarray:
-    """Bloch vectors of the unit qubit kets in the rows of ``kets``."""
-    cross = kets[:, 0].conj() * kets[:, 1]
-    pop = np.abs(kets) ** 2
-    return np.stack([2 * cross.real, 2 * cross.imag, pop[:, 0] - pop[:, 1]], axis=1)
+def _top_eigvec(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Unit top eigenvectors of the 2x2 matrices h = A diag(d) A^dag, for a
+    (..., 2, n) stack A: (lambda - h_11, conj h_01) or (h_01, lambda - h_00),
+    whichever has no cancellation, and |0> where h is scalar."""
+    diagonal = (a.real**2 + a.imag**2) @ d
+    half, b = 0.5 * (diagonal[..., 0] - diagonal[..., 1]), (a[..., 0, :] * a[..., 1, :].conj()) @ d
+    big = np.abs(half) + np.hypot(half, np.abs(b)) + (half == 0) * (b == 0)
+    v = np.stack([np.where(half < 0, b, big), np.where(half < 0, big, b.conj())], -1)
+    return v / np.sqrt(big * big + np.abs(b) ** 2)[..., None]
 
 
-def _ket_of_bloch(n: np.ndarray) -> np.ndarray:
-    """A unit ket with Bloch vector ``n``, built from its larger amplitude:
-    the smaller one, sqrt((1 -+ n_z)/2), cancels near the poles."""
-    if n[2] >= 0:
-        big = math.sqrt(0.5 * (1.0 + n[2]))
-        ket = np.array([big, complex(n[0], n[1]) / (2 * big)])
-    else:
-        big = math.sqrt(0.5 * (1.0 - n[2]))
-        ket = np.array([complex(n[0], -n[1]) / (2 * big), big])
-    return ket / np.linalg.norm(ket)
+def _sphere_search(values: np.ndarray, vectors: np.ndarray, rank: int) -> np.ndarray:
+    """The product kets x (x) y(x) that a search over x ends on, for rank 3
+    or 4 and both orders of the parties: from the two best grid kets x0 of
+    each order, trust-region Newton steps in the chart (x0 + u x0_perp) /
+    sqrt(1 + |u|^2), with g and H fitted to the stencil's scores."""
+    # y(x) is the top eigenvector of <x|K|x>, K = sum_m d_m |e_m><e_m|: log2 rho at
+    # rank 4, and -|w><w| for the null vector w at rank 3, which puts x (x) y in the support
+    d = np.log2(values) if rank == 4 else [-1.0, 0.0, 0.0, 0.0]
+    v = np.stack([vectors, vectors[_EXCHANGE]]).reshape(2, 1, 1, 2, 8)  # as given, exchanged
 
+    def score(x):
+        a = (x.conj()[..., None, :] @ v).reshape(x.shape[:-1] + (2, 4))  # (<x| (x) I) e_m
+        kets = (x[..., :, None] * _top_eigvec(a, d)[..., None, :]).reshape(x.shape[:-1] + (4,))
+        kets[1] = kets[1][..., _EXCHANGE]
+        return _pure_rel_entropy_on(kets, values, vectors)[0], kets
 
-def _product_starts() -> np.ndarray:
-    """Rows (1, n_y) for the y half of each start: the computational corners
-    |0>, |1> (the x half never matters, as every sweep opens with the x best
-    response), then ``_PRODUCT_RESTARTS`` seeded random kets."""
-    raw = np.random.default_rng(0).standard_normal((2, _PRODUCT_RESTARTS, 2, 2))[1]
-    kets = np.concatenate([np.eye(2, dtype=complex), raw[..., 0] + 1j * raw[..., 1]])
-    kets /= np.linalg.norm(kets, axis=1)[:, None]
-    starts = np.concatenate([np.ones((len(kets), 1)), _bloch_of_kets(kets)], axis=1)
-    starts.flags.writeable = False
-    return starts
+    x0 = _GRID[np.argsort(score(np.broadcast_to(_GRID, (2, 1) + _GRID.shape))[0][:, 0])[:, :2]]
+    perp = np.stack([-x0[..., 1].conj(), x0[..., 0].conj()], -1)[..., None, :]
 
+    def chart(u):
+        return (x0[..., None, :] + u[..., None] * perp) / np.sqrt(1 + np.abs(u[..., None]) ** 2)
 
-_PRODUCT_STARTS = _product_starts()
-
-
-def _unit_rows(v: np.ndarray, out: np.ndarray) -> None:
-    """Write each row of ``v`` scaled to unit length into ``out``: the Bloch
-    vector of the top eigenvector of the 2x2 matrix whose Pauli part is that
-    row.  A (near-)zero row leaves the eigenvector undetermined and gives |0>."""
-    norm = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
-    if np.minimum.reduce(norm) < 1e-14:
-        small = norm < 1e-14
-        v[small] = (0.0, 0.0, 1.0)
-        norm[small] = 1.0
-    np.divide(v, norm[:, None], out=out)
+    u, radius = np.zeros(x0.shape[:-1], complex), np.full(x0.shape[:-1], 0.25)
+    f = score(chart(_STEP * _STENCIL))[0]
+    for _ in range(50):  # a backstop: 1 200 random states took at most 16 steps
+        g1, g2, a, c, b = np.moveaxis(f @ _FIT[1:].T, -1, 0)  # H = [[a, b], [b, c]]
+        with np.errstate(all="ignore"):
+            # the Newton step -H^-1 g where H is positive definite, else a descent step
+            newton = -_STEP * (c * g1 - b * g2 + 1j * (a * g2 - b * g1)) / (a * c - b * b)
+            descent = -(g1 + 1j * g2) * radius / np.hypot(g1, g2)
+            step = np.where((a * c > b * b) & (a > 0), newton, descent)
+            step = step * np.minimum(1.0, radius / np.abs(step))
+            step = np.where(np.isfinite(step), step, 0.0)
+        f_trial = score(chart((u + step)[..., None] + _STEP * _STENCIL))[0]
+        better = f_trial[..., 0] < f[..., 0]
+        u, f = np.where(better, u + step, u), np.where(better[..., None], f_trial, f)
+        radius = np.where(better, radius, 0.25 * np.abs(step))
+        if not np.max(np.abs(step)) > 1e-6:
+            break
+    return score(chart(u[..., None]))[1].reshape(-1, 4)
 
 
 def _min_product_pure_matrix(matrix: np.ndarray):
-    """Array-level core of :func:`min_over_product_pure` for a 4x4 matrix.
-
-    Maximises <xy|G|xy> with G = log2(rho)|_support - W (I - P_support) by
-    alternating exact best responses on the two Bloch spheres, from the
-    computational corners plus seeded random starts, until no start moves by
-    1e-13 from the third sweep on, or for ``_PRODUCT_ITERATIONS`` sweeps.
-    Every swap output on a 50-point grid of a stops after 3, but the cap
-    ends most random rank-3 and rank-4 states (30 and 15-20 of 30).  Returns
-    ``(value, n_x, n_y)``: the minimum and the Bloch vectors of the best
-    pair, with value = +inf when no product state lies in the support.
-    """
-    log_rho, projector = la.matrix_log2_on_support(matrix)
-    complement = np.eye(4) - projector
-    # one Pauli map per operator
-    coeffs = (np.stack([log_rho.ravel(), complement.ravel()]) @ _PAULI_COEFFS.T).real
-    c_log, c_leak = coeffs.reshape(2, 4, 4)
-    c = c_log  # the surrogate term only off full rank
-    if not np.max(np.abs(complement)) < 1e-12:
-        c = c_log - _OFF_SUPPORT_WEIGHT * c_leak
-    # rows (1, n_y) @ to_x give the x best-response directions C[1:, :] . (1, n_y)
-    to_x = np.ascontiguousarray(c[1:, :].T)
-    to_y = np.ascontiguousarray(c[:, 1:])
-
-    my = _PRODUCT_STARTS.copy()
-    my_next = np.ones_like(my)
-    mx = np.ones_like(my)
-    for iteration in range(_PRODUCT_ITERATIONS):
-        _unit_rows(np.dot(my, to_x), mx[:, 1:])
-        _unit_rows(np.dot(mx, to_y), my_next[:, 1:])
-        my, my_next = my_next, my
-        if iteration >= 2 and np.maximum.reduce(np.abs(my - my_next), axis=None) < 1e-13:
-            break
-
-    values = -np.einsum("ri,ij,rj->r", mx, c_log, my)
-    leaks = np.einsum("ri,ij,rj->r", mx, c_leak, my)
-    valid = leaks <= SUPPORT_LEAK_TOL
-    values = np.where(valid, values, math.inf)
-    # with no start inside the support, report the least leaky one
-    best = values.argmin() if valid.any() else leaks.argmin()
-    # relative entropies are nonnegative: clamp round-off below zero (and
-    # -0.0) to 0.0, after the argmin, so that the chosen pair does not move
-    return np.maximum(values[best], 0.0), mx[best, 1:], my[best, 1:]
+    """Array-level core of :func:`min_over_product_pure` for a 4x4 matrix:
+    ``(value, x, y)`` for the best product ket x (x) y."""
+    values, vectors = la.hermitian_eig(matrix)
+    if not values[0] >= -la.PSD_TOL:
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {values[0]:.3e}")
+    kets = vectors[:, values > la.SUPPORT_TOL].T  # the support's eigenvectors, top last
+    if len(kets) == 2:
+        # det(t M1 + M2) = t^2 det M1 + t (det(M1 + M2) - det M1 - det M2) + det M2
+        d1, d12, d2 = np.linalg.det(np.reshape([kets[1], kets.sum(0), kets[0]], (3, 2, 2)))
+        kets = np.r_[kets, np.roots([d1, d12 - d1 - d2, d2])[:, None] * kets[1] + kets[0]]
+    elif len(kets) > 2 and np.linalg.svd(kets[-1].reshape(2, 2))[1][1] > SCHMIDT_RANK_TOL:
+        kets = np.r_[kets, _sphere_search(values, vectors, len(kets))]
+    u, _, vh = np.linalg.svd(kets.reshape(-1, 2, 2))  # x (x) y: each ket's top singular pair
+    scores = _pure_rel_entropy_on((u[..., :1] * vh[..., :1, :]).reshape(-1, 4), values, vectors)[0]
+    best = scores.argmin()
+    return scores[best], u[best, :, 0], vh[best, 0]
 
 
 def min_over_product_pure(state: LabeledState):
     """Minimise S(|xy><xy| | rho) over pure product kets |x>(x)|y>.
 
-    For a pure target the relative entropy reduces to -<xy| log2 rho |xy>,
-    infinite when |xy> leaves the support of rho.  Returns ``(value,
-    argmin_ket)``; the value is ``math.inf`` when every product direction
-    meets a zero eigenvalue.
+    For a pure target the relative entropy is -<xy| log2 rho |xy>.  Every
+    candidate, the product ket x (x) y of some ket's top singular pair, is
+    scored by the searches' kernel on one checked eigendecomposition of rho,
+    under its rules: the eigenvalues above ``SUPPORT_TOL`` span the support,
+    and a ket leaking more than ``SUPPORT_LEAK_TOL`` off it scores +inf.  By
+    Jensen, -<v|log2 rho|v> >= -log2 lambda_max, so a product top
+    eigenvector is the minimiser.  Otherwise the support's rank r decides:
+    at r <= 2 the candidates are its eigenvectors and the kets t e1 + e2
+    with det(t M1 + M2) = 0, for e1, e2 as 2x2 matrices M1, M2, which are
+    all the product kets inside it; at r = 3 and 4 a search over x on one
+    Bloch sphere adds x (x) y(x), with y(x) in closed form, from a grid on
+    both parties' spheres.  Returns ``(value, argmin_ket)``; the value is
+    ``math.inf`` when no product ket lies in the support.
     """
     if state.dims != (2, 2):
         raise ValueError(f"two-qubit state required, got dims {state.dims}")
-    value, nx, ny = _min_product_pure_matrix(state.matrix)
-    return float(value), Ket(np.kron(_ket_of_bloch(nx), _ket_of_bloch(ny)), (2, 2))
+    value, x, y = _min_product_pure_matrix(state.matrix)
+    return float(value), Ket(np.kron(x, y), (2, 2))
 
 
 def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:

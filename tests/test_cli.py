@@ -247,8 +247,8 @@ import sys
 sys.modules["scipy"] = None
 import numpy as np
 from dualent import (
-    LocalUnitary, SchmidtPair, clone_bound, clone_objective, crossover, delete_bound,
-    delete_objective, optimize_clone, optimize_delete,
+    LabeledState, LocalUnitary, SchmidtPair, clone_bound, clone_objective, crossover,
+    delete_bound, delete_objective, min_over_product_pure, optimize_clone, optimize_delete,
 )
 from dualent.cli import main
 from dualent.deleting import swap_gate
@@ -274,6 +274,16 @@ assert abs(clone_objective(pair, cloner, cloner) - clone_bound(pair)) <= 1e-12
 for search in (optimize_delete, optimize_clone):
     report = search(SchmidtPair(0.6), restarts=1, seed=1, max_evals=60)
     assert report.best_objective < float("inf")
+# the product minimum's rank forms: a double root at rank 2, a product null
+# vector at rank 3
+a, b = np.zeros((4, 4)), np.zeros((4, 4))
+a[np.ix_([0, 3], [0, 3])] = 0.375
+a[1, 1] = 0.25
+b[np.ix_([1, 2], [1, 2])] = 0.3
+b[1, 1] += 0.1
+b[3, 3] = 0.3
+values = [min_over_product_pure(LabeledState(m, (2, 2), ("A", "B")))[0] for m in (a, b)]
+assert abs(values[0] - 2.0) <= 1e-12 and abs(values[1] - 1.7369655941662063) <= 1e-12
 """
 
 

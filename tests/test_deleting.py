@@ -150,22 +150,18 @@ class TestMinOverProductPure:
         assert abs(value - 1.2877123795494492) < 1e-9  # -4 log2(0.8)
         assert abs(abs(argmin.amplitudes[3]) - 1.0) < 1e-6
 
-    def test_swap_outputs_stop_after_three_sweeps(self, monkeypatch):
-        # the fewest sweeps the stop rule allows, two best responses each, on
-        # every grid swap output: the cap would cost ten times as much
+    def test_swap_outputs_never_enter_the_sphere_search(self, monkeypatch):
+        # every grid swap output is diagonal, so its top eigenvector is a
+        # product basis ket, which Jensen's inequality makes the minimiser
         from dualent import deleting
 
-        calls, unit_rows = [], deleting._unit_rows
+        def refuse(*args):
+            raise AssertionError("a swap output entered the sphere search")
 
-        def spy(v, out):
-            calls.append(None)
-            unit_rows(v, out)
-
-        monkeypatch.setattr(deleting, "_unit_rows", spy)
+        monkeypatch.setattr(deleting, "_sphere_search", refuse)
         for a in A_GRID:
-            calls.clear()
-            local_delete_swap(SchmidtPair(float(a)))
-            assert 0 < len(calls) <= 2 * 3
+            out = local_delete_swap(SchmidtPair(float(a)))
+            assert abs(out.term_separable - delete_terms_oracle(float(a))[1]) <= 1e-12
 
     def test_flat_spectrum(self):
         state = LabeledState(np.eye(4) / 4, (2, 2), ("A", "B"))
@@ -268,11 +264,12 @@ class TestMinOverProductPureProperties:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(density_matrices())
     def test_returned_ket_attains_value_and_beats_grid(self, matrix):
-        """The returned ket attains the value, and no grid product ket inside
-        the support does better.  On rank-2 and rank-3 supports the grid
-        comparison is vacuous: a grid point almost never lies in the support,
-        so the grid minimum is +inf there.  The exact in-support product kets
-        of ``TestProductMinimumOracles`` check those ranks."""
+        """The returned ket attains the value, and no product ket inside the
+        support does better: no grid product ket leaking at most 1e-10 and,
+        on rank-2 and rank-3 supports, where a grid point almost never lies
+        in the support, no exact in-support product ket of
+        ``TestProductMinimumOracles`` (the roots at rank 2; x (x) y(x) on the
+        grid of x, and its mirror on the grid of y, at rank 3)."""
         value, ket = min_over_product_pure(LabeledState(matrix, (2, 2), ("A", "B")))
         log_rho, projector = la.matrix_log2_on_support(matrix)
         complement = np.eye(4) - projector
@@ -283,15 +280,18 @@ class TestMinOverProductPureProperties:
             assert abs(own - value) <= 1e-9
             assert leak <= 1e-10
         assert value <= _grid_minimum(log_rho, complement) + 1e-9
+        rank = np.count_nonzero(np.linalg.eigvalsh(matrix) > la.SUPPORT_TOL)
+        if rank in (2, 3):
+            kets = _rank_two_product_kets(matrix) if rank == 2 else _rank_three_oracle_kets(matrix)
+            if len(kets):
+                assert value <= _in_support_values(matrix, kets)[0].min() + 1e-9
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the 1e6 off-support weight holds the optimum deeper inside the "
-        "support than the 1e-10 leak tolerance, which admits grid points with lower values",
-    )
     def test_support_near_a_product_plane_beats_grid(self):
         # support 1e-6 away from |0> (x) C^2: grid points leaking <= 1e-10 of
-        # the projector sit up to 7e-7 bits below the returned minimum
+        # the projector sit below every exact in-support product ket, but the
+        # minimum follows the same leak rule as the grid: the product part of
+        # the top eigenvector leaks 4.1e-12 and reads 0.9999933939, against
+        # 0.9999934316 for the best grid point
         rng = np.random.default_rng(3)
         noise = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         columns = np.eye(4)[:, :2] + 1e-6 * noise
@@ -352,11 +352,22 @@ def _rank_two_product_kets(matrix):
 def _rank_three_product_kets(matrix, xs):
     """For each x in the rows of ``xs``, the product ket x (x) y(x) in a rank-3
     support: |xy> is in it iff x^T conj(W) y = 0 for the null vector w as a
-    2x2 matrix W, so y is proportional to (c_1, -c_0) with c = conj(W)^T x."""
+    2x2 matrix W, so y is proportional to (c_1, -c_0) with c = conj(W)^T x.
+    An x with c = 0, which pairs with every y, is left out."""
     c = xs @ np.linalg.eigh(matrix)[1][:, 0].conj().reshape(2, 2)
-    ys = np.stack([c[:, 1], -c[:, 0]], axis=1)
-    ys /= np.linalg.norm(ys, axis=1)[:, None]
+    norms = np.linalg.norm(c, axis=1)
+    xs, c, norms = xs[norms > 0], c[norms > 0], norms[norms > 0]
+    ys = np.stack([c[:, 1], -c[:, 0]], axis=1) / norms[:, None]
     return np.einsum("ki,kj->kij", xs, ys).reshape(-1, 4)
+
+
+EXCHANGE = [0, 2, 1, 3]  # amplitude order of a two-qubit ket with its parties exchanged
+
+
+def _rank_three_oracle_kets(matrix):
+    """x (x) y(x) for x on ``GRID_KETS``, and the mirror x(y) (x) y for y on it."""
+    mirror = _rank_three_product_kets(matrix[np.ix_(EXCHANGE, EXCHANGE)], GRID_KETS)
+    return np.concatenate([_rank_three_product_kets(matrix, GRID_KETS), mirror[:, EXCHANGE]])
 
 
 def _in_support_values(matrix, kets):
@@ -375,7 +386,7 @@ class TestProductMinimumOracles:
     exact product kets inside rank-2 and rank-3 supports."""
 
     def test_invariant_under_local_unitaries_on_swap_outputs(self):
-        # full-rank diagonal copies; the worst change measured is 3.5e-15
+        # full-rank diagonal copies; the worst change measured is 4.2e-15
         rng = np.random.default_rng(11)
         for a in A_GRID:
             matrix = local_delete_swap(SchmidtPair(float(a))).out_apbp.matrix
@@ -383,43 +394,10 @@ class TestProductMinimumOracles:
             for _ in range(4):
                 assert abs(_product_minimum(_rotated(matrix, rng)) - value) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "rank, case",
-        [
-            pytest.param(
-                2,
-                164,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the 1e6 off-support surrogate trades support for value: the "
-                    "sweeps end on kets leaking 7.5e-11 and 8.5e-11, inside "
-                    "SUPPORT_LEAK_TOL, at values that depend on the frame (moves by 1.9e-5 bits)",
-                ),
-            ),
-            pytest.param(
-                3,
-                0,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the sweeps cannot follow the curve of product kets inside a "
-                    "rank-3 support (moves by 0.167 bits)",
-                ),
-            ),
-            pytest.param(
-                3,
-                57,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the sweeps cannot follow the curve of product kets inside a "
-                    "rank-3 support (moves by 1.42 bits)",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("rank, case", [(2, 164), (3, 0), (3, 57), (4, 184)])
     def test_invariant_under_local_unitaries_off_full_rank(self, rank, case):
-        # over 200 cases per rank, 4 rank-2 and all 200 rank-3 cases move by
-        # more than 1e-9; rank 4 is left out, its 2 moving cases move by at
-        # most 1.4e-9, too close to round-off for a strict xfail
+        # over the 200 cases of each rank the worst change measured is 5.3e-15,
+        # 3.6e-15 and 5.8e-15 at ranks 2, 3 and 4
         matrix, rotated = _invariance_case(rank, case)
         assert abs(_product_minimum(rotated) - _product_minimum(matrix)) <= 1e-12
 
@@ -434,11 +412,6 @@ class TestProductMinimumOracles:
         assert abs(values.min() - want) <= 1e-4
 
     @pytest.mark.parametrize("draw", [74, 207])
-    @pytest.mark.xfail(
-        strict=True,
-        reason="every start's sweeps end on a ket leaking more than SUPPORT_LEAK_TOL, "
-        "so the minimum reads +inf though the support holds two product kets",
-    )
     def test_rank_two_minimum_at_most_an_in_support_product(self, draw):
         matrix = _rank_two_draw(draw)
         oracle = _in_support_values(matrix, _rank_two_product_kets(matrix))[0].min()
@@ -452,17 +425,56 @@ class TestProductMinimumOracles:
         assert np.linalg.svd(kets.reshape(-1, 2, 2), compute_uv=False)[:, 1].max() <= 1e-13
         assert _in_support_values(matrix, kets)[1].max() <= 1e-26
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the sweeps cannot follow the curve of product kets inside a rank-3 "
-        "support: they end 0.26 bits above the best grid ket on it",
-    )
     def test_rank_three_minimum_at_most_the_in_support_products(self):
-        # the case-0 rank-3 state of the invariance oracle
+        # the case-0 rank-3 state of the invariance oracle: 0.9136 bits against
+        # 0.9240 for the best x (x) y(x) on the grid of x
         matrix = _invariance_case(3, 0)[0]
         oracle = _in_support_values(matrix, _rank_three_product_kets(matrix, GRID_KETS))[0]
         value = _product_minimum(matrix)
         assert math.isfinite(value) and value <= oracle.min() + 1e-9
+
+
+def _projector(*terms):
+    """sum_k p_k |v_k><v_k| for the (p_k, v_k) of ``terms``."""
+    return sum(p * np.outer(v, np.conj(v)) for p, v in terms).astype(complex)
+
+
+class TestProductMinimumClosedForms:
+    """States whose product minimum has a closed form, as given and under
+    three Haar pairs of local unitaries; filterwarnings = error turns any
+    warning of the rank forms into a failure."""
+
+    def _cases(self, matrix):
+        rng = np.random.default_rng(31)
+        yield np.eye(4), matrix
+        for _ in range(3):
+            w = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+            yield w, w @ matrix @ w.conj().T
+
+    def test_double_root(self):
+        # span{Phi+, |01>} holds one product ket, |01>, a double root of
+        # det(t M1 + M2) = 0; its value is -log2(1/4) = 2
+        bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        matrix = _projector((0.75, bell), (0.25, np.eye(4)[1]))
+        for w, rotated in self._cases(matrix):
+            value, ket = min_over_product_pure(LabeledState(rotated, (2, 2), ("A", "B")))
+            assert abs(value - 2.0) <= 1e-12
+            assert abs(abs(np.vdot(w[:, 1], ket.amplitudes)) - 1.0) <= 1e-9
+
+    def test_product_null_vector(self):
+        # the null vector |00> is product, so the admissible kets are the
+        # planes |1> (x) C^2 and C^2 (x) |1>; the minimum is the smaller -lambda_max
+        # of log2 rho compressed to either
+        psi = np.array([0, 1, 1, 0]) / math.sqrt(2)
+        matrix = _projector((0.6, psi), (0.3, np.eye(4)[3]), (0.1, np.eye(4)[1]))
+        log = la.matrix_log2_on_support(matrix)[0].reshape(2, 2, 2, 2)
+        planes = np.stack([log[1, :, 1, :], log[:, 1, :, 1]])  # <1 j|log|1 l>, <i 1|log|k 1>
+        want = -np.linalg.eigvalsh(planes)[:, -1].max()
+        assert abs(want - 1.7369655941662063) <= 1e-15
+        for w, rotated in self._cases(matrix):
+            value, ket = min_over_product_pure(LabeledState(rotated, (2, 2), ("A", "B")))
+            assert abs(value - want) <= 1e-12
+            assert abs(np.vdot(w[:, 0], ket.amplitudes)) ** 2 <= 1e-20
 
 
 class TestGlobalDelete:
