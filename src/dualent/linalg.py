@@ -8,6 +8,20 @@ readable at the call site.
 Each function takes one matrix and checks it.  The search kernels score Gram
 matrices they build themselves, so they call ``numpy.linalg.eigh`` on their
 stacks directly, unchecked.
+
+The zero rules: each is one constant, applied by the functions listed.
+
+- Hermiticity, max |M - M^dag| <= ``HERMITICITY_TOL``: :func:`hermitian_eig` and
+  ``qstate.LabeledState``.
+- PSD, no eigenvalue below -``PSD_TOL``: :func:`matrix_log2_on_support` and ``LabeledState``.
+- Support, eigenvalues above ``SUPPORT_TOL``: :func:`matrix_log2_on_support`, qstate's
+  entropies (``entropy_of_entanglement``, so the ``nogo distill`` verdict) and pure-state
+  kernel ``_pure_rel_entropy_on``, and the support rank in ``deleting.min_over_product_pure``.
+- Leak, at most ``qstate.SUPPORT_LEAK_TOL`` weight off the support, else +inf:
+  ``qstate.relative_entropy`` and ``_pure_rel_entropy_on``.
+- Schmidt rank, singular values above ``qstate.SCHMIDT_RANK_TOL``: ``schmidt_decompose``
+  (so ``deleting.schmidt_rank_nogo_check`` and the ``nogo schmidt`` verdict) and the product
+  minimum's test that a top eigenvector is product.
 """
 
 from __future__ import annotations
@@ -17,10 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Hermiticity is enforced elementwise; support truncation separates genuine
-# zero eigenvalues from round-off (physical eigenvalues here are >= ~1e-2).
-# Eigenvalues in [-PSD_TOL, SUPPORT_TOL] count as zero; below -PSD_TOL a
-# matrix is not positive semidefinite.
 HERMITICITY_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 PSD_TOL = 1e-10

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dualent.cli import main, render_sweep_csv, sweep_rows
@@ -146,8 +147,10 @@ class TestNogoCommand:
         assert report["note"] == "FAIL-to-delete"
         assert report["verdict"] == "PASS"
 
-    def test_schmidt_product(self, capsys):
-        code, out, _ = run_cli(capsys, "nogo", "schmidt", "--a", "0")
+    # up to a = 1e-10 psi has Schmidt rank 1, so it is product and deletable
+    @pytest.mark.parametrize("a", ["0", "1e-11", "1e-10"])
+    def test_schmidt_product(self, capsys, a):
+        code, out, _ = run_cli(capsys, "nogo", "schmidt", "--a", a)
         assert code == 0
         report = parse_report(out.strip())
         assert report["deletable"] == "true"
@@ -167,11 +170,21 @@ class TestNogoCommand:
         assert report["contradiction"] == "false"
         assert report["verdict"] == "PASS"
 
-    def test_distill_entangled(self, capsys):
-        code, out, _ = run_cli(capsys, "nogo", "distill", "--a", "0.6")
+    # at a = 1e-8 ... 8.2e-7, 0 < E(psi) <= 1e-12: entangled, though ed_input prints as 0
+    @pytest.mark.parametrize("a", ["0.6", "1e-8", "1e-7", "8.2e-7"])
+    def test_distill_entangled(self, capsys, a):
+        code, out, _ = run_cli(capsys, "nogo", "distill", "--a", a)
+        assert code == 0
         report = parse_report(out.strip())
         assert report["contradiction"] == "true"
+        assert report["verdict"] == "PASS"
         assert abs(float(report["ed_required"]) - 2 * float(report["ed_input"])) < 1e-8
+
+    def test_verdicts_pass_across_the_product_limit(self, capsys):
+        for a in np.logspace(-14, 0, 57):
+            for which in ("schmidt", "distill"):
+                code, out, _ = run_cli(capsys, "nogo", which, "--a", str(float(a)))
+                assert (code, parse_report(out.strip())["verdict"]) == (0, "PASS"), (which, a)
 
     def test_unknown_selector_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -239,9 +252,10 @@ class TestVariationalCommand:
 
 
 # A None entry in sys.modules makes every scipy import raise ImportError.
-# The script runs every CLI subcommand and checks the seeds' objectives as
-# the CI step "Runtime without scipy" does; the sweep writes to the path
-# given as its argument.
+# The script runs every CLI subcommand and checks the seeds' objectives and
+# the product minimum's rank forms; the sweep writes to the path given as its
+# argument.  CI's "Runtime without scipy" step runs this test with scipy
+# uninstalled.
 WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
