@@ -225,8 +225,11 @@ def _min_product_pure_matrix(matrix: np.ndarray):
         # det(t M1 + M2) = t^2 det M1 + t (det(M1 + M2) - det M1 - det M2) + det M2
         d1, d12, d2 = np.linalg.det(np.reshape([kets[1], kets.sum(0), kets[0]], (3, 2, 2)))
         kets = np.r_[kets, np.roots([d1, d12 - d1 - d2, d2])[:, None] * kets[1] + kets[0]]
-    elif len(kets) > 2 and np.linalg.svd(kets[-1].reshape(2, 2))[1][1] > SCHMIDT_RANK_TOL:
-        kets = np.r_[kets, _sphere_search(values, vectors, len(kets))]
+    elif len(kets) > 2:
+        if np.linalg.svd(kets[-1].reshape(2, 2))[1][1] > SCHMIDT_RANK_TOL:
+            kets = np.r_[kets, _sphere_search(values, vectors, len(kets))]
+        else:  # a product top eigenvector is the minimiser (Jensen)
+            kets = kets[-1:]
     u, _, vh = np.linalg.svd(kets.reshape(-1, 2, 2))  # x (x) y: each ket's top singular pair
     scores = _pure_rel_entropy_on((u[..., :1] * vh[..., :1, :]).reshape(-1, 4), values, vectors)[0]
     best = scores.argmin()

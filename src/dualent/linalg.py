@@ -13,7 +13,9 @@ The zero rules: each is one constant, applied by the functions listed.
 
 - Hermiticity, max |M - M^dag| <= ``HERMITICITY_TOL``: :func:`hermitian_eig` and
   ``qstate.LabeledState``.
-- PSD, no eigenvalue below -``PSD_TOL``: :func:`matrix_log2_on_support` and ``LabeledState``.
+- PSD, no eigenvalue below -``PSD_TOL``: ``qstate.LabeledState``, through a Cholesky
+  factorisation of rho + ``PSD_TOL`` I with ``eigvalsh`` deciding the matrices it fails on,
+  and :func:`matrix_log2_on_support`, through its eigenvalues.
 - Support, eigenvalues above ``SUPPORT_TOL``: :func:`matrix_log2_on_support`, qstate's
   entropies (``entropy_of_entanglement``, so the ``nogo distill`` verdict) and pure-state
   kernel ``_pure_rel_entropy_on``, and the support rank in ``deleting.min_over_product_pure``.
@@ -91,8 +93,8 @@ def matrix_log2_on_support(matrix):
 
 
 def _check_dims(dims: Sequence[int], total: int) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
+    dims = tuple(map(int, dims))
+    if min(dims, default=1) < 1:
         raise ValueError(f"factor dimensions must be positive, got {dims}")
     if math.prod(dims) != total:
         raise ValueError(f"factor dimensions {dims} do not multiply to {total}")
@@ -109,10 +111,11 @@ def partial_trace(matrix, dims: Sequence[int], discard) -> np.ndarray:
     discard = sorted({int(i) for i in discard})
     if discard and (discard[0] < 0 or discard[-1] >= len(dims)):
         raise ValueError(f"discard indices {discard} out of range for {len(dims)} factors")
-    tensor = m.reshape(dims + dims)
-    remaining = list(dims)
-    for idx in reversed(discard):
-        tensor = np.trace(tensor, axis1=idx, axis2=idx + len(remaining))
-        del remaining[idx]
-    size = math.prod(remaining)
-    return tensor.reshape(size, size)
+    n = len(dims)
+    keep = [k for k in range(n) if k not in discard]
+    # rows take subscripts 0..n-1 and columns n..2n-1, except that a discarded
+    # factor's column repeats its row's subscript, so the one einsum traces it
+    columns = [k if k in discard else n + k for k in range(n)]
+    size = math.prod(dims[k] for k in keep)
+    reduced = np.einsum(m.reshape(dims + dims), [*range(n), *columns], keep + [n + k for k in keep])
+    return reduced.reshape(size, size)

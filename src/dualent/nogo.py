@@ -68,6 +68,11 @@ def apply_kraus(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
     return sum(op @ rho @ op.conj().T for op in kraus.operators)
 
 
+# the dilation of the measurement {|0><0|, |1><1|}, validated once
+_MEASURE_FORGET = stinespring_isometry(KrausSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))))
+_MEASURE_FORGET.flags.writeable = False
+
+
 def measure_forget_channel(alpha: Ket):
     """Measure a qubit and forget the outcome, keeping the environment.
 
@@ -79,10 +84,8 @@ def measure_forget_channel(alpha: Ket):
     """
     if alpha.amplitudes.size != 2:
         raise ValueError(f"qubit ket required, got dimension {alpha.amplitudes.size}")
-    projectors = tuple(np.outer(e, e.conj()) for e in np.eye(2, dtype=complex))
-    isometry = stinespring_isometry(KrausSet(projectors))
     rho = np.outer(alpha.amplitudes, alpha.amplitudes.conj())
-    full = isometry @ rho @ isometry.conj().T
+    full = _MEASURE_FORGET @ rho @ _MEASURE_FORGET.conj().T
     system_out = la.partial_trace(full, (2, 2), (1,))
     env_out = la.partial_trace(full, (2, 2), (0,))
     return (

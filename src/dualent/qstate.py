@@ -31,6 +31,13 @@ class LabeledState:
     ``dims[k]`` is the dimension of the factor named ``labels[k]``; labels
     make the six-register partial traces of the cloning/deleting pipelines
     explicit instead of positional.
+
+    Construction checks trace one within ``TRACE_TOL``, Hermiticity within
+    ``HERMITICITY_TOL`` and no eigenvalue below -``PSD_TOL``.  The PSD rule is
+    decided by a Cholesky factorisation of rho + ``PSD_TOL`` I (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10), which succeeds
+    exactly when the rule holds, up to round-off; where it fails,
+    ``eigvalsh`` decides and a rejection names the smallest eigenvalue.
     """
 
     matrix: np.ndarray
@@ -39,8 +46,8 @@ class LabeledState:
 
     def __post_init__(self):
         matrix = la.as_matrix(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
-        labels = tuple(str(s) for s in self.labels)
+        dims = la._check_dims(self.dims, matrix.shape[0])
+        labels = tuple(map(str, self.labels))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
@@ -48,16 +55,20 @@ class LabeledState:
             raise ValueError(f"{len(dims)} dims but {len(labels)} labels")
         if len(set(labels)) != len(labels):
             raise ValueError(f"labels must be distinct, got {labels}")
-        la._check_dims(dims, matrix.shape[0])
-        trace = complex(np.trace(matrix))
+        trace = complex(matrix.trace())
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"state trace is {trace}, expected 1")
-        defect = la.hermiticity_defect(matrix)
+        defect = float(np.abs(matrix - matrix.conj().T).max())
         if not defect <= la.HERMITICITY_TOL:
             raise ValueError(f"state is not Hermitian: defect {defect:.3e}")
-        smallest = float(np.linalg.eigvalsh(matrix)[0])
-        if not smallest >= -la.PSD_TOL:
-            raise ValueError(f"state is not PSD: smallest eigenvalue {smallest:.3e}")
+        shifted = matrix.copy()
+        shifted.flat[:: len(matrix) + 1] += la.PSD_TOL  # rho + PSD_TOL I
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            smallest = float(np.linalg.eigvalsh(matrix)[0])
+            if not smallest >= -la.PSD_TOL:
+                raise ValueError(f"state is not PSD: smallest eigenvalue {smallest:.3e}") from None
 
     def label_indices(self, labels: Sequence[str]) -> tuple[int, ...]:
         try:
@@ -87,11 +98,10 @@ class Ket:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        dims = tuple(int(d) for d in self.dims)
+        dims = la._check_dims(self.dims, amps.size)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
-        la._check_dims(dims, amps.size)
-        norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"ket norm is {norm}, expected 1")
 

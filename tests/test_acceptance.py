@@ -2,8 +2,8 @@
 PASS/FAIL line (run with ``pytest -s`` to see them inline).
 
 The variational criterion runs both searches on a 20-point grid until each
-restart converges or stalls, in about 3.5 seconds; everything else is
-seconds.
+restart converges or stalls, in about 2 seconds; every other criterion
+takes at most about 1 second.
 """
 
 import math

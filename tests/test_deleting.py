@@ -16,7 +16,15 @@ from dualent.deleting import (
     schmidt_rank_nogo_check,
     two_copy_ket,
 )
-from dualent.qstate import Ket, LabeledState, SchmidtPair, basis_ket, dm_from_ket, schmidt_ket
+from dualent.qstate import (
+    Ket,
+    LabeledState,
+    SchmidtPair,
+    _pure_rel_entropy_on,
+    basis_ket,
+    dm_from_ket,
+    schmidt_ket,
+)
 from dualent.variational import delete_objective, optimize_delete, swap_delete_seed
 
 SYM = 1 / math.sqrt(2)
@@ -141,6 +149,69 @@ class TestSchmidtPairEdges:
     def test_wrong_convention_rejected(self, deleting, a):
         with pytest.raises(ValueError, match="convention b >= a violated"):
             deleting(SchmidtPair(a))
+
+
+def _every_support_eigenvector_minimum(matrix):
+    """The product minimum of a state with a product top eigenvector, scored
+    the long way: the product part of every support eigenvector, by the
+    shared kernel, and the smallest score."""
+    values, vectors = np.linalg.eigh(matrix)
+    kets = vectors[:, values > la.SUPPORT_TOL].T
+    u, _, vh = np.linalg.svd(kets.reshape(-1, 2, 2))
+    products = (u[..., :1] * vh[..., :1, :]).reshape(-1, 4)
+    return _pure_rel_entropy_on(products, values, vectors)[0].min()
+
+
+def _product_top_state(rng):
+    """A full-rank state whose top eigenvector is a product ket x (x) y: a Haar
+    frame with x (x) y as its first column, re-orthonormalised, and a drawn
+    spectrum whose largest eigenvalue goes to that column."""
+    x, y = haar_unitary(rng, 2)[:, 0], haar_unitary(rng, 2)[:, 0]
+    frame = haar_unitary(rng, 4)
+    frame[:, 0] = np.kron(x, y)
+    frame = np.linalg.qr(frame)[0]
+    values = np.sort(rng.random(4) + 0.05)[::-1]
+    matrix = (frame * values) @ frame.conj().T
+    return (matrix + matrix.conj().T) / (2 * values.sum())
+
+
+class TestJensenExit:
+    """A product top eigenvector is the product minimiser, so it is the one
+    candidate scored, with the value every support eigenvector gives."""
+
+    def test_swap_outputs_keep_their_value_bit_for_bit(self):
+        for a in A_GRID:
+            out = local_delete_swap(SchmidtPair(float(a)))
+            assert out.term_separable == _every_support_eigenvector_minimum(out.out_apbp.matrix)
+
+    def test_product_top_states_score_one_candidate(self, monkeypatch):
+        from dualent import deleting
+
+        scored = []
+
+        def spy(kets, values, vectors):
+            scored.append(len(kets))
+            return _pure_rel_entropy_on(kets, values, vectors)
+
+        def refuse(*args):
+            raise AssertionError("a product top eigenvector entered the sphere search")
+
+        monkeypatch.setattr(deleting, "_pure_rel_entropy_on", spy)
+        monkeypatch.setattr(deleting, "_sphere_search", refuse)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            matrix = _product_top_state(rng)
+            value = min_over_product_pure(LabeledState(matrix, (2, 2), ("A", "B")))[0]
+            assert value == _every_support_eigenvector_minimum(matrix)
+        assert scored == [1] * 50
+
+    def test_tied_spectrum_returns_the_top_eigenvector(self):
+        # at a = 1/sqrt(2) the swap output is I/4: all four eigenvalues tie
+        out = local_delete_swap(SchmidtPair(SYM)).out_apbp
+        value, ket = min_over_product_pure(out)
+        assert abs(value - 2.0) <= 1e-12
+        u, _, vh = np.linalg.svd(np.linalg.eigh(out.matrix)[1][:, -1].reshape(2, 2))
+        assert np.array_equal(ket.amplitudes, np.kron(u[:, 0], vh[0]))
 
 
 class TestMinOverProductPure:

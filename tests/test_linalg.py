@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -130,7 +131,38 @@ def test_partial_trace_recovers_kron_factors():
 
 
 def test_partial_trace_rejects_bad_dims():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"factor dimensions \(2, 3\) do not multiply to 4"):
         la.partial_trace(np.eye(4), (2, 3), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be positive"):
+        la.partial_trace(np.eye(4), (4, 1, 0), (0,))
+    with pytest.raises(ValueError, match=r"discard indices \[5\] out of range for 2 factors"):
         la.partial_trace(np.eye(4), (2, 2), (5,))
+    with pytest.raises(ValueError, match=r"discard indices \[-1, 0\] out of range"):
+        la.partial_trace(np.eye(4), (2, 2), (0, -1))
+
+
+def partial_trace_per_factor(matrix, dims, discard):
+    """Reference: one ``np.trace`` per discarded factor, the last one first."""
+    tensor = matrix.reshape(dims + dims)
+    remaining = list(dims)
+    for idx in sorted(discard, reverse=True):
+        tensor = np.trace(tensor, axis1=idx, axis2=idx + len(remaining))
+        del remaining[idx]
+    size = math.prod(remaining)
+    return tensor.reshape(size, size)
+
+
+@pytest.mark.parametrize("dims", [(2,) * 6, (2, 3, 2), (2, 2, 2, 2), (3,)])
+def test_partial_trace_matches_per_factor_traces_on_every_subset(dims):
+    rng = np.random.default_rng(23)
+    m = random_psd(rng, math.prod(dims))
+    m /= np.trace(m).real
+    for count in range(len(dims) + 1):
+        for discard in itertools.combinations(range(len(dims)), count):
+            reduced = la.partial_trace(m, dims, discard)
+            reference = partial_trace_per_factor(m, dims, discard)
+            assert reduced.shape == reference.shape
+            assert np.max(np.abs(reduced - reference)) <= 1e-14
+    everything = la.partial_trace(m, dims, range(len(dims)))
+    assert everything.shape == (1, 1)
+    assert abs(everything[0, 0] - np.trace(m)) <= 1e-14

@@ -80,6 +80,21 @@ class TestMeasureForget:
         with pytest.raises(ValueError, match="qubit"):
             measure_forget_channel(Ket(np.array([1.0, 0, 0, 0]), (2, 2)))
 
+    def test_dilation_is_a_read_only_constant(self, monkeypatch):
+        from dualent import nogo
+
+        projectors = tuple(np.diag(e) for e in np.eye(2))
+        assert np.array_equal(nogo._MEASURE_FORGET, stinespring_isometry(KrausSet(projectors)))
+        with pytest.raises(ValueError, match="read-only"):
+            nogo._MEASURE_FORGET[0, 0] = 0.0
+
+        def refuse(*args):
+            raise AssertionError("the fixed Kraus set was validated again")
+
+        monkeypatch.setattr(nogo, "KrausSet", refuse)
+        system_out, _ = measure_forget_channel(Ket(np.array([0.6, 0.8]), (2,)))
+        assert np.max(np.abs(system_out.matrix - np.diag([0.36, 0.64]))) <= 1e-15
+
 
 class TestStinespring:
     def test_identity_kraus_set(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualent import linalg as la
-from dualent.cloning import CloneIsometry
+from dualent.cloning import CloneIsometry, local_clone_pipeline
 from dualent.nogo import KrausSet
 from dualent.qstate import (
     Ket,
@@ -337,8 +338,52 @@ class TestRelativeEntropy:
             relative_entropy(rho, sigma)
 
 
+@st.composite
+def psd_edge_states(draw):
+    """(matrix, smallest): a Hermitian trace-one matrix of size 2, 4, 16 or 64
+    whose spectrum holds ``smallest``, placed at a multiple of PSD_TOL on
+    either side of -PSD_TOL and of 0, or far from both; the other eigenvalues
+    are drawn in [0.1, 1.1) and scaled to make the trace one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([2, 4, 16, 64]))
+    near = st.sampled_from([-2.0, -1.1, -0.9, -0.5, 0.0, 0.5]).map(lambda f: f * la.PSD_TOL)
+    far = st.floats(1e-6, 1e-2) | st.floats(-1e-2, -1e-6)
+    smallest = draw(near | far)
+    rest = rng.random(n - 1) + 0.1
+    values = np.r_[smallest, rest * (1.0 - smallest) / rest.sum()]
+    u = random_unitary(rng, n)
+    matrix = (u * values) @ u.conj().T
+    return (matrix + matrix.conj().T) / 2, float(values.min())
+
+
 class TestPsdRule:
     """The state layer and the support log share one PSD tolerance."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(psd_edge_states())
+    def test_accepts_exactly_when_eigvalsh_is_within_tolerance(self, case):
+        matrix, placed = case
+        smallest = float(np.linalg.eigvalsh(matrix)[0])
+        # placed to 1e-13, so no case sits in the round-off band around -PSD_TOL
+        assert abs(smallest - placed) <= 1e-13
+        dims, labels = (len(matrix),), ("A",)
+        if smallest >= -la.PSD_TOL:
+            LabeledState(matrix, dims, labels)
+        else:
+            message = f"state is not PSD: smallest eigenvalue {smallest:.3e}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                LabeledState(matrix, dims, labels)
+
+    @pytest.mark.parametrize("a", [0.01, 0.3, 0.6, 1 / math.sqrt(2)])
+    def test_pipeline_eta_passes_the_factorisation(self, a, monkeypatch):
+        # the rank-1 64x64 outer product is accepted without the eigvalsh fallback
+        eta = local_clone_pipeline(SchmidtPair(a))[0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the PSD check fell back to eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        LabeledState(eta.matrix, eta.dims, eta.labels)
 
     def test_state_admitted_by_the_state_layer_has_a_log(self):
         from dualent.deleting import min_over_product_pure
