@@ -61,18 +61,23 @@ _CLONER = np.zeros((6, 2), dtype=complex)
 _CLONER[[0, 3], [0, 1]] = math.sqrt(2.0 / 3.0)
 _CLONER[[5, 4], [0, 1]] = math.sqrt(1.0 / 3.0)
 _SYMMETRIC.flags.writeable = _CLONER.flags.writeable = False
+# the cloner, validated once, and the 64x4 map V (x) V both parties run
+_UNIVERSAL = CloneIsometry(_SYMMETRIC @ _CLONER)
+_UNIVERSAL.matrix.flags.writeable = False
+_CLONE_BOTH = np.kron(_UNIVERSAL.matrix, _UNIVERSAL.matrix)
+_CLONE_BOTH.flags.writeable = False
 
 
 def universal_clone_isometry() -> CloneIsometry:
     """The input-independent symmetric 1->2 qubit cloner, S times its two
-    columns in S's basis.
+    columns in S's basis: one read-only instance, validated at import.
 
     |0> maps to sqrt(2/3)|00>|e> + sqrt(1/6)(|01> + |10>)|e_perp> and
     |1> to the bit-flipped image, with |e> = |0>, |e_perp> = |1> as the
     environment basis.  Each clone of a basis input carries the marginal
     diag(5/6, 1/6).
     """
-    return CloneIsometry(_SYMMETRIC @ _CLONER)
+    return _UNIVERSAL
 
 
 def local_clone_pipeline(pair: SchmidtPair):
@@ -89,9 +94,7 @@ def local_clone_pipeline(pair: SchmidtPair):
     in Sym^2(C^2) (x) C^2_env, so swapping Alice's two clone registers A and
     A' would leave ``eta`` unchanged, bit for bit.
     """
-    v = universal_clone_isometry().matrix
-    psi = schmidt_ket(pair)
-    out = np.kron(v, v) @ psi.amplitudes  # factors (A, A', Ae, B, B', Be)
+    out = _CLONE_BOTH @ schmidt_ket(pair).amplitudes  # factors (A, A', Ae, B, B', Be)
     eta = LabeledState(np.outer(out, out.conj()), (2,) * 6, CLONE_LABELS)
     copy1 = trace_out(eta, ("A'", "Ae", "B'", "Be"))
     copy2 = trace_out(eta, ("A", "Ae", "B", "Be"))

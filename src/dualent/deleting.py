@@ -34,7 +34,6 @@ from .qstate import (
     SchmidtPair,
     _pure_rel_entropy,
     _pure_rel_entropy_on,
-    basis_ket,
     entropy_of_entanglement,
     schmidt_decompose,
     schmidt_ket,
@@ -62,9 +61,12 @@ class DeleteOutcome:
 
 
 def two_copy_ket(pair: SchmidtPair) -> Ket:
-    """psi (x) psi on registers (A, B, A', B')."""
-    psi = schmidt_ket(pair)
-    return Ket(np.kron(psi.amplitudes, psi.amplitudes), (2, 2, 2, 2))
+    """psi (x) psi on registers (A, B, A', B'): the input every deleting
+    machine acts on, as one validated ket.  :func:`schmidt_rank_nogo_check`
+    reads its rank across AA':BB'; the machines themselves run on its matrix
+    form diag(a^2, ab, ab, b^2) over (AA', BB')."""
+    psi = schmidt_ket(pair).amplitudes
+    return Ket(np.outer(psi, psi).ravel(), (2, 2, 2, 2))
 
 
 # amplitude order of a two-qubit ket with its parties exchanged
@@ -256,7 +258,7 @@ def min_over_product_pure(state: LabeledState):
     if state.dims != (2, 2):
         raise ValueError(f"two-qubit state required, got dims {state.dims}")
     value, x, y = _min_product_pure_matrix(state.matrix)
-    return float(value), Ket(np.kron(x, y), (2, 2))
+    return float(value), Ket(np.outer(x, y).ravel(), (2, 2))
 
 
 def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:
@@ -301,8 +303,7 @@ def schmidt_rank_nogo_check(pair: SchmidtPair) -> SchmidtRankCheck:
     """
     cut = ((0, 2), (1, 3))
     rank_input = schmidt_decompose(two_copy_ket(pair), cut).rank
-    psi = schmidt_ket(pair)
-    blank = basis_ket((2, 2), (0, 0))
-    target = Ket(np.kron(psi.amplitudes, blank.amplitudes), (2, 2, 2, 2))
-    rank_target = schmidt_decompose(target, cut).rank
+    target = np.zeros((4, 4), dtype=complex)
+    target[:, 0] = schmidt_ket(pair).amplitudes  # psi (x) |00>, rows (A, B)
+    rank_target = schmidt_decompose(Ket(target.ravel(), (2, 2, 2, 2)), cut).rank
     return SchmidtRankCheck(rank_input, rank_target, rank_input == rank_target)

@@ -8,6 +8,7 @@ returned as ``math.inf`` rather than raised.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -107,12 +108,15 @@ class Ket:
 
 
 def basis_ket(dims: Sequence[int], occupations: Sequence[int]) -> Ket:
-    """Computational basis ket |occupations[0], occupations[1], ...>."""
+    """Computational basis ket |occupations[0], occupations[1], ...>; each
+    occupation must lie in ``range`` of its factor's dimension."""
     dims = tuple(int(d) for d in dims)
     amps = np.zeros(math.prod(dims), dtype=complex)
     index = 0
-    for d, k in zip(dims, occupations, strict=True):
-        index = index * d + int(k)
+    for d, k in zip(dims, map(int, occupations), strict=True):
+        if not 0 <= k < d:
+            raise ValueError(f"occupation {k} outside range({d}) in {tuple(occupations)}")
+        index = index * d + k
     amps[index] = 1.0
     return Ket(amps, dims)
 
@@ -142,18 +146,32 @@ class SchmidtPair:
 class SchmidtDecomposition:
     """Schmidt form of a bipartite pure state across a chosen cut.
 
-    ``coefficients`` are the nonzero singular values in descending order;
-    their count is the Schmidt rank.  ``left_basis``/``right_basis`` are
-    the matching orthonormal kets on each side of the cut.
+    ``coefficients`` are the singular values of the cut matrix above
+    ``SCHMIDT_RANK_TOL``, in descending order; their count is the Schmidt
+    rank.  ``u`` (its columns) and ``vh`` (its rows) hold the matching
+    singular vectors, and ``left_dims``/``right_dims`` the factor dimensions
+    on each side.  ``left_basis``/``right_basis``, the matching orthonormal
+    kets, are built and validated on first read, so reading only the rank
+    builds none.
     """
 
     coefficients: np.ndarray
-    left_basis: tuple[Ket, ...]
-    right_basis: tuple[Ket, ...]
+    u: np.ndarray
+    vh: np.ndarray
+    left_dims: tuple[int, ...]
+    right_dims: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.coefficients)
+
+    @functools.cached_property
+    def left_basis(self) -> tuple[Ket, ...]:
+        return tuple(Ket(self.u[:, k], self.left_dims) for k in range(self.rank))
+
+    @functools.cached_property
+    def right_basis(self) -> tuple[Ket, ...]:
+        return tuple(Ket(self.vh[k], self.right_dims) for k in range(self.rank))
 
 
 def schmidt_ket(pair: SchmidtPair) -> Ket:
@@ -186,20 +204,20 @@ def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
 
     One SVD of the cut matrix gives the coefficients (its singular values,
     descending), the left kets (columns of U) and the right kets (rows of
-    Vh).  Singular values at or below ``SCHMIDT_RANK_TOL`` are dropped, so
-    the number returned is the Schmidt rank.  The SVD keeps a round-off
-    zero near 1e-16; the square root of a Gram eigenvalue would lift it to
-    ~1e-8, above the cutoff.
+    Vh), the kets built only when read.  Singular values at or below
+    ``SCHMIDT_RANK_TOL`` are dropped, so the number returned is the Schmidt
+    rank.  The SVD keeps a round-off zero near 1e-16; the square root of a
+    Gram eigenvalue would lift it to ~1e-8, above the cutoff.
     """
     mat, left, right = _cut_matrix(ket, cut)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(s > SCHMIDT_RANK_TOL))
-    left_dims = tuple(ket.dims[i] for i in left)
-    right_dims = tuple(ket.dims[i] for i in right)
     return SchmidtDecomposition(
         s[:rank],
-        tuple(Ket(u[:, k], left_dims) for k in range(rank)),
-        tuple(Ket(vh[k], right_dims) for k in range(rank)),
+        u[:, :rank],
+        vh[:rank],
+        tuple(ket.dims[i] for i in left),
+        tuple(ket.dims[i] for i in right),
     )
 
 

@@ -261,8 +261,10 @@ import sys
 sys.modules["scipy"] = None
 import numpy as np
 from dualent import (
-    LabeledState, LocalUnitary, SchmidtPair, clone_bound, clone_objective, crossover,
-    delete_bound, delete_objective, min_over_product_pure, optimize_clone, optimize_delete,
+    Ket, LabeledState, LocalUnitary, SchmidtPair, clone_bound, clone_objective, crossover,
+    delete_bound, delete_objective, local_clone_pipeline, local_delete_swap,
+    measure_forget_channel, min_over_product_pure, optimize_clone, optimize_delete,
+    rho_clone_closed_form, schmidt_decompose, schmidt_rank_nogo_check,
 )
 from dualent.cli import main
 from dualent.deleting import swap_gate
@@ -298,6 +300,16 @@ b[1, 1] += 0.1
 b[3, 3] = 0.3
 values = [min_over_product_pure(LabeledState(m, (2, 2), ("A", "B")))[0] for m in (a, b)]
 assert abs(values[0] - 2.0) <= 1e-12 and abs(values[1] - 1.7369655941662063) <= 1e-12
+# the four pipelines, and one decomposition's bases read
+_, copy1, copy2 = local_clone_pipeline(pair)
+for copy in (copy1, copy2):
+    assert abs(copy.matrix - rho_clone_closed_form(pair).matrix).max() <= 1e-12
+assert abs(local_delete_swap(pair).objective - delete_bound(pair)) <= 1e-10
+assert tuple(schmidt_rank_nogo_check(pair)) == (4, 2, False)
+system_out, env_out = measure_forget_channel(Ket(np.array([0.6, 0.8]), (2,)))
+assert abs(system_out.matrix - env_out.matrix).max() <= 1e-12
+dec = schmidt_decompose(Ket(np.array([0.6, 0, 0, 0.8]), (2, 2)))
+assert len(dec.left_basis) == len(dec.right_basis) == dec.rank == 2
 """
 
 

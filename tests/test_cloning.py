@@ -76,6 +76,25 @@ class TestIsometry:
             clone2 = la.partial_trace(out, (2, 2, 2), (0, 2))
             assert np.max(np.abs(clone1 - clone2)) < 1e-12
 
+    def test_cloner_is_a_read_only_constant(self, monkeypatch):
+        from dualent import cloning
+
+        cloner = universal_clone_isometry()
+        assert universal_clone_isometry() is cloner
+        assert cloner.matrix.tobytes() == (cloning._SYMMETRIC @ cloning._CLONER).tobytes()
+        assert cloning._CLONE_BOTH.tobytes() == np.kron(cloner.matrix, cloner.matrix).tobytes()
+        for constant in (cloner.matrix, cloning._CLONE_BOTH):
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0, 0] = 0.0
+
+        def refuse(*args):
+            raise AssertionError("the cloner was validated again")
+
+        monkeypatch.setattr(cloning, "CloneIsometry", refuse)
+        pair = SchmidtPair(0.6)
+        _, copy1, _ = local_clone_pipeline(pair)
+        assert np.max(np.abs(copy1.matrix - rho_clone_closed_form(pair).matrix)) <= 1e-12
+
 
 class TestClosedForm:
     def test_symmetric_point_block(self):

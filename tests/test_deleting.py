@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from dualent import linalg as la
 from dualent.cloning import clone_bound_combined
 from dualent.deleting import (
+    SchmidtRankCheck,
+    _min_product_pure_matrix,
     delete_bound,
     global_delete,
     local_delete_swap,
@@ -17,6 +19,7 @@ from dualent.deleting import (
     two_copy_ket,
 )
 from dualent.qstate import (
+    SCHMIDT_RANK_TOL,
     Ket,
     LabeledState,
     SchmidtPair,
@@ -204,6 +207,15 @@ class TestJensenExit:
             value = min_over_product_pure(LabeledState(matrix, (2, 2), ("A", "B")))[0]
             assert value == _every_support_eigenvector_minimum(matrix)
         assert scored == [1] * 50
+
+    def test_argmin_ket_is_the_kron_of_its_factors(self):
+        rng = np.random.default_rng(11)
+        states = [local_delete_swap(SchmidtPair(float(a))).out_apbp.matrix for a in A_GRID[::7]]
+        states += [_product_top_state(rng) for _ in range(5)]
+        for matrix in states:
+            _, x, y = _min_product_pure_matrix(matrix)
+            ket = min_over_product_pure(LabeledState(matrix, (2, 2), ("A", "B")))[1]
+            assert ket.amplitudes.tobytes() == np.kron(x, y).tobytes()
 
     def test_tied_spectrum_returns_the_top_eigenvector(self):
         # at a = 1/sqrt(2) the swap output is I/4: all four eigenvalues tie
@@ -602,3 +614,26 @@ class TestSchmidtRankNogo:
     def test_product_limit(self):
         check = schmidt_rank_nogo_check(SchmidtPair(0.0))
         assert check == (1, 1, True)
+
+    def test_ranks_match_the_kron_route(self):
+        # the target psi (x) |00> and the ranks as built with vector krons, a
+        # basis-ket blank and eager decompositions; a^2 and then ab drop below
+        # SCHMIDT_RANK_TOL as a falls
+        log_grid = np.logspace(-14, 0, 57)
+        for a in np.r_[np.linspace(0.01, SYM, 20), log_grid]:
+            pair = SchmidtPair(float(a))
+            psi = schmidt_ket(pair).amplitudes
+            blank = basis_ket((2, 2), (0, 0)).amplitudes
+            assert two_copy_ket(pair).amplitudes.tobytes() == np.kron(psi, psi).tobytes()
+            ranks = []
+            for amps in (np.kron(psi, psi), np.kron(psi, blank)):
+                mat = amps.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+                values = np.linalg.svd(mat, full_matrices=False)[1]
+                ranks.append(int(np.count_nonzero(values > SCHMIDT_RANK_TOL)))
+            expected = SchmidtRankCheck(ranks[0], ranks[1], ranks[0] == ranks[1])
+            assert schmidt_rank_nogo_check(pair) == expected, a
+        bands = [schmidt_rank_nogo_check(SchmidtPair(float(a))) for a in log_grid]
+        # a <= 1e-10, then 1.8e-10 ... 1e-5, then 1.8e-5 ... 0.56, then a = 1
+        assert bands == [(1, 1, True)] * 17 + [(3, 2, False)] * 20 + [(4, 2, False)] * 19 + [
+            (1, 1, True)
+        ]

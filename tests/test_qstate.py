@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 
@@ -8,14 +9,17 @@ from hypothesis import strategies as st
 
 from dualent import linalg as la
 from dualent.cloning import CloneIsometry, local_clone_pipeline
-from dualent.nogo import KrausSet
+from dualent.deleting import local_delete_swap, schmidt_rank_nogo_check, two_copy_ket
+from dualent.nogo import KrausSet, measure_forget_channel
 from dualent.qstate import (
+    SCHMIDT_RANK_TOL,
     Ket,
     LabeledState,
     SchmidtPair,
     _pure_rel_entropy,
     _pure_rel_entropy_grad,
     _pure_rel_entropy_on,
+    basis_ket,
     dm_from_ket,
     entropy_of_entanglement,
     rel_ent_entanglement_pure,
@@ -93,6 +97,13 @@ class TestKetAndState:
             LabeledState(np.eye(4) / 4, (2, 2), ("A", "A"))
         with pytest.raises(ValueError, match="not PSD"):
             LabeledState(np.diag([1.5, -0.5]), (2,), ("A",))
+
+    def test_basis_ket(self):
+        assert np.array_equal(basis_ket((2, 3), (1, 2)).amplitudes, np.eye(6)[5])
+        with pytest.raises(ValueError, match=re.escape("occupation 2 outside range(2)")):
+            basis_ket((2, 2), (0, 2))
+        with pytest.raises(ValueError, match=re.escape("occupation -1 outside range(2)")):
+            basis_ket((2, 2), (-1, 1))
 
 
 NAN = float("nan")
@@ -228,6 +239,80 @@ class TestSchmidtDecompose:
     def test_invalid_cut_rejected(self):
         with pytest.raises(ValueError, match="bipartition"):
             schmidt_decompose(BELL, cut=((0,), (0, 1)))
+
+
+@pytest.fixture
+def census(monkeypatch):
+    """Validated constructions while a test runs, counted by (class, dims);
+    the cloner, which has no dims, counts under (class, None)."""
+    built = collections.Counter()
+    for cls in (Ket, LabeledState, CloneIsometry):
+
+        def counted(self, check=cls.__post_init__):
+            built[type(self).__name__, tuple(getattr(self, "dims", ())) or None] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+class TestConstructionCensus:
+    """Each pipeline validates what it returns and builds no other checked
+    object than its inputs."""
+
+    def test_rank_check_builds_no_schmidt_vector(self, census):
+        schmidt_rank_nogo_check(SchmidtPair(0.6))
+        # psi twice, psi (x) psi and psi (x) |00>
+        assert census == {("Ket", (2, 2)): 2, ("Ket", (2, 2, 2, 2)): 2}
+
+    def test_clone_pipeline_builds_its_three_states(self, census):
+        local_clone_pipeline(SchmidtPair(0.6))
+        assert census == {
+            ("Ket", (2, 2)): 1,
+            ("LabeledState", (2,) * 6): 1,
+            ("LabeledState", (2, 2)): 2,
+        }
+
+    def test_swap_deleter_and_measure_forget(self, census):
+        from dualent import deleting
+
+        deleting._delete_constants.cache_clear()
+        local_delete_swap(SchmidtPair(0.6))
+        # psi for the cached targets, both outputs and the argmin ket
+        assert census == {("Ket", (2, 2)): 2, ("LabeledState", (2, 2)): 2}
+        census.clear()
+        measure_forget_channel(Ket(np.array([0.6, 0.8]), (2,)))
+        assert census == {("Ket", (2,)): 1, ("LabeledState", (2,)): 2}
+
+    @pytest.mark.parametrize(
+        "ket, cut",
+        [
+            (two_copy_ket(SchmidtPair(0.6)), ((0, 2), (1, 3))),
+            (two_copy_ket(SchmidtPair(1e-7)), ((0, 2), (1, 3))),
+            (random_ket(np.random.default_rng(43), (2, 3)), ((0,), (1,))),
+            (basis_ket((2, 2), (1, 0)), ((0,), (1,))),
+        ],
+    )
+    def test_bases_are_built_on_first_read(self, ket, cut, census):
+        # the bases as schmidt_decompose built them eagerly
+        mat = ket.amplitudes.reshape(ket.dims).transpose(cut[0] + cut[1])
+        mat = mat.reshape(math.prod(ket.dims[i] for i in cut[0]), -1)
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        rank = int(np.count_nonzero(s > SCHMIDT_RANK_TOL))
+        left_dims = tuple(ket.dims[i] for i in cut[0])
+        right_dims = tuple(ket.dims[i] for i in cut[1])
+        eager_left = [Ket(u[:, k], left_dims).amplitudes for k in range(rank)]
+        eager_right = [Ket(vh[k], right_dims).amplitudes for k in range(rank)]
+        census.clear()
+        dec = schmidt_decompose(ket, cut)
+        assert dec.rank == rank and not census
+        left = dec.left_basis
+        assert census == {("Ket", left_dims): rank}
+        assert dec.left_basis is left and census == {("Ket", left_dims): rank}
+        right = dec.right_basis
+        assert sum(census.values()) == 2 * rank and dec.right_basis is right
+        assert [k.amplitudes.tobytes() for k in left] == [b.tobytes() for b in eager_left]
+        assert [k.amplitudes.tobytes() for k in right] == [b.tobytes() for b in eager_right]
 
 
 SCHMIDT_SHAPES = [((dl, dr), ((0,), (1,))) for dl in (2, 3, 4) for dr in (2, 3, 4)]
