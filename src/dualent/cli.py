@@ -17,7 +17,7 @@ import numpy as np
 from .cloning import clone_bound_combined, crossover
 from .deleting import _on_convention, delete_bound, schmidt_rank_nogo_check
 from .nogo import measure_forget_channel, no_local_cloning_certificate
-from .qstate import Ket, SchmidtPair, entropy_of_entanglement, schmidt_ket
+from .qstate import Ket, SchmidtPair, _pair_entropy
 from .variational import optimize_clone, optimize_delete
 
 SWEEP_A_MIN = 0.01  # the a -> 0 endpoint is a product state with both bounds 0
@@ -87,7 +87,7 @@ def _cmd_clone_bound(args) -> int:
 
 def _cmd_delete_bound(args) -> int:
     pair = SchmidtPair(args.a)
-    e = entropy_of_entanglement(schmidt_ket(pair))
+    e = _pair_entropy(pair)
     print(" ".join([_fmt("a", pair.a), _fmt("E", e), _fmt("D_bound", delete_bound(pair))]))
     return 0
 

@@ -22,8 +22,7 @@ import numpy as np
 from .qstate import (
     LabeledState,
     SchmidtPair,
-    dm_from_ket,
-    rel_ent_entanglement_pure,
+    _pair_entropy,
     relative_entropy,
     schmidt_ket,
     trace_out,
@@ -120,8 +119,14 @@ def clone_bound(pair: SchmidtPair) -> float:
     """Cloning-side upper bound: S(|psi><psi| | rho_clone), in bits.
 
     Always finite; the copy has full rank on the block containing psi.
+    The projector is built from the pair's amplitudes: its only nonzero
+    block, on |00> and |11>, is [[a^2, ab], [ab, b^2]].
     """
-    psi = dm_from_ket(schmidt_ket(pair))
+    a, b = pair.a, pair.b
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[3, 3] = a * a, b * b
+    m[0, 3] = m[3, 0] = a * b
+    psi = LabeledState(m, (2, 2), ("A", "B"))
     return relative_entropy(psi, rho_clone_closed_form(pair))
 
 
@@ -139,9 +144,10 @@ def clone_bound_combined(pair: SchmidtPair) -> CloneBoundRecord:
     """min(E_R, S_clone): the tighter of the two upper bounds.
 
     E_R wins for weakly entangled states, the cloner bound for strongly
-    entangled ones; the branches cross near a = 0.428.
+    entangled ones; the branches cross near a = 0.428.  For the pure input
+    E_R equals the entropy of entanglement, read from the Schmidt weights.
     """
-    e_r = rel_ent_entanglement_pure(schmidt_ket(pair))
+    e_r = _pair_entropy(pair)
     s_clone = clone_bound(pair)
     return CloneBoundRecord(pair.a, e_r, s_clone, min(e_r, s_clone))
 

@@ -32,9 +32,9 @@ from .qstate import (
     Ket,
     LabeledState,
     SchmidtPair,
+    _pair_entropy,
     _pure_rel_entropy,
     _pure_rel_entropy_on,
-    entropy_of_entanglement,
     schmidt_decompose,
     schmidt_ket,
 )
@@ -150,7 +150,7 @@ def delete_bound(pair: SchmidtPair) -> float:
     above 1/sqrt(2) as 1/sqrt(2); equals the swap deleter's objective.
     """
     pair = _on_convention(pair)
-    return entropy_of_entanglement(schmidt_ket(pair)) - 2.0 * math.log2(pair.b)
+    return _pair_entropy(pair) - 2.0 * math.log2(pair.b)
 
 
 # the sphere search's starts: qubit kets on a 13 x 24 polar x azimuthal grid

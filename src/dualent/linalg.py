@@ -17,8 +17,9 @@ The zero rules: each is one constant, applied by the functions listed.
   factorisation of rho + ``PSD_TOL`` I with ``eigvalsh`` deciding the matrices it fails on,
   and :func:`matrix_log2_on_support`, through its eigenvalues.
 - Support, eigenvalues above ``SUPPORT_TOL``: :func:`matrix_log2_on_support`, qstate's
-  entropies (``entropy_of_entanglement``, so the ``nogo distill`` verdict) and pure-state
-  kernel ``_pure_rel_entropy_on``, and the support rank in ``deleting.min_over_product_pure``.
+  entropies (``entropy_of_entanglement``, and ``_pair_entropy`` on a Schmidt pair's weights,
+  so E_R, ``delete_bound`` and the ``nogo distill`` verdict) and pure-state kernel
+  ``_pure_rel_entropy_on``, and the support rank in ``deleting.min_over_product_pure``.
 - Leak, at most ``qstate.SUPPORT_LEAK_TOL`` weight off the support, else +inf:
   ``qstate.relative_entropy`` and ``_pure_rel_entropy_on``.
 - Schmidt rank, singular values above ``qstate.SCHMIDT_RANK_TOL``: ``schmidt_decompose``

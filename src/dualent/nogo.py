@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg as la
-from .qstate import Ket, LabeledState, SchmidtPair, entropy_of_entanglement, schmidt_ket
+from .qstate import Ket, LabeledState, SchmidtPair, _pair_entropy
 
 COMPLETENESS_TOL = 1e-12
 
@@ -107,5 +107,5 @@ def no_local_cloning_certificate(pair: SchmidtPair) -> CloningCertificate:
     while a perfect two-copy output would carry at least 2 E(psi); the
     requirement exceeds the supply exactly when psi is entangled.
     """
-    e = entropy_of_entanglement(schmidt_ket(pair))
+    e = _pair_entropy(pair)
     return CloningCertificate(e, 2.0 * e, 2.0 * e > e)

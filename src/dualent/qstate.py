@@ -19,7 +19,7 @@ from . import linalg as la
 
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
-# support(rho) lies inside support(sigma) when tr((I - P_sigma) rho) < this
+# support(rho) lies inside support(sigma) when tr((I - P_sigma) rho) <= this
 SUPPORT_LEAK_TOL = 1e-10
 # singular values below this do not count toward the Schmidt rank
 SCHMIDT_RANK_TOL = 1e-10
@@ -238,15 +238,17 @@ def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
     The first term is -S(rho), read from rho's spectrum with the same
     ``SUPPORT_TOL`` cutoff as :func:`von_neumann_entropy`; only sigma gets a
     matrix logarithm.  Returns ``math.inf`` when the support of rho leaks
-    outside the support of sigma (tr((I - P_sigma) rho) >= 1e-10).
+    outside the support of sigma, tr((I - P_sigma) rho) above
+    ``SUPPORT_LEAK_TOL``.  Both traces are read as one ``vdot`` each:
+    tr(M rho) = sum conj(M_ij) rho_ij for the Hermitian P_sigma and log2 sigma.
     """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     log_sigma, projector = la.matrix_log2_on_support(sigma.matrix)
-    leak = float(np.trace(rho.matrix - projector @ rho.matrix).real)
+    leak = float((rho.matrix.trace() - np.vdot(projector, rho.matrix)).real)
     if leak > SUPPORT_LEAK_TOL:
         return math.inf
-    return -von_neumann_entropy(rho) - float(np.trace(rho.matrix @ log_sigma).real)
+    return -von_neumann_entropy(rho) - float(np.vdot(log_sigma, rho.matrix).real)
 
 
 def _pure_rel_entropy(vec: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -303,6 +305,13 @@ def entropy_of_entanglement(ket: Ket, cut=((0,), (1,))) -> float:
     matrix."""
     mat, _, _ = _cut_matrix(ket, cut)
     return _entropy_from_eigenvalues(np.linalg.svd(mat, compute_uv=False) ** 2)
+
+
+def _pair_entropy(pair: SchmidtPair) -> float:
+    """Entanglement of a|00> + b|11>, read from its Schmidt weights (a^2, b^2)
+    under the same ``SUPPORT_TOL`` rule as :func:`entropy_of_entanglement`,
+    with no ket and no SVD."""
+    return _entropy_from_eigenvalues(np.array([pair.a * pair.a, pair.b * pair.b]))
 
 
 def rel_ent_entanglement_pure(ket: Ket, cut=((0,), (1,))) -> float:

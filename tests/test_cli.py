@@ -251,20 +251,23 @@ class TestVariationalCommand:
         assert exc.value.code != 0
 
 
-# A None entry in sys.modules makes every scipy import raise ImportError.
-# The script runs every CLI subcommand and checks the seeds' objectives and
-# the product minimum's rank forms; the sweep writes to the path given as its
+# A None entry in sys.modules makes every scipy (and mpmath, which only the
+# oracle tests use) import raise ImportError.  The script runs every CLI
+# subcommand and checks the bounds' entropies, the seeds' objectives and the
+# product minimum's rank forms; the sweep writes to the path given as its
 # argument.  CI's "Runtime without scipy" step runs this test with scipy
 # uninstalled.
 WITHOUT_SCIPY = """
+import math
 import sys
-sys.modules["scipy"] = None
+sys.modules["scipy"] = sys.modules["mpmath"] = None
 import numpy as np
 from dualent import (
-    Ket, LabeledState, LocalUnitary, SchmidtPair, clone_bound, clone_objective, crossover,
-    delete_bound, delete_objective, local_clone_pipeline, local_delete_swap,
-    measure_forget_channel, min_over_product_pure, optimize_clone, optimize_delete,
-    rho_clone_closed_form, schmidt_decompose, schmidt_rank_nogo_check,
+    Ket, LabeledState, LocalUnitary, SchmidtPair, clone_bound, clone_bound_combined,
+    clone_objective, crossover, delete_bound, delete_objective, local_clone_pipeline,
+    local_delete_swap, measure_forget_channel, min_over_product_pure,
+    no_local_cloning_certificate, optimize_clone, optimize_delete, rho_clone_closed_form,
+    schmidt_decompose, schmidt_rank_nogo_check,
 )
 from dualent.cli import main
 from dualent.deleting import swap_gate
@@ -284,6 +287,13 @@ for argv in [
 ]:
     assert main(argv) == 0, argv
 pair, cloner = SchmidtPair(0.6), cloner_seed_params()
+# the bounds' entropies, read from the Schmidt weights, against h(a^2) and h(a^2) - 2 log2 b
+def h(w):
+    return -(w * math.log2(w) + (1 - w) * math.log2(1 - w))
+assert abs(clone_bound_combined(SchmidtPair(0.3)).e_r - h(0.09)) <= 1e-12
+assert abs(delete_bound(pair) - (h(0.36) - 2 * math.log2(0.8))) <= 1e-12
+cert = no_local_cloning_certificate(pair)
+assert abs(cert.ed_input - h(0.36)) <= 1e-12 and cert.contradiction
 swap = delete_objective(pair, LocalUnitary(swap_gate()), LocalUnitary(np.eye(4)))
 assert abs(swap - delete_bound(pair)) <= 1e-12
 assert abs(clone_objective(pair, cloner, cloner) - clone_bound(pair)) <= 1e-12

@@ -8,14 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualent import linalg as la
-from dualent.cloning import CloneIsometry, local_clone_pipeline
-from dualent.deleting import local_delete_swap, schmidt_rank_nogo_check, two_copy_ket
-from dualent.nogo import KrausSet, measure_forget_channel
+from dualent.cloning import CloneIsometry, clone_bound_combined, local_clone_pipeline
+from dualent.deleting import (
+    delete_bound,
+    local_delete_swap,
+    schmidt_rank_nogo_check,
+    two_copy_ket,
+)
+from dualent.nogo import KrausSet, measure_forget_channel, no_local_cloning_certificate
 from dualent.qstate import (
     SCHMIDT_RANK_TOL,
     Ket,
     LabeledState,
     SchmidtPair,
+    _pair_entropy,
     _pure_rel_entropy,
     _pure_rel_entropy_grad,
     _pure_rel_entropy_on,
@@ -35,6 +41,9 @@ H_036 = -(0.36 * math.log2(0.36) + 0.64 * math.log2(0.64))  # 0.9426831892554922
 H_009 = -(0.09 * math.log2(0.09) + 0.91 * math.log2(0.91))  # 0.43646981706410287
 
 BELL = Ket(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2), (2, 2))
+# the acceptance suite's grid over the family, and a log grid through the product limit
+GRID_50 = np.linspace(0.01, 1 / math.sqrt(2), 50)
+LOG_GRID = np.logspace(-14, 0, 57)
 
 ENTROPY_DROPS_RANK_WEIGHTS = pytest.mark.xfail(
     strict=True,
@@ -272,6 +281,16 @@ class TestConstructionCensus:
             ("LabeledState", (2,) * 6): 1,
             ("LabeledState", (2, 2)): 2,
         }
+
+    def test_point_evaluation_builds_only_the_clone_bound_states(self, census):
+        pair = SchmidtPair(0.6)
+        clone_bound_combined(pair)
+        # psi's projector and the closed-form copy; E_R needs no ket
+        assert census == {("LabeledState", (2, 2)): 2}
+        census.clear()
+        delete_bound(pair)
+        no_local_cloning_certificate(pair)
+        assert not census
 
     def test_swap_deleter_and_measure_forget(self, census):
         from dualent import deleting
@@ -660,6 +679,15 @@ class TestEntanglement:
         weight = a * a  # the other weight is 1 - a^2, its log by log1p
         exact = -(weight * math.log2(weight) + (1 - weight) * math.log1p(-weight) / math.log(2))
         assert abs(entropy_of_entanglement(psi) - exact) <= 0.01 * exact
+
+    def test_pair_entropy_agrees_with_the_ket_route(self):
+        for a in np.r_[GRID_50, LOG_GRID]:
+            pair = SchmidtPair(float(a))
+            from_weights = _pair_entropy(pair)
+            from_ket = entropy_of_entanglement(schmidt_ket(pair))
+            assert abs(from_weights - from_ket) <= 1e-15, a
+            if a <= 1e-5:  # the product-limit band of the nogo distill verdict
+                assert from_weights == from_ket, a
 
     def test_additive_over_two_copies(self):
         psi = schmidt_ket(SchmidtPair(0.6))
