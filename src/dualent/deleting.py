@@ -4,17 +4,17 @@ deleting.
 
 Deleting works on two copies of a|00> + b|11> held as (A, B) and (A', B');
 the only closed local operations are local unitaries U_AA' (x) U_BB', run
-through the same circuit kernel as the local-unitary search.  The quality of
-one deleting machine is the mean of two relative-entropy terms: kept copy
-against the input, and the best admissible separable target against the
-deleted copy.  For pure inputs the admissible targets are the pure product
-states, and :func:`min_over_product_pure` finds the best one for one deleted
-copy at a time, over the product kets inside its support, in the form the
-support's rank allows.  One scorer computes both terms, with validated output states, for the swap
-machine (swap A with A' at Alice's side) and for the public deleting
-objective of any machine.  The deleting search never calls it: it scores
-the deleted copy against the fixed product target |11> and reports that
-score.
+through :func:`~dualent.qstate._local_output`, the circuit the cloning
+search shares.  The quality of one deleting machine is the mean of two
+relative-entropy terms: kept copy against the input, and the best admissible
+separable target against the deleted copy.  For pure inputs the admissible
+targets are the pure product states, and :func:`min_over_product_pure` finds
+the best one for one deleted copy at a time, over the product kets inside
+its support, in the form the support's rank allows.  One scorer computes
+both terms, with validated output states, for the swap machine (swap A with
+A' at Alice's side) and for the public deleting objective of any machine.
+The deleting search never calls it: it scores the deleted copy against the
+fixed product target |11> and reports that score.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .qstate import (
     Ket,
     LabeledState,
     SchmidtPair,
+    _local_output,
     _pair_entropy,
     _pure_rel_entropy,
     _pure_rel_entropy_on,
@@ -90,21 +91,13 @@ def _delete_constants(pair: SchmidtPair) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
-    """Marginals of (U_AA' (x) U_BB') applied to psi (x) psi, for each pair
-    of unitaries in the (..., 4, 4) stacks ``u_alice`` and ``u_bob``.
-
-    Arranged as a matrix M over (AA', BB'), psi (x) psi is diag(a^2, ab,
-    ab, b^2), and the local unitaries map it to U_A M U_B^T.  Returns the
-    stacked (A, B) and (A', B') marginals and the stacked output K with rows
-    (A, B) and columns (A', B'): out_AB = K K^dag and out_A'B' = K^T K^*.
-    """
-    weights = _delete_constants(pair)[1]
-    out = (u_alice * weights) @ u_bob.swapaxes(-1, -2)
-    t = out.reshape(out.shape[:-2] + (2, 2, 2, 2))  # (A, A', B, B')
-    kept = t.swapaxes(-3, -2).reshape(out.shape)  # rows (A, B), columns (A', B')
-    out_ab = kept @ kept.conj().swapaxes(-1, -2)
-    out_apbp = kept.swapaxes(-1, -2) @ kept.conj()
-    return out_ab, out_apbp, kept
+    """Marginals of (U_AA' (x) U_BB') applied to psi (x) psi, for each pair of
+    unitaries in the (..., 4, 4) stacks ``u_alice`` and ``u_bob``, from the output
+    K of :func:`~dualent.qstate._local_output` on the weights diag(psi (x) psi) =
+    (a^2, ab, ab, b^2) over (AA', BB'): ``(out_AB, out_A'B', K)``, with K's rows
+    (A, B) and columns (A', B'), out_AB = K K^dag and out_A'B' = K^T K^*."""
+    kept = _local_output(_delete_constants(pair)[1], u_alice, u_bob)
+    return kept @ kept.conj().swapaxes(-1, -2), kept.swapaxes(-1, -2) @ kept.conj(), kept
 
 
 def _delete_outcome(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> DeleteOutcome:

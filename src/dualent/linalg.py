@@ -25,6 +25,9 @@ The zero rules: each is one constant, applied by the functions listed.
 - Schmidt rank, singular values above ``qstate.SCHMIDT_RANK_TOL``: ``schmidt_decompose``
   (so ``deleting.schmidt_rank_nogo_check`` and the ``nogo schmidt`` verdict) and the product
   minimum's test that a top eigenvector is product.
+- Machines: ``variational.LocalUnitary`` and ``cloning.CloneIsometry`` bound each entry of
+  V^dag V - I by 1e-12, written in each; ``nogo.KrausSet`` bounds ||sum A^dag A - I||, the
+  Frobenius norm, by ``nogo.COMPLETENESS_TOL``.  One rule for both would move a public check.
 """
 
 from __future__ import annotations

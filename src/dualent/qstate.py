@@ -299,6 +299,29 @@ def _pure_rel_entropy_grad(vec: np.ndarray, rho: np.ndarray):
     return value, -(vectors @ inner @ vectors.conj().swapaxes(-1, -2))
 
 
+def _local_output(weights, v_alice: np.ndarray, v_bob: np.ndarray) -> np.ndarray:
+    """The output K of local machines run on sum_i w_i |i>|i>, for k ``weights``
+    and (..., 2m, k) stacks of isometries from k levels into the party's qubit (A
+    or B) and m others: V_A diag(w) V_B^T as rows (A, B) and columns (Alice's m
+    others, Bob's m others), so the (A, B) marginal is K K^dag, the others' K^T K^*."""
+    out = (v_alice * weights) @ v_bob.swapaxes(-1, -2)
+    t = out.reshape(out.shape[:-2] + (2, -1, 2, out.shape[-1] // 2))  # (A, others, B, others)
+    return t.swapaxes(-3, -2).reshape(out.shape[:-2] + (4, -1))
+
+
+def _local_output_adjoint(grad: np.ndarray, v_alice: np.ndarray, v_bob: np.ndarray):
+    """The adjoint of :func:`_local_output` before its weights: for the gradient G
+    in K, dS = Re tr(G^dag dK), and G_out, G regrouped over (Alice, Bob), the (...,
+    2, 2m, k) stack G_out V_B^*, G_out^T V_A^*, which times diag(w) are the gradients
+    in V_A and V_B.  Each caller applies diag(w) itself, which fixes its rounding."""
+    g = grad.reshape(grad.shape[:-2] + (2, 2, v_alice.shape[-2] // 2, -1)).swapaxes(-3, -2)
+    g = g.reshape(grad.shape[:-2] + (v_alice.shape[-2], -1))
+    grads = np.empty(grad.shape[:-2] + (2,) + v_alice.shape[-2:], dtype=complex)
+    np.matmul(g, v_bob.conj(), out=grads[..., 0, :, :])
+    np.matmul(g.swapaxes(-1, -2), v_alice.conj(), out=grads[..., 1, :, :])
+    return grads
+
+
 def entropy_of_entanglement(ket: Ket, cut=((0,), (1,))) -> float:
     """Entanglement of a bipartite pure state: the entropy of either
     marginal, whose spectrum is the squared singular values of the cut

@@ -24,15 +24,15 @@ Manifolds, 2008).  Every gradient is read at H = 0 in the chart of the
 machine it belongs to, where exp(iH) has derivative iH.  The reports carry
 each run's final machine as it is.
 
-Each machine family has one circuit kernel, taking the pair and two stacks
-of unitaries to one search score per machine, and both kernels score with
-the same pure-state relative entropy.  The deleting kernel runs the circuit
-of :func:`~dualent.deleting.local_delete_swap`, and it scores the deleted
-copy against the fixed product target |11>, not against the best product
-target: local unitaries on A' and B' after the machine fold into U_A and
-U_B, so both scores have the same infimum.  The inner minimum over product
-targets runs only in the deleting machine's one scorer, which
-:func:`delete_objective` and ``local_delete_swap`` share.
+One circuit, :func:`~dualent.qstate._local_output`, runs both families'
+machines and its one adjoint differentiates them.  Each family has one
+scoring kernel, from the pair and two stacks of unitaries to one search score
+per machine; both score with the same pure-state relative entropy.  The
+deleting kernel scores the deleted copy against the fixed product target
+|11>, not the best product target: local unitaries on A' and B' after the
+machine fold into U_A and U_B, so both scores have the same infimum.  The
+inner minimum over product targets runs only in the deleting machine's one
+scorer, which :func:`delete_objective` and ``local_delete_swap`` share.
 
 Both searches run one driver: every restart is a BFGS run, which keeps a
 dense inverse Hessian (the steps have only 32 or 40 reals), written as a
@@ -62,7 +62,7 @@ from . import linalg as la
 from .cloning import _CLONER, _SYMMETRIC, clone_bound
 from .deleting import _delete_constants, _delete_outcome, _delete_terms, _on_convention
 from .deleting import delete_bound, swap_gate
-from .qstate import SchmidtPair, _pure_rel_entropy_grad
+from .qstate import SchmidtPair, _local_output, _local_output_adjoint, _pure_rel_entropy_grad
 
 # value-and-gradient evaluations per restart; the longest restart seen, a
 # perturbed deleting restart at a = 0.7022, took 448
@@ -199,20 +199,15 @@ def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nd
     local unitary on A' or B' after the machine leaves out_AB alone and
     turns the inner argmin into |11>, and it folds into U_A or U_B.
 
-    With out_AB = K K^dag and out_A'B' = K^T K^*, the two terms' gradients
-    G1, G2 in their states give G_K = G1 K + K G2^*; K is a reshuffle of
-    out = U_A D U_B^T, D = diag(psi (x) psi).
+    With out_AB = K K^dag and out_A'B' = K^T K^* for the circuit's K, the
+    two terms' gradients G1, G2 in their states give G_K = G1 K + K G2^*.
     """
     out_ab, out_apbp, kept = _delete_terms(pair, u_alice, u_bob)
     targets, weights = _delete_constants(pair)
     states = np.concatenate([out_ab[..., None, :, :], out_apbp[..., None, :, :]], axis=-3)
     terms, grads = _pure_rel_entropy_grad(targets, states)
     grad_kept = grads[..., 0, :, :] @ kept + kept @ grads[..., 1, :, :].conj()
-    grad_out = grad_kept.reshape(kept.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
-    grad_out = grad_out.reshape(kept.shape)
-    grad_u = np.empty(kept.shape[:-2] + (2, 4, 4), dtype=complex)
-    np.multiply(grad_out @ u_bob.conj(), weights, out=grad_u[..., 0, :, :])
-    np.multiply(grad_out.swapaxes(-1, -2) @ u_alice.conj(), weights, out=grad_u[..., 1, :, :])
+    grad_u = _local_output_adjoint(grad_kept, u_alice, u_bob) * weights
     return 0.5 * (terms[..., 0] + terms[..., 1]), grad_u
 
 
@@ -234,35 +229,21 @@ def clone_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnitar
     return float(_clone_objectives_grad(pair, *_pair_unitaries(u_alice, u_bob, 6))[0][0])
 
 
-def _clone_amplitudes(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
-    """The (..., 4, 16) output amplitudes, rows (A, B) and columns (A', Ae, B',
-    Be), whose Gram matrix is the (A, B) marginal of the cloning circuit output
-    (the (A', B') copy equals it by construction), and each party's machine,
-    the 8x2 isometry S U[:, :2] from its qubit into (clone, clone, env)."""
-    alice, bob = _SYMMETRIC @ u_alice[..., :2], _SYMMETRIC @ u_bob[..., :2]
-    out = (alice * (pair.a, pair.b)) @ bob.swapaxes(-1, -2)
-    t = out.reshape(-1, 2, 2, 2, 2, 2, 2)  # (machine, A, A', Ae, B, B', Be)
-    return t.transpose(0, 1, 4, 2, 3, 5, 6).reshape(out.shape[:-2] + (4, 16)), alice, bob
-
-
 def _clone_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
     """The cloning objective of each machine in the (k, 6, 6) stacks, and its
     gradients in U_A and U_B as a (k, 2, 6, 6) stack (d value = Re
     tr(G_A^dag dU_A + G_B^dag dU_B)); only their first two columns, the ones
     the input reaches, are nonzero.
 
-    With copy = M M^dag for the amplitudes M, G_M = 2 G M; M is a reshuffle
-    of out = S U_A[:, :2] diag(a, b) (S U_B[:, :2])^T.
+    With copy = K K^dag, for the shared circuit's output K of the isometries
+    S U_A[:, :2] and S U_B[:, :2] on the weights (a, b), G_K = 2 G K.
     """
-    ab, alice, bob = _clone_amplitudes(pair, u_alice, u_bob)
+    alice, bob = _SYMMETRIC @ u_alice[..., :2], _SYMMETRIC @ u_bob[..., :2]
+    ab = _local_output((pair.a, pair.b), alice, bob)
     psi = _delete_constants(pair)[0][0]
     value, grad_copy = _pure_rel_entropy_grad(psi, ab @ ab.conj().swapaxes(-1, -2))
-    grad_ab = 2.0 * grad_copy @ ab
-    grad_out = grad_ab.reshape(-1, 2, 2, 2, 2, 2, 2).transpose(0, 1, 3, 4, 2, 5, 6)
-    grad_out = grad_out.reshape(ab.shape[:-2] + (8, 8))
     grads = np.zeros(ab.shape[:-2] + (2, 6, 6), dtype=complex)
-    grads[..., 0, :, :2] = _SYMMETRIC.T @ (grad_out @ bob.conj())
-    grads[..., 1, :, :2] = _SYMMETRIC.T @ (grad_out.swapaxes(-1, -2) @ alice.conj())
+    grads[..., :2] = _SYMMETRIC.T @ _local_output_adjoint(2.0 * grad_copy @ ab, alice, bob)
     grads[..., :2] *= (pair.a, pair.b)
     return value, grads
 
