@@ -19,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (
-    LabeledState,
-    SchmidtPair,
-    _pair_entropy,
-    relative_entropy,
-    schmidt_ket,
-    trace_out,
-)
+from . import linalg as la
+from .qstate import LabeledState, SchmidtPair, _pair_entropy, relative_entropy, trace_out
 
 CLONE_LABELS = ("A", "A'", "Ae", "B", "B'", "Be")
 
@@ -42,9 +36,9 @@ class CloneIsometry:
         object.__setattr__(self, "matrix", matrix)
         if matrix.shape != (8, 2):
             raise ValueError(f"clone isometry must be 8x2, got {matrix.shape}")
-        gram = matrix.conj().T @ matrix
-        if not np.max(np.abs(gram - np.eye(2))) <= 1e-12:
-            raise ValueError("clone isometry columns are not orthonormal")
+        defect = la.isometry_defect(matrix)
+        if not defect <= la.ISOMETRY_TOL:
+            raise ValueError(f"clone isometry columns are not orthonormal: defect {defect:.3e}")
 
 
 # S, the 8x6 isometry onto Sym^2(C^2) (x) C^2_env (basis index clone1*4 +
@@ -60,11 +54,9 @@ _CLONER = np.zeros((6, 2), dtype=complex)
 _CLONER[[0, 3], [0, 1]] = math.sqrt(2.0 / 3.0)
 _CLONER[[5, 4], [0, 1]] = math.sqrt(1.0 / 3.0)
 _SYMMETRIC.flags.writeable = _CLONER.flags.writeable = False
-# the cloner, validated once, and the 64x4 map V (x) V both parties run
+# the cloner, validated once
 _UNIVERSAL = CloneIsometry(_SYMMETRIC @ _CLONER)
 _UNIVERSAL.matrix.flags.writeable = False
-_CLONE_BOTH = np.kron(_UNIVERSAL.matrix, _UNIVERSAL.matrix)
-_CLONE_BOTH.flags.writeable = False
 
 
 def universal_clone_isometry() -> CloneIsometry:
@@ -93,7 +85,9 @@ def local_clone_pipeline(pair: SchmidtPair):
     in Sym^2(C^2) (x) C^2_env, so swapping Alice's two clone registers A and
     A' would leave ``eta`` unchanged, bit for bit.
     """
-    out = _CLONE_BOTH @ schmidt_ket(pair).amplitudes  # factors (A, A', Ae, B, B', Be)
+    v = _UNIVERSAL.matrix
+    # V diag(a, b) V^T: rows Alice's (A, A', Ae), columns Bob's (B, B', Be)
+    out = ((v * (pair.a, pair.b)) @ v.T).ravel()
     eta = LabeledState(np.outer(out, out.conj()), (2,) * 6, CLONE_LABELS)
     copy1 = trace_out(eta, ("A'", "Ae", "B'", "Be"))
     copy2 = trace_out(eta, ("A", "Ae", "B", "Be"))
@@ -145,7 +139,7 @@ def clone_bound_combined(pair: SchmidtPair) -> CloneBoundRecord:
 
     E_R wins for weakly entangled states, the cloner bound for strongly
     entangled ones; the branches cross near a = 0.428.  For the pure input
-    E_R equals the entropy of entanglement, read from the Schmidt weights.
+    E_R equals the entropy of entanglement, read from the Schmidt coefficients.
     """
     e_r = _pair_entropy(pair)
     s_clone = clone_bound(pair)

@@ -17,17 +17,18 @@ The zero rules: each is one constant, applied by the functions listed.
   factorisation of rho + ``PSD_TOL`` I with ``eigvalsh`` deciding the matrices it fails on,
   and :func:`matrix_log2_on_support`, through its eigenvalues.
 - Support, eigenvalues above ``SUPPORT_TOL``: :func:`matrix_log2_on_support`, qstate's
-  entropies (``entropy_of_entanglement``, and ``_pair_entropy`` on a Schmidt pair's weights,
-  so E_R, ``delete_bound`` and the ``nogo distill`` verdict) and pure-state kernel
-  ``_pure_rel_entropy_on``, and the support rank in ``deleting.min_over_product_pure``.
+  von Neumann entropy and pure-state kernel ``_pure_rel_entropy_on``, and the support rank
+  in ``deleting.min_over_product_pure``.
 - Leak, at most ``qstate.SUPPORT_LEAK_TOL`` weight off the support, else +inf:
   ``qstate.relative_entropy`` and ``_pure_rel_entropy_on``.
 - Schmidt rank, singular values above ``qstate.SCHMIDT_RANK_TOL``: ``schmidt_decompose``
-  (so ``deleting.schmidt_rank_nogo_check`` and the ``nogo schmidt`` verdict) and the product
-  minimum's test that a top eigenvector is product.
-- Machines: ``variational.LocalUnitary`` and ``cloning.CloneIsometry`` bound each entry of
-  V^dag V - I by 1e-12, written in each; ``nogo.KrausSet`` bounds ||sum A^dag A - I||, the
-  Frobenius norm, by ``nogo.COMPLETENESS_TOL``.  One rule for both would move a public check.
+  (so ``deleting.schmidt_rank_nogo_check`` and the ``nogo schmidt`` verdict), the
+  entanglement E over the coefficients it counts (``entropy_of_entanglement``, and
+  ``_pair_entropy`` on a Schmidt pair's (a, b), so E_R, ``delete_bound`` and the ``nogo
+  distill`` verdict), and the product minimum's test that a top eigenvector is product.
+- Isometry, max |V^dag V - I| <= ``ISOMETRY_TOL``, by :func:`isometry_defect`:
+  ``variational.LocalUnitary`` and ``cloning.CloneIsometry``.  ``nogo.KrausSet`` bounds the
+  Frobenius norm ||sum A^dag A - I|| by ``nogo.COMPLETENESS_TOL``, a public check of its own.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 PSD_TOL = 1e-10
+ISOMETRY_TOL = 1e-12
 
 
 def as_matrix(matrix) -> np.ndarray:
@@ -54,6 +56,14 @@ def hermiticity_defect(matrix) -> float:
     """Max elementwise |M - M^dag|."""
     m = as_matrix(matrix)
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+
+
+def isometry_defect(matrix: np.ndarray) -> float:
+    """Max elementwise |V^dag V - I| of a complex matrix; NaN or inf, without a
+    warning, where an entry is not finite, so ``not defect <= ISOMETRY_TOL``
+    rejects it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))))
 
 
 def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -187,18 +187,6 @@ def dm_from_ket(ket: Ket, labels: Sequence[str] | None = None) -> LabeledState:
     return LabeledState(matrix, ket.dims, tuple(labels))
 
 
-def _cut_matrix(ket: Ket, cut):
-    """Amplitudes regrouped into a (left, right) matrix along the cut;
-    returns (matrix, left_factors, right_factors)."""
-    left, right = (tuple(int(i) for i in side) for side in cut)
-    if sorted(left + right) != list(range(len(ket.dims))):
-        raise ValueError(f"cut {cut} is not a bipartition of {len(ket.dims)} factors")
-    tensor = ket.amplitudes.reshape(ket.dims)
-    d_left = math.prod(ket.dims[i] for i in left)
-    d_right = ket.amplitudes.size // d_left
-    return tensor.transpose(left + right).reshape(d_left, d_right), left, right
-
-
 def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
     """Schmidt decomposition across ``cut = (left_factors, right_factors)``.
 
@@ -209,7 +197,11 @@ def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
     rank.  The SVD keeps a round-off zero near 1e-16; the square root of a
     Gram eigenvalue would lift it to ~1e-8, above the cutoff.
     """
-    mat, left, right = _cut_matrix(ket, cut)
+    left, right = (tuple(int(i) for i in side) for side in cut)
+    if sorted(left + right) != list(range(len(ket.dims))):
+        raise ValueError(f"cut {cut} is not a bipartition of {len(ket.dims)} factors")
+    d_left = math.prod(ket.dims[i] for i in left)
+    mat = ket.amplitudes.reshape(ket.dims).transpose(left + right).reshape(d_left, -1)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(s > SCHMIDT_RANK_TOL))
     return SchmidtDecomposition(
@@ -221,15 +213,17 @@ def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
     )
 
 
-def _entropy_from_eigenvalues(values: np.ndarray) -> float:
-    kept = values[values > la.SUPPORT_TOL]
+def _entropy(weights: np.ndarray) -> float:
+    """-sum w log2 w over weights that a rule has already kept, all positive."""
     # entropies are nonnegative; the clamp also turns a pure state's -0.0 into 0.0
-    return max(0.0, float(-(kept * np.log2(kept)).sum()))
+    return max(0.0, float(-(weights * np.log2(weights)).sum()))
 
 
 def von_neumann_entropy(state: LabeledState) -> float:
-    """S(rho) = -tr(rho log2 rho), in bits."""
-    return _entropy_from_eigenvalues(np.linalg.eigvalsh(state.matrix))
+    """S(rho) = -tr(rho log2 rho), in bits, over the eigenvalues above
+    ``SUPPORT_TOL``."""
+    values = np.linalg.eigvalsh(state.matrix)
+    return _entropy(values[values > la.SUPPORT_TOL])
 
 
 def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
@@ -323,18 +317,17 @@ def _local_output_adjoint(grad: np.ndarray, v_alice: np.ndarray, v_bob: np.ndarr
 
 
 def entropy_of_entanglement(ket: Ket, cut=((0,), (1,))) -> float:
-    """Entanglement of a bipartite pure state: the entropy of either
-    marginal, whose spectrum is the squared singular values of the cut
-    matrix."""
-    mat, _, _ = _cut_matrix(ket, cut)
-    return _entropy_from_eigenvalues(np.linalg.svd(mat, compute_uv=False) ** 2)
+    """Entanglement of a bipartite pure state: -sum s^2 log2 s^2 over the
+    Schmidt coefficients :func:`schmidt_decompose` counts, so E > 0 exactly
+    when the Schmidt rank is above 1."""
+    return _entropy(schmidt_decompose(ket, cut).coefficients ** 2)
 
 
 def _pair_entropy(pair: SchmidtPair) -> float:
-    """Entanglement of a|00> + b|11>, read from its Schmidt weights (a^2, b^2)
-    under the same ``SUPPORT_TOL`` rule as :func:`entropy_of_entanglement`,
+    """Entanglement of a|00> + b|11>, from its Schmidt coefficients (a, b)
+    under the same ``SCHMIDT_RANK_TOL`` rule as :func:`schmidt_decompose`,
     with no ket and no SVD."""
-    return _entropy_from_eigenvalues(np.array([pair.a * pair.a, pair.b * pair.b]))
+    return _entropy(np.array([s * s for s in (pair.a, pair.b) if s > SCHMIDT_RANK_TOL]))
 
 
 def rel_ent_entanglement_pure(ket: Ket, cut=((0,), (1,))) -> float:

@@ -75,19 +75,17 @@ _STEP_TOL = 1e-12  # stalled: the line search shrank the step below this
 
 @dataclass(frozen=True, eq=False)
 class LocalUnitary:
-    """One party's local machine: an n x n unitary, to within 1e-12 in
-    each entry of U^dag U - I."""
+    """One party's local machine: an n x n unitary, to within
+    ``linalg.ISOMETRY_TOL`` in each entry of U^dag U - I."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         matrix = la.as_matrix(self.matrix)
         object.__setattr__(self, "matrix", matrix)
-        if not np.isfinite(matrix).all():
-            raise ValueError("local machine must be finite")
-        gram = matrix.conj().T @ matrix
-        if not np.max(np.abs(gram - np.eye(len(matrix)))) <= 1e-12:
-            raise ValueError("local machine is not unitary")
+        defect = la.isometry_defect(matrix)
+        if not defect <= la.ISOMETRY_TOL:
+            raise ValueError(f"local machine is not unitary: max |U^dag U - I| = {defect:.3e}")
 
     @property
     def dim(self) -> int:

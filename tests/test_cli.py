@@ -7,6 +7,13 @@ import numpy as np
 import pytest
 
 from dualent.cli import main, render_sweep_csv, sweep_rows
+from dualent.qstate import (
+    SchmidtPair,
+    _pair_entropy,
+    entropy_of_entanglement,
+    schmidt_decompose,
+    schmidt_ket,
+)
 
 
 def run_cli(capsys, *argv):
@@ -170,7 +177,7 @@ class TestNogoCommand:
         assert report["contradiction"] == "false"
         assert report["verdict"] == "PASS"
 
-    # at a = 1e-8 ... 8.2e-7, 0 < E(psi) <= 1e-12: entangled, though ed_input prints as 0
+    # at a = 1e-8 ... 8.2e-7, 0 < E(psi) < 3e-11: entangled, though ed_input prints as 0
     @pytest.mark.parametrize("a", ["0.6", "1e-8", "1e-7", "8.2e-7"])
     def test_distill_entangled(self, capsys, a):
         code, out, _ = run_cli(capsys, "nogo", "distill", "--a", a)
@@ -185,6 +192,21 @@ class TestNogoCommand:
             for which in ("schmidt", "distill"):
                 code, out, _ = run_cli(capsys, "nogo", which, "--a", str(float(a)))
                 assert (code, parse_report(out.strip())["verdict"]) == (0, "PASS"), (which, a)
+
+    def test_entangled_exactly_at_schmidt_rank_two(self, capsys):
+        # one rule decides psi: E > 0, in the library and in the distill
+        # verdict, exactly where the Schmidt rank is 2, also just above the
+        # rank's cutoff, at a = 1e-10 and the next float
+        points = np.r_[np.logspace(-14, 0, 57), 1e-10, np.nextafter(1e-10, 1.0)]
+        for a in map(float, points):
+            pair = SchmidtPair(a)
+            rank = schmidt_decompose(schmidt_ket(pair)).rank
+            assert (_pair_entropy(pair) > 0) == (rank == 2), a
+            assert (entropy_of_entanglement(schmidt_ket(pair)) > 0) == (rank == 2), a
+            _, out, _ = run_cli(capsys, "nogo", "distill", "--a", repr(a))
+            contradiction = parse_report(out.strip())["contradiction"] == "true"
+            _, out, _ = run_cli(capsys, "nogo", "schmidt", "--a", repr(a))
+            assert contradiction == (parse_report(out.strip())["rank_target"] == "2"), a
 
     def test_unknown_selector_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

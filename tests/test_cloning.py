@@ -82,10 +82,8 @@ class TestIsometry:
         cloner = universal_clone_isometry()
         assert universal_clone_isometry() is cloner
         assert cloner.matrix.tobytes() == (cloning._SYMMETRIC @ cloning._CLONER).tobytes()
-        assert cloning._CLONE_BOTH.tobytes() == np.kron(cloner.matrix, cloner.matrix).tobytes()
-        for constant in (cloner.matrix, cloning._CLONE_BOTH):
-            with pytest.raises(ValueError, match="read-only"):
-                constant[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            cloner.matrix[0, 0] = 0.0
 
         def refuse(*args):
             raise AssertionError("the cloner was validated again")
@@ -148,7 +146,9 @@ class TestPipeline:
         v = universal_clone_isometry().matrix
         for a in A_GRID:
             pair = SchmidtPair(float(a))
-            out = np.kron(v, v) @ schmidt_ket(pair).amplitudes
+            out = ((v * (pair.a, pair.b)) @ v.T).ravel()  # V diag(a, b) V^T
+            # the 64x4 map V (x) V agrees in the last bits
+            assert np.max(np.abs(out - np.kron(v, v) @ schmidt_ket(pair).amplitudes)) <= 2.3e-16
             swapped = out.reshape((2,) * 6).transpose(1, 0, 2, 3, 4, 5).ravel()
             assert swapped.tobytes() == out.tobytes()
             eta, _, _ = local_clone_pipeline(pair)

@@ -166,3 +166,29 @@ def test_partial_trace_matches_per_factor_traces_on_every_subset(dims):
     everything = la.partial_trace(m, dims, range(len(dims)))
     assert everything.shape == (1, 1)
     assert abs(everything[0, 0] - np.trace(m)) <= 1e-14
+
+
+def test_one_isometry_rule_decides_both_machine_types(monkeypatch):
+    # a unitary and the cloner, each moved 1e-9 off its isometry: rejected
+    # under ISOMETRY_TOL, admitted when it is loosened, and the exact ones
+    # rejected when it is tightened below their round-off
+    from dualent.cloning import CloneIsometry, universal_clone_isometry
+    from dualent.variational import LocalUnitary
+
+    rng = np.random.default_rng(163)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    v = universal_clone_isometry().matrix
+    cases = [(LocalUnitary, u), (CloneIsometry, v)]
+    bent = [(cls, m + 1e-9 * rng.standard_normal(m.shape)) for cls, m in cases]
+    assert all(la.isometry_defect(m) > 1e-10 for _, m in bent)
+    for cls, m in bent:
+        with pytest.raises(ValueError):
+            cls(m)
+    monkeypatch.setattr(la, "ISOMETRY_TOL", 1e-6)
+    for cls, m in bent:
+        cls(m)
+    monkeypatch.setattr(la, "ISOMETRY_TOL", 0.0)
+    assert all(la.isometry_defect(m) > 0.0 for _, m in cases)
+    for cls, m in cases:
+        with pytest.raises(ValueError, match="not (unitary|orthonormal)"):
+            cls(m)
