@@ -221,11 +221,18 @@ def _min_product_pure_matrix(matrix: np.ndarray):
         d1, d12, d2 = np.linalg.det(np.reshape([kets[1], kets.sum(0), kets[0]], (3, 2, 2)))
         kets = np.r_[kets, np.roots([d1, d12 - d1 - d2, d2])[:, None] * kets[1] + kets[0]]
     elif len(kets) > 2:
-        if np.linalg.svd(kets[-1].reshape(2, 2))[1][1] > SCHMIDT_RANK_TOL:
-            kets = np.r_[kets, _sphere_search(values, vectors, len(kets))]
-        else:  # a product top eigenvector is the minimiser (Jensen)
-            kets = kets[-1:]
+        u, s, vh = np.linalg.svd(kets[-1:].reshape(1, 2, 2))  # the top eigenvector, factored
+        if not s[0, 1] > SCHMIDT_RANK_TOL:  # it is product, so the minimiser (Jensen)
+            return _best_product(u, vh, values, vectors)
+        kets = np.r_[kets, _sphere_search(values, vectors, len(kets))]
     u, _, vh = np.linalg.svd(kets.reshape(-1, 2, 2))  # x (x) y: each ket's top singular pair
+    return _best_product(u, vh, values, vectors)
+
+
+def _best_product(u: np.ndarray, vh: np.ndarray, values: np.ndarray, vectors: np.ndarray):
+    """``(value, x, y)`` for the best of the candidates x (x) y, each the top
+    singular pair of a ket's SVD factors ``u``, ``vh`` (stacks of 2x2), scored
+    on rho's eigendecomposition."""
     scores = _pure_rel_entropy_on((u[..., :1] * vh[..., :1, :]).reshape(-1, 4), values, vectors)[0]
     best = scores.argmin()
     return scores[best], u[best, :, 0], vh[best, 0]

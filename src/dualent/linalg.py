@@ -14,8 +14,9 @@ The zero rules: each is one constant, applied by the functions listed.
 - Hermiticity, max |M - M^dag| <= ``HERMITICITY_TOL``: :func:`hermitian_eig` and
   ``qstate.LabeledState``.
 - PSD, no eigenvalue below -``PSD_TOL``: ``qstate.LabeledState``, through a Cholesky
-  factorisation of rho + ``PSD_TOL`` I with ``eigvalsh`` deciding the matrices it fails on,
-  and :func:`matrix_log2_on_support`, through its eigenvalues.
+  factorisation of rho + ``PSD_TOL`` I, in real arithmetic when rho is real-valued, with
+  ``eigvalsh`` deciding the matrices it fails on, and :func:`matrix_log2_on_support`,
+  through its eigenvalues.
 - Support, eigenvalues above ``SUPPORT_TOL``: :func:`matrix_log2_on_support`, qstate's
   von Neumann entropy and pure-state kernel ``_pure_rel_entropy_on``, and the support rank
   in ``deleting.min_over_product_pure``.

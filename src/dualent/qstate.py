@@ -39,6 +39,12 @@ class LabeledState:
     Accuracy and Stability of Numerical Algorithms, ch. 10), which succeeds
     exactly when the rule holds, up to round-off; where it fails,
     ``eigvalsh`` decides and a rejection names the smallest eigenvalue.
+
+    Both checks run on one working copy of the matrix: a float64 copy of its
+    real part when every imaginary part is zero, else a complex copy.  For a
+    real matrix the real and the complex defect are the same number, so the
+    messages do not depend on the choice.  ``matrix`` is stored as complex128
+    either way.
     """
 
     matrix: np.ndarray
@@ -59,13 +65,14 @@ class LabeledState:
         trace = complex(matrix.trace())
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"state trace is {trace}, expected 1")
-        defect = float(np.abs(matrix - matrix.conj().T).max())
+        # a NaN imaginary part counts as nonzero, so it stays on the complex copy
+        work = matrix.copy() if np.count_nonzero(matrix.imag) else matrix.real.copy()
+        defect = float(np.abs(work - work.conj().T).max())
         if not defect <= la.HERMITICITY_TOL:
             raise ValueError(f"state is not Hermitian: defect {defect:.3e}")
-        shifted = matrix.copy()
-        shifted.flat[:: len(matrix) + 1] += la.PSD_TOL  # rho + PSD_TOL I
+        work.reshape(-1)[:: len(work) + 1] += la.PSD_TOL  # rho + PSD_TOL I
         try:
-            np.linalg.cholesky(shifted)
+            np.linalg.cholesky(work)
         except np.linalg.LinAlgError:
             smallest = float(np.linalg.eigvalsh(matrix)[0])
             if not smallest >= -la.PSD_TOL:

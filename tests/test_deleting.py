@@ -208,6 +208,39 @@ class TestJensenExit:
             assert value == _every_support_eigenvector_minimum(matrix)
         assert scored == [1] * 50
 
+    @pytest.mark.parametrize("a", [0.01, 0.3, 0.6, SYM])
+    def test_swap_outputs_take_one_svd(self, a, monkeypatch):
+        # the factors of the top eigenvector decide the exit and are its candidate
+        out = local_delete_swap(SchmidtPair(a)).out_apbp
+        svd, shapes = np.linalg.svd, []
+
+        def spy(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        min_over_product_pure(out)
+        assert shapes == [(1, 2, 2)]
+
+    def test_entangled_top_eigenvector_enters_the_sphere_search(self, monkeypatch):
+        # Bell-diagonal, full rank, top eigenvector |Phi+>: |00> reaches the
+        # two largest eigenvalues with weight 1/2 each, which no product ket beats
+        from dualent import deleting
+
+        searched = []
+
+        def spy(values, vectors, rank):
+            searched.append(rank)
+            return sphere_search(values, vectors, rank)
+
+        sphere_search = deleting._sphere_search
+        monkeypatch.setattr(deleting, "_sphere_search", spy)
+        bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]).T / math.sqrt(2)
+        matrix = (bell * [0.4, 0.3, 0.2, 0.1]) @ bell.T
+        value, _ = min_over_product_pure(LabeledState(matrix, (2, 2), ("A", "B")))
+        assert searched == [4]
+        assert abs(value + 0.5 * math.log2(0.4 * 0.3)) <= 1e-12
+
     def test_argmin_ket_is_the_kron_of_its_factors(self):
         rng = np.random.default_rng(11)
         states = [local_delete_swap(SchmidtPair(float(a))).out_apbp.matrix for a in A_GRID[::7]]

@@ -105,6 +105,12 @@ class TestKetAndState:
             LabeledState(np.eye(4) / 4, (2, 2), ("A", "A"))
         with pytest.raises(ValueError, match="not PSD"):
             LabeledState(np.diag([1.5, -0.5]), (2,), ("A",))
+        # the real part [[0.5, 0], [0, 0.5]] is PSD; the matrix has eigenvalue -0.1
+        with pytest.raises(ValueError, match=re.escape("not PSD: smallest eigenvalue -1.000e-01")):
+            LabeledState(np.array([[0.5, 0.6j], [-0.6j, 0.5]]), (2,), ("A",))
+        # the real part is Hermitian; the symmetric imaginary part is not
+        with pytest.raises(ValueError, match=re.escape("state is not Hermitian: defect 2.000e-01")):
+            LabeledState(np.array([[0.5, 0.1j], [0.1j, 0.5]]), (2,), ("A",))
 
     def test_basis_ket(self):
         assert np.array_equal(basis_ket((2, 3), (1, 2)).amplitudes, np.eye(6)[5])
@@ -443,7 +449,9 @@ def psd_edge_states(draw):
     """(matrix, smallest): a Hermitian trace-one matrix of size 2, 4, 16 or 64
     whose spectrum holds ``smallest``, placed at a multiple of PSD_TOL on
     either side of -PSD_TOL and of 0, or far from both; the other eigenvalues
-    are drawn in [0.1, 1.1) and scaled to make the trace one."""
+    are drawn in [0.1, 1.1) and scaled to make the trace one.  The eigenbasis
+    is a unitary or a real orthogonal one, so the check meets the edges in
+    complex and in real arithmetic."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.sampled_from([2, 4, 16, 64]))
     near = st.sampled_from([-2.0, -1.1, -0.9, -0.5, 0.0, 0.5]).map(lambda f: f * la.PSD_TOL)
@@ -451,7 +459,8 @@ def psd_edge_states(draw):
     smallest = draw(near | far)
     rest = rng.random(n - 1) + 0.1
     values = np.r_[smallest, rest * (1.0 - smallest) / rest.sum()]
-    u = random_unitary(rng, n)
+    real = draw(st.booleans())
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else random_unitary(rng, n)
     matrix = (u * values) @ u.conj().T
     return (matrix + matrix.conj().T) / 2, float(values.min())
 
@@ -476,14 +485,22 @@ class TestPsdRule:
 
     @pytest.mark.parametrize("a", [0.01, 0.3, 0.6, 1 / math.sqrt(2)])
     def test_pipeline_eta_passes_the_factorisation(self, a, monkeypatch):
-        # the rank-1 64x64 outer product is accepted without the eigvalsh fallback
+        # the rank-1 64x64 outer product is accepted without the eigvalsh
+        # fallback, and, being real-valued, is factored in real arithmetic
         eta = local_clone_pipeline(SchmidtPair(a))[0]
+        cholesky, factored = np.linalg.cholesky, []
+
+        def spy(matrix):
+            factored.append(matrix.dtype)
+            return cholesky(matrix)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the PSD check fell back to eigvalsh")
 
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         LabeledState(eta.matrix, eta.dims, eta.labels)
+        assert factored == [np.float64]
 
     def test_state_admitted_by_the_state_layer_has_a_log(self):
         from dualent.deleting import min_over_product_pure
