@@ -22,19 +22,14 @@ from .deleting import (
 )
 from .nogo import (
     CloningCertificate,
-    KrausSet,
     measure_forget_channel,
     no_local_cloning_certificate,
-    stinespring_isometry,
 )
 from .qstate import (
     Ket,
     LabeledState,
     SchmidtDecomposition,
     SchmidtPair,
-    dm_from_ket,
-    entropy_of_entanglement,
-    rel_ent_entanglement_pure,
     relative_entropy,
     schmidt_decompose,
     schmidt_ket,
@@ -51,7 +46,7 @@ from .variational import (
     param_to_unitary,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CloneBoundRecord",
@@ -59,7 +54,6 @@ __all__ = [
     "CloningCertificate",
     "DeleteOutcome",
     "Ket",
-    "KrausSet",
     "LabeledState",
     "LocalUnitary",
     "SchmidtDecomposition",
@@ -72,8 +66,6 @@ __all__ = [
     "crossover",
     "delete_bound",
     "delete_objective",
-    "dm_from_ket",
-    "entropy_of_entanglement",
     "global_delete",
     "local_clone_pipeline",
     "local_delete_swap",
@@ -83,13 +75,11 @@ __all__ = [
     "optimize_clone",
     "optimize_delete",
     "param_to_unitary",
-    "rel_ent_entanglement_pure",
     "relative_entropy",
     "rho_clone_closed_form",
     "schmidt_decompose",
     "schmidt_ket",
     "schmidt_rank_nogo_check",
-    "stinespring_isometry",
     "trace_out",
     "universal_clone_isometry",
     "von_neumann_entropy",

@@ -27,7 +27,8 @@ CLONE_LABELS = ("A", "A'", "Ae", "B", "B'", "Be")
 
 @dataclass(frozen=True, eq=False)
 class CloneIsometry:
-    """8x2 isometry taking one qubit to clone1 (x) clone2 (x) environment."""
+    """8x2 isometry taking one qubit to clone1 (x) clone2 (x) environment:
+    the local machine each party runs in the local cloning process."""
 
     matrix: np.ndarray
 
@@ -66,7 +67,8 @@ def universal_clone_isometry() -> CloneIsometry:
     |0> maps to sqrt(2/3)|00>|e> + sqrt(1/6)(|01> + |10>)|e_perp> and
     |1> to the bit-flipped image, with |e> = |0>, |e_perp> = |1> as the
     environment basis.  Each clone of a basis input carries the marginal
-    diag(5/6, 1/6).
+    diag(5/6, 1/6).  Both parties run it in :func:`local_clone_pipeline`,
+    and its copy gives the cloner bound S_clone.
     """
     return _UNIVERSAL
 

@@ -264,6 +264,9 @@ def min_over_product_pure(state: LabeledState):
 def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:
     """Delete the second of two equal copies with a global (closed) map.
 
+    Known copies can be deleted globally; this is the contrast to the local
+    deleting no-go of :func:`schmidt_rank_nogo_check`.
+
     The (A, B) factor is untouched; each eigenvector of the deleted copy is
     sent to a computational product basis vector, eigenvalues assigned in
     descending order to |00>, |01>, |10>, |11> (row-major).  The output

@@ -24,12 +24,11 @@ The zero rules: each is one constant, applied by the functions listed.
   ``qstate.relative_entropy`` and ``_pure_rel_entropy_on``.
 - Schmidt rank, singular values above ``qstate.SCHMIDT_RANK_TOL``: ``schmidt_decompose``
   (so ``deleting.schmidt_rank_nogo_check`` and the ``nogo schmidt`` verdict), the
-  entanglement E over the coefficients it counts (``entropy_of_entanglement``, and
-  ``_pair_entropy`` on a Schmidt pair's (a, b), so E_R, ``delete_bound`` and the ``nogo
-  distill`` verdict), and the product minimum's test that a top eigenvector is product.
+  entanglement E (``_pair_entropy`` on a Schmidt pair's (a, b), so E_R, ``delete_bound``
+  and the ``nogo distill`` verdict), and the product minimum's test that a top eigenvector
+  is product.
 - Isometry, max |V^dag V - I| <= ``ISOMETRY_TOL``, by :func:`isometry_defect`:
-  ``variational.LocalUnitary`` and ``cloning.CloneIsometry``.  ``nogo.KrausSet`` bounds the
-  Frobenius norm ||sum A^dag A - I|| by ``nogo.COMPLETENESS_TOL``, a public check of its own.
+  ``variational.LocalUnitary`` and ``cloning.CloneIsometry``.
 """
 
 from __future__ import annotations

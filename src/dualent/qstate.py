@@ -1,5 +1,5 @@
 """Quantum-state primitives: labelled density matrices, kets, Schmidt
-decompositions, and the entropic quantities built from them.
+coefficients, and the entropic quantities built from them.
 
 All entropies and relative entropies are in bits (base-2 logarithms).  An
 infinite relative entropy (support mismatch) is a legitimate result and is
@@ -8,7 +8,6 @@ returned as ``math.inf`` rather than raised.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -114,20 +113,6 @@ class Ket:
             raise ValueError(f"ket norm is {norm}, expected 1")
 
 
-def basis_ket(dims: Sequence[int], occupations: Sequence[int]) -> Ket:
-    """Computational basis ket |occupations[0], occupations[1], ...>; each
-    occupation must lie in ``range`` of its factor's dimension."""
-    dims = tuple(int(d) for d in dims)
-    amps = np.zeros(math.prod(dims), dtype=complex)
-    index = 0
-    for d, k in zip(dims, map(int, occupations), strict=True):
-        if not 0 <= k < d:
-            raise ValueError(f"occupation {k} outside range({d}) in {tuple(occupations)}")
-        index = index * d + k
-    amps[index] = 1.0
-    return Ket(amps, dims)
-
-
 @dataclass(frozen=True)
 class SchmidtPair:
     """Schmidt coefficients (a, b) of the two-qubit family a|00> + b|11>,
@@ -151,34 +136,18 @@ class SchmidtPair:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Schmidt form of a bipartite pure state across a chosen cut.
+    """Schmidt coefficients of a bipartite pure state across a chosen cut.
 
     ``coefficients`` are the singular values of the cut matrix above
     ``SCHMIDT_RANK_TOL``, in descending order; their count is the Schmidt
-    rank.  ``u`` (its columns) and ``vh`` (its rows) hold the matching
-    singular vectors, and ``left_dims``/``right_dims`` the factor dimensions
-    on each side.  ``left_basis``/``right_basis``, the matching orthonormal
-    kets, are built and validated on first read, so reading only the rank
-    builds none.
+    rank.
     """
 
     coefficients: np.ndarray
-    u: np.ndarray
-    vh: np.ndarray
-    left_dims: tuple[int, ...]
-    right_dims: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.coefficients)
-
-    @functools.cached_property
-    def left_basis(self) -> tuple[Ket, ...]:
-        return tuple(Ket(self.u[:, k], self.left_dims) for k in range(self.rank))
-
-    @functools.cached_property
-    def right_basis(self) -> tuple[Ket, ...]:
-        return tuple(Ket(self.vh[k], self.right_dims) for k in range(self.rank))
 
 
 def schmidt_ket(pair: SchmidtPair) -> Ket:
@@ -186,51 +155,31 @@ def schmidt_ket(pair: SchmidtPair) -> Ket:
     return Ket(np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex), (2, 2))
 
 
-def dm_from_ket(ket: Ket, labels: Sequence[str] | None = None) -> LabeledState:
-    """Rank-1 projector |k><k| as a labelled state (labels default q0, q1, ...)."""
-    if labels is None:
-        labels = tuple(f"q{k}" for k in range(len(ket.dims)))
-    matrix = np.outer(ket.amplitudes, ket.amplitudes.conj())
-    return LabeledState(matrix, ket.dims, tuple(labels))
-
-
 def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
-    """Schmidt decomposition across ``cut = (left_factors, right_factors)``.
+    """Schmidt coefficients and rank across ``cut = (left_factors, right_factors)``.
 
-    One SVD of the cut matrix gives the coefficients (its singular values,
-    descending), the left kets (columns of U) and the right kets (rows of
-    Vh), the kets built only when read.  Singular values at or below
-    ``SCHMIDT_RANK_TOL`` are dropped, so the number returned is the Schmidt
-    rank.  The SVD keeps a round-off zero near 1e-16; the square root of a
-    Gram eigenvalue would lift it to ~1e-8, above the cutoff.
+    The coefficients are the singular values of the cut matrix, descending.
+    Singular values at or below ``SCHMIDT_RANK_TOL`` are dropped, so the
+    number returned is the Schmidt rank.  The SVD keeps a round-off zero near
+    1e-16; the square root of a Gram eigenvalue would lift it to ~1e-8, above
+    the cutoff.
     """
     left, right = (tuple(int(i) for i in side) for side in cut)
     if sorted(left + right) != list(range(len(ket.dims))):
         raise ValueError(f"cut {cut} is not a bipartition of {len(ket.dims)} factors")
     d_left = math.prod(ket.dims[i] for i in left)
     mat = ket.amplitudes.reshape(ket.dims).transpose(left + right).reshape(d_left, -1)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.count_nonzero(s > SCHMIDT_RANK_TOL))
-    return SchmidtDecomposition(
-        s[:rank],
-        u[:, :rank],
-        vh[:rank],
-        tuple(ket.dims[i] for i in left),
-        tuple(ket.dims[i] for i in right),
-    )
-
-
-def _entropy(weights: np.ndarray) -> float:
-    """-sum w log2 w over weights that a rule has already kept, all positive."""
-    # entropies are nonnegative; the clamp also turns a pure state's -0.0 into 0.0
-    return max(0.0, float(-(weights * np.log2(weights)).sum()))
+    _, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return SchmidtDecomposition(s[s > SCHMIDT_RANK_TOL])
 
 
 def von_neumann_entropy(state: LabeledState) -> float:
     """S(rho) = -tr(rho log2 rho), in bits, over the eigenvalues above
     ``SUPPORT_TOL``."""
     values = np.linalg.eigvalsh(state.matrix)
-    return _entropy(values[values > la.SUPPORT_TOL])
+    kept = values[values > la.SUPPORT_TOL]
+    # entropies are nonnegative; the clamp also turns a pure state's -0.0 into 0.0
+    return max(0.0, float(-(kept * np.log2(kept)).sum()))
 
 
 def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
@@ -323,26 +272,17 @@ def _local_output_adjoint(grad: np.ndarray, v_alice: np.ndarray, v_bob: np.ndarr
     return grads
 
 
-def entropy_of_entanglement(ket: Ket, cut=((0,), (1,))) -> float:
-    """Entanglement of a bipartite pure state: -sum s^2 log2 s^2 over the
-    Schmidt coefficients :func:`schmidt_decompose` counts, so E > 0 exactly
-    when the Schmidt rank is above 1."""
-    return _entropy(schmidt_decompose(ket, cut).coefficients ** 2)
-
-
 def _pair_entropy(pair: SchmidtPair) -> float:
-    """Entanglement of a|00> + b|11>, from its Schmidt coefficients (a, b)
-    under the same ``SCHMIDT_RANK_TOL`` rule as :func:`schmidt_decompose`,
-    with no ket and no SVD."""
-    return _entropy(np.array([s * s for s in (pair.a, pair.b) if s > SCHMIDT_RANK_TOL]))
+    """Entanglement of a|00> + b|11>, the binary entropy h(w) in bits of w,
+    the smaller of a^2 and b^2, with no ket and no SVD.
 
-
-def rel_ent_entanglement_pure(ket: Ket, cut=((0,), (1,))) -> float:
-    """Relative entropy of entanglement of a pure bipartite state, which
-    coincides with its entropy of entanglement.
-
-    Mixed states are rejected: there is no closed form for them here.
+    It is 0 when the smaller coefficient is at most ``SCHMIDT_RANK_TOL``, the
+    rule of :func:`schmidt_decompose`, so E > 0 exactly at Schmidt rank 2.  The
+    larger weight's term takes log1p(-w): log2 of the rounded 1 - w loses the
+    term's relative accuracy as w falls, and all of it below w ~ 1e-16.
     """
-    if not isinstance(ket, Ket):
-        raise TypeError("pure kets only; the mixed-state measure has no closed form")
-    return entropy_of_entanglement(ket, cut)
+    smaller = min(pair.a, pair.b)
+    if smaller <= SCHMIDT_RANK_TOL:
+        return 0.0
+    w = smaller * smaller
+    return -(w * math.log2(w) + (1.0 - w) * math.log1p(-w) / math.log(2.0))

@@ -159,7 +159,9 @@ def _exp_i(h: np.ndarray) -> np.ndarray:
 
 
 def param_to_unitary(machine: LocalUnitary) -> np.ndarray:
-    """The machine's n x n unitary matrix."""
+    """The machine's n x n unitary matrix.  It stays for the benchmark probe
+    in ``bench/layers.py``, which times it, until that probe reads
+    ``machine.matrix`` itself."""
     return machine.matrix
 
 

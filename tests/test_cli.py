@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,13 +9,7 @@ import numpy as np
 import pytest
 
 from dualent.cli import main, render_sweep_csv, sweep_rows
-from dualent.qstate import (
-    SchmidtPair,
-    _pair_entropy,
-    entropy_of_entanglement,
-    schmidt_decompose,
-    schmidt_ket,
-)
+from dualent.qstate import SchmidtPair, _pair_entropy, schmidt_decompose, schmidt_ket
 
 
 def run_cli(capsys, *argv):
@@ -202,7 +198,6 @@ class TestNogoCommand:
             pair = SchmidtPair(a)
             rank = schmidt_decompose(schmidt_ket(pair)).rank
             assert (_pair_entropy(pair) > 0) == (rank == 2), a
-            assert (entropy_of_entanglement(schmidt_ket(pair)) > 0) == (rank == 2), a
             _, out, _ = run_cli(capsys, "nogo", "distill", "--a", repr(a))
             contradiction = parse_report(out.strip())["contradiction"] == "true"
             _, out, _ = run_cli(capsys, "nogo", "schmidt", "--a", repr(a))
@@ -332,7 +327,7 @@ b[1, 1] += 0.1
 b[3, 3] = 0.3
 values = [min_over_product_pure(LabeledState(m, (2, 2), ("A", "B")))[0] for m in (a, b)]
 assert abs(values[0] - 2.0) <= 1e-12 and abs(values[1] - 1.7369655941662063) <= 1e-12
-# the four pipelines, and one decomposition's bases read
+# the four pipelines, and one decomposition's rank
 _, copy1, copy2 = local_clone_pipeline(pair)
 for copy in (copy1, copy2):
     assert abs(copy.matrix - rho_clone_closed_form(pair).matrix).max() <= 1e-12
@@ -341,7 +336,7 @@ assert tuple(schmidt_rank_nogo_check(pair)) == (4, 2, False)
 system_out, env_out = measure_forget_channel(Ket(np.array([0.6, 0.8]), (2,)))
 assert abs(system_out.matrix - env_out.matrix).max() <= 1e-12
 dec = schmidt_decompose(Ket(np.array([0.6, 0, 0, 0.8]), (2, 2)))
-assert len(dec.left_basis) == len(dec.right_basis) == dec.rank == 2
+assert dec.rank == 2
 """
 
 
@@ -360,3 +355,102 @@ def test_library_runs_without_scipy(tmp_path):
     assert "combined=" in done.stdout
     assert "kind=delete a=0.707106781 best_objective=2.000000000000 " in done.stdout
     assert (tmp_path / "s.csv").read_text().count("\n") == 6
+
+
+# runs the README's python block statement by statement, keeping the value of
+# each bare expression, then checks what the block's comments state
+QUICKSTART = """
+import ast
+import math
+import sys
+namespace, shown = {}, []
+for node in ast.parse(sys.argv[1]).body:
+    if isinstance(node, ast.Expr):
+        shown.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+    else:
+        exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+clone, delete, combined, cross, ranks, bounded = shown
+assert abs(clone - math.log2(12 / 7)) <= 1e-15 and abs(clone - 0.77760757866355) <= 1e-14
+assert abs(delete - 2.0) <= 1e-15
+assert combined.combined == combined.e_r < combined.s_clone
+assert abs(combined.e_r - 0.43646981706410) <= 1e-14
+assert f"{cross:.6f}" == "0.428265"
+eta, copy1, copy2 = namespace["eta"], namespace["copy1"], namespace["copy2"]
+assert eta.dims == (2,) * 6 and copy1.dims == copy2.dims == (2, 2)
+assert f"{namespace['outcome'].objective:.4f}" == "1.5865"
+assert tuple(ranks) == (4, 2, False)
+assert bounded is True
+assert "scipy" not in sys.modules
+"""
+
+
+def test_readme_quickstart_runs():
+    import dualent
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(Path(dualent.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", QUICKSTART, blocks[0]], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+PUBLIC_NAMES = [
+    "CloneBoundRecord",
+    "CloneIsometry",
+    "CloningCertificate",
+    "DeleteOutcome",
+    "Ket",
+    "LabeledState",
+    "LocalUnitary",
+    "SchmidtDecomposition",
+    "SchmidtPair",
+    "SchmidtRankCheck",
+    "SearchReport",
+    "clone_bound",
+    "clone_bound_combined",
+    "clone_objective",
+    "crossover",
+    "delete_bound",
+    "delete_objective",
+    "global_delete",
+    "local_clone_pipeline",
+    "local_delete_swap",
+    "measure_forget_channel",
+    "min_over_product_pure",
+    "no_local_cloning_certificate",
+    "optimize_clone",
+    "optimize_delete",
+    "param_to_unitary",
+    "relative_entropy",
+    "rho_clone_closed_form",
+    "schmidt_decompose",
+    "schmidt_ket",
+    "schmidt_rank_nogo_check",
+    "trace_out",
+    "universal_clone_isometry",
+    "von_neumann_entropy",
+]
+# names that version 0.2.0 removed, by the module that defined them
+REMOVED = {
+    "nogo": ["KrausSet", "stinespring_isometry", "apply_kraus", "COMPLETENESS_TOL"],
+    "qstate": ["entropy_of_entanglement", "rel_ent_entanglement_pure", "basis_ket", "dm_from_ket"],
+}
+
+
+def test_public_surface():
+    import dualent
+
+    assert sorted(dualent.__all__) == PUBLIC_NAMES
+    for module, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(dualent, name), name
+            assert not hasattr(getattr(dualent, module), name), (module, name)
+    fields = [f.name for f in dataclasses.fields(dualent.SchmidtDecomposition)]
+    assert fields == ["coefficients"]
+    assert not hasattr(dualent.SchmidtDecomposition, "left_basis")
+    assert not hasattr(dualent.SchmidtDecomposition, "right_basis")
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert dualent.__version__ == re.search(r'^version = "(.+)"$', pyproject, re.M).group(1)

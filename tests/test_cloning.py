@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import projector
 
 from dualent import linalg as la
 from dualent.cloning import (
@@ -17,7 +18,6 @@ from dualent.qstate import (
     Ket,
     LabeledState,
     SchmidtPair,
-    dm_from_ket,
     relative_entropy,
     schmidt_ket,
 )
@@ -202,7 +202,7 @@ class TestCloneBound:
             rho = np.outer(out, out.conj())
             copy1 = la.partial_trace(rho, (2,) * 6, (1, 2, 4, 5))
             value = relative_entropy(
-                dm_from_ket(Ket(psi_rot, (2, 2))),
+                projector(Ket(psi_rot, (2, 2))),
                 LabeledState(copy1, (2, 2), ("A", "B")),
             )
             assert abs(value - base) < 1e-9

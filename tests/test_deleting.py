@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import haar_unitary
+from conftest import haar_unitary, projector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +24,6 @@ from dualent.qstate import (
     LabeledState,
     SchmidtPair,
     _pure_rel_entropy_on,
-    basis_ket,
-    dm_from_ket,
     schmidt_ket,
 )
 from dualent.variational import delete_objective, optimize_delete, swap_delete_seed
@@ -128,7 +126,7 @@ class TestSchmidtPairEdges:
         out = local_delete_swap(SchmidtPair(0.0))
         for value in (out.term_keep, out.term_separable, out.objective):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
-        eleven = dm_from_ket(basis_ket((2, 2), (1, 1)), labels=("A", "B"))
+        eleven = projector(Ket(np.eye(4)[3], (2, 2)), labels=("A", "B"))
         value, _ = min_over_product_pure(eleven)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
         assert delete_objective(SchmidtPair(1e-12), *swap_delete_seed()) >= 0.0
@@ -293,7 +291,7 @@ class TestMinOverProductPure:
 
     def test_entangled_pure_target_unreachable(self):
         bell = Ket(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2), (2, 2))
-        value, _ = min_over_product_pure(dm_from_ket(bell, labels=("A", "B")))
+        value, _ = min_over_product_pure(projector(bell, labels=("A", "B")))
         assert math.isinf(value)
 
     def test_grid_oracle_agreement(self):
@@ -596,8 +594,8 @@ class TestProductMinimumClosedForms:
 class TestGlobalDelete:
     def test_pure_two_copies(self):
         psi = schmidt_ket(SchmidtPair(0.6))
-        rho_ab = dm_from_ket(psi, labels=("A", "B"))
-        rho_apbp = dm_from_ket(psi, labels=("A'", "B'"))
+        rho_ab = projector(psi, labels=("A", "B"))
+        rho_apbp = projector(psi, labels=("A'", "B'"))
         out = global_delete(rho_ab, rho_apbp)
         deleted = np.zeros((4, 4), dtype=complex)
         deleted[0, 0] = 1.0  # |00><00|
@@ -656,7 +654,7 @@ class TestSchmidtRankNogo:
         for a in np.r_[np.linspace(0.01, SYM, 20), log_grid]:
             pair = SchmidtPair(float(a))
             psi = schmidt_ket(pair).amplitudes
-            blank = basis_ket((2, 2), (0, 0)).amplitudes
+            blank = np.eye(4, dtype=complex)[0]
             assert two_copy_ket(pair).amplitudes.tobytes() == np.kron(psi, psi).tobytes()
             ranks = []
             for amps in (np.kron(psi, psi), np.kron(psi, blank)):

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import haar_unitary
+from conftest import haar_unitary, projector
 
 from dualent.cloning import clone_bound, rho_clone_closed_form
 from dualent.deleting import delete_bound, local_delete_swap
-from dualent.qstate import Ket, SchmidtPair, dm_from_ket, relative_entropy, trace_out
+from dualent.qstate import Ket, SchmidtPair, relative_entropy, trace_out
 from dualent.variational import (
     _SYMMETRIC,
     LocalUnitary,
@@ -471,8 +471,8 @@ class TestIndependentReevaluation:
         psi = np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
         # (A, B, A', B') reordered to (A, A', B, B')
         two = np.kron(psi, psi).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
-        out = dm_from_ket(Ket(np.kron(u_a, u_b) @ two, (2,) * 4), ("A", "A'", "B", "B'"))
-        target = dm_from_ket(Ket(psi, (2, 2)), ("A", "B"))
+        out = projector(Ket(np.kron(u_a, u_b) @ two, (2,) * 4), ("A", "A'", "B", "B'"))
+        target = projector(Ket(psi, (2, 2)), ("A", "B"))
         kept = relative_entropy(target, trace_out(out, ("A'", "B'")))
         deleted, _ = min_over_product_pure(trace_out(out, ("A", "B")))
         assert abs(0.5 * (kept + deleted) - report.best_objective) < 1e-10
@@ -486,11 +486,11 @@ class TestIndependentReevaluation:
         u_a, u_b = (param_to_unitary(p) for p in report.best_params)
         psi = np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex)
         machine = np.kron(_SYMMETRIC @ u_a[:, :2], _SYMMETRIC @ u_b[:, :2])
-        out = dm_from_ket(Ket(machine @ psi, (2,) * 6), CLONE_LABELS)
+        out = projector(Ket(machine @ psi, (2,) * 6), CLONE_LABELS)
         copy1 = trace_out(out, ("A'", "Ae", "B'", "Be"))
         copy2 = trace_out(out, ("A", "Ae", "B", "Be"))
         assert np.max(np.abs(copy1.matrix - copy2.matrix)) < 1e-14
-        value = relative_entropy(dm_from_ket(Ket(psi, (2, 2)), ("A", "B")), copy1)
+        value = relative_entropy(projector(Ket(psi, (2, 2)), ("A", "B")), copy1)
         assert abs(value - report.best_objective) < 1e-10
 
 
