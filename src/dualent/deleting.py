@@ -215,7 +215,7 @@ def _min_product_pure_matrix(matrix: np.ndarray):
     ``(value, x, y)`` for the best product ket x (x) y of a state whose
     eigenvalues are at least -``PSD_TOL``, as :class:`LabeledState` checks."""
     values, vectors = la.hermitian_eig(matrix)
-    kets = vectors[:, values > la.SUPPORT_TOL].T  # the support's eigenvectors, top last
+    kets = vectors[:, la.support_mask(values)].T  # the support's eigenvectors, top last
     if len(kets) == 2:
         # det(t M1 + M2) = t^2 det M1 + t (det(M1 + M2) - det M1 - det M2) + det M2
         d1, d12, d2 = np.linalg.det(np.reshape([kets[1], kets.sum(0), kets[0]], (3, 2, 2)))
@@ -239,13 +239,15 @@ def _best_product(u: np.ndarray, vh: np.ndarray, values: np.ndarray, vectors: np
 
 
 def min_over_product_pure(state: LabeledState):
-    """Minimise S(|xy><xy| | rho) over pure product kets |x>(x)|y>.
+    """Minimise S(|xy><xy| | rho) over pure product kets |x>(x)|y> inside
+    the support of rho, as :func:`~dualent.linalg.support_mask` decides it.
 
     For a pure target the relative entropy is -<xy| log2 rho |xy>.  Every
     candidate, the product ket x (x) y of some ket's top singular pair, is
-    scored by the searches' kernel on one checked eigendecomposition of rho,
-    under its rules: the eigenvalues above ``SUPPORT_TOL`` span the support,
-    and a ket leaking more than ``SUPPORT_LEAK_TOL`` off it scores +inf.  By
+    scored by the searches' kernel on one checked eigendecomposition of rho;
+    a ket leaking more than ``SUPPORT_LEAK_TOL`` off the support scores +inf.
+    Product kets that leak less, which the kernel scores finite, are not
+    candidates, so a searched machine's |11> score and this minimum agree.  By
     Jensen, -<v|log2 rho|v> >= -log2 lambda_max, so a product top
     eigenvector is the minimiser.  Otherwise the support's rank r decides:
     at r <= 2 the candidates are its eigenvectors and the kets t e1 + e2

@@ -9,7 +9,7 @@ Each function takes one matrix and checks it.  The search kernels score Gram
 matrices they build themselves, so they call ``numpy.linalg.eigh`` on their
 stacks directly, unchecked.
 
-The zero rules: each is one constant, applied by the functions listed.
+The zero rules: each is one rule, applied by the functions listed.
 
 - Hermiticity, max |M - M^dag| <= ``HERMITICITY_TOL``: :func:`hermitian_eig` and
   ``qstate.LabeledState``.
@@ -17,9 +17,9 @@ The zero rules: each is one constant, applied by the functions listed.
   factorisation of rho + ``PSD_TOL`` I, in real arithmetic when rho is real-valued, with
   ``eigvalsh`` deciding the matrices it fails on, and :func:`matrix_log2_on_support`,
   through its eigenvalues.
-- Support, eigenvalues above ``SUPPORT_TOL``: :func:`matrix_log2_on_support`, qstate's
-  von Neumann entropy and pure-state kernel ``_pure_rel_entropy_on``, and the support rank
-  in ``deleting.min_over_product_pure``.
+- Support, eigenvalues above n eps lambda_max, by :func:`support_mask`:
+  :func:`matrix_log2_on_support`, qstate's von Neumann entropy and pure-state kernel
+  ``_pure_rel_entropy_on``, and the support rank in ``deleting.min_over_product_pure``.
 - Leak, at most ``qstate.SUPPORT_LEAK_TOL`` weight off the support, else +inf:
   ``qstate.relative_entropy`` and ``_pure_rel_entropy_on``.
 - Schmidt rank, singular values above ``qstate.SCHMIDT_RANK_TOL``: ``schmidt_decompose``
@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-SUPPORT_TOL = 1e-12
+_EPS = np.finfo(float).eps
 PSD_TOL = 1e-10
 ISOMETRY_TOL = 1e-12
 
@@ -88,19 +88,28 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"eigendecomposition did not converge on a {n}x{n} matrix") from exc
 
 
+def support_mask(values: np.ndarray) -> np.ndarray:
+    """The support of ascending spectra in the last axis: the eigenvalues above n eps lambda_max.
+    A backward-stable ``eigh`` is exact for a matrix within about n eps ||rho||_2 of rho, so by
+    Weyl's inequality a computed eigenvalue below that level says nothing (Golub & Van Loan,
+    Matrix Computations, 4th ed., section 8.1)."""
+    return values > values.shape[-1] * _EPS * values[..., -1:]
+
+
 def matrix_log2_on_support(matrix):
     """Base-2 matrix logarithm of a PSD matrix, restricted to its support.
 
-    Returns ``(log, projector)`` where ``log = sum_{l > SUPPORT_TOL} log2(l)
-    v v^dag`` and ``projector`` projects onto the span of the kept
-    eigenvectors.  Eigenvalues in [-PSD_TOL, SUPPORT_TOL] are treated as zero;
-    anything more negative is rejected as not positive semidefinite.
+    Returns ``(log, projector)`` where ``log = sum log2(l) v v^dag`` over the
+    eigenvalues l that :func:`support_mask` keeps, and ``projector`` projects
+    onto the span of the kept eigenvectors.  The other eigenvalues, down to
+    -PSD_TOL, are treated as zero; anything more negative is rejected as not
+    positive semidefinite.
     """
     values, vectors = hermitian_eig(matrix)
     if not values[0] >= -PSD_TOL:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {values[0]:.3e}")
     # eigenvalues ascend, so the kept ones are the top ``rank``
-    rank = np.count_nonzero(values > SUPPORT_TOL)
+    rank = np.count_nonzero(support_mask(values))
     cols = vectors[:, len(values) - rank :]
     weights = np.log2(values[len(values) - rank :])
     return (cols * weights) @ cols.conj().T, cols @ cols.conj().T

@@ -174,10 +174,10 @@ def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
 
 
 def von_neumann_entropy(state: LabeledState) -> float:
-    """S(rho) = -tr(rho log2 rho), in bits, over the eigenvalues above
-    ``SUPPORT_TOL``."""
+    """S(rho) = -tr(rho log2 rho), in bits, over the eigenvalues in the
+    support, as :func:`~dualent.linalg.support_mask` decides it."""
     values = np.linalg.eigvalsh(state.matrix)
-    kept = values[values > la.SUPPORT_TOL]
+    kept = values[la.support_mask(values)]
     # entropies are nonnegative; the clamp also turns a pure state's -0.0 into 0.0
     return max(0.0, float(-(kept * np.log2(kept)).sum()))
 
@@ -186,7 +186,7 @@ def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
     """S(rho|sigma) = tr(rho log2 rho - rho log2 sigma), in bits.
 
     The first term is -S(rho), read from rho's spectrum with the same
-    ``SUPPORT_TOL`` cutoff as :func:`von_neumann_entropy`; only sigma gets a
+    support rule as :func:`von_neumann_entropy`; only sigma gets a
     matrix logarithm.  Returns ``math.inf`` when the support of rho leaks
     outside the support of sigma, tr((I - P_sigma) rho) above
     ``SUPPORT_LEAK_TOL``.  Both traces are read as one ``vdot`` each:
@@ -213,7 +213,7 @@ def _pure_rel_entropy_on(vec: np.ndarray, values: np.ndarray, vectors: np.ndarra
     also returns the overlaps <e_l|v> and the support mask."""
     overlaps = (vectors.conj().swapaxes(-1, -2) @ vec[..., None])[..., 0]
     weights = np.abs(overlaps) ** 2
-    on_support = values > la.SUPPORT_TOL
+    on_support = la.support_mask(values)
     leak = np.add.reduce(weights, axis=-1, where=~on_support)
     logs = np.log2(values, out=np.zeros_like(values), where=on_support)
     # relative entropies are nonnegative; the clamp also turns -0.0 into 0.0
@@ -228,8 +228,8 @@ def _pure_rel_entropy_grad(vec: np.ndarray, rho: np.ndarray):
     S = -<v|g(rho)|v> with g = log2 on the support and 0 off it, as the value
     is computed; Daleckii-Krein gives G = -W (L o W^dag |v><v| W) W^dag with
     L the divided differences of g on the eigenvalues (Bhatia, Matrix
-    Analysis, ch. V).  Eigenvalues on the support are all above SUPPORT_TOL,
-    so L is finite; G is meaningless where the value is ``inf``.
+    Analysis, ch. V).  Eigenvalues on the support are all above n eps
+    lambda_max > 0, so L is finite; G is meaningless where the value is ``inf``.
     """
     values, vectors = np.linalg.eigh(rho)
     value, overlaps, on_support = _pure_rel_entropy_on(vec, values, vectors)

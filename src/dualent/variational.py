@@ -217,8 +217,7 @@ def delete_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnita
     Half the sum of S(psi | out_AB) and the best pure-product relative
     entropy against out_A'B'; ``math.inf`` when either support fails (for
     instance the identity machine, whose deleted copy is still the
-    entangled pure input).  At a = 1/sqrt(2) a machine moved by 8.6e-15 can
-    move the value by 1.9e-10: compare values there to 1e-9.
+    entangled pure input).
     """
     return _delete_outcome(pair, *_pair_unitaries(u_alice, u_bob, 4)).objective
 

@@ -157,7 +157,7 @@ def _every_support_eigenvector_minimum(matrix):
     the long way: the product part of every support eigenvector, by the
     shared kernel, and the smallest score."""
     values, vectors = np.linalg.eigh(matrix)
-    kets = vectors[:, values > la.SUPPORT_TOL].T
+    kets = vectors[:, la.support_mask(values)].T
     u, _, vh = np.linalg.svd(kets.reshape(-1, 2, 2))
     products = (u[..., :1] * vh[..., :1, :]).reshape(-1, 4)
     return _pure_rel_entropy_on(products, values, vectors)[0].min()
@@ -394,7 +394,7 @@ class TestMinOverProductPureProperties:
             assert abs(own - value) <= 1e-9
             assert leak <= 1e-10
         assert value <= _grid_minimum(log_rho, complement) + 1e-9
-        rank = np.count_nonzero(np.linalg.eigvalsh(matrix) > la.SUPPORT_TOL)
+        rank = np.count_nonzero(la.support_mask(np.linalg.eigvalsh(matrix)))
         if rank in (2, 3):
             kets = _rank_two_product_kets(matrix) if rank == 2 else _rank_three_oracle_kets(matrix)
             if len(kets):
@@ -490,7 +490,7 @@ def _in_support_values(matrix, kets):
     log_rho = la.matrix_log2_on_support(matrix)[0]
     values = -np.einsum("ki,ij,kj->k", kets.conj(), log_rho, kets).real
     eigenvalues, vectors = np.linalg.eigh(matrix)
-    off = vectors[:, eigenvalues <= la.SUPPORT_TOL]
+    off = vectors[:, ~la.support_mask(eigenvalues)]
     return values, np.sum(np.abs(kets.conj() @ off) ** 2, axis=1)
 
 

@@ -65,6 +65,16 @@ def test_log2_powers_of_two_sweep():
     assert np.max(np.abs(log - np.diag(ks))) < 1e-12
 
 
+def test_support_level_scales_with_length_and_top_eigenvalue():
+    # rows of one stack, each decided by its own level n eps lambda_max
+    eps = np.finfo(float).eps
+    values = np.array([[0.0, 0.99, 1.01, 1.0], [0.0, 1.98, 2.02, 2.0]]) * 4 * eps
+    values[:, -1] = [1.0, 2.0]
+    assert la.support_mask(values).tolist() == [[False, False, True, True]] * 2
+    long = np.r_[np.zeros(62), 63 * eps, 1.0]
+    assert not la.support_mask(long)[-2]
+
+
 def test_log2_rejects_negative_eigenvalue():
     with pytest.raises(ValueError, match="not PSD"):
         la.matrix_log2_on_support(np.diag([1.0, -0.5]))

@@ -19,6 +19,7 @@ from dualent.deleting import (
 from dualent.nogo import measure_forget_channel, no_local_cloning_certificate
 from dualent.qstate import (
     SCHMIDT_RANK_TOL,
+    SUPPORT_LEAK_TOL,
     Ket,
     LabeledState,
     SchmidtPair,
@@ -443,7 +444,7 @@ class TestPsdRule:
     def test_state_admitted_by_the_state_layer_has_a_log(self):
         from dualent.deleting import min_over_product_pure
 
-        # smallest eigenvalue -5e-11: inside -PSD_TOL, below -SUPPORT_TOL
+        # smallest eigenvalue -5e-11: inside -PSD_TOL, outside the support
         sigma = LabeledState(np.diag([0.5, 0.3, 0.2 + 5e-11, -5e-11]), (2, 2), ("A", "B"))
         rho = projector(Ket(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2)))
         assert abs(relative_entropy(rho, sigma) - 1.0) < 1e-12
@@ -556,6 +557,36 @@ class TestPureTargetKernel:
         vec, sigma = case
         assert math.isinf(self._state_layer(vec, sigma))
         assert math.isinf(_pure_rel_entropy(vec, sigma.matrix[None])[0])
+
+
+class TestSupportCutoff:
+    """Moving an eigenvalue across the support level n eps lambda_max moves a
+    pure-target score by at most ``SUPPORT_LEAK_TOL`` |log2 level|: a ket may
+    carry at most that weight on an eigenvalue it does not count."""
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_score_continuous_across_the_level(self, n):
+        rng = np.random.default_rng(n)
+        rest = rng.random(n - 1) + 0.1
+        rest /= rest.sum()
+        level = n * np.finfo(float).eps * rest.max()
+        weight = 0.99 * SUPPORT_LEAK_TOL
+        for _ in range(8):
+            # weight on e_0, the rest on a random unit vector orthogonal to it
+            vec = np.zeros(n, complex)
+            vec[1:] = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            vec *= math.sqrt(1 - weight) / np.linalg.norm(vec)
+            vec[0] = math.sqrt(weight)
+            scores = []
+            for small, counted in ((1.01 * level, True), (0.99 * level, False)):
+                # diagonal, so eigh returns these eigenvalues exactly
+                values = np.r_[small, rest * (1 - small)]
+                assert la.support_mask(np.sort(values))[0] == counted
+                scores.append(_pure_rel_entropy(vec, np.diag(values).astype(complex)[None])[0])
+            assert np.isfinite(scores).all()
+            # measured: 5.08e-9 at n = 4 and 5.07e-9 at n = 64, against bounds of 5.13e-9
+            # and 5.12e-9: the counted term -weight log2 lambda
+            assert abs(scores[0] - scores[1]) <= SUPPORT_LEAK_TOL * abs(math.log2(level))
 
 
 def _masked_rel_entropy_grad(vec, rho):

@@ -670,40 +670,21 @@ class TestInvarianceOracles:
     """Exact symmetries of the objectives, checked at searched bests: they
     need no reference value."""
 
-    @pytest.mark.parametrize(
-        "a",
-        [0.3]
-        + [
-            pytest.param(
-                float(GRID_20[i]),
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the exact in-support minimum ends 3.6e-12 to 1.04e-11 above the "
-                    "search's |11> score on a rank-2 deleted copy whose small eigenvalues sit "
-                    "just under SUPPORT_TOL, where |11> leaks about 1e-12 and the leak rule "
-                    "admits it",
-                ),
-            )
-            for i in range(13, 20)
-        ],
-    )
+    @pytest.mark.parametrize("a", [0.3] + [float(GRID_20[i]) for i in range(13, 20)])
     def test_public_delete_objective_at_most_the_search_score(self, a):
         # |11> is an admissible target, so the inner minimum can only lower
-        # the search's score of the same machine; at GRID_20[13] to [19] it
-        # ends 3.6e-12 to 1.04e-11 above it
+        # the search's score of the same machine; measured at GRID_20[13] to
+        # [19]: between 6.7e-16 below and 2.2e-16 above it
         pair = SchmidtPair(a)
         report = optimize_delete(pair, restarts=5, seed=1)
         assert delete_objective(pair, *report.best_params) <= report.best_objective + 1e-12
 
-    @pytest.mark.parametrize(
-        "a",
-        [0.01, 0.3, float(GRID_20[17])],
-    )
+    @pytest.mark.parametrize("a", [0.01, 0.3, float(GRID_20[17])])
     def test_delete_objective_ignores_unitaries_on_the_deleted_copy(self, a):
         # V on A' and W on B' after the machine map product targets to
-        # product targets and leave the kept copy alone; at a = 0.01, where a
-        # 2.4e-12 eigenvalue makes the deleted copy rank 3 by SUPPORT_TOL, the
-        # value moves by at most 2.3e-15 over these draws
+        # product targets and leave the kept copy alone; at a = 0.01, where
+        # eigenvalues of 1.1e-13 and 5.3e-13 make the deleted copy rank 4, the
+        # value moves by at most 1.5e-15 over these draws
         pair = SchmidtPair(a)
         alice, bob = optimize_delete(pair, restarts=5, seed=1).best_params
         value = delete_objective(pair, alice, bob)
