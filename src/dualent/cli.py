@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloning import clone_bound_combined, crossover
-from .deleting import _on_convention, delete_bound, schmidt_rank_nogo_check
+from .deleting import delete_bound, schmidt_rank_nogo_check
 from .nogo import measure_forget_channel, no_local_cloning_certificate
 from .qstate import Ket, SchmidtPair, _pair_entropy
 from .variational import optimize_clone, optimize_delete
@@ -160,14 +160,6 @@ def _cmd_variational(args) -> int:
     return 1 if breach else 0
 
 
-def _family_a(text: str) -> float:
-    """An a in [0, 1/sqrt(2)], read as the deleting bound reads it."""
-    try:
-        return _on_convention(SchmidtPair(float(text))).a
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"a must be in [0, 1/sqrt(2)], got {text}") from None
-
-
 def _nonneg_float(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -184,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("clone-bound", help="both cloning-side bounds at one a")
-    p.add_argument("--a", type=_family_a, required=True)
+    p.add_argument("--a", type=_nonneg_float, required=True)
     p.set_defaults(func=_cmd_clone_bound)
 
     p = sub.add_parser("delete-bound", help="the deleting bound at one a")
-    p.add_argument("--a", type=_family_a, required=True)
+    p.add_argument("--a", type=_nonneg_float, required=True)
     p.set_defaults(func=_cmd_delete_bound)
 
     p = sub.add_parser("sweep", help="CSV of all bounds on an a-grid")
@@ -206,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variational", help="seeded BFGS search over local unitaries")
     p.add_argument("kind", choices=["clone", "delete"])
-    p.add_argument("--a", type=_family_a, required=True)
+    p.add_argument("--a", type=_nonneg_float, required=True)
     p.add_argument("--restarts", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_variational)

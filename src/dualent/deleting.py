@@ -40,9 +40,8 @@ from .qstate import (
     schmidt_ket,
 )
 
-# the convention b >= a, stated on a alone: a <= 1/sqrt(2), with slack for
-# decimal roundings of 1/sqrt(2) such as 0.7071067812
-A_MAX = 1.0 / math.sqrt(2.0) + 1e-9
+# two copies are equal when no entry of the two matrices differs by more than this
+_EQUAL_COPIES_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,15 +58,6 @@ class DeleteOutcome:
     term_keep: float
     term_separable: float
     objective: float
-
-
-def two_copy_ket(pair: SchmidtPair) -> Ket:
-    """psi (x) psi on registers (A, B, A', B'): the input every deleting
-    machine acts on, as one validated ket.  :func:`schmidt_rank_nogo_check`
-    reads its rank across AA':BB'; the machines themselves run on its matrix
-    form diag(a^2, ab, ab, b^2) over (AA', BB')."""
-    psi = schmidt_ket(pair).amplitudes
-    return Ket(np.outer(psi, psi).ravel(), (2, 2, 2, 2))
 
 
 # amplitude order of a two-qubit ket with its parties exchanged
@@ -122,28 +112,21 @@ def local_delete_swap(pair: SchmidtPair) -> DeleteOutcome:
 
     The machine (swap on AA', identity on BB') leaves diag(a^4, a^2 b^2,
     a^2 b^2, b^4) at both (A, B) and (A', B'); the inner minimisation over
-    pure product targets is attained at |11> (for b >= a), giving the
-    closed-form objective E(psi) - 2 log2(b).
+    pure product targets is attained at the corner of the larger coefficient,
+    |11> for b >= a and |00> for a > b, giving the closed-form objective
+    E(psi) - 2 log2 max(a, b).
     """
     return _delete_outcome(pair, swap_gate()[None], np.eye(4)[None])
 
 
-def _on_convention(pair: SchmidtPair) -> SchmidtPair:
-    """``pair`` under the convention b >= a: an a in (1/sqrt(2), ``A_MAX``], a
-    decimal rounding of 1/sqrt(2), reads as 1/sqrt(2); a larger a raises."""
-    if not pair.a <= A_MAX:
-        raise ValueError(f"convention b >= a violated: a = {pair.a}, b = {pair.b}")
-    return pair if pair.b >= pair.a else SchmidtPair(1.0 / math.sqrt(2.0))
-
-
 def delete_bound(pair: SchmidtPair) -> float:
-    """Closed-form deleting bound E(psi) - 2 log2(b), in bits.
+    """Closed-form deleting bound E(psi) - 2 log2 max(a, b), in bits, for any a
+    in [0, 1]; equals the swap deleter's objective.
 
-    Requires the convention b >= a, that is a <= ``A_MAX``, and reads an a
-    above 1/sqrt(2) as 1/sqrt(2); equals the swap deleter's objective.
+    X (x) X maps a|00> + b|11> to b|00> + a|11>, and the bound, like E, is
+    invariant under local unitaries, so it is symmetric in a <-> b.
     """
-    pair = _on_convention(pair)
-    return _pair_entropy(pair) - 2.0 * math.log2(pair.b)
+    return _pair_entropy(pair) - 2.0 * math.log2(max(pair.a, pair.b))
 
 
 # the sphere search's starts: qubit kets on a 13 x 24 polar x azimuthal grid
@@ -267,23 +250,25 @@ def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:
     """Delete the second of two equal copies with a global (closed) map.
 
     Known copies can be deleted globally; this is the contrast to the local
-    deleting no-go of :func:`schmidt_rank_nogo_check`.
+    deleting no-go of :func:`schmidt_rank_nogo_check`.  The copies are equal
+    when no entry differs by more than ``_EQUAL_COPIES_TOL``.
 
     The (A, B) factor is untouched; each eigenvector of the deleted copy is
     sent to a computational product basis vector, eigenvalues assigned in
     descending order to |00>, |01>, |10>, |11> (row-major).  The output
     (A', B') marginal is therefore product-basis diagonal -- separable --
-    with the spectrum of the input copy.
+    with the spectrum of the input copy, its eigenvalues outside the support
+    (:func:`~dualent.linalg.support_mask`) read as 0.
     """
     if rho_ab.dims != rho_apbp.dims:
         raise ValueError(f"dimension mismatch: {rho_ab.dims} vs {rho_apbp.dims}")
     if len(rho_apbp.dims) != 2:
         raise ValueError("the deleted copy must be bipartite")
     gap = float(np.max(np.abs(rho_ab.matrix - rho_apbp.matrix)))
-    if gap > 1e-10:
+    if not gap <= _EQUAL_COPIES_TOL:
         raise ValueError(f"equal copies required: max elementwise gap {gap:.3e}")
     values = np.linalg.eigvalsh(rho_apbp.matrix)
-    spectrum = np.clip(values[::-1], 0.0, None)
+    spectrum = np.where(la.support_mask(values), values, 0.0)[::-1]
     deleted = np.diag(spectrum.astype(complex))
     return LabeledState(
         np.kron(rho_ab.matrix, deleted),
@@ -301,14 +286,11 @@ class SchmidtRankCheck(NamedTuple):
 def schmidt_rank_nogo_check(pair: SchmidtPair) -> SchmidtRankCheck:
     """Compare Schmidt ranks across AA':BB' before and after ideal deleting.
 
-    Two copies of an entangled a|00> + b|11> have rank 4 across the cut,
-    while the deleted target psi (x) |0'> (x) |0''> has rank 2; local
-    unitaries preserve the rank, so deleting is impossible whenever the
-    ranks differ.  In the product limit both ranks are 1.
+    Both ranks come from psi's rank r across A:B.  Schmidt ranks multiply
+    under tensor products, so the two copies psi (x) psi have rank r^2 across
+    the cut, while the deleted target psi (x) |0'> (x) |0''> keeps rank r.
+    Local unitaries preserve the rank, so deleting is impossible whenever the
+    ranks differ: (4, 2) for an entangled psi, (1, 1) in the product limit.
     """
-    cut = ((0, 2), (1, 3))
-    rank_input = schmidt_decompose(two_copy_ket(pair), cut).rank
-    target = np.zeros((4, 4), dtype=complex)
-    target[:, 0] = schmidt_ket(pair).amplitudes  # psi (x) |00>, rows (A, B)
-    rank_target = schmidt_decompose(Ket(target.ravel(), (2, 2, 2, 2)), cut).rank
-    return SchmidtRankCheck(rank_input, rank_target, rank_input == rank_target)
+    r = schmidt_decompose(schmidt_ket(pair)).rank
+    return SchmidtRankCheck(r * r, r, r * r == r)

@@ -11,15 +11,16 @@ stacks directly, unchecked.
 
 The zero rules: each is one rule, applied by the functions listed.
 
-- Hermiticity, max |M - M^dag| <= ``HERMITICITY_TOL``: :func:`hermitian_eig` and
-  ``qstate.LabeledState``.
+- Hermiticity, max |M - M^dag| <= ``HERMITICITY_TOL``, by :func:`hermiticity_defect`:
+  :func:`hermitian_eig` and ``qstate.LabeledState``.
 - PSD, no eigenvalue below -``PSD_TOL``: ``qstate.LabeledState``, through a Cholesky
   factorisation of rho + ``PSD_TOL`` I, in real arithmetic when rho is real-valued, with
   ``eigvalsh`` deciding the matrices it fails on, and :func:`matrix_log2_on_support`,
   through its eigenvalues.
 - Support, eigenvalues above n eps lambda_max, by :func:`support_mask`:
   :func:`matrix_log2_on_support`, qstate's von Neumann entropy and pure-state kernel
-  ``_pure_rel_entropy_on``, and the support rank in ``deleting.min_over_product_pure``.
+  ``_pure_rel_entropy_on``, the support rank in ``deleting.min_over_product_pure``, and
+  the deleted copy's spectrum in ``deleting.global_delete``, which reads the rest as 0.
 - Leak, at most ``qstate.SUPPORT_LEAK_TOL`` weight off the support, else +inf:
   ``qstate.relative_entropy`` and ``_pure_rel_entropy_on``.
 - Schmidt rank, singular values above ``qstate.SCHMIDT_RANK_TOL``: ``schmidt_decompose``
@@ -29,6 +30,8 @@ The zero rules: each is one rule, applied by the functions listed.
   is product.
 - Isometry, max |V^dag V - I| <= ``ISOMETRY_TOL``, by :func:`isometry_defect`:
   ``variational.LocalUnitary`` and ``cloning.CloneIsometry``.
+- Equal copies, no entry differing by more than ``deleting._EQUAL_COPIES_TOL``:
+  ``deleting.global_delete``.
 """
 
 from __future__ import annotations
@@ -52,10 +55,10 @@ def as_matrix(matrix) -> np.ndarray:
     return out
 
 
-def hermiticity_defect(matrix) -> float:
-    """Max elementwise |M - M^dag|."""
-    m = as_matrix(matrix)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def hermiticity_defect(matrix: np.ndarray) -> float:
+    """Max elementwise |M - M^dag| of a square matrix, in its own dtype, so a
+    float64 matrix is checked in real arithmetic."""
+    return float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
 
 
 def isometry_defect(matrix: np.ndarray) -> float:

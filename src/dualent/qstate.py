@@ -66,7 +66,7 @@ class LabeledState:
             raise ValueError(f"state trace is {trace}, expected 1")
         # a NaN imaginary part counts as nonzero, so it stays on the complex copy
         work = matrix.copy() if np.count_nonzero(matrix.imag) else matrix.real.copy()
-        defect = float(np.abs(work - work.conj().T).max())
+        defect = la.hermiticity_defect(work)
         if not defect <= la.HERMITICITY_TOL:
             raise ValueError(f"state is not Hermitian: defect {defect:.3e}")
         work.reshape(-1)[:: len(work) + 1] += la.PSD_TOL  # rho + PSD_TOL I
@@ -118,9 +118,10 @@ class SchmidtPair:
     """Schmidt coefficients (a, b) of the two-qubit family a|00> + b|11>,
     given by a alone: b = sqrt(1 - a^2) is computed, never passed.
 
-    The canonical family has 0 < a <= 1/sqrt(2) <= b, but the boundary
-    values a = 0 and a = 1 (product states) are admitted so the separable
-    limits can be evaluated exactly.
+    Any a in [0, 1] is admitted, the product states a = 0 and a = 1
+    included.  X (x) X maps the pair to its mirror (b, a), and every measure
+    here is invariant under local unitaries, so a and sqrt(1 - a^2) give the
+    same values; a <= 1/sqrt(2) covers the family once.
     """
 
     a: float

@@ -54,14 +54,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg as la
 from .cloning import _CLONER, _SYMMETRIC, clone_bound
-from .deleting import _delete_constants, _delete_outcome, _delete_terms, _on_convention
-from .deleting import delete_bound, swap_gate
+from .deleting import _delete_constants, _delete_outcome, _delete_terms, delete_bound, swap_gate
 from .qstate import SchmidtPair, _local_output, _local_output_adjoint, _pure_rel_entropy_grad
 
 # value-and-gradient evaluations per restart; the longest restart seen, a
@@ -418,10 +417,17 @@ def optimize_delete(
     that score of the winning machine.  |11> is an admissible target, so
     the best is an upper bound, and :func:`delete_objective` of the same
     machine can only be lower in exact arithmetic.  Seeded at the A-side
-    and B-side swaps, so the result never exceeds :func:`delete_bound`,
-    whose reading of a it shares; deterministic for fixed (pair, restarts, seed).
+    and B-side swaps, so the result never exceeds :func:`delete_bound`;
+    deterministic for fixed (pair, restarts, seed).  An a > b is searched as
+    its mirror b|00> + a|11>, the image under X (x) X, a local unitary that
+    moves no objective; the |11> the search scores is the swap's best product
+    target only for b >= a.  The mirror's machines, conjugated by X (x) X on
+    each party's two qubits, which reverses the basis, are the pair's own.
     """
-    pair = _on_convention(pair)
+    if pair.a > pair.b:
+        mirror = optimize_delete(SchmidtPair(pair.b), restarts, seed, max_evals)
+        machines = tuple(LocalUnitary(u.matrix[::-1, ::-1]) for u in mirror.best_params)
+        return replace(mirror, best_params=machines)
     reference = delete_bound(pair)
     swap = np.array([machine.matrix for machine in swap_delete_seed()])
     seeds = [swap, swap[::-1]]

@@ -43,8 +43,8 @@ class TestCloneBoundCommand:
 
     def test_out_of_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["clone-bound", "--a", "0.8"])
-        assert exc.value.code != 0
+            main(["clone-bound", "--a", "-0.1"])
+        assert exc.value.code == 2
 
     def test_product_end_is_admitted(self, capsys):
         code, out, _ = run_cli(capsys, "clone-bound", "--a", "0")
@@ -59,17 +59,18 @@ class TestDeleteBoundCommand:
         assert parse_report(out.strip())["D_bound"] == "2.000000000"
 
     def test_every_admitted_a_is_accepted(self, capsys):
-        # 8.1e-10 above 1/sqrt(2), so a - b = 1.6e-9: inside the CLI's slack
+        # 8.1e-10 above 1/sqrt(2), so a - b = 1.6e-9
         code, out, err = run_cli(capsys, "delete-bound", "--a", "0.707106782")
         assert (code, err) == (0, "")
         assert abs(float(parse_report(out.strip())["D_bound"]) - 2.0) < 1e-8
 
-    def test_rounding_from_above_reads_as_the_symmetric_point(self, capsys):
-        # a 8.1e-10 above 1/sqrt(2) is read as 1/sqrt(2), so the bound is 2
+    def test_rounding_from_above_reads_as_typed(self, capsys):
+        # a 8.1e-10 above 1/sqrt(2) is its own point, 2 - 2 log2(a sqrt(2)) +
+        # O(1e-18) = 2 - 3.3e-9, just past the peak of the bound
         code, out, _ = run_cli(capsys, "delete-bound", "--a", "0.707106782")
         assert code == 0
         report = parse_report(out.strip())
-        assert (report["a"], report["D_bound"]) == ("0.707106781", "2.000000000")
+        assert (report["a"], report["D_bound"]) == ("0.707106782", "1.999999997")
 
     def test_product_end_is_admitted(self, capsys):
         code, out, _ = run_cli(capsys, "delete-bound", "--a", "0")
@@ -246,26 +247,47 @@ class TestVariationalCommand:
         assert (code, err) == (0, "")
         assert parse_report(out.strip())["verdict"] == "PASS"
 
-    def test_delete_reads_the_rounded_symmetric_point_as_it(self, capsys):
-        # above 1/sqrt(2) the swap's best product target would be |00>, not
-        # the |11> the search scores, and its score would exceed 2
+    def test_delete_reads_the_rounded_symmetric_point_as_typed(self, capsys):
+        # searched as its mirror, the swap seed scores the a given: the
+        # bound's 2 - 3.3e-9, not the 2 of 1/sqrt(2)
         code, out, _ = run_cli(
             capsys, "variational", "delete", "--a", "0.707106782", "--restarts", "1", "--seed", "1"
         )
         assert code == 0
-        assert parse_report(out.strip())["best_objective"] == "2.000000000000"
-
-    @pytest.mark.parametrize("kind", ["clone", "delete"])
-    def test_a_above_the_family_range_is_usage_error(self, kind):
-        # the bound commands reject this a too: the family has b >= a
-        with pytest.raises(SystemExit) as exc:
-            main(["variational", kind, "--a", "0.8", "--restarts", "1", "--seed", "1"])
-        assert exc.value.code != 0
+        report = parse_report(out.strip())
+        assert report["best_objective"] == "1.999999996681"
+        assert report["reference_bound"] == "1.999999996681"
 
     def test_invalid_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["variational", "teleport", "--a", "0.5", "--restarts", "1", "--seed", "0"])
         assert exc.value.code != 0
+
+
+FAMILY_COMMANDS = [
+    ["clone-bound"],
+    ["delete-bound"],
+    ["variational", "delete", "--restarts", "1", "--seed", "1"],
+    ["variational", "clone", "--restarts", "1", "--seed", "1"],
+]
+
+
+class TestFamilyRange:
+    """Every command takes a in [0, 1]: past 1/sqrt(2) the family continues
+    as the mirror of a <= 1/sqrt(2), and a outside [0, 1] is a usage error."""
+
+    @pytest.mark.parametrize("argv", FAMILY_COMMANDS, ids=" ".join)
+    def test_a_past_the_symmetric_point_is_answered(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--a", "0.8")
+        assert (code, err) == (0, "")
+        assert parse_report(out.strip())["a"] == "0.800000000"
+
+    @pytest.mark.parametrize("argv", FAMILY_COMMANDS, ids=" ".join)
+    def test_a_above_one_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--a", "1.5"])
+        assert exc.value.code == 2
+        assert "a must be in [0, 1], got 1.5" in capsys.readouterr().err
 
 
 # A None entry in sys.modules makes every scipy (and mpmath, which only the
@@ -301,6 +323,7 @@ for argv in [
     ["variational", "delete", "--a", "0.6", "--restarts", "5", "--seed", "1"],
     ["variational", "clone", "--a", "0.6", "--restarts", "5", "--seed", "1"],
     ["variational", "delete", "--a", "0.707106782", "--restarts", "1", "--seed", "1"],
+    ["delete-bound", "--a", "0.8"],
 ]:
     assert main(argv) == 0, argv
 pair, cloner = SchmidtPair(0.6), cloner_seed_params()
@@ -309,6 +332,7 @@ def h(w):
     return -(w * math.log2(w) + (1 - w) * math.log2(1 - w))
 assert abs(clone_bound_combined(SchmidtPair(0.3)).e_r - h(0.09)) <= 1e-12
 assert abs(delete_bound(pair) - (h(0.36) - 2 * math.log2(0.8))) <= 1e-12
+assert abs(delete_bound(SchmidtPair(0.8)) - delete_bound(pair)) <= 1e-14
 cert = no_local_cloning_certificate(pair)
 assert abs(cert.ed_input - h(0.36)) <= 1e-12 and cert.contradiction
 swap = delete_objective(pair, LocalUnitary(swap_gate()), LocalUnitary(np.eye(4)))
@@ -353,7 +377,8 @@ def test_library_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("crossover=0.428265\n")
     assert "combined=" in done.stdout
-    assert "kind=delete a=0.707106781 best_objective=2.000000000000 " in done.stdout
+    assert "kind=delete a=0.707106782 best_objective=1.999999996681 " in done.stdout
+    assert "a=0.800000000 E=0.942683189 D_bound=1.586539379\n" in done.stdout
     assert (tmp_path / "s.csv").read_text().count("\n") == 6
 
 
@@ -395,6 +420,31 @@ def test_readme_quickstart_runs():
         [sys.executable, "-c", QUICKSTART, blocks[0]], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def readme_cli_examples():
+    """``(argv, shown)`` for each ``dualent`` line of the README's sh blocks
+    whose comment, on the line or the next, is a full ``key=value`` report."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    for line, after in zip(lines, lines[1:]):
+        command, _, comment = line.partition("#")
+        if not command.startswith("dualent "):
+            continue
+        for shown in (comment.strip(), after.removeprefix("# ") * after.startswith("# ")):
+            if re.fullmatch(r"\w+=\S+( \w+=\S+)*", shown):
+                examples.append((command.split()[1:], shown))
+    return examples
+
+
+def test_readme_cli_examples(capsys):
+    examples = readme_cli_examples()
+    assert [argv[0] for argv, _ in examples] == [
+        "clone-bound", "delete-bound", "delete-bound", "crossover", "nogo"
+    ]
+    for argv, shown in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, shown + "\n", ""), argv
 
 
 PUBLIC_NAMES = [

@@ -20,6 +20,7 @@ from dualent.qstate import (
     SchmidtPair,
     relative_entropy,
     schmidt_ket,
+    trace_out,
 )
 
 SYM = 1 / math.sqrt(2)
@@ -155,17 +156,22 @@ class TestPipeline:
             assert eta.matrix.tobytes() == np.outer(out, out.conj()).tobytes()
 
     def test_closed_form_agreement_on_grid(self):
-        worst_closed = worst_symmetry = 0.0
+        worst_closed = 0.0
         for a in A_GRID:
             pair = SchmidtPair(float(a))
             _, copy1, copy2 = local_clone_pipeline(pair)
+            assert copy2 is copy1
             expected = rho_clone_closed_form(pair).matrix
             worst_closed = max(worst_closed, float(np.max(np.abs(copy1.matrix - expected))))
-            worst_symmetry = max(
-                worst_symmetry, float(np.max(np.abs(copy1.matrix - copy2.matrix)))
-            )
         assert worst_closed < 1e-12
-        assert worst_symmetry < 1e-12
+
+    def test_the_clones_are_exchangeable(self):
+        # the (A', B') marginal, traced from eta here, is the returned copy, bit for bit
+        for a in np.r_[A_GRID, np.linspace(0.0, 1.0, 201)]:
+            eta, copy1, _ = local_clone_pipeline(SchmidtPair(float(a)))
+            copy2 = trace_out(eta, ("A", "Ae", "B", "Be"))
+            assert copy2.labels == ("A'", "B'")
+            assert copy2.matrix.tobytes() == copy1.matrix.tobytes(), a
 
 
 class TestCloneBound:

@@ -10,13 +10,13 @@ from dualent import linalg as la
 from dualent.cloning import clone_bound_combined
 from dualent.deleting import (
     SchmidtRankCheck,
+    _EQUAL_COPIES_TOL,
     _min_product_pure_matrix,
     delete_bound,
     global_delete,
     local_delete_swap,
     min_over_product_pure,
     schmidt_rank_nogo_check,
-    two_copy_ket,
 )
 from dualent.qstate import (
     SCHMIDT_RANK_TOL,
@@ -26,7 +26,12 @@ from dualent.qstate import (
     _pure_rel_entropy_on,
     schmidt_ket,
 )
-from dualent.variational import delete_objective, optimize_delete, swap_delete_seed
+from dualent.variational import (
+    delete_objective,
+    optimize_clone,
+    optimize_delete,
+    swap_delete_seed,
+)
 
 SYM = 1 / math.sqrt(2)
 A_GRID = np.linspace(0.01, SYM, 50)
@@ -72,9 +77,9 @@ class TestLocalDeleteSwap:
 
     def test_global_spectrum_preserved(self):
         # the deleter is unitary, so the four-qubit output stays pure
-        pair = SchmidtPair(0.6)
-        ket = two_copy_ket(pair)
-        swapped = ket.amplitudes.reshape(ket.dims).transpose(2, 1, 0, 3).ravel()
+        psi = schmidt_ket(SchmidtPair(0.6)).amplitudes
+        two_copies = np.kron(psi, psi)  # registers (A, B, A', B')
+        swapped = two_copies.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).ravel()
         values = np.linalg.eigvalsh(np.outer(swapped, swapped.conj()))
         expected = np.zeros(16)
         expected[-1] = 1.0
@@ -91,14 +96,27 @@ class TestDeleteBound:
     def test_separable_limit(self):
         assert delete_bound(SchmidtPair(0.001)) < 1e-4
 
-    def test_convention_enforced(self):
-        with pytest.raises(ValueError, match="b >= a"):
-            delete_bound(SchmidtPair(0.9))
+    def test_mirror_reads_the_larger_coefficient(self):
+        # a = 0.9 is the mirror of a = sqrt(0.19): E - 2 log2(0.9)
+        e = -(0.81 * math.log2(0.81) + 0.19 * math.log2(0.19))
+        assert abs(delete_bound(SchmidtPair(0.9)) - (e - 2 * math.log2(0.9))) < 1e-14
 
-    def test_matches_swap_machine_on_grid(self):
-        for a in A_GRID:
+    def test_matches_swap_machine_on_the_whole_family(self):
+        # past 1/sqrt(2) the swap's best product target is |00>, and the
+        # bound reads max(a, b) = a
+        for a in np.r_[A_GRID, np.linspace(0.0, 1.0, 101)]:
             pair = SchmidtPair(float(a))
-            assert abs(local_delete_swap(pair).objective - delete_bound(pair)) < 1e-10
+            assert abs(local_delete_swap(pair).objective - delete_bound(pair)) < 1e-10, a
+
+    def test_bounds_symmetric_under_the_mirror(self):
+        # X (x) X exchanges a and b, and the bounds are local-unitary invariant
+        for a in np.linspace(0.0, 1.0, 1001):
+            pair, mirror = SchmidtPair(float(a)), SchmidtPair(math.sqrt(1 - a * a))
+            assert abs(delete_bound(pair) - delete_bound(mirror)) <= 1e-14, a
+            records = [clone_bound_combined(p) for p in (pair, mirror)]
+            for field in ("e_r", "s_clone", "combined"):
+                gap = getattr(records[0], field) - getattr(records[1], field)
+                assert abs(gap) <= 1e-14, (field, a)
 
     def test_strictly_increasing(self):
         values = [delete_bound(SchmidtPair(float(a))) for a in A_GRID]
@@ -136,20 +154,42 @@ class TestSchmidtPairEdges:
         [delete_bound, lambda pair: optimize_delete(pair, restarts=1, seed=1).best_objective],
         ids=["delete_bound", "optimize_delete"],
     )
-    def test_rounding_of_the_symmetric_point_reads_as_it(self, deleting):
-        # read as it is, 8.1e-10 above 1/sqrt(2), the swap's best product
-        # target would be |00>, not |11>, and the |11> score 2 + 3.3e-9
-        assert deleting(SchmidtPair(0.707106782)) == deleting(SchmidtPair(SYM))
+    def test_rounding_of_the_symmetric_point_reads_as_typed(self, deleting):
+        # 8.1e-10 above 1/sqrt(2), a is read as typed and searched as its
+        # mirror b: past the peak at 1/sqrt(2), each value lies below the peak's
+        rounded, mirror = SchmidtPair(0.707106782), SchmidtPair(math.sqrt(1 - 0.707106782**2))
+        assert deleting(rounded) < deleting(SchmidtPair(SYM))
+        assert abs(deleting(rounded) - deleting(mirror)) < 1e-14
 
     @pytest.mark.parametrize("a", [0.8, 1.0])
     @pytest.mark.parametrize(
         "deleting",
-        [delete_bound, lambda pair: optimize_delete(pair, restarts=1, seed=1, max_evals=10)],
+        [
+            delete_bound,
+            lambda pair: optimize_delete(pair, restarts=1, seed=1, max_evals=10).best_objective,
+        ],
         ids=["delete_bound", "optimize_delete"],
     )
-    def test_wrong_convention_rejected(self, deleting, a):
-        with pytest.raises(ValueError, match="convention b >= a violated"):
-            deleting(SchmidtPair(a))
+    def test_a_above_b_reads_as_its_mirror(self, deleting, a):
+        # X (x) X maps a|00> + b|11> to b|00> + a|11>
+        assert deleting(SchmidtPair(a)) == deleting(SchmidtPair(math.sqrt(1 - a * a)))
+
+    @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
+    def test_searches_at_a_and_its_mirror_agree(self, search):
+        # the clone search runs a = 0.8 as given, the deleting search as its
+        # mirror b = 0.6 - 1.1e-16; both land where the a = 0.6 search does
+        high = search(SchmidtPair(0.8), restarts=2, seed=1)
+        low = search(SchmidtPair(0.6), restarts=2, seed=1)
+        assert abs(high.best_objective - low.best_objective) < 1e-12
+        assert abs(high.reference_bound - low.reference_bound) < 1e-14
+        assert high.best_objective <= high.reference_bound
+
+    def test_searched_machines_belong_to_the_pair_searched(self):
+        # the mirror's winning machines, conjugated by X (x) X, score a = 0.8 as
+        # the search reports (0.649); unconjugated they score 1.041
+        pair = SchmidtPair(0.8)
+        report = optimize_delete(pair, restarts=2, seed=1)
+        assert delete_objective(pair, *report.best_params) <= report.best_objective + 1e-12
 
 
 def _every_support_eigenvector_minimum(matrix):
@@ -635,6 +675,30 @@ class TestGlobalDelete:
         with pytest.raises(ValueError, match="equal copies"):
             global_delete(rho_ab, rho_apbp)
 
+    def test_copies_equal_up_to_the_tolerance(self):
+        # one coherence moved by 2e-10 is another state, by 5e-11 the same
+        assert _EQUAL_COPIES_TOL == 1e-10
+        diag = np.diag([0.4, 0.3, 0.2, 0.1])
+        rho_ab = LabeledState(diag, (2, 2), ("A", "B"))
+        for gap, equal in ((2e-10, False), (5e-11, True)):
+            moved = diag.copy()
+            moved[0, 1] = moved[1, 0] = gap
+            rho_apbp = LabeledState(moved, (2, 2), ("A'", "B'"))
+            if equal:
+                global_delete(rho_ab, rho_apbp)
+            else:
+                with pytest.raises(ValueError, match="equal copies"):
+                    global_delete(rho_ab, rho_apbp)
+
+    def test_eigenvalues_outside_the_support_are_zero(self):
+        # +-1e-17 lie below the support level 4 eps 0.5: both come out as 0
+        matrix = np.diag([1e-17, 0.5, -1e-17, 0.5])
+        rho_ab = LabeledState(matrix, (2, 2), ("A", "B"))
+        rho_apbp = LabeledState(matrix, (2, 2), ("A'", "B'"))
+        out = global_delete(rho_ab, rho_apbp)
+        deleted = out.matrix.reshape(4, 4, 4, 4)[1, :, 1, :] / 0.5  # rho_ab's |01><01| entry
+        assert np.diag(deleted).tolist() == [0.5, 0.5, 0.0, 0.0]
+
 
 class TestSchmidtRankNogo:
     @pytest.mark.parametrize("a", [0.6, SYM, 0.1])
@@ -646,25 +710,21 @@ class TestSchmidtRankNogo:
         check = schmidt_rank_nogo_check(SchmidtPair(0.0))
         assert check == (1, 1, True)
 
-    def test_ranks_match_the_kron_route(self):
-        # the target psi (x) |00> and the ranks as built with vector krons, a
-        # basis-ket blank and eager decompositions; a^2 and then ab drop below
-        # SCHMIDT_RANK_TOL as a falls
+    def test_ranks_are_the_square_and_the_rank_of_psi(self):
+        # psi (x) psi has the Schmidt coefficients s_i s_j across AA':BB', all
+        # nonzero where psi's are, so its rank is rank(psi)^2 = 4 wherever
+        # min(a, b) > SCHMIDT_RANK_TOL, also where a^2 or ab falls below it
         log_grid = np.logspace(-14, 0, 57)
         for a in np.r_[np.linspace(0.01, SYM, 20), log_grid]:
             pair = SchmidtPair(float(a))
             psi = schmidt_ket(pair).amplitudes
-            blank = np.eye(4, dtype=complex)[0]
-            assert two_copy_ket(pair).amplitudes.tobytes() == np.kron(psi, psi).tobytes()
-            ranks = []
-            for amps in (np.kron(psi, psi), np.kron(psi, blank)):
-                mat = amps.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-                values = np.linalg.svd(mat, full_matrices=False)[1]
-                ranks.append(int(np.count_nonzero(values > SCHMIDT_RANK_TOL)))
-            expected = SchmidtRankCheck(ranks[0], ranks[1], ranks[0] == ranks[1])
+            cut = np.kron(psi, psi).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+            values = np.linalg.svd(cut, compute_uv=False)
+            products = np.sort(np.outer([pair.a, pair.b], [pair.a, pair.b]).ravel())[::-1]
+            assert np.max(np.abs(values - products)) <= 1e-15, a
+            entangled = min(pair.a, pair.b) > SCHMIDT_RANK_TOL
+            expected = SchmidtRankCheck(4, 2, False) if entangled else SchmidtRankCheck(1, 1, True)
             assert schmidt_rank_nogo_check(pair) == expected, a
         bands = [schmidt_rank_nogo_check(SchmidtPair(float(a))) for a in log_grid]
-        # a <= 1e-10, then 1.8e-10 ... 1e-5, then 1.8e-5 ... 0.56, then a = 1
-        assert bands == [(1, 1, True)] * 17 + [(3, 2, False)] * 20 + [(4, 2, False)] * 19 + [
-            (1, 1, True)
-        ]
+        # a <= 1e-10, then 1.8e-10 ... 0.56, then a = 1
+        assert bands == [(1, 1, True)] * 17 + [(4, 2, False)] * 39 + [(1, 1, True)]

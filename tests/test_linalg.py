@@ -202,3 +202,12 @@ def test_one_isometry_rule_decides_both_machine_types(monkeypatch):
     for cls, m in cases:
         with pytest.raises(ValueError, match="not (unitary|orthonormal)"):
             cls(m)
+
+
+def test_hermiticity_defect_is_the_same_in_real_and_complex_arithmetic():
+    # LabeledState checks a real-valued state on its float64 copy
+    rng = np.random.default_rng(5)
+    for n in (2, 4, 64):
+        m = rng.standard_normal((n, n))
+        assert la.hermiticity_defect(m) == la.hermiticity_defect(m.astype(complex)) > 0.0
+        assert la.hermiticity_defect(m + m.T) == 0.0

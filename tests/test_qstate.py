@@ -249,15 +249,15 @@ class TestConstructionCensus:
     """Each pipeline validates what it returns and builds no other checked
     object than its inputs."""
 
-    def test_rank_check_builds_no_schmidt_vector(self, census):
+    def test_rank_check_builds_only_psi(self, census):
         schmidt_rank_nogo_check(SchmidtPair(0.6))
-        # psi twice, psi (x) psi and psi (x) |00>
-        assert census == {("Ket", (2, 2)): 2, ("Ket", (2, 2, 2, 2)): 2}
+        # psi, whose rank gives both; no four-qubit ket
+        assert census == {("Ket", (2, 2)): 1}
 
-    def test_clone_pipeline_builds_its_three_states(self, census):
+    def test_clone_pipeline_builds_its_two_states(self, census):
         local_clone_pipeline(SchmidtPair(0.6))
-        # eta and its two copies; the amplitudes need no ket
-        assert census == {("LabeledState", (2,) * 6): 1, ("LabeledState", (2, 2)): 2}
+        # eta and the one copy it returns twice; the amplitudes need no ket
+        assert census == {("LabeledState", (2,) * 6): 1, ("LabeledState", (2, 2)): 1}
 
     def test_point_evaluation_builds_only_the_clone_bound_states(self, census):
         pair = SchmidtPair(0.6)
@@ -425,21 +425,27 @@ class TestPsdRule:
     @pytest.mark.parametrize("a", [0.01, 0.3, 0.6, 1 / math.sqrt(2)])
     def test_pipeline_eta_passes_the_factorisation(self, a, monkeypatch):
         # the rank-1 64x64 outer product is accepted without the eigvalsh
-        # fallback, and, being real-valued, is factored in real arithmetic
+        # fallback, and, being real-valued, is checked for Hermiticity and
+        # factored in real arithmetic
         eta = local_clone_pipeline(SchmidtPair(a))[0]
-        cholesky, factored = np.linalg.cholesky, []
+        cholesky, defect, factored, checked = np.linalg.cholesky, la.hermiticity_defect, [], []
 
         def spy(matrix):
             factored.append(matrix.dtype)
             return cholesky(matrix)
 
+        def defect_spy(matrix):
+            checked.append(matrix.dtype)
+            return defect(matrix)
+
         def refuse(*args, **kwargs):
             raise AssertionError("the PSD check fell back to eigvalsh")
 
         monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(la, "hermiticity_defect", defect_spy)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         LabeledState(eta.matrix, eta.dims, eta.labels)
-        assert factored == [np.float64]
+        assert factored == checked == [np.float64]
 
     def test_state_admitted_by_the_state_layer_has_a_log(self):
         from dualent.deleting import min_over_product_pure
