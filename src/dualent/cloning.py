@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .qstate import LabeledState, SchmidtPair, _pair_entropy, relative_entropy, trace_out
+from .qstate import (
+    LabeledState,
+    SchmidtPair,
+    _pair_entropy,
+    relative_entropy,
+    schmidt_ket,
+    trace_out,
+)
 
 CLONE_LABELS = ("A", "A'", "Ae", "B", "B'", "Be")
 
@@ -116,15 +123,10 @@ def clone_bound(pair: SchmidtPair) -> float:
     """Cloning-side upper bound: S(|psi><psi| | rho_clone), in bits.
 
     Always finite; the copy has full rank on the block containing psi.
-    The projector is built from the pair's amplitudes: its only nonzero
-    block, on |00> and |11>, is [[a^2, ab], [ab, b^2]].
+    The pure input is scored as its ket, -<psi|log2 rho_clone|psi>, so the
+    copy is the one state checked.
     """
-    a, b = pair.a, pair.b
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[3, 3] = a * a, b * b
-    m[0, 3] = m[3, 0] = a * b
-    psi = LabeledState(m, (2, 2), ("A", "B"))
-    return relative_entropy(psi, rho_clone_closed_form(pair))
+    return relative_entropy(schmidt_ket(pair), rho_clone_closed_form(pair))
 
 
 @dataclass(frozen=True)

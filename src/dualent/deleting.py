@@ -196,8 +196,9 @@ def _sphere_search(values: np.ndarray, vectors: np.ndarray, rank: int) -> np.nda
 def _min_product_pure_matrix(matrix: np.ndarray):
     """Array-level core of :func:`min_over_product_pure` for a 4x4 matrix:
     ``(value, x, y)`` for the best product ket x (x) y of a state whose
-    eigenvalues are at least -``PSD_TOL``, as :class:`LabeledState` checks."""
-    values, vectors = la.hermitian_eig(matrix)
+    eigenvalues are at least -``PSD_TOL``, as :class:`LabeledState` checks.
+    That check covers Hermiticity too, so the decomposition is unchecked."""
+    values, vectors = np.linalg.eigh(matrix)
     kets = vectors[:, la.support_mask(values)].T  # the support's eigenvectors, top last
     if len(kets) == 2:
         # det(t M1 + M2) = t^2 det M1 + t (det(M1 + M2) - det M1 - det M2) + det M2

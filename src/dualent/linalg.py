@@ -7,7 +7,8 @@ readable at the call site.
 
 Each function takes one matrix and checks it.  The search kernels score Gram
 matrices they build themselves, so they call ``numpy.linalg.eigh`` on their
-stacks directly, unchecked.
+stacks directly, unchecked; so does ``deleting._min_product_pure_matrix`` on
+the state that ``qstate.LabeledState`` has already checked.
 
 The zero rules: each is one rule, applied by the functions listed.
 

@@ -183,7 +183,7 @@ def von_neumann_entropy(state: LabeledState) -> float:
     return max(0.0, float(-(kept * np.log2(kept)).sum()))
 
 
-def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
+def relative_entropy(rho: LabeledState | Ket, sigma: LabeledState) -> float:
     """S(rho|sigma) = tr(rho log2 rho - rho log2 sigma), in bits.
 
     The first term is -S(rho), read from rho's spectrum with the same
@@ -192,10 +192,20 @@ def relative_entropy(rho: LabeledState, sigma: LabeledState) -> float:
     outside the support of sigma, tr((I - P_sigma) rho) above
     ``SUPPORT_LEAK_TOL``.  Both traces are read as one ``vdot`` each:
     tr(M rho) = sum conj(M_ij) rho_ij for the Hermitian P_sigma and log2 sigma.
+
+    A pure rho may be passed as its :class:`Ket` psi.  Then S(rho) = 0 needs
+    no spectrum, the value is -<psi|log2 sigma|psi> and the leak is
+    ||psi||^2 - <psi|P_sigma|psi>, under the same rule.
     """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     log_sigma, projector = la.matrix_log2_on_support(sigma.matrix)
+    if isinstance(rho, Ket):
+        psi = rho.amplitudes
+        leak = float((np.vdot(psi, psi) - np.vdot(psi, projector @ psi)).real)
+        if leak > SUPPORT_LEAK_TOL:
+            return math.inf
+        return -float(np.vdot(psi, log_sigma @ psi).real)
     leak = float((rho.matrix.trace() - np.vdot(projector, rho.matrix)).real)
     if leak > SUPPORT_LEAK_TOL:
         return math.inf

@@ -259,15 +259,30 @@ class TestConstructionCensus:
         # eta and the one copy it returns twice; the amplitudes need no ket
         assert census == {("LabeledState", (2,) * 6): 1, ("LabeledState", (2, 2)): 1}
 
-    def test_point_evaluation_builds_only_the_clone_bound_states(self, census):
+    def test_point_evaluation_builds_only_the_clone_bound_states(self, census, monkeypatch):
+        calls = collections.Counter()
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(np.linalg, "eigvalsh")
+        spy(la, "matrix_log2_on_support")
         pair = SchmidtPair(0.6)
         clone_bound_combined(pair)
-        # psi's projector and the closed-form copy; E_R needs no ket
-        assert census == {("LabeledState", (2, 2)): 2}
+        # psi as a ket and the closed-form copy; E_R needs no ket
+        assert census == {("Ket", (2, 2)): 1, ("LabeledState", (2, 2)): 1}
         census.clear()
         delete_bound(pair)
         no_local_cloning_certificate(pair)
         assert not census
+        # one logarithm, of the copy; the pure input's zero entropy takes no spectrum
+        assert calls == {"matrix_log2_on_support": 1}
 
     def test_swap_deleter_and_measure_forget(self, census):
         from dualent import deleting
@@ -542,8 +557,9 @@ def pure_target_cases(draw, off_support):
 
 
 class TestPureTargetKernel:
-    """The search kernels' pure-target relative entropy against the state
-    layer's :func:`relative_entropy` of the projector |v><v|."""
+    """The search kernels' pure-target relative entropy and the state layer's
+    :func:`relative_entropy` of the ket |v>, against that of the projector
+    |v><v|."""
 
     @staticmethod
     def _state_layer(vec, sigma):
@@ -556,6 +572,9 @@ class TestPureTargetKernel:
         expected = self._state_layer(vec, sigma)
         assert math.isfinite(expected)
         assert abs(_pure_rel_entropy(vec, sigma.matrix[None])[0] - expected) <= 1e-12
+        assert abs(relative_entropy(Ket(vec, (2, 2)), sigma) - expected) <= 1e-12
+        with pytest.raises(ValueError, match="mismatch"):
+            relative_entropy(Ket(vec, (4,)), sigma)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(pure_target_cases(off_support=True))
@@ -563,6 +582,7 @@ class TestPureTargetKernel:
         vec, sigma = case
         assert math.isinf(self._state_layer(vec, sigma))
         assert math.isinf(_pure_rel_entropy(vec, sigma.matrix[None])[0])
+        assert math.isinf(relative_entropy(Ket(vec, (2, 2)), sigma))
 
 
 class TestSupportCutoff:
