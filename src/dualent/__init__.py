@@ -46,7 +46,7 @@ from .variational import (
     param_to_unitary,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CloneBoundRecord",

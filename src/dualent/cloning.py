@@ -62,9 +62,11 @@ _CLONER = np.zeros((6, 2), dtype=complex)
 _CLONER[[0, 3], [0, 1]] = math.sqrt(2.0 / 3.0)
 _CLONER[[5, 4], [0, 1]] = math.sqrt(1.0 / 3.0)
 _SYMMETRIC.flags.writeable = _CLONER.flags.writeable = False
-# the cloner, validated once
+# the cloner, validated once, and its real columns, which the pipeline runs
 _UNIVERSAL = CloneIsometry(_SYMMETRIC @ _CLONER)
 _UNIVERSAL.matrix.flags.writeable = False
+_UNIVERSAL_REAL = _UNIVERSAL.matrix.real.copy()
+_UNIVERSAL_REAL.flags.writeable = False
 
 
 def universal_clone_isometry() -> CloneIsometry:
@@ -96,10 +98,10 @@ def local_clone_pipeline(pair: SchmidtPair):
     B' leaves ``eta`` unchanged, bit for bit, and takes one marginal to the
     other.  For the same reason no register swap is applied.
     """
-    v = _UNIVERSAL.matrix
+    v = _UNIVERSAL_REAL
     # V diag(a, b) V^T: rows Alice's (A, A', Ae), columns Bob's (B, B', Be)
     out = ((v * (pair.a, pair.b)) @ v.T).ravel()
-    eta = LabeledState(np.outer(out, out.conj()), (2,) * 6, CLONE_LABELS)
+    eta = LabeledState(np.outer(out, out), (2,) * 6, CLONE_LABELS)
     copy = trace_out(eta, ("A'", "Ae", "B'", "Be"))
     return eta, copy, copy
 
@@ -111,11 +113,15 @@ def rho_clone_closed_form(pair: SchmidtPair) -> LabeledState:
     between |00> and |11>; the trace is identically 1.
     """
     a, b = pair.a, pair.b
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (24.0 * a * a + 1.0) / 36.0
-    m[3, 3] = (24.0 * b * b + 1.0) / 36.0
-    m[1, 1] = m[2, 2] = 5.0 / 36.0
-    m[0, 3] = m[3, 0] = 4.0 * a * b / 9.0
+    coherence = 4.0 * a * b / 9.0
+    m = np.array(
+        [
+            [(24.0 * a * a + 1.0) / 36.0, 0.0, 0.0, coherence],
+            [0.0, 5.0 / 36.0, 0.0, 0.0],
+            [0.0, 0.0, 5.0 / 36.0, 0.0],
+            [coherence, 0.0, 0.0, (24.0 * b * b + 1.0) / 36.0],
+        ]
+    )
     return LabeledState(m, (2, 2), ("A", "B"))
 
 

@@ -65,16 +65,22 @@ _EXCHANGE = [0, 2, 1, 3]
 
 
 def swap_gate() -> np.ndarray:
-    """The two-qubit swap |ij> -> |ji> as a 4x4 matrix: the identity with
-    rows |01> and |10> exchanged."""
+    """The two-qubit swap |ij> -> |ji> as a 4x4 complex matrix, a search's
+    machine: the identity with rows |01> and |10> exchanged."""
     return np.eye(4, dtype=complex)[_EXCHANGE]
+
+
+# the swap deleter's machines (swap on AA', identity on BB') as real stacks of one
+_SWAP_MACHINE, _IDENTITY_MACHINE = np.eye(4)[None, _EXCHANGE], np.eye(4)[None]
+_SWAP_MACHINE.flags.writeable = _IDENTITY_MACHINE.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=8)
 def _delete_constants(pair: SchmidtPair) -> tuple[np.ndarray, np.ndarray]:
     """Read-only targets psi, |11> and weights diag(psi (x) psi) of the deleting
-    score; psi, validated once per pair, is the input both search kernels read."""
-    targets = np.stack([schmidt_ket(pair).amplitudes, [0.0, 0.0, 0.0, 1.0]])
+    score; psi, validated once per pair, is the input both search kernels read.
+    The targets are complex, as the kernels' machines are."""
+    targets = np.array([schmidt_ket(pair).amplitudes, [0.0, 0.0, 0.0, 1.0]], dtype=complex)
     weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
     targets.flags.writeable = weights.flags.writeable = False
     return targets, weights
@@ -116,7 +122,7 @@ def local_delete_swap(pair: SchmidtPair) -> DeleteOutcome:
     |11> for b >= a and |00> for a > b, giving the closed-form objective
     E(psi) - 2 log2 max(a, b).
     """
-    return _delete_outcome(pair, swap_gate()[None], np.eye(4)[None])
+    return _delete_outcome(pair, _SWAP_MACHINE, _IDENTITY_MACHINE)
 
 
 def delete_bound(pair: SchmidtPair) -> float:
@@ -270,7 +276,7 @@ def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:
         raise ValueError(f"equal copies required: max elementwise gap {gap:.3e}")
     values = np.linalg.eigvalsh(rho_apbp.matrix)
     spectrum = np.where(la.support_mask(values), values, 0.0)[::-1]
-    deleted = np.diag(spectrum.astype(complex))
+    deleted = np.diag(spectrum)
     return LabeledState(
         np.kron(rho_ab.matrix, deleted),
         rho_ab.dims + rho_apbp.dims,

@@ -1,9 +1,10 @@
-"""Dense complex linear algebra for small multipartite operators.
+"""Dense linear algebra for small multipartite operators.
 
-Operators are plain ``numpy.ndarray`` of complex128.  Subsystem structure is
-never implicit: every operation that cares about tensor factors takes the
-factor dimensions as an explicit list, so six-register partial traces stay
-readable at the call site.
+Operators are plain ``numpy.ndarray``: float64 when the input is real-typed,
+else complex128, so a real operator is factored, diagonalised and traced in
+real arithmetic.  Subsystem structure is never implicit: every operation
+that cares about tensor factors takes the factor dimensions as an explicit
+list, so six-register partial traces stay readable at the call site.
 
 Each function takes one matrix and checks it.  The search kernels score Gram
 matrices they build themselves, so they call ``numpy.linalg.eigh`` on their
@@ -49,8 +50,10 @@ ISOMETRY_TOL = 1e-12
 
 
 def as_matrix(matrix) -> np.ndarray:
-    """Coerce to a square complex matrix."""
-    out = np.asarray(matrix, dtype=complex)
+    """Coerce to a square matrix: float64 if the input is real-typed, else complex128."""
+    out = np.asarray(matrix)
+    if out.dtype != np.float64 and out.dtype != np.complex128:
+        out = out.astype(complex if np.iscomplexobj(out) else float)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")
     return out
@@ -59,7 +62,7 @@ def as_matrix(matrix) -> np.ndarray:
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Max elementwise |M - M^dag| of a square matrix, in its own dtype, so a
     float64 matrix is checked in real arithmetic."""
-    return float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
+    return float(np.abs(matrix - matrix.conj().T).max()) if matrix.size else 0.0
 
 
 def isometry_defect(matrix: np.ndarray) -> float:
@@ -138,11 +141,20 @@ def partial_trace(matrix, dims: Sequence[int], discard) -> np.ndarray:
     discard = sorted({int(i) for i in discard})
     if discard and (discard[0] < 0 or discard[-1] >= len(dims)):
         raise ValueError(f"discard indices {discard} out of range for {len(dims)} factors")
-    n = len(dims)
-    keep = [k for k in range(n) if k not in discard]
+    # runs of adjacent factors that are all kept or all discarded merge into
+    # one factor of their product dimension: the same sum in fewer subscripts
+    merged, traced = [], []
+    for k, d in enumerate(dims):
+        if traced and traced[-1] == (k in discard):
+            merged[-1] *= d
+        else:
+            merged.append(d)
+            traced.append(k in discard)
+    n = len(merged)
+    keep = [k for k in range(n) if not traced[k]]
     # rows take subscripts 0..n-1 and columns n..2n-1, except that a discarded
     # factor's column repeats its row's subscript, so the one einsum traces it
-    columns = [k if k in discard else n + k for k in range(n)]
-    size = math.prod(dims[k] for k in keep)
-    reduced = np.einsum(m.reshape(dims + dims), [*range(n), *columns], keep + [n + k for k in keep])
+    columns = [k if traced[k] else n + k for k in range(n)]
+    size = math.prod(merged[k] for k in keep)
+    reduced = np.einsum(m.reshape(merged * 2), [*range(n), *columns], keep + [n + k for k in keep])
     return reduced.reshape(size, size)

@@ -18,7 +18,7 @@ from . import linalg as la
 from .qstate import Ket, LabeledState, SchmidtPair, _pair_entropy
 
 # |t> -> |t>_s |t>_e, the environment the trailing factor
-_MEASURE_FORGET = np.eye(4, dtype=complex)[:, [0, 3]]
+_MEASURE_FORGET = np.eye(4)[:, [0, 3]]
 _MEASURE_FORGET.flags.writeable = False
 
 

@@ -24,6 +24,16 @@ SUPPORT_LEAK_TOL = 1e-10
 SCHMIDT_RANK_TOL = 1e-10
 
 
+def _real_valued(array: np.ndarray) -> np.ndarray:
+    """``array`` as float64 when it is real-valued: real-typed, or complex with
+    every imaginary part zero (a NaN counts as nonzero); else as complex128."""
+    if np.iscomplexobj(array):
+        if np.count_nonzero(array.imag):
+            return array.astype(complex, copy=False)
+        return array.real.copy()
+    return array.astype(float, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledState:
     """Density matrix plus an ordered list of labelled subsystems.
@@ -39,11 +49,13 @@ class LabeledState:
     exactly when the rule holds, up to round-off; where it fails,
     ``eigvalsh`` decides and a rejection names the smallest eigenvalue.
 
-    Both checks run on one working copy of the matrix: a float64 copy of its
-    real part when every imaginary part is zero, else a complex copy.  For a
-    real matrix the real and the complex defect are the same number, so the
-    messages do not depend on the choice.  ``matrix`` is stored as complex128
-    either way.
+    A real-valued matrix is stored as float64: real-typed input as given,
+    and complex input whose imaginary parts are all zero as its real part.
+    Every other matrix is stored as complex128.  The checks run on one
+    working copy of the stored matrix, so a real-valued state is checked,
+    and later diagonalised and traced, in real arithmetic.  For a real
+    matrix the real and the complex defect are the same number, so the
+    messages do not depend on how the matrix was passed.
     """
 
     matrix: np.ndarray
@@ -51,7 +63,7 @@ class LabeledState:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        matrix = la.as_matrix(self.matrix)
+        matrix = _real_valued(la.as_matrix(self.matrix))
         dims = la._check_dims(self.dims, matrix.shape[0])
         labels = tuple(map(str, self.labels))
         object.__setattr__(self, "matrix", matrix)
@@ -61,15 +73,15 @@ class LabeledState:
             raise ValueError(f"{len(dims)} dims but {len(labels)} labels")
         if len(set(labels)) != len(labels):
             raise ValueError(f"labels must be distinct, got {labels}")
-        trace = complex(matrix.trace())
+        work = matrix.copy()
+        diagonal = work.reshape(-1)[:: len(work) + 1]
+        trace = complex(diagonal.sum())
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"state trace is {trace}, expected 1")
-        # a NaN imaginary part counts as nonzero, so it stays on the complex copy
-        work = matrix.copy() if np.count_nonzero(matrix.imag) else matrix.real.copy()
         defect = la.hermiticity_defect(work)
         if not defect <= la.HERMITICITY_TOL:
             raise ValueError(f"state is not Hermitian: defect {defect:.3e}")
-        work.reshape(-1)[:: len(work) + 1] += la.PSD_TOL  # rho + PSD_TOL I
+        diagonal += la.PSD_TOL  # rho + PSD_TOL I
         try:
             np.linalg.cholesky(work)
         except np.linalg.LinAlgError:
@@ -98,13 +110,17 @@ def trace_out(state: LabeledState, labels: Sequence[str]) -> LabeledState:
 
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """Pure-state amplitude vector with explicit factor dimensions."""
+    """Pure-state amplitude vector with explicit factor dimensions.
+
+    Real-valued amplitudes are stored as float64, by the rule of
+    :class:`LabeledState`; any others as complex128.
+    """
 
     amplitudes: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        amps = _real_valued(np.asarray(self.amplitudes).ravel())
         dims = la._check_dims(self.dims, amps.size)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -153,7 +169,7 @@ class SchmidtDecomposition:
 
 def schmidt_ket(pair: SchmidtPair) -> Ket:
     """The two-qubit ket a|00> + b|11> on factors (A, B)."""
-    return Ket(np.array([pair.a, 0.0, 0.0, pair.b], dtype=complex), (2, 2))
+    return Ket(np.array([pair.a, 0.0, 0.0, pair.b]), (2, 2))
 
 
 def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
@@ -170,7 +186,7 @@ def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
         raise ValueError(f"cut {cut} is not a bipartition of {len(ket.dims)} factors")
     d_left = math.prod(ket.dims[i] for i in left)
     mat = ket.amplitudes.reshape(ket.dims).transpose(left + right).reshape(d_left, -1)
-    _, s, _ = np.linalg.svd(mat, full_matrices=False)
+    s = np.linalg.svd(mat, compute_uv=False)
     return SchmidtDecomposition(s[s > SCHMIDT_RANK_TOL])
 
 

@@ -80,7 +80,7 @@ class LocalUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = la.as_matrix(self.matrix)
+        matrix = la.as_matrix(np.asarray(self.matrix, dtype=complex))
         object.__setattr__(self, "matrix", matrix)
         defect = la.isometry_defect(matrix)
         if not defect <= la.ISOMETRY_TOL:

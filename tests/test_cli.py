@@ -502,5 +502,10 @@ def test_public_surface():
     assert fields == ["coefficients"]
     assert not hasattr(dualent.SchmidtDecomposition, "left_basis")
     assert not hasattr(dualent.SchmidtDecomposition, "right_basis")
+    # version 0.4.0 stores a real-valued state or ket as float64, where 0.3.0 stored complex128
+    ket = dualent.Ket(np.array([0.6, 0.8], dtype=complex), (2,))
+    state = dualent.LabeledState(np.outer(ket.amplitudes, ket.amplitudes), (2,), ("A",))
+    assert ket.amplitudes.dtype == state.matrix.dtype == np.float64
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert dualent.__version__ == "0.4.0"
     assert dualent.__version__ == re.search(r'^version = "(.+)"$', pyproject, re.M).group(1)

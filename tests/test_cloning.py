@@ -143,8 +143,11 @@ class TestPipeline:
 
     def test_alice_register_swap_changes_no_bit(self):
         # the cloner's image is symmetric in its two clones, so swapping
-        # Alice's clone factors A and A' leaves the six-qubit output as it is
-        v = universal_clone_isometry().matrix
+        # Alice's clone factors A and A' leaves the six-qubit output as it is;
+        # the cloner's columns are real, so eta is built and stored in float64
+        cloner = universal_clone_isometry().matrix
+        assert not np.count_nonzero(cloner.imag)
+        v = cloner.real
         for a in A_GRID:
             pair = SchmidtPair(float(a))
             out = ((v * (pair.a, pair.b)) @ v.T).ravel()  # V diag(a, b) V^T
@@ -153,7 +156,8 @@ class TestPipeline:
             swapped = out.reshape((2,) * 6).transpose(1, 0, 2, 3, 4, 5).ravel()
             assert swapped.tobytes() == out.tobytes()
             eta, _, _ = local_clone_pipeline(pair)
-            assert eta.matrix.tobytes() == np.outer(out, out.conj()).tobytes()
+            assert eta.matrix.dtype == np.float64
+            assert eta.matrix.tobytes() == np.outer(out, out).tobytes()
 
     def test_closed_form_agreement_on_grid(self):
         worst_closed = 0.0

@@ -67,9 +67,9 @@ class TestMeasureForget:
     def test_dilation_is_a_read_only_constant(self):
         from dualent import nogo
 
-        # the Stinespring dilation of the Kraus set {|0><0|, |1><1|}, built
-        # here: V[s * m + i, t] = A_i[s, t] with the environment trailing
-        kraus = [np.diag(e).astype(complex) for e in np.eye(2)]
+        # the Stinespring dilation of the real Kraus set {|0><0|, |1><1|},
+        # built here: V[s * m + i, t] = A_i[s, t] with the environment trailing
+        kraus = [np.diag(e) for e in np.eye(2)]
         dilation = np.stack(kraus).transpose(1, 0, 2).reshape(4, 2)
         assert nogo._MEASURE_FORGET.dtype == dilation.dtype
         assert nogo._MEASURE_FORGET.tobytes() == dilation.tobytes()

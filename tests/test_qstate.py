@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualent import linalg as la
-from dualent.cloning import CloneIsometry, clone_bound_combined, local_clone_pipeline
+from dualent.cloning import (
+    CloneIsometry,
+    clone_bound_combined,
+    local_clone_pipeline,
+    rho_clone_closed_form,
+)
 from dualent.deleting import (
     delete_bound,
     local_delete_swap,
@@ -471,6 +476,80 @@ class TestPsdRule:
         assert abs(relative_entropy(rho, sigma) - 1.0) < 1e-12
         value, _ = min_over_product_pure(sigma)
         assert abs(value - 1.0) < 1e-12
+
+
+class TestRealValuedStorage:
+    """A real-valued state or ket is stored, checked and used as float64;
+    anything else, and every machine, as complex128."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.6, 1 / math.sqrt(2), 1.0])
+    def test_the_real_family_builds_float64(self, a):
+        from dualent.deleting import min_over_product_pure
+
+        pair = SchmidtPair(a)
+        eta, copy1, copy2 = local_clone_pipeline(pair)
+        outcome = local_delete_swap(pair)
+        system_out, env_out = measure_forget_channel(Ket(np.array([pair.a, pair.b]), (2,)))
+        arrays = [
+            schmidt_ket(pair).amplitudes,
+            rho_clone_closed_form(pair).matrix,
+            eta.matrix,
+            copy1.matrix,
+            copy2.matrix,
+            outcome.out_ab.matrix,
+            outcome.out_apbp.matrix,
+            system_out.matrix,
+            env_out.matrix,
+            min_over_product_pure(outcome.out_apbp)[1].amplitudes,
+        ]
+        assert [m.dtype for m in arrays] == [np.float64] * len(arrays)
+
+    def test_a_zero_imaginary_part_is_dropped(self):
+        real = Ket(np.array([0.6, 0.8], dtype=complex), (2,))
+        assert real.amplitudes.dtype == np.float64
+        assert real.amplitudes.tolist() == [0.6, 0.8]
+        state = LabeledState(np.eye(2, dtype=complex) / 2, (2,), ("A",))
+        assert state.matrix.dtype == np.float64
+
+    def test_a_nonzero_imaginary_part_stays_complex(self):
+        ket = Ket(np.array([0.6, 0.8j]), (2,))
+        assert ket.amplitudes.dtype == np.complex128
+        system_out, env_out = measure_forget_channel(Ket(np.array([0.6, 0.8j]), (2,)))
+        state = LabeledState(np.outer(ket.amplitudes, ket.amplitudes.conj()), (2,), ("A",))
+        assert state.matrix.dtype == np.complex128
+        # |0.8i|^2: the measured outputs are diagonal, so real-valued, either way
+        assert system_out.matrix.dtype == env_out.matrix.dtype == np.float64
+        nan_imaginary = np.eye(2, dtype=complex) / 2
+        nan_imaginary[0, 1] = complex(0.0, NAN)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            LabeledState(nan_imaginary, (2,), ("A",))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(psd_edge_states())
+    def test_real_and_complex_input_get_the_same_verdict(self, case):
+        matrix, _ = case
+        verdicts = []
+        for m in (matrix, matrix.astype(complex)):
+            try:
+                verdicts.append(LabeledState(m, (len(m),), ("A",)).matrix.dtype)
+            except ValueError as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
+
+    def test_machines_stay_complex(self):
+        from dualent.cloning import universal_clone_isometry
+        from dualent.variational import (
+            LocalUnitary,
+            cloner_seed_params,
+            optimize_delete,
+            swap_delete_seed,
+        )
+
+        machines = [*swap_delete_seed(), cloner_seed_params(), LocalUnitary(np.eye(4))]
+        report = optimize_delete(SchmidtPair(0.6), restarts=1, seed=0, max_evals=5)
+        matrices = [m.matrix for m in machines + list(report.best_params)]
+        matrices.append(universal_clone_isometry().matrix)
+        assert [m.dtype for m in matrices] == [np.complex128] * len(matrices)
 
 
 @st.composite
