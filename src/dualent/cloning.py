@@ -88,15 +88,14 @@ def local_clone_pipeline(pair: SchmidtPair):
     Each party feeds its qubit plus a |0> blank and a |0> environment to the
     cloner, and the environments plus the opposite clone pair are traced
     away.  Returns ``(eta, copy1, copy2)`` where ``eta`` is the six-qubit
-    output over (A, A', Ae, B, B', Be), and ``copy1`` and ``copy2`` the
-    (A, B) and (A', B') marginals, both equal to :func:`rho_clone_closed_form`
-    to machine precision.
+    output over (A, A', Ae, B, B', Be), and ``copy1`` and ``copy2`` are one
+    state, the (A, B) marginal, traced and validated once, labelled (A, B)
+    and equal to :func:`rho_clone_closed_form` to machine precision.
 
-    The two copies are one state: the (A, B) marginal, traced and validated
-    once and returned twice, labelled (A, B).  The cloner is symmetric, its
-    image lying in Sym^2(C^2) (x) C^2_env, so exchanging A with A' and B with
-    B' leaves ``eta`` unchanged, bit for bit, and takes one marginal to the
-    other.  For the same reason no register swap is applied.
+    The cloner is symmetric, its image lying in Sym^2(C^2) (x) C^2_env, so
+    exchanging A with A' and B with B' leaves ``eta`` unchanged, bit for bit,
+    and the (A', B') marginal is the same state.  For the same reason no
+    register swap is applied.
     """
     v = _UNIVERSAL_REAL
     # V diag(a, b) V^T: rows Alice's (A, A', Ae), columns Bob's (B, B', Be)

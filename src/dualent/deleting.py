@@ -64,13 +64,8 @@ class DeleteOutcome:
 _EXCHANGE = [0, 2, 1, 3]
 
 
-def swap_gate() -> np.ndarray:
-    """The two-qubit swap |ij> -> |ji> as a 4x4 complex matrix, a search's
-    machine: the identity with rows |01> and |10> exchanged."""
-    return np.eye(4, dtype=complex)[_EXCHANGE]
-
-
-# the swap deleter's machines (swap on AA', identity on BB') as real stacks of one
+# the swap deleter's machines as real stacks of one: the swap |ij> -> |ji> on
+# AA', the identity with rows |01> and |10> exchanged, and the identity on BB'
 _SWAP_MACHINE, _IDENTITY_MACHINE = np.eye(4)[None, _EXCHANGE], np.eye(4)[None]
 _SWAP_MACHINE.flags.writeable = _IDENTITY_MACHINE.flags.writeable = False
 
@@ -265,7 +260,9 @@ def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:
     descending order to |00>, |01>, |10>, |11> (row-major).  The output
     (A', B') marginal is therefore product-basis diagonal -- separable --
     with the spectrum of the input copy, its eigenvalues outside the support
-    (:func:`~dualent.linalg.support_mask`) read as 0.
+    (:func:`~dualent.linalg.support_mask`) read as 0.  Its factors are named
+    after the kept copy's, primed (A -> A'), so the second copy's labels are
+    not read.
     """
     if rho_ab.dims != rho_apbp.dims:
         raise ValueError(f"dimension mismatch: {rho_ab.dims} vs {rho_apbp.dims}")
@@ -280,7 +277,7 @@ def global_delete(rho_ab: LabeledState, rho_apbp: LabeledState) -> LabeledState:
     return LabeledState(
         np.kron(rho_ab.matrix, deleted),
         rho_ab.dims + rho_apbp.dims,
-        rho_ab.labels + rho_apbp.labels,
+        rho_ab.labels + tuple(f"{label}'" for label in rho_ab.labels),
     )
 
 

@@ -141,20 +141,11 @@ def partial_trace(matrix, dims: Sequence[int], discard) -> np.ndarray:
     discard = sorted({int(i) for i in discard})
     if discard and (discard[0] < 0 or discard[-1] >= len(dims)):
         raise ValueError(f"discard indices {discard} out of range for {len(dims)} factors")
-    # runs of adjacent factors that are all kept or all discarded merge into
-    # one factor of their product dimension: the same sum in fewer subscripts
-    merged, traced = [], []
-    for k, d in enumerate(dims):
-        if traced and traced[-1] == (k in discard):
-            merged[-1] *= d
-        else:
-            merged.append(d)
-            traced.append(k in discard)
-    n = len(merged)
-    keep = [k for k in range(n) if not traced[k]]
+    n = len(dims)
+    keep = [k for k in range(n) if k not in discard]
     # rows take subscripts 0..n-1 and columns n..2n-1, except that a discarded
     # factor's column repeats its row's subscript, so the one einsum traces it
-    columns = [k if traced[k] else n + k for k in range(n)]
-    size = math.prod(merged[k] for k in keep)
-    reduced = np.einsum(m.reshape(merged * 2), [*range(n), *columns], keep + [n + k for k in keep])
+    columns = [k if k in discard else n + k for k in range(n)]
+    size = math.prod(dims[k] for k in keep)
+    reduced = np.einsum(m.reshape(dims * 2), [*range(n), *columns], keep + [n + k for k in keep])
     return reduced.reshape(size, size)

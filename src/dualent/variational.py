@@ -60,11 +60,18 @@ import numpy as np
 
 from . import linalg as la
 from .cloning import _CLONER, _SYMMETRIC, clone_bound
-from .deleting import _delete_constants, _delete_outcome, _delete_terms, delete_bound, swap_gate
+from .deleting import (
+    _IDENTITY_MACHINE,
+    _SWAP_MACHINE,
+    _delete_constants,
+    _delete_outcome,
+    _delete_terms,
+    delete_bound,
+)
 from .qstate import SchmidtPair, _local_output, _local_output_adjoint, _pure_rel_entropy_grad
 
 # value-and-gradient evaluations per restart; the longest restart seen, a
-# perturbed deleting restart at a = 0.7022, took 448
+# perturbed deleting restart at a = 0.7022 (bench search seed 2009), took 316
 MAX_EVALS = 2000
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _GRAD_TOL = 1e-9  # converged: max |gradient| at most this ...
@@ -176,7 +183,7 @@ def swap_delete_seed() -> tuple[LocalUnitary, LocalUnitary]:
     """The swap deleting machine that :func:`~dualent.deleting.local_delete_swap`
     runs, Alice swapping A with A' and Bob doing nothing, where the deleting
     search's first restart starts."""
-    return LocalUnitary(swap_gate()), LocalUnitary(np.eye(4))
+    return LocalUnitary(_SWAP_MACHINE[0]), LocalUnitary(_IDENTITY_MACHINE[0])
 
 
 def cloner_seed_params() -> LocalUnitary:
@@ -352,6 +359,8 @@ def _search(pair, kernel, k, seeds, reference, restarts, seed, max_evals) -> Sea
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = seeds[0].shape[-1]
     free = np.r_[:k, n : n + 2 * (k * n - k * (k + 1) // 2)]
     generators = _generator_map(n)[free]

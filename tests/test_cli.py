@@ -258,6 +258,12 @@ class TestVariationalCommand:
         assert report["best_objective"] == "1.999999996681"
         assert report["reference_bound"] == "1.999999996681"
 
+    @pytest.mark.parametrize("kind", ["clone", "delete"])
+    @pytest.mark.parametrize("restarts, seed", [("1", "-1"), ("3", "-1"), ("3", "-3")])
+    def test_negative_seed_exits_2(self, capsys, kind, restarts, seed):
+        argv = ["variational", kind, "--a", "0.5", "--restarts", restarts, "--seed", seed]
+        assert run_cli(capsys, *argv) == (2, "", f"error: seed must be >= 0, got {seed}\n")
+
     def test_invalid_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["variational", "teleport", "--a", "0.5", "--restarts", "1", "--seed", "0"])
@@ -302,15 +308,14 @@ import sys
 sys.modules["scipy"] = sys.modules["mpmath"] = None
 import numpy as np
 from dualent import (
-    Ket, LabeledState, LocalUnitary, SchmidtPair, clone_bound, clone_bound_combined,
+    Ket, LabeledState, SchmidtPair, clone_bound, clone_bound_combined,
     clone_objective, crossover, delete_bound, delete_objective, local_clone_pipeline,
     local_delete_swap, measure_forget_channel, min_over_product_pure,
     no_local_cloning_certificate, optimize_clone, optimize_delete, rho_clone_closed_form,
     schmidt_decompose, schmidt_rank_nogo_check,
 )
 from dualent.cli import main
-from dualent.deleting import swap_gate
-from dualent.variational import cloner_seed_params
+from dualent.variational import cloner_seed_params, swap_delete_seed
 assert abs(crossover() - 0.4282653373032336) < 1e-7
 for argv in [
     ["crossover"],
@@ -335,7 +340,7 @@ assert abs(delete_bound(pair) - (h(0.36) - 2 * math.log2(0.8))) <= 1e-12
 assert abs(delete_bound(SchmidtPair(0.8)) - delete_bound(pair)) <= 1e-14
 cert = no_local_cloning_certificate(pair)
 assert abs(cert.ed_input - h(0.36)) <= 1e-12 and cert.contradiction
-swap = delete_objective(pair, LocalUnitary(swap_gate()), LocalUnitary(np.eye(4)))
+swap = delete_objective(pair, *swap_delete_seed())
 assert abs(swap - delete_bound(pair)) <= 1e-12
 assert abs(clone_objective(pair, cloner, cloner) - clone_bound(pair)) <= 1e-12
 for search in (optimize_delete, optimize_clone):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualent import linalg as la
-from dualent.cloning import clone_bound_combined
+from dualent.cloning import clone_bound_combined, local_clone_pipeline
 from dualent.deleting import (
     SchmidtRankCheck,
     _EQUAL_COPIES_TOL,
@@ -25,6 +25,7 @@ from dualent.qstate import (
     SchmidtPair,
     _pure_rel_entropy_on,
     schmidt_ket,
+    trace_out,
 )
 from dualent.variational import (
     delete_objective,
@@ -698,6 +699,27 @@ class TestGlobalDelete:
         out = global_delete(rho_ab, rho_apbp)
         deleted = out.matrix.reshape(4, 4, 4, 4)[1, :, 1, :] / 0.5  # rho_ab's |01><01| entry
         assert np.diag(deleted).tolist() == [0.5, 0.5, 0.0, 0.0]
+
+    def test_clone_pipeline_copies(self):
+        # the pipeline returns one copy twice, both labelled (A, B): the deleted
+        # copy's factors are named after the kept copy's, primed
+        _, copy1, copy2 = local_clone_pipeline(SchmidtPair(0.6))
+        out = global_delete(copy1, copy2)
+        assert out.labels == ("A", "B", "A'", "B'")
+        kept = trace_out(out, ("A'", "B'"))
+        assert kept.labels == copy1.labels
+        assert np.max(np.abs(kept.matrix - copy1.matrix)) <= 1e-15
+
+    def test_second_copy_checked_but_its_labels_not_read(self):
+        diag = np.diag([0.4, 0.3, 0.2, 0.1])
+        rho_ab = LabeledState(diag, (2, 2), ("A", "B"))
+        out = global_delete(rho_ab, LabeledState(diag, (2, 2), ("X", "Y")))
+        assert out.labels == ("A", "B", "A'", "B'")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            global_delete(rho_ab, LabeledState(diag, (4,), ("X",)))
+        whole = LabeledState(diag, (4,), ("A",))
+        with pytest.raises(ValueError, match="must be bipartite"):
+            global_delete(whole, whole)
 
 
 class TestSchmidtRankNogo:

