@@ -39,6 +39,7 @@ The zero rules: each is one rule, applied by the functions listed.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -122,8 +123,18 @@ def matrix_log2_on_support(matrix):
     return (cols * weights) @ cols.conj().T, cols @ cols.conj().T
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, read with ``operator.index``: integers of
+    any integer type pass, and a float or a string is refused, not truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values}") from None
+
+
 def _check_dims(dims: Sequence[int], total: int) -> tuple[int, ...]:
-    dims = tuple(map(int, dims))
+    dims = _integers(dims, "factor dimensions")
     if min(dims, default=1) < 1:
         raise ValueError(f"factor dimensions must be positive, got {dims}")
     if math.prod(dims) != total:
@@ -138,7 +149,7 @@ def partial_trace(matrix, dims: Sequence[int], discard) -> np.ndarray:
     """
     m = as_matrix(matrix)
     dims = _check_dims(dims, m.shape[0])
-    discard = sorted({int(i) for i in discard})
+    discard = sorted(set(_integers(discard, "discard indices")))
     if discard and (discard[0] < 0 or discard[-1] >= len(dims)):
         raise ValueError(f"discard indices {discard} out of range for {len(dims)} factors")
     n = len(dims)

@@ -1,11 +1,11 @@
 """Numerical witnesses for the impossibility arguments.
 
 Two demonstrations: (1) measuring a qubit and forgetting the outcome is the
-fixed copy isometry |t> -> |t>_s |t>_e followed by a partial trace, and it
-leaves a full copy of the local state in the environment, so it is not a
-closed operation; (2) a perfect local clone of a pure entangled state would
-double its distillable entanglement across the AA':BB' cut, which no LOCC map
-can do.
+fixed copy isometry |t> -> |t>_s |t>_e, whose two marginals are read from
+its output ket; the environment's is a full copy of the local state, so the
+operation is not closed; (2) a perfect local clone of a pure entangled state
+would double its distillable entanglement across the AA':BB' cut, which no
+LOCC map can do.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg as la
 from .qstate import Ket, LabeledState, SchmidtPair, _pair_entropy
 
 # |t> -> |t>_s |t>_e, the environment the trailing factor
@@ -27,17 +26,18 @@ def measure_forget_channel(alpha: Ket):
 
     Runs the projective measurement {|0><0|, |1><1|} as its dilation, the
     fixed read-only copy isometry |t> -> |t>_s |t>_e, and returns
-    ``(system_out, env_out)``.  Both equal diag(|a|^2, |b|^2): the
+    ``(system_out, env_out)``, read from the output ket V|alpha> as the 2x2
+    matrix K with rows s and columns e: K K^dag and K^T K^*, the convention
+    of ``qstate._local_output``.  Both equal diag(|a|^2, |b|^2): the
     environment retains the local state, so the operation leaks and is not
     closed.  Any other measurement basis is a local unitary on the input
     away from this one.
     """
     if alpha.amplitudes.size != 2:
         raise ValueError(f"qubit ket required, got dimension {alpha.amplitudes.size}")
-    rho = np.outer(alpha.amplitudes, alpha.amplitudes.conj())
-    full = _MEASURE_FORGET @ rho @ _MEASURE_FORGET.conj().T
-    system_out = la.partial_trace(full, (2, 2), (1,))
-    env_out = la.partial_trace(full, (2, 2), (0,))
+    out = (_MEASURE_FORGET @ alpha.amplitudes).reshape(2, 2)
+    system_out = out @ out.conj().T
+    env_out = out.T @ out.conj()
     return (
         LabeledState(system_out, (2,), ("s",)),
         LabeledState(env_out, (2,), ("e",)),

@@ -181,7 +181,7 @@ def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
     1e-16; the square root of a Gram eigenvalue would lift it to ~1e-8, above
     the cutoff.
     """
-    left, right = (tuple(int(i) for i in side) for side in cut)
+    left, right = (la._integers(side, "cut indices") for side in cut)
     if sorted(left + right) != list(range(len(ket.dims))):
         raise ValueError(f"cut {cut} is not a bipartition of {len(ket.dims)} factors")
     d_left = math.prod(ket.dims[i] for i in left)

@@ -361,6 +361,8 @@ def _search(pair, kernel, k, seeds, reference, restarts, seed, max_evals) -> Sea
         raise ValueError("restarts must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be >= 1, got {max_evals}")
     n = seeds[0].shape[-1]
     free = np.r_[:k, n : n + 2 * (k * n - k * (k + 1) // 2)]
     generators = _generator_map(n)[free]

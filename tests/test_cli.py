@@ -445,7 +445,8 @@ def readme_cli_examples():
 def test_readme_cli_examples(capsys):
     examples = readme_cli_examples()
     assert [argv[0] for argv, _ in examples] == [
-        "clone-bound", "delete-bound", "delete-bound", "crossover", "nogo"
+        "clone-bound", "delete-bound", "delete-bound", "crossover", "nogo", "nogo", "nogo",
+        "variational",
     ]
     for argv, shown in examples:
         code, out, err = run_cli(capsys, *argv)

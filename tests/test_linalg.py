@@ -149,6 +149,11 @@ def test_partial_trace_rejects_bad_dims():
         la.partial_trace(np.eye(4), (2, 2), (5,))
     with pytest.raises(ValueError, match=r"discard indices \[-1, 0\] out of range"):
         la.partial_trace(np.eye(4), (2, 2), (0, -1))
+    # a float index is refused, not truncated to factor 1
+    with pytest.raises(ValueError, match=r"discard indices must be integers, got \(1.7,\)"):
+        la.partial_trace(np.eye(4) / 4, (2, 2), (1.7,))
+    with pytest.raises(ValueError, match=r"factor dimensions must be integers, got \(2.0, 2\)"):
+        la.partial_trace(np.eye(4) / 4, (2.0, 2), (1,))
 
 
 def partial_trace_per_factor(matrix, dims, discard):

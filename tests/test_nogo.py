@@ -5,7 +5,7 @@ import pytest
 
 from dualent import linalg as la
 from dualent.nogo import measure_forget_channel, no_local_cloning_certificate
-from dualent.qstate import Ket, SchmidtPair
+from dualent.qstate import Ket, LabeledState, SchmidtPair
 
 H_036 = -(0.36 * math.log2(0.36) + 0.64 * math.log2(0.64))
 
@@ -13,6 +13,25 @@ H_036 = -(0.36 * math.log2(0.36) + 0.64 * math.log2(0.64))
 def random_qubit_ket(rng):
     raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return Ket(raw / np.linalg.norm(raw), (2,))
+
+
+def dilation_reference(alpha):
+    """The channel's outputs the long way: the dilation ket a|00> + b|11> built
+    by hand, its density matrix, and a partial trace of each side, validated."""
+    dilated = np.zeros(4, dtype=alpha.amplitudes.dtype)
+    dilated[0b00], dilated[0b11] = alpha.amplitudes
+    rho = np.outer(dilated, dilated.conj())
+    return (
+        LabeledState(la.partial_trace(rho, (2, 2), (1,)), (2,), ("s",)),
+        LabeledState(la.partial_trace(rho, (2, 2), (0,)), (2,), ("e",)),
+    )
+
+
+def assert_matches_reference(alpha):
+    for state, oracle in zip(measure_forget_channel(alpha), dilation_reference(alpha)):
+        assert state.labels == oracle.labels
+        assert state.matrix.dtype == oracle.matrix.dtype
+        assert np.array_equal(state.matrix, oracle.matrix)
 
 
 class TestMeasureForget:
@@ -28,24 +47,24 @@ class TestMeasureForget:
         assert np.allclose(env_out.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_explicit_dilation_oracle(self):
-        # build the dilation ket a|00> + b|11> by hand and trace each side
-        a, b = 0.6, 0.8
-        dilated = np.zeros(4, dtype=complex)
-        dilated[0b00], dilated[0b11] = a, b
-        rho = np.outer(dilated, dilated.conj())
-        oracle_sys = la.partial_trace(rho, (2, 2), (1,))
-        oracle_env = la.partial_trace(rho, (2, 2), (0,))
-        system_out, env_out = measure_forget_channel(Ket(np.array([a, b]), (2,)))
-        assert np.max(np.abs(system_out.matrix - oracle_sys)) < 1e-12
-        assert np.max(np.abs(env_out.matrix - oracle_env)) < 1e-12
+        alpha = Ket(np.array([0.6, 0.8]), (2,))
+        assert_matches_reference(alpha)
+        system_out, env_out = measure_forget_channel(alpha)
         assert np.allclose(system_out.matrix, np.diag([0.36, 0.64]), atol=1e-12)
         assert np.max(np.abs(system_out.matrix - env_out.matrix)) < 1e-12
 
     def test_environment_copies_system_for_200_random_kets(self):
         rng = np.random.default_rng(61)
         for _ in range(200):
-            system_out, env_out = measure_forget_channel(random_qubit_ket(rng))
+            alpha = random_qubit_ket(rng)
+            assert_matches_reference(alpha)
+            system_out, env_out = measure_forget_channel(alpha)
             assert np.max(np.abs(system_out.matrix - env_out.matrix)) < 1e-12
+
+    def test_family_kets_match_the_reference(self):
+        for a in np.linspace(0, 1, 301):
+            pair = SchmidtPair(a)
+            assert_matches_reference(Ket(np.array([pair.a, pair.b]), (2,)))
 
     def test_rotated_basis(self):
         # measuring in the basis W is measuring W^dag |alpha> in the

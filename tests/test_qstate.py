@@ -114,6 +114,21 @@ class TestKetAndState:
         with pytest.raises(ValueError, match=re.escape("state is not Hermitian: defect 2.000e-01")):
             LabeledState(np.array([[0.5, 0.1j], [0.1j, 0.5]]), (2,), ("A",))
 
+    @pytest.mark.parametrize("dims", [(2.9, 2), (2.5, 2), (np.float64(2.0), 2), ("4",)])
+    def test_non_integral_dims_rejected(self, dims):
+        # read with operator.index: a float or string dimension is refused, not truncated
+        with pytest.raises(ValueError, match="factor dimensions must be integers"):
+            LabeledState(np.eye(4) / 4, dims, ("A", "B")[: len(dims)])
+        with pytest.raises(ValueError, match="factor dimensions must be integers"):
+            Ket(np.array([1.0, 0.0, 0.0, 0.0]), dims)
+
+    def test_integer_dims_of_any_integer_type_accepted(self):
+        for dims in ((2, 2), np.array([2, 2]), (np.int64(2), np.int32(2))):
+            state = LabeledState(np.eye(4) / 4, dims, ("A", "B"))
+            ket = Ket(np.array([1.0, 0.0, 0.0, 0.0]), dims)
+            assert state.dims == ket.dims == (2, 2)
+            assert all(type(d) is int for d in state.dims + ket.dims)
+
 
 NAN = float("nan")
 
@@ -233,6 +248,10 @@ class TestSchmidtDecompose:
     def test_invalid_cut_rejected(self):
         with pytest.raises(ValueError, match="bipartition"):
             schmidt_decompose(BELL, cut=((0,), (0, 1)))
+        # a float index is refused, not truncated to factor 0
+        with pytest.raises(ValueError, match=re.escape("cut indices must be integers, got (0.5,)")):
+            schmidt_decompose(BELL, cut=((0.5,), (1,)))
+        assert schmidt_decompose(BELL, cut=((np.int64(0),), (np.int64(1),))).rank == 2
 
 
 @pytest.fixture
@@ -289,7 +308,7 @@ class TestConstructionCensus:
         # one logarithm, of the copy; the pure input's zero entropy takes no spectrum
         assert calls == {"matrix_log2_on_support": 1}
 
-    def test_swap_deleter_and_measure_forget(self, census):
+    def test_swap_deleter_and_measure_forget(self, census, monkeypatch):
         from dualent import deleting
 
         deleting._delete_constants.cache_clear()
@@ -297,8 +316,18 @@ class TestConstructionCensus:
         # psi for the cached targets, both outputs and the argmin ket
         assert census == {("Ket", (2, 2)): 2, ("LabeledState", (2, 2)): 2}
         census.clear()
+        traces = []
+        partial_trace = la.partial_trace
+
+        def counted(*args, **kwargs):
+            traces.append(args[1])
+            return partial_trace(*args, **kwargs)
+
+        monkeypatch.setattr(la, "partial_trace", counted)
         measure_forget_channel(Ket(np.array([0.6, 0.8]), (2,)))
         assert census == {("Ket", (2,)): 1, ("LabeledState", (2,)): 2}
+        # both marginals come from the dilation's output ket, with no partial trace
+        assert traces == []
 
 
 SCHMIDT_SHAPES = [((dl, dr), ((0,), (1,))) for dl in (2, 3, 4) for dr in (2, 3, 4)]

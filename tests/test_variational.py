@@ -307,6 +307,20 @@ class TestSeedValidation:
         assert (report.seed, report.restarts_used) == (0, 5)
 
 
+@pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
+class TestBudgetValidation:
+    # a budget below 1 used to run, and each restart spent one evaluation over it
+    @pytest.mark.parametrize("max_evals", [0, -5])
+    def test_budget_below_one_rejected(self, search, max_evals):
+        for a in (0.5, 0.8):
+            with pytest.raises(ValueError, match=rf"^max_evals must be >= 1, got {max_evals}$"):
+                search(SchmidtPair(a), restarts=3, seed=1, max_evals=max_evals)
+
+    def test_budget_of_one_runs_one_evaluation_per_restart(self, search):
+        report = search(SchmidtPair(0.5), restarts=3, seed=1, max_evals=1)
+        assert [record.nfev for record in report.restart_records] == [1, 1, 1]
+
+
 class TestOptimizeClone:
     def test_symmetric_point_bounded(self):
         report = optimize_clone(SchmidtPair(SYM), restarts=2, seed=3, max_evals=FAST_EVALS)
