@@ -28,7 +28,6 @@ from .nogo import (
 from .qstate import (
     Ket,
     LabeledState,
-    SchmidtDecomposition,
     SchmidtPair,
     relative_entropy,
     schmidt_decompose,
@@ -46,7 +45,7 @@ from .variational import (
     param_to_unitary,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "CloneBoundRecord",
@@ -56,7 +55,6 @@ __all__ = [
     "Ket",
     "LabeledState",
     "LocalUnitary",
-    "SchmidtDecomposition",
     "SchmidtPair",
     "SchmidtRankCheck",
     "SearchReport",

@@ -35,12 +35,13 @@ CLONE_LABELS = ("A", "A'", "Ae", "B", "B'", "Be")
 @dataclass(frozen=True, eq=False)
 class CloneIsometry:
     """8x2 isometry taking one qubit to clone1 (x) clone2 (x) environment:
-    the local machine each party runs in the local cloning process."""
+    the local machine each party runs in the local cloning process.  The
+    stored matrix is read-only and shares no memory with the argument."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=complex)
+        matrix = la._read_only(np.asarray(self.matrix, dtype=complex), self.matrix)
         object.__setattr__(self, "matrix", matrix)
         if matrix.shape != (8, 2):
             raise ValueError(f"clone isometry must be 8x2, got {matrix.shape}")
@@ -64,7 +65,6 @@ _CLONER[[5, 4], [0, 1]] = math.sqrt(1.0 / 3.0)
 _SYMMETRIC.flags.writeable = _CLONER.flags.writeable = False
 # the cloner, validated once, and its real columns, which the pipeline runs
 _UNIVERSAL = CloneIsometry(_SYMMETRIC @ _CLONER)
-_UNIVERSAL.matrix.flags.writeable = False
 _UNIVERSAL_REAL = _UNIVERSAL.matrix.real.copy()
 _UNIVERSAL_REAL.flags.writeable = False
 

@@ -34,7 +34,6 @@ from .qstate import (
     SchmidtPair,
     _local_output,
     _pair_entropy,
-    _pure_rel_entropy,
     _pure_rel_entropy_on,
     schmidt_decompose,
     schmidt_ket,
@@ -97,7 +96,8 @@ def _delete_outcome(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -
     ab, apbp, _ = _delete_terms(pair, u_alice, u_bob)
     out_ab = LabeledState(ab[0], (2, 2), ("A", "B"))
     out_apbp = LabeledState(apbp[0], (2, 2), ("A'", "B'"))
-    term_keep = float(_pure_rel_entropy(_delete_constants(pair)[0][0], ab)[0])
+    psi = _delete_constants(pair)[0][0]
+    term_keep = float(_pure_rel_entropy_on(psi, *np.linalg.eigh(ab))[0][0])
     term_separable, _ = min_over_product_pure(out_apbp)
     return DeleteOutcome(
         out_ab=out_ab,
@@ -296,5 +296,5 @@ def schmidt_rank_nogo_check(pair: SchmidtPair) -> SchmidtRankCheck:
     Local unitaries preserve the rank, so deleting is impossible whenever the
     ranks differ: (4, 2) for an entangled psi, (1, 1) in the product limit.
     """
-    r = schmidt_decompose(schmidt_ket(pair)).rank
+    r = len(schmidt_decompose(schmidt_ket(pair)))
     return SchmidtRankCheck(r * r, r, r * r == r)

@@ -60,6 +60,16 @@ def as_matrix(matrix) -> np.ndarray:
     return out
 
 
+def _read_only(array: np.ndarray, source) -> np.ndarray:
+    """``array``, coerced from a constructor's argument ``source``, as the
+    read-only array the object stores: copied first where it shares memory
+    with ``source``, so no write to the argument can undo a check."""
+    if np.may_share_memory(array, source):
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Max elementwise |M - M^dag| of a square matrix, in its own dtype, so a
     float64 matrix is checked in real arithmetic."""

@@ -51,7 +51,8 @@ class LabeledState:
 
     A real-valued matrix is stored as float64: real-typed input as given,
     and complex input whose imaginary parts are all zero as its real part.
-    Every other matrix is stored as complex128.  The checks run on one
+    Every other matrix is stored as complex128.  The stored matrix is
+    read-only and shares no memory with the argument.  The checks run on one
     working copy of the stored matrix, so a real-valued state is checked,
     and later diagonalised and traced, in real arithmetic.  For a real
     matrix the real and the complex defect are the same number, so the
@@ -63,7 +64,7 @@ class LabeledState:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        matrix = _real_valued(la.as_matrix(self.matrix))
+        matrix = la._read_only(_real_valued(la.as_matrix(self.matrix)), self.matrix)
         dims = la._check_dims(self.dims, matrix.shape[0])
         labels = tuple(map(str, self.labels))
         object.__setattr__(self, "matrix", matrix)
@@ -89,16 +90,13 @@ class LabeledState:
             if not smallest >= -la.PSD_TOL:
                 raise ValueError(f"state is not PSD: smallest eigenvalue {smallest:.3e}") from None
 
-    def label_indices(self, labels: Sequence[str]) -> tuple[int, ...]:
-        try:
-            return tuple(self.labels.index(s) for s in labels)
-        except ValueError:
-            raise ValueError(f"unknown label in {tuple(labels)}; state has {self.labels}")
-
 
 def trace_out(state: LabeledState, labels: Sequence[str]) -> LabeledState:
     """Discard the named subsystems of a labelled state."""
-    discard = state.label_indices(labels)
+    try:
+        discard = tuple(state.labels.index(s) for s in labels)
+    except ValueError:
+        raise ValueError(f"unknown label in {tuple(labels)}; state has {state.labels}") from None
     keep = [k for k in range(len(state.dims)) if k not in discard]
     reduced = la.partial_trace(state.matrix, state.dims, discard)
     return LabeledState(
@@ -113,14 +111,15 @@ class Ket:
     """Pure-state amplitude vector with explicit factor dimensions.
 
     Real-valued amplitudes are stored as float64, by the rule of
-    :class:`LabeledState`; any others as complex128.
+    :class:`LabeledState`; any others as complex128.  They are read-only
+    and share no memory with the argument.
     """
 
     amplitudes: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        amps = _real_valued(np.asarray(self.amplitudes).ravel())
+        amps = la._read_only(_real_valued(np.asarray(self.amplitudes).ravel()), self.amplitudes)
         dims = la._check_dims(self.dims, amps.size)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -151,35 +150,19 @@ class SchmidtPair:
         object.__setattr__(self, "b", math.sqrt(max(0.0, 1.0 - a * a)))
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Schmidt coefficients of a bipartite pure state across a chosen cut.
-
-    ``coefficients`` are the singular values of the cut matrix above
-    ``SCHMIDT_RANK_TOL``, in descending order; their count is the Schmidt
-    rank.
-    """
-
-    coefficients: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.coefficients)
-
-
 def schmidt_ket(pair: SchmidtPair) -> Ket:
     """The two-qubit ket a|00> + b|11> on factors (A, B)."""
     return Ket(np.array([pair.a, 0.0, 0.0, pair.b]), (2, 2))
 
 
-def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
-    """Schmidt coefficients and rank across ``cut = (left_factors, right_factors)``.
+def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> np.ndarray:
+    """Schmidt coefficients across ``cut = (left_factors, right_factors)``.
 
-    The coefficients are the singular values of the cut matrix, descending.
-    Singular values at or below ``SCHMIDT_RANK_TOL`` are dropped, so the
-    number returned is the Schmidt rank.  The SVD keeps a round-off zero near
-    1e-16; the square root of a Gram eigenvalue would lift it to ~1e-8, above
-    the cutoff.
+    The coefficients are the singular values of the cut matrix, descending,
+    as a float64 array.  Singular values at or below ``SCHMIDT_RANK_TOL`` are
+    dropped, so the array's length is the Schmidt rank.  The SVD keeps a
+    round-off zero near 1e-16; the square root of a Gram eigenvalue would
+    lift it to ~1e-8, above the cutoff.
     """
     left, right = (la._integers(side, "cut indices") for side in cut)
     if sorted(left + right) != list(range(len(ket.dims))):
@@ -187,7 +170,7 @@ def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> SchmidtDecomposition:
     d_left = math.prod(ket.dims[i] for i in left)
     mat = ket.amplitudes.reshape(ket.dims).transpose(left + right).reshape(d_left, -1)
     s = np.linalg.svd(mat, compute_uv=False)
-    return SchmidtDecomposition(s[s > SCHMIDT_RANK_TOL])
+    return s[s > SCHMIDT_RANK_TOL]
 
 
 def von_neumann_entropy(state: LabeledState) -> float:
@@ -228,16 +211,11 @@ def relative_entropy(rho: LabeledState | Ket, sigma: LabeledState) -> float:
     return -von_neumann_entropy(rho) - float(np.vdot(log_sigma, rho.matrix).real)
 
 
-def _pure_rel_entropy(vec: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """S(|v><v| | rho) for each rho of a (..., n, n) stack and the unit
-    vectors v of ``vec`` (..., n), broadcast against it; ``inf`` where |v>
-    leaks off the support of rho."""
-    return _pure_rel_entropy_on(vec, *np.linalg.eigh(rho))[0]
-
-
 def _pure_rel_entropy_on(vec: np.ndarray, values: np.ndarray, vectors: np.ndarray):
-    """:func:`_pure_rel_entropy` from the eigendecompositions of the rhos;
-    also returns the overlaps <e_l|v> and the support mask."""
+    """S(|v><v| | rho) for each rho of a (..., n, n) stack, given by its
+    eigendecomposition ``(values, vectors)``, and the unit vectors v of
+    ``vec`` (..., n), broadcast against it; ``inf`` where |v> leaks off the
+    support of rho.  Also returns the overlaps <e_l|v> and the support mask."""
     overlaps = (vectors.conj().swapaxes(-1, -2) @ vec[..., None])[..., 0]
     weights = np.abs(overlaps) ** 2
     on_support = la.support_mask(values)
@@ -249,8 +227,8 @@ def _pure_rel_entropy_on(vec: np.ndarray, values: np.ndarray, vectors: np.ndarra
 
 
 def _pure_rel_entropy_grad(vec: np.ndarray, rho: np.ndarray):
-    """:func:`_pure_rel_entropy` and its gradient G, dS = tr(G d rho) for
-    Hermitian d rho, for each rho of a (..., n, n) stack.
+    """:func:`_pure_rel_entropy_on` of ``eigh(rho)`` and its gradient G,
+    dS = tr(G d rho) for Hermitian d rho, for each rho of a (..., n, n) stack.
 
     S = -<v|g(rho)|v> with g = log2 on the support and 0 off it, as the value
     is computed; Daleckii-Krein gives G = -W (L o W^dag |v><v| W) W^dag with

@@ -82,12 +82,13 @@ _STEP_TOL = 1e-12  # stalled: the line search shrank the step below this
 @dataclass(frozen=True, eq=False)
 class LocalUnitary:
     """One party's local machine: an n x n unitary, to within
-    ``linalg.ISOMETRY_TOL`` in each entry of U^dag U - I."""
+    ``linalg.ISOMETRY_TOL`` in each entry of U^dag U - I.  The stored matrix
+    is read-only and shares no memory with the argument."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = la.as_matrix(np.asarray(self.matrix, dtype=complex))
+        matrix = la._read_only(la.as_matrix(np.asarray(self.matrix, dtype=complex)), self.matrix)
         object.__setattr__(self, "matrix", matrix)
         defect = la.isometry_defect(matrix)
         if not defect <= la.ISOMETRY_TOL:
@@ -356,7 +357,13 @@ def _search(pair, kernel, k, seeds, reference, restarts, seed, max_evals) -> Sea
     Each run's record holds the kernel's value at its final machine; the
     lowest wins, ties keeping the lower restart index, and its machine
     becomes a pair of :class:`LocalUnitary` records.
+
+    The three counts are read as the dims are, with ``operator.index``, so
+    a float, even an integral one, is refused before any run.
     """
+    restarts, seed, max_evals = la._integers(
+        (restarts, seed, max_evals), "restarts, seed and max_evals"
+    )
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if seed < 0:

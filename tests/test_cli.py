@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import re
 import subprocess
@@ -166,6 +165,9 @@ class TestNogoCommand:
         report = parse_report(out.strip())
         assert float(report["max_residual"]) < 1e-12
         assert report["verdict"] == "PASS"
+        # one ket, a|0> + b|1>, in place of the seeded draws
+        code, out, _ = run_cli(capsys, "nogo", "measure-forget", "--a", "0.6")
+        assert (code, out) == (0, "a=0.600000000 max_residual=0.000e+00 verdict=PASS\n")
 
     def test_distill_separable(self, capsys):
         code, out, _ = run_cli(capsys, "nogo", "distill", "--a", "0")
@@ -197,7 +199,7 @@ class TestNogoCommand:
         points = np.r_[np.logspace(-14, 0, 57), 1e-10, np.nextafter(1e-10, 1.0)]
         for a in map(float, points):
             pair = SchmidtPair(a)
-            rank = schmidt_decompose(schmidt_ket(pair)).rank
+            rank = len(schmidt_decompose(schmidt_ket(pair)))
             assert (_pair_entropy(pair) > 0) == (rank == 2), a
             _, out, _ = run_cli(capsys, "nogo", "distill", "--a", repr(a))
             contradiction = parse_report(out.strip())["contradiction"] == "true"
@@ -364,8 +366,8 @@ assert abs(local_delete_swap(pair).objective - delete_bound(pair)) <= 1e-10
 assert tuple(schmidt_rank_nogo_check(pair)) == (4, 2, False)
 system_out, env_out = measure_forget_channel(Ket(np.array([0.6, 0.8]), (2,)))
 assert abs(system_out.matrix - env_out.matrix).max() <= 1e-12
-dec = schmidt_decompose(Ket(np.array([0.6, 0, 0, 0.8]), (2, 2)))
-assert dec.rank == 2
+coefficients = schmidt_decompose(Ket(np.array([0.6, 0, 0, 0.8]), (2, 2)))
+assert coefficients.dtype == np.float64 and len(coefficients) == 2
 """
 
 
@@ -461,7 +463,6 @@ PUBLIC_NAMES = [
     "Ket",
     "LabeledState",
     "LocalUnitary",
-    "SchmidtDecomposition",
     "SchmidtPair",
     "SchmidtRankCheck",
     "SearchReport",
@@ -489,10 +490,17 @@ PUBLIC_NAMES = [
     "universal_clone_isometry",
     "von_neumann_entropy",
 ]
-# names that version 0.2.0 removed, by the module that defined them
+# names that versions 0.2.0 and 0.5.0 removed, by the module that defined them
 REMOVED = {
     "nogo": ["KrausSet", "stinespring_isometry", "apply_kraus", "COMPLETENESS_TOL"],
-    "qstate": ["entropy_of_entanglement", "rel_ent_entanglement_pure", "basis_ket", "dm_from_ket"],
+    "qstate": [
+        "entropy_of_entanglement",
+        "rel_ent_entanglement_pure",
+        "basis_ket",
+        "dm_from_ket",
+        "SchmidtDecomposition",
+        "_pure_rel_entropy",
+    ],
 }
 
 
@@ -504,14 +512,14 @@ def test_public_surface():
         for name in names:
             assert not hasattr(dualent, name), name
             assert not hasattr(getattr(dualent, module), name), (module, name)
-    fields = [f.name for f in dataclasses.fields(dualent.SchmidtDecomposition)]
-    assert fields == ["coefficients"]
-    assert not hasattr(dualent.SchmidtDecomposition, "left_basis")
-    assert not hasattr(dualent.SchmidtDecomposition, "right_basis")
+    assert not hasattr(dualent.LabeledState, "label_indices")
+    # version 0.5.0 returns the Schmidt coefficients themselves, descending
+    coefficients = dualent.schmidt_decompose(dualent.schmidt_ket(dualent.SchmidtPair(0.6)))
+    assert coefficients.dtype == np.float64 and coefficients.tolist() == [0.8, 0.6]
     # version 0.4.0 stores a real-valued state or ket as float64, where 0.3.0 stored complex128
     ket = dualent.Ket(np.array([0.6, 0.8], dtype=complex), (2,))
     state = dualent.LabeledState(np.outer(ket.amplitudes, ket.amplitudes), (2,), ("A",))
     assert ket.amplitudes.dtype == state.matrix.dtype == np.float64
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
-    assert dualent.__version__ == "0.4.0"
+    assert dualent.__version__ == "0.5.0"
     assert dualent.__version__ == re.search(r'^version = "(.+)"$', pyproject, re.M).group(1)

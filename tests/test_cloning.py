@@ -7,6 +7,7 @@ from conftest import projector
 from dualent import linalg as la
 from dualent.cloning import (
     CloneBoundRecord,
+    CloneIsometry,
     clone_bound,
     clone_bound_combined,
     crossover,
@@ -49,6 +50,8 @@ class TestIsometry:
     def test_columns_orthonormal(self):
         v = universal_clone_isometry().matrix
         assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-12
+        with pytest.raises(ValueError, match=r"^clone isometry must be 8x2, got \(4, 2\)$"):
+            CloneIsometry(v[:4])
 
     def test_clone_marginals_of_basis_input(self):
         v = universal_clone_isometry().matrix
@@ -164,7 +167,8 @@ class TestPipeline:
         for a in A_GRID:
             pair = SchmidtPair(float(a))
             _, copy1, copy2 = local_clone_pipeline(pair)
-            assert copy2 is copy1
+            # one state, returned twice: a write through either copy raises
+            assert copy2 is copy1 and not copy1.matrix.flags.writeable
             expected = rho_clone_closed_form(pair).matrix
             worst_closed = max(worst_closed, float(np.max(np.abs(copy1.matrix - expected))))
         assert worst_closed < 1e-12

@@ -29,7 +29,6 @@ from dualent.qstate import (
     LabeledState,
     SchmidtPair,
     _pair_entropy,
-    _pure_rel_entropy,
     _pure_rel_entropy_grad,
     _pure_rel_entropy_on,
     relative_entropy,
@@ -38,6 +37,7 @@ from dualent.qstate import (
     trace_out,
     von_neumann_entropy,
 )
+from dualent.variational import LocalUnitary
 
 # binary entropy by independent scalar formula (the entropy oracle)
 H_036 = -(0.36 * math.log2(0.36) + 0.64 * math.log2(0.64))  # 0.9426831892554922
@@ -105,6 +105,8 @@ class TestKetAndState:
             LabeledState(np.eye(2), (2,), ("A",))
         with pytest.raises(ValueError, match="distinct"):
             LabeledState(np.eye(4) / 4, (2, 2), ("A", "A"))
+        with pytest.raises(ValueError, match=r"^2 dims but 1 labels$"):
+            LabeledState(np.eye(4) / 4, (2, 2), ("A",))
         with pytest.raises(ValueError, match="not PSD"):
             LabeledState(np.diag([1.5, -0.5]), (2,), ("A",))
         # the real part [[0.5, 0], [0, 0.5]] is PSD; the matrix has eigenvalue -0.1
@@ -163,6 +165,30 @@ def test_nan_fails_tolerance_checks(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, argument, stored",
+    [
+        (lambda m: LabeledState(m, (2, 2), ("A", "B")), np.eye(4) / 4, "matrix"),
+        (lambda m: LabeledState(m[0], (2,), ("A",)), np.eye(2)[None] / 2, "matrix"),
+        (lambda a: Ket(a, (2,)), np.array([1.0, 0.0]), "amplitudes"),
+        (lambda a: Ket(a, (2, 2)), np.eye(2, dtype=complex) / math.sqrt(2), "amplitudes"),
+        (LocalUnitary, np.eye(2, dtype=complex), "matrix"),
+        (CloneIsometry, np.eye(8)[:, [0, 6]], "matrix"),  # the basis copier
+    ],
+    ids=["state", "state-view", "ket", "ket-matrix", "local-unitary", "clone-isometry"],
+)
+def test_checked_arrays_are_owned_and_read_only(build, argument, stored):
+    # a write to the argument after the check, or through the object, used to
+    # change the checked array
+    argument = argument.copy()
+    checked = build(argument)
+    before = getattr(checked, stored).copy()
+    argument.reshape(-1)[0] = 7.0
+    assert getattr(checked, stored).tobytes() == before.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(checked, stored).reshape(-1)[0] = 7.0
+
+
 class TestSchmidtKet:
     def test_symmetric_point_is_bell(self):
         ket = schmidt_ket(SchmidtPair(1 / math.sqrt(2)))
@@ -178,6 +204,9 @@ class TestSchmidtKet:
         rho = projector(schmidt_ket(SchmidtPair(0.6)), labels=("A", "B"))
         marginal = trace_out(rho, ("B",))
         assert np.allclose(marginal.matrix, np.diag([0.36, 0.64]), atol=1e-12)
+        message = "unknown label in ('B', 'C'); state has ('A', 'B')"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trace_out(rho, ("B", "C"))
 
 
 class TestDmFromKet:
@@ -198,24 +227,25 @@ class TestDmFromKet:
 
 class TestSchmidtDecompose:
     def test_bell_coefficients(self):
-        dec = schmidt_decompose(BELL)
-        assert np.allclose(dec.coefficients, [1 / math.sqrt(2)] * 2)
+        coefficients = schmidt_decompose(BELL)
+        assert coefficients.dtype == np.float64
+        assert np.allclose(coefficients, [1 / math.sqrt(2)] * 2)
 
     def test_product_ket_is_rank_one(self):
         rng = np.random.default_rng(29)
         x = random_ket(rng, (2,))
         y = random_ket(rng, (2,))
-        dec = schmidt_decompose(Ket(np.kron(x.amplitudes, y.amplitudes), (2, 2)))
-        assert dec.rank == 1
-        assert np.allclose(dec.coefficients, [1.0])
+        coefficients = schmidt_decompose(Ket(np.kron(x.amplitudes, y.amplitudes), (2, 2)))
+        assert len(coefficients) == 1
+        assert np.allclose(coefficients, [1.0])
 
     def test_two_copy_coefficients(self):
         # oracle: singular values of the explicitly constructed 4x4
         # amplitude matrix, [b^2, ab, ab, a^2] descending at a = 0.6
         psi = schmidt_ket(SchmidtPair(0.6))
         two = Ket(np.kron(psi.amplitudes, psi.amplitudes), (2, 2, 2, 2))
-        dec = schmidt_decompose(two, cut=((0, 2), (1, 3)))
-        assert np.allclose(dec.coefficients, [0.64, 0.48, 0.48, 0.36], atol=1e-12)
+        coefficients = schmidt_decompose(two, cut=((0, 2), (1, 3)))
+        assert np.allclose(coefficients, [0.64, 0.48, 0.48, 0.36], atol=1e-12)
 
     @pytest.mark.parametrize(
         "dims, cut",
@@ -231,19 +261,17 @@ class TestSchmidtDecompose:
             amps = np.kron(x.amplitudes, y.amplitudes)
             if len(dims) == 4:  # factors (0, 1) | (2, 3) into the order 0, 2, 1, 3
                 amps = amps.reshape(dims).transpose(0, 2, 1, 3).ravel()
-            assert schmidt_decompose(Ket(amps, dims), cut).rank == 1
+            assert len(schmidt_decompose(Ket(amps, dims), cut)) == 1
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(37)
         ket = random_ket(rng, (2, 2))
-        base = schmidt_decompose(ket).coefficients
+        base = schmidt_decompose(ket)
         for _ in range(20):
             u = random_unitary(rng, 2)
             v = random_unitary(rng, 2)
             rotated = Ket(np.kron(u, v) @ ket.amplitudes, (2, 2))
-            assert np.allclose(
-                schmidt_decompose(rotated).coefficients, base, atol=1e-9
-            )
+            assert np.allclose(schmidt_decompose(rotated), base, atol=1e-9)
 
     def test_invalid_cut_rejected(self):
         with pytest.raises(ValueError, match="bipartition"):
@@ -251,7 +279,7 @@ class TestSchmidtDecompose:
         # a float index is refused, not truncated to factor 0
         with pytest.raises(ValueError, match=re.escape("cut indices must be integers, got (0.5,)")):
             schmidt_decompose(BELL, cut=((0.5,), (1,)))
-        assert schmidt_decompose(BELL, cut=((np.int64(0),), (np.int64(1),))).rank == 2
+        assert len(schmidt_decompose(BELL, cut=((np.int64(0),), (np.int64(1),)))) == 2
 
 
 @pytest.fixture
@@ -361,17 +389,17 @@ class TestSchmidtProperties:
     @given(schmidt_cases())
     def test_decomposition(self, case):
         ket, cut, coefficients = case
-        dec = schmidt_decompose(ket, cut)
-        assert dec.rank == len(coefficients)
-        assert np.max(np.abs(dec.coefficients - coefficients)) <= 1e-12
-        assert np.all(np.diff(dec.coefficients) <= 0.0)
+        computed = schmidt_decompose(ket, cut)
+        assert len(computed) == len(coefficients)
+        assert np.max(np.abs(computed - coefficients)) <= 1e-12
+        assert np.all(np.diff(computed) <= 0.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(schmidt_cases())
     def test_entanglement_is_the_entropy_of_each_marginal(self, case):
         ket, cut, _ = case
         state = projector(ket)
-        value = coefficient_entropy(schmidt_decompose(ket, cut).coefficients)
+        value = coefficient_entropy(schmidt_decompose(ket, cut))
         for side in cut:
             marginal = trace_out(state, tuple(state.labels[i] for i in side))
             assert abs(value - von_neumann_entropy(marginal)) <= 1e-10
@@ -679,7 +707,8 @@ class TestPureTargetKernel:
         vec, sigma = case
         expected = self._state_layer(vec, sigma)
         assert math.isfinite(expected)
-        assert abs(_pure_rel_entropy(vec, sigma.matrix[None])[0] - expected) <= 1e-12
+        kernel = _pure_rel_entropy_on(vec, *np.linalg.eigh(sigma.matrix))[0]
+        assert abs(kernel - expected) <= 1e-12
         assert abs(relative_entropy(Ket(vec, (2, 2)), sigma) - expected) <= 1e-12
         with pytest.raises(ValueError, match="mismatch"):
             relative_entropy(Ket(vec, (4,)), sigma)
@@ -689,7 +718,7 @@ class TestPureTargetKernel:
     def test_both_infinite_off_the_support(self, case):
         vec, sigma = case
         assert math.isinf(self._state_layer(vec, sigma))
-        assert math.isinf(_pure_rel_entropy(vec, sigma.matrix[None])[0])
+        assert math.isinf(_pure_rel_entropy_on(vec, *np.linalg.eigh(sigma.matrix))[0])
         assert math.isinf(relative_entropy(Ket(vec, (2, 2)), sigma))
 
 
@@ -716,7 +745,8 @@ class TestSupportCutoff:
                 # diagonal, so eigh returns these eigenvalues exactly
                 values = np.r_[small, rest * (1 - small)]
                 assert la.support_mask(np.sort(values))[0] == counted
-                scores.append(_pure_rel_entropy(vec, np.diag(values).astype(complex)[None])[0])
+                rho = np.diag(values).astype(complex)
+                scores.append(_pure_rel_entropy_on(vec, *np.linalg.eigh(rho))[0])
             assert np.isfinite(scores).all()
             # measured: 5.08e-9 at n = 4 and 5.07e-9 at n = 64, against bounds of 5.13e-9
             # and 5.12e-9: the counted term -weight log2 lambda
@@ -782,7 +812,7 @@ class TestEntanglement:
 
     @pytest.mark.parametrize("a", [1e-9, 1e-7, 1e-5, 0.3])
     def test_entropy_exact_wherever_schmidt_rank_is_two(self, a):
-        assert schmidt_decompose(schmidt_ket(SchmidtPair(a))).rank == 2
+        assert len(schmidt_decompose(schmidt_ket(SchmidtPair(a)))) == 2
         weight = a * a  # the other weight is 1 - a^2, its log by log1p
         exact = -(weight * math.log2(weight) + (1 - weight) * math.log1p(-weight) / math.log(2))
         assert abs(_pair_entropy(SchmidtPair(a)) - exact) <= 0.01 * exact
@@ -804,5 +834,5 @@ class TestEntanglement:
     def test_additive_over_two_copies(self):
         psi = schmidt_ket(SchmidtPair(0.6))
         two = Ket(np.kron(psi.amplitudes, psi.amplitudes), (2, 2, 2, 2))
-        double = coefficient_entropy(schmidt_decompose(two, cut=((0, 2), (1, 3))).coefficients)
-        assert abs(double - 2 * coefficient_entropy(schmidt_decompose(psi).coefficients)) < 1e-9
+        double = coefficient_entropy(schmidt_decompose(two, cut=((0, 2), (1, 3))))
+        assert abs(double - 2 * coefficient_entropy(schmidt_decompose(psi))) < 1e-9

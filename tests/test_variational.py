@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,20 @@ class TestBudgetValidation:
     def test_budget_of_one_runs_one_evaluation_per_restart(self, search):
         report = search(SchmidtPair(0.5), restarts=3, seed=1, max_evals=1)
         assert [record.nfev for record in report.restart_records] == [1, 1, 1]
+        # numpy integers are integers
+        report = search(SchmidtPair(0.5), np.int64(3), np.int32(1), max_evals=np.int64(1))
+        assert [record.nfev for record in report.restart_records] == [1, 1, 1]
+        assert (report.restarts_used, report.seed) == (3, 1)
+
+    # a fractional budget used to run and a NaN one to be ignored; a float
+    # restart count failed in the restart loop, and a float seed ran at
+    # restarts=2 and reported itself
+    @pytest.mark.parametrize("counts", [(3, 1, 1.5), (3, 1, math.nan), (2.0, 1, 5), (2, 1.5, 5)])
+    def test_non_integral_counts_rejected(self, search, counts):
+        message = f"restarts, seed and max_evals must be integers, got {counts}"
+        for a in (0.5, 0.8):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                search(SchmidtPair(a), *counts[:2], max_evals=counts[2])
 
 
 class TestOptimizeClone:
