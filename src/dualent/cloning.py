@@ -41,7 +41,7 @@ class CloneIsometry:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = la._read_only(np.asarray(self.matrix, dtype=complex), self.matrix)
+        matrix = la._frozen(np.asarray(self.matrix, dtype=complex))
         object.__setattr__(self, "matrix", matrix)
         if matrix.shape != (8, 2):
             raise ValueError(f"clone isometry must be 8x2, got {matrix.shape}")
@@ -62,11 +62,10 @@ _SYMMETRIC[[2, 4, 3, 5], [4, 4, 5, 5]] = math.sqrt(0.5)
 _CLONER = np.zeros((6, 2), dtype=complex)
 _CLONER[[0, 3], [0, 1]] = math.sqrt(2.0 / 3.0)
 _CLONER[[5, 4], [0, 1]] = math.sqrt(1.0 / 3.0)
-_SYMMETRIC.flags.writeable = _CLONER.flags.writeable = False
+_SYMMETRIC, _CLONER = la._frozen(_SYMMETRIC), la._frozen(_CLONER)
 # the cloner, validated once, and its real columns, which the pipeline runs
 _UNIVERSAL = CloneIsometry(_SYMMETRIC @ _CLONER)
-_UNIVERSAL_REAL = _UNIVERSAL.matrix.real.copy()
-_UNIVERSAL_REAL.flags.writeable = False
+_UNIVERSAL_REAL = la._frozen(_UNIVERSAL.matrix.real)
 
 
 def universal_clone_isometry() -> CloneIsometry:

@@ -65,8 +65,8 @@ _EXCHANGE = [0, 2, 1, 3]
 
 # the swap deleter's machines as real stacks of one: the swap |ij> -> |ji> on
 # AA', the identity with rows |01> and |10> exchanged, and the identity on BB'
-_SWAP_MACHINE, _IDENTITY_MACHINE = np.eye(4)[None, _EXCHANGE], np.eye(4)[None]
-_SWAP_MACHINE.flags.writeable = _IDENTITY_MACHINE.flags.writeable = False
+_SWAP_MACHINE = la._frozen(np.eye(4)[None, _EXCHANGE])
+_IDENTITY_MACHINE = la._frozen(np.eye(4)[None])
 
 
 @functools.lru_cache(maxsize=8)
@@ -75,9 +75,8 @@ def _delete_constants(pair: SchmidtPair) -> tuple[np.ndarray, np.ndarray]:
     score; psi, validated once per pair, is the input both search kernels read.
     The targets are complex, as the kernels' machines are."""
     targets = np.array([schmidt_ket(pair).amplitudes, [0.0, 0.0, 0.0, 1.0]], dtype=complex)
-    weights = np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
-    targets.flags.writeable = weights.flags.writeable = False
-    return targets, weights
+    weights = [pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b]
+    return la._frozen(targets), la._frozen(weights)
 
 
 def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):

@@ -6,19 +6,19 @@ real arithmetic.  Subsystem structure is never implicit: every operation
 that cares about tensor factors takes the factor dimensions as an explicit
 list, so six-register partial traces stay readable at the call site.
 
-Each function takes one matrix and checks it.  The search kernels score Gram
-matrices they build themselves, so they call ``numpy.linalg.eigh`` on their
-stacks directly, unchecked; so does ``deleting._min_product_pure_matrix`` on
-the state that ``qstate.LabeledState`` has already checked.
+A state's values are checked once, when ``qstate.LabeledState`` is built, and
+its stored matrix is read-only, so the eigensolve and the matrix logarithm
+here trust it.  The search kernels score Gram matrices they build themselves,
+so they call ``numpy.linalg.eigh`` on their stacks directly; so does
+``deleting._min_product_pure_matrix`` on a checked state.
 
 The zero rules: each is one rule, applied by the functions listed.
 
 - Hermiticity, max |M - M^dag| <= ``HERMITICITY_TOL``, by :func:`hermiticity_defect`:
-  :func:`hermitian_eig` and ``qstate.LabeledState``.
+  ``qstate.LabeledState``.
 - PSD, no eigenvalue below -``PSD_TOL``: ``qstate.LabeledState``, through a Cholesky
   factorisation of rho + ``PSD_TOL`` I, in real arithmetic when rho is real-valued, with
-  ``eigvalsh`` deciding the matrices it fails on, and :func:`matrix_log2_on_support`,
-  through its eigenvalues.
+  ``eigvalsh`` deciding the matrices it fails on.
 - Support, eigenvalues above n eps lambda_max, by :func:`support_mask`:
   :func:`matrix_log2_on_support`, qstate's von Neumann entropy and pure-state kernel
   ``_pure_rel_entropy_on``, the support rank in ``deleting.min_over_product_pure``, and
@@ -60,14 +60,12 @@ def as_matrix(matrix) -> np.ndarray:
     return out
 
 
-def _read_only(array: np.ndarray, source) -> np.ndarray:
-    """``array``, coerced from a constructor's argument ``source``, as the
-    read-only array the object stores: copied first where it shares memory
-    with ``source``, so no write to the argument can undo a check."""
-    if np.may_share_memory(array, source):
-        array = array.copy()
-    array.setflags(write=False)
-    return array
+def _frozen(array) -> np.ndarray:
+    """A read-only C-ordered copy of ``array``: the one array a checked object
+    or a module constant keeps, so no write to the argument undoes a check."""
+    out = np.array(array, order="C")
+    out.setflags(write=False)
+    return out
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -84,25 +82,20 @@ def isometry_defect(matrix: np.ndarray) -> float:
         return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))))
 
 
-def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition ``(values, vectors)`` of a Hermitian matrix.
+def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(values, vectors)`` of a Hermitian matrix that the
+    caller has checked: :func:`matrix_log2_on_support`, its one caller, is
+    passed a ``qstate.LabeledState``'s.
 
     ``values`` are real and ascending; the columns of ``vectors`` are the
     matching orthonormal eigenvectors, so ``vectors @ diag(values) @
-    vectors.conj().T`` reconstructs the input.
-
-    Raises ``ValueError`` if the input is not Hermitian within
-    ``HERMITICITY_TOL`` and ``RuntimeError`` if the underlying solver fails
-    to converge.
+    vectors.conj().T`` reconstructs the input.  Raises ``RuntimeError`` if
+    the solver fails to converge.
     """
-    m = as_matrix(matrix)
-    defect = hermiticity_defect(m)
-    if not defect <= HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
     try:
-        return np.linalg.eigh(m)
+        return np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
-        n = m.shape[0]
+        n = matrix.shape[0]
         raise RuntimeError(f"eigendecomposition did not converge on a {n}x{n} matrix") from exc
 
 
@@ -114,18 +107,17 @@ def support_mask(values: np.ndarray) -> np.ndarray:
     return values > values.shape[-1] * _EPS * values[..., -1:]
 
 
-def matrix_log2_on_support(matrix):
-    """Base-2 matrix logarithm of a PSD matrix, restricted to its support.
+def matrix_log2_on_support(matrix: np.ndarray):
+    """Base-2 matrix logarithm of a PSD matrix, restricted to its support; the
+    caller has checked the matrix: its one caller, ``qstate.relative_entropy``,
+    passes a ``qstate.LabeledState``'s.
 
     Returns ``(log, projector)`` where ``log = sum log2(l) v v^dag`` over the
     eigenvalues l that :func:`support_mask` keeps, and ``projector`` projects
-    onto the span of the kept eigenvectors.  The other eigenvalues, down to
-    -PSD_TOL, are treated as zero; anything more negative is rejected as not
-    positive semidefinite.
+    onto the span of the kept eigenvectors.  The other eigenvalues, round-off
+    negatives included, are treated as zero.
     """
     values, vectors = hermitian_eig(matrix)
-    if not values[0] >= -PSD_TOL:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {values[0]:.3e}")
     # eigenvalues ascend, so the kept ones are the top ``rank``
     rank = np.count_nonzero(support_mask(values))
     cols = vectors[:, len(values) - rank :]

@@ -14,11 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg as la
 from .qstate import Ket, LabeledState, SchmidtPair, _pair_entropy
 
 # |t> -> |t>_s |t>_e, the environment the trailing factor
-_MEASURE_FORGET = np.eye(4)[:, [0, 3]]
-_MEASURE_FORGET.flags.writeable = False
+_MEASURE_FORGET = la._frozen(np.eye(4)[:, [0, 3]])
 
 
 def measure_forget_channel(alpha: Ket):

@@ -26,11 +26,12 @@ SCHMIDT_RANK_TOL = 1e-10
 
 def _real_valued(array: np.ndarray) -> np.ndarray:
     """``array`` as float64 when it is real-valued: real-typed, or complex with
-    every imaginary part zero (a NaN counts as nonzero); else as complex128."""
+    every imaginary part zero (a NaN counts as nonzero), then as a view of its
+    real part; else as complex128.  The caller makes the one stored copy."""
     if np.iscomplexobj(array):
         if np.count_nonzero(array.imag):
             return array.astype(complex, copy=False)
-        return array.real.copy()
+        return array.real
     return array.astype(float, copy=False)
 
 
@@ -64,9 +65,9 @@ class LabeledState:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        matrix = la._read_only(_real_valued(la.as_matrix(self.matrix)), self.matrix)
+        matrix = la._frozen(_real_valued(la.as_matrix(self.matrix)))
         dims = la._check_dims(self.dims, matrix.shape[0])
-        labels = tuple(map(str, self.labels))
+        labels = _label_tuple(self.labels)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
@@ -91,8 +92,14 @@ class LabeledState:
                 raise ValueError(f"state is not PSD: smallest eigenvalue {smallest:.3e}") from None
 
 
-def trace_out(state: LabeledState, labels: Sequence[str]) -> LabeledState:
-    """Discard the named subsystems of a labelled state."""
+def _label_tuple(labels: str | Sequence[str]) -> tuple[str, ...]:
+    """``labels`` as a tuple of strings; a bare string is one label, not its characters."""
+    return (labels,) if isinstance(labels, str) else tuple(map(str, labels))
+
+
+def trace_out(state: LabeledState, labels: str | Sequence[str]) -> LabeledState:
+    """Discard the named subsystems of a labelled state: one label, or a sequence of them."""
+    labels = _label_tuple(labels)
     try:
         discard = tuple(state.labels.index(s) for s in labels)
     except ValueError:
@@ -119,7 +126,7 @@ class Ket:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        amps = la._read_only(_real_valued(np.asarray(self.amplitudes).ravel()), self.amplitudes)
+        amps = la._frozen(_real_valued(np.asarray(self.amplitudes).ravel()))
         dims = la._check_dims(self.dims, amps.size)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)

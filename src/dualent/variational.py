@@ -88,7 +88,7 @@ class LocalUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = la._read_only(la.as_matrix(np.asarray(self.matrix, dtype=complex)), self.matrix)
+        matrix = la._frozen(la.as_matrix(np.asarray(self.matrix, dtype=complex)))
         object.__setattr__(self, "matrix", matrix)
         defect = la.isometry_defect(matrix)
         if not defect <= la.ISOMETRY_TOL:
@@ -148,9 +148,7 @@ def _generator_map(n: int) -> np.ndarray:
     b = np.zeros((n * n, n, n), dtype=complex)
     b[range(n), range(n), range(n)] = b[p, rows, cols] = b[p, cols, rows] = 1.0
     b[p + 1, rows, cols], b[p + 1, cols, rows] = 1j, -1j
-    b = b.reshape(n * n, n * n).view(float)
-    b.flags.writeable = False
-    return b
+    return la._frozen(b.reshape(n * n, n * n).view(float))
 
 
 def _hermitian(x: np.ndarray, generators: np.ndarray, n: int) -> np.ndarray:
@@ -365,7 +363,7 @@ def _search(pair, kernel, k, seeds, reference, restarts, seed, max_evals) -> Sea
         (restarts, seed, max_evals), "restarts, seed and max_evals"
     )
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if max_evals < 1:

@@ -107,6 +107,9 @@ class TestKetAndState:
             LabeledState(np.eye(4) / 4, (2, 2), ("A", "A"))
         with pytest.raises(ValueError, match=r"^2 dims but 1 labels$"):
             LabeledState(np.eye(4) / 4, (2, 2), ("A",))
+        # a bare string is one label, not one label per character
+        with pytest.raises(ValueError, match=r"^2 dims but 1 labels$"):
+            LabeledState(np.eye(4) / 4, (2, 2), "AB")
         with pytest.raises(ValueError, match="not PSD"):
             LabeledState(np.diag([1.5, -0.5]), (2,), ("A",))
         # the real part [[0.5, 0], [0, 0.5]] is PSD; the matrix has eigenvalue -0.1
@@ -149,7 +152,6 @@ def _nan_off_diagonal():
         lambda: LabeledState(np.diag([NAN, 0.5]), (2,), ("A",)),
         lambda: LabeledState(_nan_off_diagonal(), (2,), ("A",)),
         lambda: CloneIsometry(np.full((8, 2), NAN)),
-        lambda: la.hermitian_eig(_nan_off_diagonal()),
     ],
     ids=[
         "schmidt-pair",
@@ -157,7 +159,6 @@ def _nan_off_diagonal():
         "state-diagonal",
         "state-off-diagonal",
         "clone-isometry",
-        "hermitian-eig",
     ],
 )
 def test_nan_fails_tolerance_checks(build):
@@ -207,6 +208,10 @@ class TestSchmidtKet:
         message = "unknown label in ('B', 'C'); state has ('A', 'B')"
         with pytest.raises(ValueError, match=re.escape(message)):
             trace_out(rho, ("B", "C"))
+        # a bare string is one label, so a two-character label is not split
+        primed = projector(schmidt_ket(SchmidtPair(0.6)), labels=("A", "A'"))
+        assert trace_out(primed, "A'").labels == ("A",)
+        assert np.allclose(trace_out(primed, "A'").matrix, np.diag([0.36, 0.64]), atol=1e-12)
 
 
 class TestDmFromKet:

@@ -289,8 +289,19 @@ class TestOptimizeDelete:
             assert p.matrix.tobytes() == q.matrix.tobytes()
 
     def test_restart_validation(self):
-        with pytest.raises(ValueError, match="restarts"):
-            optimize_delete(SchmidtPair(0.5), restarts=0, seed=1)
+        for search in (optimize_delete, optimize_clone):
+            with pytest.raises(ValueError, match=r"^restarts must be >= 1, got 0$"):
+                search(SchmidtPair(0.5), restarts=0, seed=1)
+
+    def test_infinite_start_stalls_at_once(self):
+        # identity machines leave psi on A'B', and the target |11> leaks off its
+        # support: the first value is inf, so the run stops without a step
+        from dualent.variational import RestartRecord, _delete_objectives_grad, _search
+
+        seeds = [np.array([np.eye(4, dtype=complex)] * 2)]
+        report = _search(SchmidtPair(0.6), _delete_objectives_grad, 4, seeds, 0.0, 1, 0, 10)
+        stalled = RestartRecord("seed", nfev=1, nit=0, exit="stalled", objective=math.inf)
+        assert report.restart_records == (stalled,)
 
 
 @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
