@@ -58,6 +58,30 @@ def test_log2_on_support_of_rank_deficient():
     assert np.allclose(projector, np.diag([1.0, 0.0]), atol=1e-12)
 
 
+def test_log2_treats_round_off_negative_as_zero():
+    # a checked state may carry eigenvalues down to -PSD_TOL; they fall off the support
+    log, projector = la.matrix_log2_on_support(np.diag([-1e-14, 1.0]))
+    assert np.allclose(log, np.zeros((2, 2)), atol=1e-12)
+    assert np.allclose(projector, np.diag([0.0, 1.0]), atol=1e-12)
+
+
+def test_frozen_is_an_owned_read_only_c_copy():
+    # a Fortran-ordered argument, and one already read-only, each come back as a new array
+    source = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    locked = source.copy()
+    locked.setflags(write=False)
+    for argument in (source, locked):
+        out = la._frozen(argument)
+        assert out.flags.c_contiguous and not out.flags.writeable
+        assert not np.may_share_memory(out, argument)
+        assert out.tolist() == argument.tolist()
+    out = la._frozen(source)
+    source[0, 0] = 7.0
+    assert out[0, 0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        out[0, 0] = 1.0
+
+
 def test_log2_of_powers_of_two():
     log, _ = la.matrix_log2_on_support(np.diag([4.0, 2.0]))
     assert np.allclose(log, np.diag([2.0, 1.0]), atol=1e-12)
