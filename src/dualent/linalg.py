@@ -1,10 +1,10 @@
 """Dense linear algebra for small multipartite operators.
 
-Operators are plain ``numpy.ndarray``: float64 when the input is real-typed,
-else complex128, so a real operator is factored, diagonalised and traced in
-real arithmetic.  Subsystem structure is never implicit: every operation
-that cares about tensor factors takes the factor dimensions as an explicit
-list, so six-register partial traces stay readable at the call site.
+Operators are plain ``numpy.ndarray`` as the ``qstate`` constructors stored
+them, float64 or complex128, so a real operator is factored, diagonalised and
+traced in real arithmetic.  Subsystem structure is never implicit: every
+operation that cares about tensor factors takes the factor dimensions as an
+explicit list, so six-register partial traces stay readable at the call site.
 
 A state's values are checked once, when ``qstate.LabeledState`` is built, and
 its stored matrix is read-only, so the eigensolve and the matrix logarithm
@@ -51,10 +51,8 @@ ISOMETRY_TOL = 1e-12
 
 
 def as_matrix(matrix) -> np.ndarray:
-    """Coerce to a square matrix: float64 if the input is real-typed, else complex128."""
+    """``matrix`` as an array, checked to be square; its dtype is left as it is."""
     out = np.asarray(matrix)
-    if out.dtype != np.float64 and out.dtype != np.complex128:
-        out = out.astype(complex if np.iscomplexobj(out) else float)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")
     return out
@@ -69,9 +67,9 @@ def _frozen(array) -> np.ndarray:
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max elementwise |M - M^dag| of a square matrix, in its own dtype, so a
-    float64 matrix is checked in real arithmetic."""
-    return float(np.abs(matrix - matrix.conj().T).max()) if matrix.size else 0.0
+    """Max elementwise |M - M^dag| of a nonempty square matrix, in its own
+    dtype, so a float64 matrix is checked in real arithmetic."""
+    return float(np.abs(matrix - matrix.conj().T).max())
 
 
 def isometry_defect(matrix: np.ndarray) -> float:
@@ -144,21 +142,20 @@ def _check_dims(dims: Sequence[int], total: int) -> tuple[int, ...]:
     return dims
 
 
-def partial_trace(matrix, dims: Sequence[int], discard) -> np.ndarray:
+def partial_trace(matrix: np.ndarray, dims: tuple[int, ...], discard: Sequence[int]) -> np.ndarray:
     """Trace out the factors listed in ``discard`` (indices into ``dims``).
 
-    Discarding every factor yields the 1x1 matrix holding the trace.
+    Discarding every factor yields the 1x1 matrix holding the trace.  The
+    arguments are taken as checked, as ``qstate.trace_out`` passes them: a
+    ``LabeledState``'s matrix and dims, and indices in range, where one listed
+    twice counts once.
     """
-    m = as_matrix(matrix)
-    dims = _check_dims(dims, m.shape[0])
-    discard = sorted(set(_integers(discard, "discard indices")))
-    if discard and (discard[0] < 0 or discard[-1] >= len(dims)):
-        raise ValueError(f"discard indices {discard} out of range for {len(dims)} factors")
     n = len(dims)
     keep = [k for k in range(n) if k not in discard]
     # rows take subscripts 0..n-1 and columns n..2n-1, except that a discarded
     # factor's column repeats its row's subscript, so the one einsum traces it
     columns = [k if k in discard else n + k for k in range(n)]
     size = math.prod(dims[k] for k in keep)
-    reduced = np.einsum(m.reshape(dims * 2), [*range(n), *columns], keep + [n + k for k in keep])
+    tensor = matrix.reshape(dims * 2)
+    reduced = np.einsum(tensor, [*range(n), *columns], keep + [n + k for k in keep])
     return reduced.reshape(size, size)

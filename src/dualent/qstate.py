@@ -24,14 +24,15 @@ SUPPORT_LEAK_TOL = 1e-10
 SCHMIDT_RANK_TOL = 1e-10
 
 
-def _real_valued(array: np.ndarray) -> np.ndarray:
-    """``array`` as float64 when it is real-valued: real-typed, or complex with
-    every imaginary part zero (a NaN counts as nonzero), then as a view of its
-    real part; else as complex128.  The caller makes the one stored copy."""
-    if np.iscomplexobj(array):
+def _real_valued(array) -> np.ndarray:
+    """The one dtype rule for states and kets: float64 when the values are real
+    (real-typed, or complex with no nonzero imaginary part; a NaN is nonzero),
+    read from the real part; else complex128.  The caller makes the stored copy."""
+    array = np.asarray(array)
+    if array.dtype.kind == "c":
         if np.count_nonzero(array.imag):
             return array.astype(complex, copy=False)
-        return array.real
+        array = array.real
     return array.astype(float, copy=False)
 
 
@@ -50,13 +51,13 @@ class LabeledState:
     exactly when the rule holds, up to round-off; where it fails,
     ``eigvalsh`` decides and a rejection names the smallest eigenvalue.
 
-    A real-valued matrix is stored as float64: real-typed input as given,
-    and complex input whose imaginary parts are all zero as its real part.
-    Every other matrix is stored as complex128.  The stored matrix is
-    read-only and shares no memory with the argument.  The checks run on one
-    working copy of the stored matrix, so a real-valued state is checked,
-    and later diagonalised and traced, in real arithmetic.  For a real
-    matrix the real and the complex defect are the same number, so the
+    A real-valued matrix is stored as float64: real-typed input, integer and
+    float32 widened, and complex input whose imaginary parts are all zero as
+    its real part.  Every other matrix is stored as complex128.  The stored
+    matrix is read-only and shares no memory with the argument.  The checks
+    run on one working copy of the stored matrix, so a real-valued state is
+    checked, and later diagonalised and traced, in real arithmetic.  For a
+    real matrix the real and the complex defect are the same number, so the
     messages do not depend on how the matrix was passed.
     """
 

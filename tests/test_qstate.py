@@ -118,6 +118,20 @@ class TestKetAndState:
         # the real part is Hermitian; the symmetric imaginary part is not
         with pytest.raises(ValueError, match=re.escape("state is not Hermitian: defect 2.000e-01")):
             LabeledState(np.array([[0.5, 0.1j], [0.1j, 0.5]]), (2,), ("A",))
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            LabeledState(np.full((2, 3), 0.5), (2,), ("A",))
+        with pytest.raises(ValueError, match=r"^factor dimensions must be positive, got \(4, 1, 0\)$"):
+            LabeledState(np.eye(4) / 4, (4, 1, 0), ("A", "B", "C"))
+        # no dims multiply to 0, so a 0x0 matrix is refused before any defect is computed
+        with pytest.raises(ValueError, match=r"^factor dimensions \(\) do not multiply to 0$"):
+            LabeledState(np.zeros((0, 0)), (), ())
+
+    def test_a_repeated_label_is_traced_out_once(self):
+        eta = local_clone_pipeline(SchmidtPair(0.6))[0]
+        once = trace_out(eta, ("A'", "Ae", "B'", "Be"))
+        twice = trace_out(eta, ("A'", "A'", "Ae", "B'", "Be"))
+        assert twice.labels == once.labels == ("A", "B")
+        assert twice.matrix.tobytes() == once.matrix.tobytes()
 
     @pytest.mark.parametrize("dims", [(2.9, 2), (2.5, 2), (np.float64(2.0), 2), ("4",)])
     def test_non_integral_dims_rejected(self, dims):
@@ -572,6 +586,28 @@ class TestRealValuedStorage:
         assert real.amplitudes.tolist() == [0.6, 0.8]
         state = LabeledState(np.eye(2, dtype=complex) / 2, (2,), ("A",))
         assert state.matrix.dtype == np.float64
+        # the one rule widens complex64 too, so the coefficients are float64
+        narrow = Ket(np.array([1, 0, 0, 0], dtype=np.complex64), (2, 2))
+        assert schmidt_decompose(narrow).dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "amplitudes, stored",
+        [
+            ([0, 1, 0, 0], np.float64),
+            (np.full(4, 0.5, dtype=np.float32), np.float64),
+            (np.full(4, 0.5, dtype=np.complex64), np.float64),
+            (np.array([0.5, 0.5j, -0.5, -0.5j], dtype=np.complex64), np.complex128),
+        ],
+        ids=["int-list", "float32", "complex64-real", "complex64"],
+    )
+    def test_every_input_type_is_stored_by_the_one_rule(self, amplitudes, stored):
+        vector = np.asarray(amplitudes)
+        matrix = np.outer(vector, vector.conj())
+        argument = matrix.tolist() if isinstance(amplitudes, list) else matrix
+        ket = Ket(amplitudes, (2, 2))
+        state = LabeledState(argument, (2, 2), ("A", "B"))
+        assert ket.amplitudes.dtype == state.matrix.dtype == stored
+        assert np.array_equal(ket.amplitudes, vector) and np.array_equal(state.matrix, matrix)
 
     def test_a_nonzero_imaginary_part_stays_complex(self):
         ket = Ket(np.array([0.6, 0.8j]), (2,))
