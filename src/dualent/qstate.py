@@ -53,7 +53,8 @@ class LabeledState:
 
     A real-valued matrix is stored as float64: real-typed input, integer and
     float32 widened, and complex input whose imaginary parts are all zero as
-    its real part.  Every other matrix is stored as complex128.  The stored
+    its real part.  Every other matrix is stored as complex128.  Single
+    precision is widened before the float64-tolerance checks.  The stored
     matrix is read-only and shares no memory with the argument.  The checks
     run on one working copy of the stored matrix, so a real-valued state is
     checked, and later diagonalised and traced, in real arithmetic.  For a
@@ -78,7 +79,7 @@ class LabeledState:
             raise ValueError(f"labels must be distinct, got {labels}")
         work = matrix.copy()
         diagonal = work.reshape(-1)[:: len(work) + 1]
-        trace = complex(diagonal.sum())
+        trace = diagonal.sum().item()  # a float for a real-valued state
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"state trace is {trace}, expected 1")
         defect = la.hermiticity_defect(work)
@@ -120,7 +121,8 @@ class Ket:
 
     Real-valued amplitudes are stored as float64, by the rule of
     :class:`LabeledState`; any others as complex128.  They are read-only
-    and share no memory with the argument.
+    and share no memory with the argument.  Single precision is widened before
+    the check: float32 [0.6, 0.8] is refused, with norm 1.000000023841858.
     """
 
     amplitudes: np.ndarray

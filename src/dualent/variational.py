@@ -14,7 +14,8 @@ and 20 of 36 for cloning.  It starts at the analytic machines (the A/A'
 swap; the universal cloner and the identity, which S turns into the basis
 copier), so its best objective can never exceed the analytic reference
 bound; every other start is a step from a machine, seed exp(iH) for a
-perturbed start and exp(iH) for a random one.
+perturbed start and exp(iH) for a random one.  Each family's chart of the
+moved coordinates and its starts are read-only arrays built at import.
 
 Each restart is a Riemannian descent on the unitary group: it carries its
 current machine U and steps to U exp(iH) for a generator H of the moved
@@ -40,11 +41,11 @@ generator that yields the steps it needs and is sent their values,
 gradients and machines.  Both kernels have exact gradients: the search
 scores are -<v|log2 rho|v>, and Daleckii-Krein divided differences
 differentiate log2 rho from the eigendecompositions the values already
-take; one cached linear map assembles the generators and reads their
-gradients.  The driver runs all restarts in lock-step and evaluates the
-pending trial of every unfinished run with one stacked value-and-gradient
-call per round, so the restarts share each numpy call; a run's bits do not
-depend on how many others are still live.  Each run reports the score it
+take; the family's chart, one linear map, assembles the generators and
+reads their gradients.  The driver runs all restarts in lock-step and
+evaluates the pending trial of every unfinished run with one stacked
+value-and-gradient call per round, so the restarts share each numpy call;
+a run's bits do not depend on how many others are still live.  Each run reports the score it
 minimised at its final machine, and the lowest wins: for cloning that is
 :func:`clone_objective`, for deleting the fixed-target score, an upper
 bound on :func:`delete_objective` of the same machine.
@@ -52,7 +53,6 @@ bound on :func:`delete_objective` of the same machine.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -135,26 +135,27 @@ class SearchReport:
     winner: int
 
 
-@functools.lru_cache(maxsize=8)
-def _generator_map(n: int) -> np.ndarray:
-    """The read-only (n^2, 2 n^2) map whose row p is dH / dx_p for the real
-    coordinates x of a Hermitian H (n diagonal entries, then the real and
-    imaginary parts of the upper triangle row by row), flattened row-major,
-    real and imaginary parts side by side: x @ map, viewed as complex, is H,
-    and (K viewed as reals) @ map^T is Re tr(K^dag dH) in each coordinate.
-    Entries 0 and +-1 keep both bit-equal to entry-by-entry sums."""
-    rows, cols = np.triu_indices(n, 1)
-    p = np.arange(n, n * n, 2)
-    b = np.zeros((n * n, n, n), dtype=complex)
-    b[range(n), range(n), range(n)] = b[p, rows, cols] = b[p, cols, rows] = 1.0
+def _generator_map(n: int, k: int) -> np.ndarray:
+    """The read-only (2kn - k^2, 2 n^2) chart whose row p is dH / dx_p for the
+    real coordinates x of an n x n Hermitian H in its rows i < k (k diagonal
+    entries, then the real and imaginary parts of the upper triangle row by
+    row), flattened row-major, real and imaginary parts side by side: x @ map,
+    viewed as complex, is H, and (K viewed as reals) @ map^T is Re tr(K^dag
+    dH) in each coordinate.  Entries 0 and +-1 keep both bit-equal to
+    entry-by-entry sums; k = n charts every Hermitian H."""
+    rows, cols = np.nonzero(np.triu(np.ones((k, n)), 1))
+    size = k + 2 * len(rows)
+    p = np.arange(k, size, 2)
+    b = np.zeros((size, n, n), dtype=complex)
+    b[range(k), range(k), range(k)] = b[p, rows, cols] = b[p, cols, rows] = 1.0
     b[p + 1, rows, cols], b[p + 1, cols, rows] = 1j, -1j
-    return la._frozen(b.reshape(n * n, n * n).view(float))
+    return la._frozen(b.reshape(size, n * n).view(float))
 
 
-def _hermitian(x: np.ndarray, generators: np.ndarray, n: int) -> np.ndarray:
-    """The generators H(x) of the coordinate rows of ``x`` (..., f), for the
-    f rows of :func:`_generator_map` in ``generators``, as a (..., n, n) stack."""
-    return (x @ generators).view(complex).reshape(x.shape[:-1] + (n, n))
+def _hermitian(x: np.ndarray, chart: np.ndarray, n: int) -> np.ndarray:
+    """The generators H(x) of the coordinate rows of ``x`` (..., f) in a
+    ``chart`` of f rows from :func:`_generator_map`, as a (..., n, n) stack."""
+    return (x @ chart).view(complex).reshape(x.shape[:-1] + (n, n))
 
 
 def _exp_i(h: np.ndarray) -> np.ndarray:
@@ -181,14 +182,14 @@ def _pair_unitaries(u_alice: LocalUnitary, u_bob: LocalUnitary, n: int):
 def swap_delete_seed() -> tuple[LocalUnitary, LocalUnitary]:
     """The swap deleting machine that :func:`~dualent.deleting.local_delete_swap`
     runs, Alice swapping A with A' and Bob doing nothing, where the deleting
-    search's first restart starts."""
+    search's first restart starts; the search reads it once, at import."""
     return LocalUnitary(_SWAP_MACHINE[0]), LocalUnitary(_IDENTITY_MACHINE[0])
 
 
 def cloner_seed_params() -> LocalUnitary:
-    """The universal cloner as a 6x6 unitary, where the cloning search's
-    first restart starts on both sides: its two columns in S's basis,
-    completed by a QR of those columns next to the identity."""
+    """The universal cloner as a 6x6 unitary, where the cloning search (which
+    reads it once, at import) first starts on both sides: its two columns in
+    S's basis, completed by a QR of those columns next to the identity."""
     q = np.linalg.qr(np.concatenate([_CLONER, np.eye(6)], axis=1))[0]
     return LocalUnitary(np.concatenate([_CLONER, q[:, 2:]], axis=1))
 
@@ -316,39 +317,37 @@ def _bfgs(start, size: int, max_evals: int):
     return point, value, nfev, nit, "converged"
 
 
-def _stacked_values_and_gradients(pair, kernel, machines, steps, generators):
+def _stacked_values_and_gradients(pair, kernel, machines, steps, chart):
     """Values, gradients and machines of the trials T = U exp(iH(s)), for
     ``kernel``, a family's value and unitary-gradient kernel, (m, 2, n, n)
-    ``machines`` U, (m, 2 f) ``steps`` s (H_A, then H_B) and the f rows of
-    :func:`_generator_map` a step moves, ``generators``.  One stacked
+    ``machines`` U, (m, 2 f) ``steps`` s (H_A, then H_B) and the ``chart``
+    of f rows from :func:`_generator_map` that a step moves.  One stacked
     ``eigh`` of the step generators builds exp(iH).  Each gradient is read
     in its trial's own frame, at H = 0 in T exp(iH): d value = Re tr(K^dag
     dH) with K = -i T^dag G for the unitary gradients G; the map reads K off
     into C-contiguous rows (a strided row rounds the BFGS runs' dot
     products differently)."""
     m, n = len(steps), machines.shape[-1]
-    h = _hermitian(steps.reshape(2 * m, -1), generators, n)
+    h = _hermitian(steps.reshape(2 * m, -1), chart, n)
     trials = machines @ _exp_i(h).reshape(m, 2, n, n)
     objectives, grad_u = kernel(pair, trials[:, 0], trials[:, 1])
     k = -1j * (trials.conj().swapaxes(-1, -2) @ grad_u)
-    grads = k.reshape(2 * m, n * n).view(float) @ generators.T
+    grads = k.reshape(2 * m, n * n).view(float) @ chart.T
     return objectives, grads.reshape(m, -1), trials
 
 
-def _search(pair, kernel, k, seeds, reference, restarts, seed, max_evals) -> SearchReport:
+def _search(pair, kernel, chart, seeds, reference, restarts, seed, max_evals) -> SearchReport:
     """Multi-restart BFGS search of the values of ``kernel(pair, U_A,
     U_B)``, a family's value-and-gradient kernel, over pairs of n x n
-    unitaries whose input reaches only their first k columns.
+    unitaries, stepping in the family's ``chart`` from :func:`_generator_map`.
 
     Restart 0, 1, ... start at the analytic seeds, the (2, n, n) machine
     pairs (U_A, U_B) in ``seeds``, as they are; every later start is a step
     base exp(iH(x)), alternately from the first seed with x normal of scale
     0.2 and from the identity with x uniform in [-pi, pi].  Each run carries
-    its machine U and steps to U exp(iH(s)); s holds the 2kn - k^2
-    coordinates of H_A in rows i < k, then those of H_B, and exp(iH)[:, :k]
-    still reaches every n x k isometry.  An accepted trial becomes the run's
-    machine, so every gradient is read at H = 0, where exp(iH) has
-    derivative iH.
+    its machine U and steps to U exp(iH(s)); s holds the chart coordinates
+    of H_A, then those of H_B.  An accepted trial becomes the run's machine,
+    so every gradient is read at H = 0, where exp(iH) has derivative iH.
 
     All restarts run in lock-step: each round stacks the machine and the
     next step of every unfinished run into one value-and-gradient call.
@@ -368,10 +367,7 @@ def _search(pair, kernel, k, seeds, reference, restarts, seed, max_evals) -> Sea
         raise ValueError(f"seed must be >= 0, got {seed}")
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals}")
-    n = seeds[0].shape[-1]
-    free = np.r_[:k, n : n + 2 * (k * n - k * (k + 1) // 2)]
-    generators = _generator_map(n)[free]
-    size = 2 * free.size
+    n, size = seeds[0].shape[-1], 2 * len(chart)
     # seeds keep their bytes: a product with exp(0) would flip signed zeros
     starts, origins = ["seed"] * min(restarts, len(seeds)), list(seeds[:restarts])
     for r in range(len(seeds), restarts):
@@ -382,7 +378,7 @@ def _search(pair, kernel, k, seeds, reference, restarts, seed, max_evals) -> Sea
         else:
             starts.append("random")
             x = rng.uniform(-math.pi, math.pi, size)
-        step = _exp_i(_hermitian(x.reshape(2, -1), generators, n))
+        step = _exp_i(_hermitian(x.reshape(2, -1), chart, n))
         origins.append(seeds[0] @ step if starts[-1] == "perturbed" else step)
     runs = [_bfgs(u, size, max_evals) for u in origins]
 
@@ -401,9 +397,7 @@ def _search(pair, kernel, k, seeds, reference, restarts, seed, max_evals) -> Sea
         live = list(pending)
         machines = np.stack([pending[r][0] for r in live])
         steps = np.stack([pending[r][1] for r in live])
-        values, grads, trials = _stacked_values_and_gradients(
-            pair, kernel, machines, steps, generators
-        )
+        values, grads, trials = _stacked_values_and_gradients(pair, kernel, machines, steps, chart)
         for r, value, grad, trial in zip(live, values, grads, trials):
             advance(r, (float(value), grad, trial))
 
@@ -421,6 +415,14 @@ def _search(pair, kernel, k, seeds, reference, restarts, seed, max_evals) -> Sea
         restart_records=records,
         winner=winner,
     )
+
+
+# each family's kernel, chart and starts: (s, 2, n, n) stacks of (U_A, U_B), the
+# swap and its Bob-side image, then the cloner and the copier on both sides
+_SWAP_SEEDS = la._frozen(np.array([u.matrix for u in swap_delete_seed()])[[[0, 1], [1, 0]]])
+_CLONER_SEEDS = la._frozen([[cloner_seed_params().matrix] * 2, [np.eye(6, dtype=complex)] * 2])
+_DELETE = _delete_objectives_grad, _generator_map(4, 4), _SWAP_SEEDS
+_CLONE = _clone_objectives_grad, _generator_map(6, 2), _CLONER_SEEDS
 
 
 def optimize_delete(
@@ -444,10 +446,7 @@ def optimize_delete(
         mirror = optimize_delete(SchmidtPair(pair.b), restarts, seed, max_evals)
         machines = tuple(LocalUnitary(u.matrix[::-1, ::-1]) for u in mirror.best_params)
         return replace(mirror, best_params=machines)
-    reference = delete_bound(pair)
-    swap = np.array([machine.matrix for machine in swap_delete_seed()])
-    seeds = [swap, swap[::-1]]
-    return _search(pair, _delete_objectives_grad, 4, seeds, reference, restarts, seed, max_evals)
+    return _search(pair, *_DELETE, delete_bound(pair), restarts, seed, max_evals)
 
 
 def optimize_clone(
@@ -455,11 +454,10 @@ def optimize_clone(
 ) -> SearchReport:
     """Search symmetric local cloning machines: rows 0, 1 of a 6x6 generator.
 
-    Seeded at the universal cloner and at the basis copier (the identity),
-    so the result never exceeds :func:`clone_bound`; deterministic for fixed
-    (pair, restarts, seed).
+    Seeded at the universal cloner, so the result never exceeds
+    :func:`clone_bound`, and with ``restarts >= 2`` at the basis copier (the
+    identity) too, a stationary point that scores E_R in one evaluation, so
+    it never exceeds ``clone_bound_combined(pair).combined`` (to round-off).
+    Deterministic for fixed (pair, restarts, seed).
     """
-    reference = clone_bound(pair)
-    cloner = cloner_seed_params().matrix
-    seeds = [np.array([cloner, cloner]), np.array([np.eye(6, dtype=complex)] * 2)]
-    return _search(pair, _clone_objectives_grad, 2, seeds, reference, restarts, seed, max_evals)
+    return _search(pair, *_CLONE, clone_bound(pair), restarts, seed, max_evals)

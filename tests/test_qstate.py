@@ -103,6 +103,11 @@ class TestKetAndState:
     def test_state_validation(self):
         with pytest.raises(ValueError, match="trace"):
             LabeledState(np.eye(2), (2,), ("A",))
+        # the trace is read in the stored dtype: a float for a real-valued state
+        with pytest.raises(ValueError, match=r"^state trace is 1\.5, expected 1$"):
+            LabeledState(np.diag([0.75, 0.75]), (2,), ("A",))
+        with pytest.raises(ValueError, match=r"^state trace is \(1\.5\+0j\), expected 1$"):
+            LabeledState(np.array([[0.75, 0.1j], [-0.1j, 0.75]]), (2,), ("A",))
         with pytest.raises(ValueError, match="distinct"):
             LabeledState(np.eye(4) / 4, (2, 2), ("A", "A"))
         with pytest.raises(ValueError, match=r"^2 dims but 1 labels$"):
@@ -589,6 +594,17 @@ class TestRealValuedStorage:
         # the one rule widens complex64 too, so the coefficients are float64
         narrow = Ket(np.array([1, 0, 0, 0], dtype=np.complex64), (2, 2))
         assert schmidt_decompose(narrow).dtype == np.float64
+
+    def test_single_precision_is_widened_then_checked_in_double(self):
+        # float32 0.6 and 0.8 miss norm 1 by 2.4e-8 once widened, far beyond
+        # the float64 tolerances; exactly representable values pass
+        with pytest.raises(ValueError, match=r"^ket norm is 1\.000000023841858, expected 1$"):
+            Ket(np.array([0.6, 0.8], dtype=np.float32), (2,))
+        vector = np.array([0.6, 0.8], dtype=np.float32)
+        with pytest.raises(ValueError, match=r"^state trace is 1\.0000000596046448, expected 1$"):
+            LabeledState(np.outer(vector, vector), (2,), ("A",))
+        ket = Ket(np.float32([1, 0]), (2,))
+        assert ket.amplitudes.dtype == np.float64 and ket.amplitudes.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize(
         "amplitudes, stored",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import haar_unitary, projector
 
-from dualent.cloning import clone_bound, rho_clone_closed_form
+from dualent.cloning import clone_bound, clone_bound_combined, rho_clone_closed_form
 from dualent.deleting import delete_bound, local_delete_swap
 from dualent.qstate import Ket, SchmidtPair, relative_entropy, trace_out
 from dualent.variational import (
@@ -33,7 +33,7 @@ FAST_EVALS = 250
 def _unitaries(x, n):
     """exp(iH(x)) for each row x (..., n^2) of generator coordinates on the
     whole map: the diagonal, then (re, im) of the upper triangle row by row."""
-    return _exp_i(_hermitian(x, _generator_map(n), n))
+    return _exp_i(_hermitian(x, _generator_map(n, n), n))
 
 
 class TestParameterisation:
@@ -62,7 +62,7 @@ class TestParameterisation:
                     expected[i, j] = thetas[k] + 1j * thetas[k + 1]
                     expected[j, i] = thetas[k] - 1j * thetas[k + 1]
                     k += 2
-            assert np.array_equal(_hermitian(thetas, _generator_map(n), n), expected)
+            assert np.array_equal(_hermitian(thetas, _generator_map(n, n), n), expected)
 
     def test_non_square_length_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -88,18 +88,18 @@ def _elementwise_read_off(k, n):
 
 
 class TestGeneratorMap:
-    """The cached map that assembles generators from parameter rows and reads
+    """The chart that assembles generators from parameter rows and reads
     gradients back, against the entry-by-entry layout, bit for bit."""
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_read_off_matches_elementwise_reference(self, n):
         rng = np.random.default_rng(139)
         k = rng.standard_normal((10, n, n)) + 1j * rng.standard_normal((10, n, n))
-        got = k.reshape(10, n * n).view(float) @ _generator_map(n).T
+        got = k.reshape(10, n * n).view(float) @ _generator_map(n, n).T
         assert got.tobytes() == _elementwise_read_off(k, n).tobytes()
 
-    # the chart rows i < 2: the diagonal entries 0, 1 and the upper-triangle
-    # pairs of rows 0 and 1
+    # the chart of rows i < k holds the full map's rows free: the diagonal
+    # entries 0, ..., k - 1 and the upper-triangle pairs of rows 0, ..., k - 1
     @pytest.mark.parametrize(
         "n, free", [(4, np.r_[:4, 4:16]), (4, np.r_[:2, 4:14]), (6, np.r_[:2, 6:24])]
     )
@@ -107,7 +107,8 @@ class TestGeneratorMap:
         # so a start assembled from its free coordinates alone is the
         # generator of the same coordinates scattered into zeros, bit for bit
         rng = np.random.default_rng(149)
-        full, rows = _generator_map(n), _generator_map(n)[free]
+        full, rows = _generator_map(n, n), _generator_map(n, np.count_nonzero(free < n))
+        assert rows.tobytes() == full[free].tobytes() and not rows.flags.writeable
         columns = np.concatenate([free, n * n + free])  # the (A, B) pair's parameters
         k = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
         read_full = (k.reshape(6, n * n).view(float) @ full.T).reshape(3, -1)
@@ -204,6 +205,26 @@ class TestSeeds:
         ]
         assert [start.tobytes() for start in starts] == [np.array(w).tobytes() for w in want]
 
+    def test_search_inputs_are_built_once(self, monkeypatch):
+        # each family's chart and starts are read-only module arrays; a
+        # search reads them and rebuilds neither public seed
+        from dualent import variational
+
+        families = [(variational._DELETE, 4, 16), (variational._CLONE, 6, 20)]
+        for (_, chart, seeds), n, rows in families:
+            assert chart.dtype == np.float64 and chart.shape == (rows, 2 * n * n)
+            assert seeds.dtype == np.complex128 and seeds.shape == (2, 2, n, n)
+            assert not chart.flags.writeable and not seeds.flags.writeable
+
+        def refuse():
+            raise AssertionError("a search rebuilt a seed")
+
+        monkeypatch.setattr(variational, "swap_delete_seed", refuse)
+        monkeypatch.setattr(variational, "cloner_seed_params", refuse)
+        for search in (optimize_delete, optimize_clone):
+            for a in (0.6, 0.8):
+                search(SchmidtPair(a), restarts=3, seed=1, max_evals=2)
+
     @pytest.mark.parametrize("kind", ["delete", "clone"])
     def test_later_starts_are_steps(self, monkeypatch, kind):
         # restarts 2 and 4 step from the first seed, restart 3 from the
@@ -212,10 +233,10 @@ class TestSeeds:
         from dualent import variational
 
         if kind == "delete":
-            search, n, free = optimize_delete, 4, np.r_[:16]
+            search, n, k = optimize_delete, 4, 4
             first = np.array([machine.matrix for machine in swap_delete_seed()])
         else:
-            search, n, free = optimize_clone, 6, np.r_[:2, 6:24]
+            search, n, k = optimize_clone, 6, 2
             first = np.array([cloner_seed_params().matrix] * 2)
 
         starts, bfgs = [], variational._bfgs
@@ -226,7 +247,8 @@ class TestSeeds:
 
         monkeypatch.setattr(variational, "_bfgs", spy_bfgs)
         search(SchmidtPair(0.6), restarts=5, seed=4, max_evals=1)
-        generators, size = _generator_map(n)[free], 2 * free.size
+        generators = _generator_map(n, k)
+        size = 2 * len(generators)
 
         def step(x):
             return _exp_i(_hermitian(x.reshape(2, -1), generators, n))
@@ -298,8 +320,9 @@ class TestOptimizeDelete:
         # support: the first value is inf, so the run stops without a step
         from dualent.variational import RestartRecord, _delete_objectives_grad, _search
 
-        seeds = [np.array([np.eye(4, dtype=complex)] * 2)]
-        report = _search(SchmidtPair(0.6), _delete_objectives_grad, 4, seeds, 0.0, 1, 0, 10)
+        seeds = np.array([[np.eye(4, dtype=complex)] * 2])
+        chart = _generator_map(4, 4)
+        report = _search(SchmidtPair(0.6), _delete_objectives_grad, chart, seeds, 0.0, 1, 0, 10)
         stalled = RestartRecord("seed", nfev=1, nit=0, exit="stalled", objective=math.inf)
         assert report.restart_records == (stalled,)
 
@@ -359,6 +382,15 @@ class TestOptimizeClone:
     def test_a03_bounded(self):
         report = optimize_clone(SchmidtPair(0.3), restarts=2, seed=9, max_evals=FAST_EVALS)
         assert report.best_objective <= 0.619997096170148 + 1e-6
+
+    def test_copier_seed_bounds_by_the_combined_bound(self):
+        # the copier is a stationary point scoring E_R in one evaluation, so
+        # with both seeds the best never ends above min(E_R, S_clone); the
+        # largest excess measured on this grid was 4.4e-16
+        for a in [*GRID_20, 0.0, 0.001, 0.05, 0.8, 0.99, 1.0]:
+            pair = SchmidtPair(float(a))
+            report = optimize_clone(pair, restarts=2, seed=1, max_evals=1)
+            assert report.best_objective <= clone_bound_combined(pair).combined + 1e-12
 
     def test_copies_nearly_symmetric_at_optimum(self):
         report = optimize_clone(SchmidtPair(0.55), restarts=3, seed=4, max_evals=FAST_EVALS)
@@ -931,7 +963,7 @@ def _value_and_gradient(kind):
         # themselves; every generator row, so the steps are full parameters
         if bases is None:
             bases = np.broadcast_to(np.eye(n), (len(steps), 2, n, n))
-        return _stacked_values_and_gradients(pair, kernel, bases, steps, _generator_map(n))
+        return _stacked_values_and_gradients(pair, kernel, bases, steps, _generator_map(n, n))
 
     return evaluate
 
