@@ -81,6 +81,11 @@ def universal_clone_isometry() -> CloneIsometry:
     return _UNIVERSAL
 
 
+def _clone_inputs(pair: SchmidtPair):
+    """The cloning kernel's target psi = :func:`schmidt_ket`, complex, and weights (a, b)."""
+    return schmidt_ket(pair).amplitudes.astype(complex), (pair.a, pair.b)
+
+
 def local_clone_pipeline(pair: SchmidtPair):
     """Run the cloner locally on both halves of a|00> + b|11>.
 

@@ -13,13 +13,12 @@ the best one for one deleted copy at a time, over the product kets inside
 its support, in the form the support's rank allows.  One scorer computes
 both terms, with validated output states, for the swap machine (swap A with
 A' at Alice's side) and for the public deleting objective of any machine.
-The deleting search never calls it: it scores the deleted copy against the
-fixed product target |11> and reports that score.
+The deleting search never calls it: it builds the same targets and weights
+once and scores the deleted copy against the fixed product target |11>.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -69,34 +68,31 @@ _SWAP_MACHINE = la._frozen(np.eye(4)[None, _EXCHANGE])
 _IDENTITY_MACHINE = la._frozen(np.eye(4)[None])
 
 
-@functools.lru_cache(maxsize=8)
-def _delete_constants(pair: SchmidtPair) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only targets psi, |11> and weights diag(psi (x) psi) of the deleting
-    score; psi, validated once per pair, is the input both search kernels read.
-    The targets are complex, as the kernels' machines are."""
+def _delete_inputs(pair: SchmidtPair) -> tuple[np.ndarray, np.ndarray]:
+    """The deleting score's targets psi = :func:`schmidt_ket` and |11>,
+    complex as the kernels' machines are, and weights diag(psi (x) psi)."""
     targets = np.array([schmidt_ket(pair).amplitudes, [0.0, 0.0, 0.0, 1.0]], dtype=complex)
-    weights = [pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b]
-    return la._frozen(targets), la._frozen(weights)
+    return targets, np.array([pair.a * pair.a, pair.a * pair.b, pair.a * pair.b, pair.b * pair.b])
 
 
-def _delete_terms(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
+def _delete_terms(weights: np.ndarray, u_alice: np.ndarray, u_bob: np.ndarray):
     """Marginals of (U_AA' (x) U_BB') applied to psi (x) psi, for each pair of
     unitaries in the (..., 4, 4) stacks ``u_alice`` and ``u_bob``, from the output
-    K of :func:`~dualent.qstate._local_output` on the weights diag(psi (x) psi) =
-    (a^2, ab, ab, b^2) over (AA', BB'): ``(out_AB, out_A'B', K)``, with K's rows
+    K of :func:`~dualent.qstate._local_output` on the ``weights`` diag(psi (x) psi)
+    = (a^2, ab, ab, b^2) over (AA', BB'): ``(out_AB, out_A'B', K)``, with K's rows
     (A, B) and columns (A', B'), out_AB = K K^dag and out_A'B' = K^T K^*."""
-    kept = _local_output(_delete_constants(pair)[1], u_alice, u_bob)
+    kept = _local_output(weights, u_alice, u_bob)
     return kept @ kept.conj().swapaxes(-1, -2), kept.swapaxes(-1, -2) @ kept.conj(), kept
 
 
 def _delete_outcome(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray) -> DeleteOutcome:
     """Run the deleting machine U_AA' (x) U_BB', given as (1, 4, 4) stacks
     ``u_alice`` and ``u_bob``, and score both of its outputs."""
-    ab, apbp, _ = _delete_terms(pair, u_alice, u_bob)
+    targets, weights = _delete_inputs(pair)
+    ab, apbp, _ = _delete_terms(weights, u_alice, u_bob)
     out_ab = LabeledState(ab[0], (2, 2), ("A", "B"))
     out_apbp = LabeledState(apbp[0], (2, 2), ("A'", "B'"))
-    psi = _delete_constants(pair)[0][0]
-    term_keep = float(_pure_rel_entropy_on(psi, *np.linalg.eigh(ab))[0][0])
+    term_keep = float(_pure_rel_entropy_on(targets[0], *np.linalg.eigh(ab))[0][0])
     term_separable, _ = min_over_product_pure(out_apbp)
     return DeleteOutcome(
         out_ab=out_ab,

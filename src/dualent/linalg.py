@@ -125,9 +125,11 @@ def matrix_log2_on_support(matrix: np.ndarray):
 
 def _integers(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints, read with ``operator.index``: integers of
-    any integer type pass, and a float or a string is refused, not truncated."""
+    any integer type but bool pass; a bool, a float or a string is refused."""
     values = tuple(values)
     try:
+        if bool in map(type, values):  # operator.index reads True as 1
+            raise TypeError
         return tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers, got {values}") from None

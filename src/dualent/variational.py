@@ -14,8 +14,8 @@ and 20 of 36 for cloning.  It starts at the analytic machines (the A/A'
 swap; the universal cloner and the identity, which S turns into the basis
 copier), so its best objective can never exceed the analytic reference
 bound; every other start is a step from a machine, seed exp(iH) for a
-perturbed start and exp(iH) for a random one.  Each family's chart of the
-moved coordinates and its starts are read-only arrays built at import.
+perturbed start and exp(iH) for a random one, on its own random stream.
+Each family's chart and starts are read-only arrays built at import.
 
 Each restart is a Riemannian descent on the unitary group: it carries its
 current machine U and steps to U exp(iH) for a generator H of the moved
@@ -27,13 +27,14 @@ each run's final machine as it is.
 
 One circuit, :func:`~dualent.qstate._local_output`, runs both families'
 machines and its one adjoint differentiates them.  Each family has one
-scoring kernel, from the pair and two stacks of unitaries to one search score
-per machine; both score with the same pure-state relative entropy.  The
-deleting kernel scores the deleted copy against the fixed product target
-|11>, not the best product target: local unitaries on A' and B' after the
-machine fold into U_A and U_B, so both scores have the same infimum.  The
-inner minimum over product targets runs only in the deleting machine's one
-scorer, which :func:`delete_objective` and ``local_delete_swap`` share.
+scoring kernel, from the pair's inputs, which a search builds once, and two
+stacks of unitaries to one score per machine; both score with the same
+pure-state relative entropy.  The deleting kernel scores the deleted copy
+against the fixed product target |11>, not the best product target: local
+unitaries on A' and B' after the machine fold into U_A and U_B, so both
+scores have the same infimum.  The inner minimum over product targets runs
+only in the deleting machine's one scorer, which :func:`delete_objective`
+and ``local_delete_swap`` share.
 
 Both searches run one driver: every restart is a BFGS run, which keeps a
 dense inverse Hessian (the steps have only 32 or 40 reals), written as a
@@ -59,11 +60,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg as la
-from .cloning import _CLONER, _SYMMETRIC, clone_bound
+from .cloning import _CLONER, _SYMMETRIC, _clone_inputs, clone_bound
 from .deleting import (
     _IDENTITY_MACHINE,
     _SWAP_MACHINE,
-    _delete_constants,
+    _delete_inputs,
     _delete_outcome,
     _delete_terms,
     delete_bound,
@@ -71,7 +72,7 @@ from .deleting import (
 from .qstate import SchmidtPair, _local_output, _local_output_adjoint, _pure_rel_entropy_grad
 
 # value-and-gradient evaluations per restart; the longest restart seen, a
-# perturbed deleting restart at a = 0.7022 (bench search seed 2009), took 316
+# random deleting restart at a = 0.7027 (bench search seed 2115), took 256
 MAX_EVALS = 2000
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _GRAD_TOL = 1e-9  # converged: max |gradient| at most this ...
@@ -194,10 +195,10 @@ def cloner_seed_params() -> LocalUnitary:
     return LocalUnitary(np.concatenate([_CLONER, q[:, 2:]], axis=1))
 
 
-def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
-    """The search score of each machine in the (k, 4, 4) stacks, and its
-    gradients in U_A and U_B as a (k, 2, 4, 4) stack (d value = Re tr(G_A^dag
-    dU_A + G_B^dag dU_B)).
+def _delete_objectives_grad(inputs, u_alice: np.ndarray, u_bob: np.ndarray):
+    """The search score of each machine in the (k, 4, 4) stacks, for the
+    ``inputs`` of ``deleting._delete_inputs``, and its gradients in U_A and U_B
+    as a (k, 2, 4, 4) stack (d value = Re tr(G_A^dag dU_A + G_B^dag dU_B)).
 
     The score is the deleting objective with the deleted copy scored against
     |11> alone.  In exact arithmetic it is never below
@@ -208,8 +209,8 @@ def _delete_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.nd
     With out_AB = K K^dag and out_A'B' = K^T K^* for the circuit's K, the
     two terms' gradients G1, G2 in their states give G_K = G1 K + K G2^*.
     """
-    out_ab, out_apbp, kept = _delete_terms(pair, u_alice, u_bob)
-    targets, weights = _delete_constants(pair)
+    targets, weights = inputs
+    out_ab, out_apbp, kept = _delete_terms(weights, u_alice, u_bob)
     states = np.concatenate([out_ab[..., None, :, :], out_apbp[..., None, :, :]], axis=-3)
     terms, grads = _pure_rel_entropy_grad(targets, states)
     grad_kept = grads[..., 0, :, :] @ kept + kept @ grads[..., 1, :, :].conj()
@@ -231,25 +232,26 @@ def delete_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnita
 def clone_objective(pair: SchmidtPair, u_alice: LocalUnitary, u_bob: LocalUnitary) -> float:
     """Cloning quality S(psi | copy) of the symmetric machines that 6x6
     unitaries on (A, B) encode, in bits; the two copies are equal."""
-    return float(_clone_objectives_grad(pair, *_pair_unitaries(u_alice, u_bob, 6))[0][0])
+    machines = _pair_unitaries(u_alice, u_bob, 6)
+    return float(_clone_objectives_grad(_clone_inputs(pair), *machines)[0][0])
 
 
-def _clone_objectives_grad(pair: SchmidtPair, u_alice: np.ndarray, u_bob: np.ndarray):
-    """The cloning objective of each machine in the (k, 6, 6) stacks, and its
-    gradients in U_A and U_B as a (k, 2, 6, 6) stack (d value = Re
-    tr(G_A^dag dU_A + G_B^dag dU_B)); only their first two columns, the ones
-    the input reaches, are nonzero.
+def _clone_objectives_grad(inputs, u_alice: np.ndarray, u_bob: np.ndarray):
+    """The cloning objective of each machine in the (k, 6, 6) stacks, for the
+    ``inputs`` of ``cloning._clone_inputs``, and its gradients in U_A and U_B
+    as a (k, 2, 6, 6) stack (d value = Re tr(G_A^dag dU_A + G_B^dag dU_B));
+    only their first two columns, the ones the input reaches, are nonzero.
 
     With copy = K K^dag, for the shared circuit's output K of the isometries
     S U_A[:, :2] and S U_B[:, :2] on the weights (a, b), G_K = 2 G K.
     """
+    psi, weights = inputs
     alice, bob = _SYMMETRIC @ u_alice[..., :2], _SYMMETRIC @ u_bob[..., :2]
-    ab = _local_output((pair.a, pair.b), alice, bob)
-    psi = _delete_constants(pair)[0][0]
+    ab = _local_output(weights, alice, bob)
     value, grad_copy = _pure_rel_entropy_grad(psi, ab @ ab.conj().swapaxes(-1, -2))
     grads = np.zeros(ab.shape[:-2] + (2, 6, 6), dtype=complex)
     grads[..., :2] = _SYMMETRIC.T @ _local_output_adjoint(2.0 * grad_copy @ ab, alice, bob)
-    grads[..., :2] *= (pair.a, pair.b)
+    grads[..., :2] *= weights
     return value, grads
 
 
@@ -317,46 +319,44 @@ def _bfgs(start, size: int, max_evals: int):
     return point, value, nfev, nit, "converged"
 
 
-def _stacked_values_and_gradients(pair, kernel, machines, steps, chart):
+def _stacked_values_and_gradients(inputs, kernel, machines, steps, chart):
     """Values, gradients and machines of the trials T = U exp(iH(s)), for
-    ``kernel``, a family's value and unitary-gradient kernel, (m, 2, n, n)
-    ``machines`` U, (m, 2 f) ``steps`` s (H_A, then H_B) and the ``chart``
-    of f rows from :func:`_generator_map` that a step moves.  One stacked
-    ``eigh`` of the step generators builds exp(iH).  Each gradient is read
-    in its trial's own frame, at H = 0 in T exp(iH): d value = Re tr(K^dag
-    dH) with K = -i T^dag G for the unitary gradients G; the map reads K off
-    into C-contiguous rows (a strided row rounds the BFGS runs' dot
-    products differently)."""
+    ``kernel``, a family's value and unitary-gradient kernel on ``inputs``,
+    (m, 2, n, n) ``machines`` U, (m, 2 f) ``steps`` s (H_A, then H_B) and the
+    ``chart`` of f rows from :func:`_generator_map` that a step moves.  One
+    stacked ``eigh`` of the step generators builds exp(iH).  Each gradient is
+    read in its trial's own frame, at H = 0 in T exp(iH): d value = Re
+    tr(K^dag dH) with K = -i T^dag G for the unitary gradients G; the map
+    reads K off into C-contiguous rows (a strided row rounds the BFGS runs'
+    dot products differently)."""
     m, n = len(steps), machines.shape[-1]
     h = _hermitian(steps.reshape(2 * m, -1), chart, n)
     trials = machines @ _exp_i(h).reshape(m, 2, n, n)
-    objectives, grad_u = kernel(pair, trials[:, 0], trials[:, 1])
+    objectives, grad_u = kernel(inputs, trials[:, 0], trials[:, 1])
     k = -1j * (trials.conj().swapaxes(-1, -2) @ grad_u)
     grads = k.reshape(2 * m, n * n).view(float) @ chart.T
     return objectives, grads.reshape(m, -1), trials
 
 
-def _search(pair, kernel, chart, seeds, reference, restarts, seed, max_evals) -> SearchReport:
-    """Multi-restart BFGS search of the values of ``kernel(pair, U_A,
-    U_B)``, a family's value-and-gradient kernel, over pairs of n x n
-    unitaries, stepping in the family's ``chart`` from :func:`_generator_map`.
+def _search(inputs, kernel, chart, seeds, reference, restarts, seed, max_evals) -> SearchReport:
+    """Multi-restart BFGS search of the values of ``kernel(inputs, U_A, U_B)``,
+    a family's value-and-gradient kernel on one pair's ``inputs``, over pairs of
+    n x n unitaries, stepping in the family's ``chart`` from :func:`_generator_map`.
 
     Restart 0, 1, ... start at the analytic seeds, the (2, n, n) machine
-    pairs (U_A, U_B) in ``seeds``, as they are; every later start is a step
-    base exp(iH(x)), alternately from the first seed with x normal of scale
-    0.2 and from the identity with x uniform in [-pi, pi].  Each run carries
-    its machine U and steps to U exp(iH(s)); s holds the chart coordinates
-    of H_A, then those of H_B.  An accepted trial becomes the run's machine,
-    so every gradient is read at H = 0, where exp(iH) has derivative iH.
+    pairs (U_A, U_B) in ``seeds``, as they are; every later start r is a
+    step base exp(iH(x)), x drawn from ``default_rng((seed, r))``, alternately
+    from the first seed with x normal of scale 0.2 and from the identity
+    with x uniform in [-pi, pi].  Each run carries its machine U and steps
+    to U exp(iH(s)); s holds the chart coordinates of H_A, then those of
+    H_B.  An accepted trial becomes the run's machine, so every gradient is
+    read at H = 0, where exp(iH) has derivative iH.
 
     All restarts run in lock-step: each round stacks the machine and the
     next step of every unfinished run into one value-and-gradient call.
     Each run's record holds the kernel's value at its final machine; the
     lowest wins, ties keeping the lower restart index, and its machine
     becomes a pair of :class:`LocalUnitary` records.
-
-    The three counts are read as the dims are, with ``operator.index``, so
-    a float, even an integral one, is refused before any run.
     """
     restarts, seed, max_evals = la._integers(
         (restarts, seed, max_evals), "restarts, seed and max_evals"
@@ -371,15 +371,12 @@ def _search(pair, kernel, chart, seeds, reference, restarts, seed, max_evals) ->
     # seeds keep their bytes: a product with exp(0) would flip signed zeros
     starts, origins = ["seed"] * min(restarts, len(seeds)), list(seeds[:restarts])
     for r in range(len(seeds), restarts):
-        rng = np.random.default_rng(seed + r)
-        if (r - len(seeds)) % 2 == 0:
-            starts.append("perturbed")
-            x = 0.2 * rng.standard_normal(size)
-        else:
-            starts.append("random")
-            x = rng.uniform(-math.pi, math.pi, size)
+        rng = np.random.default_rng((seed, r))
+        perturbed = (r - len(seeds)) % 2 == 0
+        x = 0.2 * rng.standard_normal(size) if perturbed else rng.uniform(-math.pi, math.pi, size)
         step = _exp_i(_hermitian(x.reshape(2, -1), chart, n))
-        origins.append(seeds[0] @ step if starts[-1] == "perturbed" else step)
+        starts.append("perturbed" if perturbed else "random")
+        origins.append(seeds[0] @ step if perturbed else step)
     runs = [_bfgs(u, size, max_evals) for u in origins]
 
     pending, results = {}, [None] * restarts
@@ -397,8 +394,8 @@ def _search(pair, kernel, chart, seeds, reference, restarts, seed, max_evals) ->
         live = list(pending)
         machines = np.stack([pending[r][0] for r in live])
         steps = np.stack([pending[r][1] for r in live])
-        values, grads, trials = _stacked_values_and_gradients(pair, kernel, machines, steps, chart)
-        for r, value, grad, trial in zip(live, values, grads, trials):
+        evaluated = _stacked_values_and_gradients(inputs, kernel, machines, steps, chart)
+        for r, value, grad, trial in zip(live, *evaluated):
             advance(r, (float(value), grad, trial))
 
     records = tuple(
@@ -430,23 +427,23 @@ def optimize_delete(
 ) -> SearchReport:
     """Search local-unitary deleting machines for the best objective.
 
-    The BFGS runs score each machine with the deleted copy against the
-    fixed target |11> (:func:`_delete_objectives_grad`), and the best is
-    that score of the winning machine.  |11> is an admissible target, so
-    the best is an upper bound, and :func:`delete_objective` of the same
-    machine can only be lower in exact arithmetic.  Seeded at the A-side
-    and B-side swaps, so the result never exceeds :func:`delete_bound`;
-    deterministic for fixed (pair, restarts, seed).  An a > b is searched as
-    its mirror b|00> + a|11>, the image under X (x) X, a local unitary that
-    moves no objective; the |11> the search scores is the swap's best product
-    target only for b >= a.  The mirror's machines, conjugated by X (x) X on
-    each party's two qubits, which reverses the basis, are the pair's own.
+    The BFGS runs score each machine with the deleted copy against the fixed
+    target |11> (:func:`_delete_objectives_grad`), and the best is that score of
+    the winning machine.  |11> is an admissible target, so the best is an upper
+    bound, and :func:`delete_objective` of the same machine can only be lower in
+    exact arithmetic.  Seeded at the A-side and B-side swaps, so the result
+    never exceeds :func:`delete_bound`; deterministic for fixed (pair, restarts,
+    seed), and seeds share no random start.  An a > b is searched as its mirror
+    b|00> + a|11>, the image under X (x) X, a local unitary that moves no
+    objective; the |11> the search scores is the swap's best product target only
+    for b >= a.  The mirror's machines, conjugated by X (x) X on each party's
+    two qubits, which reverses the basis, are the pair's own.
     """
     if pair.a > pair.b:
         mirror = optimize_delete(SchmidtPair(pair.b), restarts, seed, max_evals)
         machines = tuple(LocalUnitary(u.matrix[::-1, ::-1]) for u in mirror.best_params)
         return replace(mirror, best_params=machines)
-    return _search(pair, *_DELETE, delete_bound(pair), restarts, seed, max_evals)
+    return _search(_delete_inputs(pair), *_DELETE, delete_bound(pair), restarts, seed, max_evals)
 
 
 def optimize_clone(
@@ -456,8 +453,8 @@ def optimize_clone(
 
     Seeded at the universal cloner, so the result never exceeds
     :func:`clone_bound`, and with ``restarts >= 2`` at the basis copier (the
-    identity) too, a stationary point that scores E_R in one evaluation, so
-    it never exceeds ``clone_bound_combined(pair).combined`` (to round-off).
-    Deterministic for fixed (pair, restarts, seed).
+    identity) too, a stationary point that scores E_R in one evaluation, so it
+    never exceeds ``clone_bound_combined(pair).combined`` (to round-off).
+    Deterministic for fixed (pair, restarts, seed); seeds share no random start.
     """
-    return _search(pair, *_CLONE, clone_bound(pair), restarts, seed, max_evals)
+    return _search(_clone_inputs(pair), *_CLONE, clone_bound(pair), restarts, seed, max_evals)

@@ -19,7 +19,7 @@ import pytest
 from mpmath import mp
 
 from dualent.cloning import clone_bound, clone_bound_combined, crossover
-from dualent.deleting import _delete_terms, delete_bound, min_over_product_pure
+from dualent.deleting import _delete_inputs, _delete_terms, delete_bound, min_over_product_pure
 from dualent.qstate import LabeledState, SchmidtPair
 from dualent.variational import optimize_clone, optimize_delete
 
@@ -159,7 +159,8 @@ def _worst_argmin_gap(points, seeds) -> float:
         for point in points:
             pair = SchmidtPair(float(point))
             alice, bob = _searched("delete", pair.a, seed).best_params
-            deleted = _delete_terms(pair, alice.matrix[None], bob.matrix[None])[1][0]
+            weights = _delete_inputs(pair)[1]
+            deleted = _delete_terms(weights, alice.matrix[None], bob.matrix[None])[1][0]
             value, ket = min_over_product_pure(LabeledState(deleted, (2, 2), ("A'", "B'")))
             with mp.workdps(50):
                 a = mp.mpf(pair.a)

@@ -138,9 +138,12 @@ class TestKetAndState:
         assert twice.labels == once.labels == ("A", "B")
         assert twice.matrix.tobytes() == once.matrix.tobytes()
 
-    @pytest.mark.parametrize("dims", [(2.9, 2), (2.5, 2), (np.float64(2.0), 2), ("4",)])
+    @pytest.mark.parametrize(
+        "dims", [(2.9, 2), (2.5, 2), (np.float64(2.0), 2), ("4",), (True, 4), (np.True_, 4)]
+    )
     def test_non_integral_dims_rejected(self, dims):
-        # read with operator.index: a float or string dimension is refused, not truncated
+        # read with operator.index: a float or string dimension is refused, not
+        # truncated, and so is a bool, which operator.index alone reads as 0 or 1
         with pytest.raises(ValueError, match="factor dimensions must be integers"):
             LabeledState(np.eye(4) / 4, dims, ("A", "B")[: len(dims)])
         with pytest.raises(ValueError, match="factor dimensions must be integers"):
@@ -361,11 +364,8 @@ class TestConstructionCensus:
         assert calls == {"matrix_log2_on_support": 1}
 
     def test_swap_deleter_and_measure_forget(self, census, monkeypatch):
-        from dualent import deleting
-
-        deleting._delete_constants.cache_clear()
         local_delete_swap(SchmidtPair(0.6))
-        # psi for the cached targets, both outputs and the argmin ket
+        # psi for the scorer's targets, both outputs and the argmin ket
         assert census == {("Ket", (2, 2)): 2, ("LabeledState", (2, 2)): 2}
         census.clear()
         traces = []
