@@ -125,9 +125,9 @@ def matrix_log2_on_support(matrix: np.ndarray):
 
 def _integers(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints, read with ``operator.index``: integers of
-    any integer type but bool pass; a bool, a float or a string is refused."""
-    values = tuple(values)
+    any integer type but bool pass; a bool, float, string or bare int is refused."""
     try:
+        values = tuple(values)
         if bool in map(type, values):  # operator.index reads True as 1
             raise TypeError
         return tuple(map(operator.index, values))

@@ -250,16 +250,13 @@ def _pure_rel_entropy_grad(vec: np.ndarray, rho: np.ndarray):
     value, overlaps, on_support = _pure_rel_entropy_on(vec, values, vectors)
     low = np.minimum(values[..., :, None], values[..., None, :])
     high = np.maximum(values[..., :, None], values[..., None, :])
-    gap = high - low
-    both = on_support[..., :, None] & on_support[..., None, :]
-    one = on_support[..., :, None] ^ on_support[..., None, :]
+    gap, row, col = high - low, on_support[..., :, None], on_support[..., None, :]
     # computed everywhere, then selected: both on the support, log1p(gap /
     # low) / gap, the limit 1 / low at gap 0; one on the support, the larger
-    # eigenvalue's log / gap; neither, 0
+    # eigenvalue's log / gap (gap > 0 there); neither, 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        inside = np.where(gap > 0, np.log1p(gap / low) / gap, 1 / low)
-        edge = np.log(high) / gap
-    diff = np.where(both, inside, np.where(one, edge, 0.0))
+        top = np.where(row & col, np.log1p(gap / low), np.log(high))
+        diff = np.where(row | col, np.where(gap > 0, top / gap, 1 / low), 0.0)
     inner = (diff / math.log(2.0)) * (overlaps[..., :, None] * overlaps[..., None, :].conj())
     return value, -(vectors @ inner @ vectors.conj().swapaxes(-1, -2))
 

@@ -18,12 +18,14 @@ perturbed start and exp(iH) for a random one, on its own random stream.
 Each family's chart and starts are read-only arrays built at import.
 
 Each restart is a Riemannian descent on the unitary group: it carries its
-current machine U and steps to U exp(iH) for a generator H of the moved
-coordinates (Abrudan, Eriksson and Koivunen, IEEE Trans. Signal Process. 56,
-1134 (2008); Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
-Manifolds, 2008).  Every gradient is read at H = 0 in the chart of the
-machine it belongs to, where exp(iH) has derivative iH.  The reports carry
-each run's final machine as it is.
+current machine U and steps to U C(H), with C(H) = (I - iH/2)^-1 (I + iH/2)
+the Cayley transform of a generator H of the moved coordinates (Wen and
+Yin, Math. Program. 142, 397 (2013); Abrudan, Eriksson and Koivunen, IEEE
+Trans. Signal Process. 56, 1134 (2008); Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008).  C(H) is unitary and,
+like exp(iH), has derivative iH at H = 0, so every gradient is read at H = 0
+in the chart of the machine it belongs to.  The reports carry each run's
+final machine as it is.
 
 One circuit, :func:`~dualent.qstate._local_output`, runs both families'
 machines and its one adjoint differentiates them.  Each family has one
@@ -72,7 +74,7 @@ from .deleting import (
 from .qstate import SchmidtPair, _local_output, _local_output_adjoint, _pure_rel_entropy_grad
 
 # value-and-gradient evaluations per restart; the longest restart seen, a
-# random deleting restart at a = 0.7027 (bench search seed 2115), took 256
+# random deleting restart at a = 0.7027 (bench search seed 2115), took 328
 MAX_EVALS = 2000
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _GRAD_TOL = 1e-9  # converged: max |gradient| at most this ...
@@ -271,8 +273,9 @@ def _bfgs(start, size: int, max_evals: int):
     is a failed trial.  Until the first curvature pair enters, the run moves
     along -g, first trying min(1, 1 / |g|), at most a unit distance; that
     pair first sets the inverse Hessian H to s.y / y.y times the identity
-    (eq. 6.20).  A pair updates H only when s.y > 1e-12 y.y, which keeps H
-    positive definite.
+    (eq. 6.20).  A pair updates H by eq. 6.17, as the one rank-2 product H +=
+    v s^T + s v^T with v = (rho + rho^2 y.Hy) s / 2 - rho Hy, rho = 1 / s.y,
+    only when s.y > 1e-12 y.y, which keeps H positive definite.
     """
     value, grad, _ = yield start, np.zeros(size)
     point, nfev, nit = start, 1, 0
@@ -302,14 +305,13 @@ def _bfgs(start, size: int, max_evals: int):
             if step * np.abs(direction).max() < _STEP_TOL:
                 return point, value, nfev, nit, "stalled"
         y = trial_grad - grad
-        sy = s @ y
-        if sy > 1e-12 * (y @ y):
+        sy, yy = s @ y, y @ y
+        if sy > 1e-12 * yy:
             if h is None:
-                h = np.eye(s.size) * (sy / (y @ y))
+                h = np.eye(s.size) * (sy / yy)
             hy, rho = h @ y, 1.0 / sy
-            h += (rho + rho * rho * (y @ hy)) * (s[:, None] * s)
-            hys = hy[:, None] * s
-            h -= rho * (hys + hys.T)
+            vs = (0.5 * (rho + rho * rho * (y @ hy)) * s - rho * hy)[:, None] * s
+            h += vs + vs.T
         nit += 1
         decrease = value - trial_value
         scale = max(abs(value), abs(trial_value), 1.0)
@@ -320,18 +322,18 @@ def _bfgs(start, size: int, max_evals: int):
 
 
 def _stacked_values_and_gradients(inputs, kernel, machines, steps, chart):
-    """Values, gradients and machines of the trials T = U exp(iH(s)), for
+    """Values, gradients and machines of the trials T = U C(H(s)), for
     ``kernel``, a family's value and unitary-gradient kernel on ``inputs``,
     (m, 2, n, n) ``machines`` U, (m, 2 f) ``steps`` s (H_A, then H_B) and the
     ``chart`` of f rows from :func:`_generator_map` that a step moves.  One
-    stacked ``eigh`` of the step generators builds exp(iH).  Each gradient is
-    read in its trial's own frame, at H = 0 in T exp(iH): d value = Re
-    tr(K^dag dH) with K = -i T^dag G for the unitary gradients G; the map
-    reads K off into C-contiguous rows (a strided row rounds the BFGS runs'
-    dot products differently)."""
+    stacked ``solve`` of I - iH/2 against I + iH/2 builds C(H).  Each gradient
+    is read in its trial's own frame, at H = 0 in T C(H), where C has
+    derivative iH: d value = Re tr(K^dag dH) with K = -i T^dag G for the
+    unitary gradients G; the map reads K off into C-contiguous rows (a strided
+    row rounds the BFGS runs' dot products differently)."""
     m, n = len(steps), machines.shape[-1]
-    h = _hermitian(steps.reshape(2 * m, -1), chart, n)
-    trials = machines @ _exp_i(h).reshape(m, 2, n, n)
+    half, eye = 0.5j * _hermitian(steps.reshape(2 * m, -1), chart, n), np.eye(n)
+    trials = machines @ np.linalg.solve(eye - half, eye + half).reshape(m, 2, n, n)
     objectives, grad_u = kernel(inputs, trials[:, 0], trials[:, 1])
     k = -1j * (trials.conj().swapaxes(-1, -2) @ grad_u)
     grads = k.reshape(2 * m, n * n).view(float) @ chart.T
@@ -347,10 +349,10 @@ def _search(inputs, kernel, chart, seeds, reference, restarts, seed, max_evals) 
     pairs (U_A, U_B) in ``seeds``, as they are; every later start r is a
     step base exp(iH(x)), x drawn from ``default_rng((seed, r))``, alternately
     from the first seed with x normal of scale 0.2 and from the identity
-    with x uniform in [-pi, pi].  Each run carries its machine U and steps
-    to U exp(iH(s)); s holds the chart coordinates of H_A, then those of
-    H_B.  An accepted trial becomes the run's machine, so every gradient is
-    read at H = 0, where exp(iH) has derivative iH.
+    with x uniform in [-pi, pi]; the starts keep exp(iH).  Each run steps from
+    its machine U to U C(H(s)) (the Cayley step), s the chart coordinates of
+    H_A, then of H_B.  An accepted trial becomes the run's machine, so every
+    gradient is read at H = 0, where C(H) has derivative iH.
 
     All restarts run in lock-step: each round stacks the machine and the
     next step of every unfinished run into one value-and-gradient call.
@@ -392,8 +394,8 @@ def _search(inputs, kernel, chart, seeds, reference, restarts, seed, max_evals) 
         advance(r, None)
     while pending:
         live = list(pending)
-        machines = np.stack([pending[r][0] for r in live])
-        steps = np.stack([pending[r][1] for r in live])
+        machines = np.array([pending[r][0] for r in live])
+        steps = np.array([pending[r][1] for r in live])
         evaluated = _stacked_values_and_gradients(inputs, kernel, machines, steps, chart)
         for r, value, grad, trial in zip(live, *evaluated):
             advance(r, (float(value), grad, trial))

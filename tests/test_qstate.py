@@ -139,13 +139,14 @@ class TestKetAndState:
         assert twice.matrix.tobytes() == once.matrix.tobytes()
 
     @pytest.mark.parametrize(
-        "dims", [(2.9, 2), (2.5, 2), (np.float64(2.0), 2), ("4",), (True, 4), (np.True_, 4)]
+        "dims", [(2.9, 2), (2.5, 2), (np.float64(2.0), 2), ("4",), (True, 4), (np.True_, 4), 4]
     )
     def test_non_integral_dims_rejected(self, dims):
         # read with operator.index: a float or string dimension is refused, not
-        # truncated, and so is a bool, which operator.index alone reads as 0 or 1
+        # truncated, and so is a bool, which operator.index alone reads as 0 or
+        # 1; a bare integer is not a tuple of dimensions
         with pytest.raises(ValueError, match="factor dimensions must be integers"):
-            LabeledState(np.eye(4) / 4, dims, ("A", "B")[: len(dims)])
+            LabeledState(np.eye(4) / 4, dims, ("A", "B")[: np.size(dims)])
         with pytest.raises(ValueError, match="factor dimensions must be integers"):
             Ket(np.array([1.0, 0.0, 0.0, 0.0]), dims)
 
@@ -306,6 +307,9 @@ class TestSchmidtDecompose:
         # a float index is refused, not truncated to factor 0
         with pytest.raises(ValueError, match=re.escape("cut indices must be integers, got (0.5,)")):
             schmidt_decompose(BELL, cut=((0.5,), (1,)))
+        # so is a bare index in place of a tuple of factors
+        with pytest.raises(ValueError, match=re.escape("cut indices must be integers, got 0")):
+            schmidt_decompose(schmidt_ket(SchmidtPair(0.6)), cut=(0, 1))
         assert len(schmidt_decompose(BELL, cut=((np.int64(0),), (np.int64(1),)))) == 2
 
 

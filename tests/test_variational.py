@@ -7,6 +7,7 @@ from conftest import haar_unitary, projector
 
 from dualent.cloning import _clone_inputs, clone_bound, clone_bound_combined, rho_clone_closed_form
 from dualent.deleting import _delete_inputs, delete_bound, local_delete_swap
+from dualent.linalg import ISOMETRY_TOL
 from dualent.qstate import Ket, SchmidtPair, relative_entropy, trace_out
 from dualent.variational import (
     _SYMMETRIC,
@@ -36,8 +37,15 @@ def _unitaries(x, n):
     return _exp_i(_hermitian(x, _generator_map(n, n), n))
 
 
+def _cayley(x, chart, n):
+    """The Cayley step (I - iH/2)^-1 (I + iH/2) of H(x) for each row x (..., f)
+    of coordinates in a ``chart`` of f rows, as a search round builds it."""
+    half, eye = 0.5j * _hermitian(x, chart, n), np.eye(n)
+    return np.linalg.solve(eye - half, eye + half)
+
+
 class TestParameterisation:
-    """exp(iH(x)), as the searches build their starts and steps."""
+    """exp(iH(x)), as the searches build their starts."""
 
     def test_zero_gives_identity(self):
         for n in (2, 4, 8):
@@ -960,7 +968,7 @@ class TestSearchRecords:
 
     def test_slow_random_restart_near_the_symmetric_point(self, monkeypatch):
         # the slowest restart of the bench plans (seeds 2001-2010, 2101-2120
-        # and 2201-2210), a random deleting one near 1/sqrt(2), took 256
+        # and 2201-2210), a random deleting one near 1/sqrt(2), took 328
         # evaluations: every restart of this search ends within 600, and each
         # run's machine, a product of accepted steps, stays unitary to round-off
         from dualent.variational import MAX_EVALS
@@ -1035,12 +1043,12 @@ class TestGradients:
     along T exp(i eps H(e_p)) at each trial T, and the clone values against
     the public objective."""
 
-    def _check(self, kind, pair, steps, bases=None):
+    def _check(self, kind, pair, steps, bases=None, curve=_unitaries):
         n, (kernel, inputs) = _FAMILIES[kind], _kernel_and_inputs(kind)
         values, grad, trials = _value_and_gradient(kind)(pair, steps, bases)
 
         def along(x):
-            moved = trials @ _unitaries(x.reshape(-1, 2, n * n), n)
+            moved = trials @ curve(x.reshape(-1, 2, n * n), n)
             return kernel(inputs(pair), moved[:, 0], moved[:, 1])[0]
 
         assert np.array_equal(along(np.zeros_like(steps)), values)
@@ -1057,6 +1065,20 @@ class TestGradients:
             self._check(kind, SchmidtPair(a), steps)
             # the same steps from random machines
             self._check(kind, SchmidtPair(a), steps, _random_bases(rng, 3, n))
+
+    @pytest.mark.parametrize("kind", ["delete", "clone"])
+    def test_cayley_curve(self, kind):
+        # a round's steps follow T C(eps H), which has the same derivative
+        # iH at eps = 0 as T exp(i eps H)
+        n = _FAMILIES[kind]
+        rng = np.random.default_rng(151)
+
+        def curve(x, n):
+            return _cayley(x, _generator_map(n, n), n)
+
+        for a in (0.3, SYM):
+            steps = rng.uniform(-math.pi, math.pi, (3, 2 * n * n))
+            self._check(kind, SchmidtPair(a), steps, _random_bases(rng, 3, n), curve)
 
     @pytest.mark.parametrize("a", [0.3, 0.5, SYM])
     def test_seeds_with_degenerate_spectra(self, a):
@@ -1088,11 +1110,62 @@ class TestGradients:
         thetas = rng.uniform(-math.pi, math.pi, (6, 2 * n * n))
         bases = _random_bases(rng, 6, n)
         values, _, trials = _value_and_gradient(kind)(pair, thetas, bases)
-        unitaries = bases @ _unitaries(thetas.reshape(-1, n * n), n).reshape(-1, 2, n, n)
-        assert np.array_equal(trials, unitaries)
+        steps = _cayley(thetas.reshape(-1, n * n), _generator_map(n, n), n)
+        assert np.array_equal(trials, bases @ steps.reshape(-1, 2, n, n))
         records = [(LocalUnitary(u_a), LocalUnitary(u_b)) for u_a, u_b in trials]
         public = [clone_objective(pair, *machine) for machine in records]
         assert np.array(public).tobytes() == values.tobytes()
+
+
+class TestCayleySteps:
+    """A round's trial is U C(H) for the run's machine U and the Cayley map
+    C(H) = (I - iH/2)^-1 (I + iH/2) of its step's generator, in the family's
+    own chart; every C(H) is unitary in exact arithmetic."""
+
+    @staticmethod
+    def _family(kind):
+        """The family's dimension, its search chart and one round of it."""
+        from dualent import variational
+
+        chart = (variational._DELETE if kind == "delete" else variational._CLONE)[1]
+        own, inputs = _kernel_and_inputs(kind)
+        evaluate = variational._stacked_values_and_gradients
+
+        def round_(machines, steps, kernel=own):
+            return evaluate(inputs(SchmidtPair(0.45)), kernel, machines, steps, chart)
+
+        return _FAMILIES[kind], chart, round_
+
+    @pytest.mark.parametrize("kind", ["delete", "clone"])
+    def test_trials_are_cayley_steps_of_random_start_scale(self, kind):
+        n, chart, round_ = self._family(kind)
+        rng = np.random.default_rng(157)
+        bases = _random_bases(rng, 8, n)
+        steps = rng.uniform(-math.pi, math.pi, (8, 2 * len(chart)))
+        trials = round_(bases, steps)[2]
+        want = bases @ _cayley(steps.reshape(16, -1), chart, n).reshape(8, 2, n, n)
+        assert trials.tobytes() == want.tobytes()
+        defect = trials.conj().swapaxes(-1, -2) @ trials - np.eye(n)
+        assert np.abs(defect).max() <= ISOMETRY_TOL
+
+    @pytest.mark.parametrize("kind", ["delete", "clone"])
+    def test_a_run_of_max_evals_chained_steps_stays_unitary(self, kind):
+        # each accepted trial becomes the next machine, so a run's machine is
+        # a product of up to MAX_EVALS steps; a kernel that scores nothing
+        # keeps the round to its steps
+        from dualent.variational import MAX_EVALS
+
+        def no_kernel(inputs, u_alice, u_bob):
+            return np.zeros(len(u_alice)), np.zeros((len(u_alice), 2) + u_alice.shape[1:])
+
+        n, chart, round_ = self._family(kind)
+        rng = np.random.default_rng(163)
+        machines = _random_bases(rng, 2, n)
+        for _ in range(MAX_EVALS):
+            steps = rng.uniform(-math.pi, math.pi, (2, 2 * len(chart)))
+            machines = round_(machines, steps, no_kernel)[2]
+        defect = machines.conj().swapaxes(-1, -2) @ machines - np.eye(n)
+        assert np.abs(defect).max() <= ISOMETRY_TOL
 
 
 def _drive(run, f):
