@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg as la
 from .cloning import clone_bound_combined, crossover
 from .deleting import delete_bound, schmidt_rank_nogo_check
 from .nogo import measure_forget_channel, no_local_cloning_certificate
@@ -47,6 +48,7 @@ def _fmt(key: str, value: float, digits: int = 9) -> str:
 
 def sweep_rows(points: int) -> list[SweepRow]:
     """Bound data on a uniform grid over [0.01, 1/sqrt(2)]."""
+    (points,) = la._integers((points,), "points")
     if points < 2:
         raise ValueError("points must be >= 2")
     rows = []

@@ -174,9 +174,10 @@ def schmidt_decompose(ket: Ket, cut=((0,), (1,))) -> np.ndarray:
     round-off zero near 1e-16; the square root of a Gram eigenvalue would
     lift it to ~1e-8, above the cutoff.
     """
-    left, right = (la._integers(side, "cut indices") for side in cut)
-    if sorted(left + right) != list(range(len(ket.dims))):
+    sides = tuple(la._integers(side, "cut indices") for side in cut)
+    if len(sides) != 2 or sorted(sum(sides, ())) != list(range(len(ket.dims))):
         raise ValueError(f"cut {cut} is not a bipartition of {len(ket.dims)} factors")
+    left, right = sides
     d_left = math.prod(ket.dims[i] for i in left)
     mat = ket.amplitudes.reshape(ket.dims).transpose(left + right).reshape(d_left, -1)
     s = np.linalg.svd(mat, compute_uv=False)

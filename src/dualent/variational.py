@@ -13,9 +13,9 @@ columns its input reaches: 2kn - k^2 reals per party, all 16 for deleting
 and 20 of 36 for cloning.  It starts at the analytic machines (the A/A'
 swap; the universal cloner and the identity, which S turns into the basis
 copier), so its best objective can never exceed the analytic reference
-bound; every other start is a step from a machine, seed exp(iH) for a
-perturbed start and exp(iH) for a random one, on its own random stream.
-Each family's chart and starts are read-only arrays built at import.
+bound; every other start is the first seed times C(H), the run's first
+step (below), H small for a perturbed start and large for a random one, on
+its own random stream.  Each family's chart and seeds are read-only arrays.
 
 Each restart is a Riemannian descent on the unitary group: it carries its
 current machine U and steps to U C(H), with C(H) = (I - iH/2)^-1 (I + iH/2)
@@ -24,8 +24,9 @@ Yin, Math. Program. 142, 397 (2013); Abrudan, Eriksson and Koivunen, IEEE
 Trans. Signal Process. 56, 1134 (2008); Absil, Mahony and Sepulchre,
 Optimization Algorithms on Matrix Manifolds, 2008).  C(H) is unitary and,
 like exp(iH), has derivative iH at H = 0, so every gradient is read at H = 0
-in the chart of the machine it belongs to.  The reports carry each run's
-final machine as it is.
+in the chart of the machine it belongs to; C is the one unitary map, which
+builds every machine a search scores.  The reports carry each run's final
+machine as it is.
 
 One circuit, :func:`~dualent.qstate._local_output`, runs both families'
 machines and its one adjoint differentiates them.  Each family has one
@@ -106,8 +107,9 @@ class LocalUnitary:
 class RestartRecord:
     """How one BFGS run of a search went.
 
-    ``start`` is ``"seed"`` (an analytic machine as it is), ``"perturbed"``
-    (the first seed times exp(iH), H small) or ``"random"`` (exp(iH));
+    ``start`` is ``"seed"`` (an analytic machine), ``"perturbed"`` or
+    ``"random"`` (the first seed times C(H), H small or large, C the Cayley
+    transform);
     ``nfev`` counts value-and-gradient evaluations and ``nit`` accepted steps.
     ``exit`` is ``"converged"`` (gradient or decrease below tolerance),
     ``"maxfev"`` (evaluation budget spent) or ``"stalled"`` (a line search
@@ -159,12 +161,6 @@ def _hermitian(x: np.ndarray, chart: np.ndarray, n: int) -> np.ndarray:
     """The generators H(x) of the coordinate rows of ``x`` (..., f) in a
     ``chart`` of f rows from :func:`_generator_map`, as a (..., n, n) stack."""
     return (x @ chart).view(complex).reshape(x.shape[:-1] + (n, n))
-
-
-def _exp_i(h: np.ndarray) -> np.ndarray:
-    """exp(iH) for each generator H of a (..., n, n) stack, by one stacked ``eigh``."""
-    values, vectors = np.linalg.eigh(h)
-    return (vectors * np.exp(1j * values)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
 def param_to_unitary(machine: LocalUnitary) -> np.ndarray:
@@ -257,16 +253,18 @@ def _clone_objectives_grad(inputs, u_alice: np.ndarray, u_bob: np.ndarray):
     return value, grads
 
 
-def _bfgs(start, size: int, max_evals: int):
+def _bfgs(start, first_step: np.ndarray, max_evals: int):
     """BFGS (Nocedal & Wright, Numerical Optimization, 2nd ed. 2006, section
     6.1) as a generator over an opaque point: it yields ``(point, step)`` for
-    each trial it needs, a step of ``size`` reals away from its current
-    point, and is sent the trial's ``(value, gradient, trial)`` back, the
-    gradient read in the trial's own coordinates.  An accepted trial becomes
-    the point; the curvature pair is the step s and y = g_trial - g.
-    Returns ``(point, value, nfev, nit, exit)`` at the last accepted point.
+    each trial it needs, a real vector as long as ``first_step``, and is sent
+    the trial's ``(value, gradient, trial)`` back, the gradient read in the
+    trial's own coordinates.  An accepted trial becomes the point; the
+    curvature pair is the step s and y = g_trial - g.  Returns ``(point,
+    value, nfev, nit, exit)`` at the last accepted point.
 
-    The first trial is the zero step from ``start``.  Each step backtracks
+    The first trial, ``first_step`` from ``start``, is the first point
+    whatever its value: in a search, a seed (a zero step), or the first seed
+    times C(H) for a perturbed or random start.  Each step backtracks
     along -H g until the Armijo condition holds, moving to the minimiser of
     the quadratic through the value, the slope and the failed trial, kept
     within [0.1, 0.5] of the step; an infinite trial value (off the support)
@@ -277,8 +275,8 @@ def _bfgs(start, size: int, max_evals: int):
     v s^T + s v^T with v = (rho + rho^2 y.Hy) s / 2 - rho Hy, rho = 1 / s.y,
     only when s.y > 1e-12 y.y, which keeps H positive definite.
     """
-    value, grad, _ = yield start, np.zeros(size)
-    point, nfev, nit = start, 1, 0
+    value, grad, point = yield start, first_step
+    nfev, nit = 1, 0
     if not math.isfinite(value):
         return point, value, nfev, nit, "stalled"
     h = None  # the inverse Hessian estimate, once a curvature pair entered
@@ -286,7 +284,7 @@ def _bfgs(start, size: int, max_evals: int):
         direction = -grad if h is None else -(h @ grad)
         slope = grad @ direction
         # Armijo then accepts only decreases, so a run never ends above its
-        # start (the seeds' reference bounds); H is positive definite, so
+        # first point (a seed's reference bound); H is positive definite, so
         # only round-off could make the slope nonnegative
         if not slope < 0:
             h = None
@@ -345,14 +343,14 @@ def _search(inputs, kernel, chart, seeds, reference, restarts, seed, max_evals) 
     a family's value-and-gradient kernel on one pair's ``inputs``, over pairs of
     n x n unitaries, stepping in the family's ``chart`` from :func:`_generator_map`.
 
-    Restart 0, 1, ... start at the analytic seeds, the (2, n, n) machine
-    pairs (U_A, U_B) in ``seeds``, as they are; every later start r is a
-    step base exp(iH(x)), x drawn from ``default_rng((seed, r))``, alternately
-    from the first seed with x normal of scale 0.2 and from the identity
-    with x uniform in [-pi, pi]; the starts keep exp(iH).  Each run steps from
-    its machine U to U C(H(s)) (the Cayley step), s the chart coordinates of
-    H_A, then of H_B.  An accepted trial becomes the run's machine, so every
-    gradient is read at H = 0, where C(H) has derivative iH.
+    Each run steps from its machine U to U C(H(s)) (the Cayley step), s the
+    chart coordinates of H_A, then of H_B.  Restart 0, 1, ... start at the
+    analytic seeds, the (2, n, n) machine pairs (U_A, U_B) in ``seeds``, with
+    a zero first step; every later restart r starts at the first seed times
+    C(H(x)), its first step x drawn from ``default_rng((seed, r))``,
+    alternately normal of scale 0.2 (perturbed) and uniform in [-pi, pi]
+    (random).  An accepted trial becomes the run's machine, so every gradient
+    is read at H = 0, where C(H) has derivative iH.
 
     All restarts run in lock-step: each round stacks the machine and the
     next step of every unfinished run into one value-and-gradient call.
@@ -369,17 +367,15 @@ def _search(inputs, kernel, chart, seeds, reference, restarts, seed, max_evals) 
         raise ValueError(f"seed must be >= 0, got {seed}")
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals}")
-    n, size = seeds[0].shape[-1], 2 * len(chart)
-    # seeds keep their bytes: a product with exp(0) would flip signed zeros
-    starts, origins = ["seed"] * min(restarts, len(seeds)), list(seeds[:restarts])
+    size = 2 * len(chart)
+    starts = ["seed"] * min(restarts, len(seeds))
+    runs = [_bfgs(u, np.zeros(size), max_evals) for u in seeds[:restarts]]
     for r in range(len(seeds), restarts):
         rng = np.random.default_rng((seed, r))
         perturbed = (r - len(seeds)) % 2 == 0
         x = 0.2 * rng.standard_normal(size) if perturbed else rng.uniform(-math.pi, math.pi, size)
-        step = _exp_i(_hermitian(x.reshape(2, -1), chart, n))
         starts.append("perturbed" if perturbed else "random")
-        origins.append(seeds[0] @ step if perturbed else step)
-    runs = [_bfgs(u, size, max_evals) for u in origins]
+        runs.append(_bfgs(seeds[0], x, max_evals))
 
     pending, results = {}, [None] * restarts
 
@@ -416,7 +412,7 @@ def _search(inputs, kernel, chart, seeds, reference, restarts, seed, max_evals) 
     )
 
 
-# each family's kernel, chart and starts: (s, 2, n, n) stacks of (U_A, U_B), the
+# each family's kernel, chart and seeds: (s, 2, n, n) stacks of (U_A, U_B), the
 # swap and its Bob-side image, then the cloner and the copier on both sides
 _SWAP_SEEDS = la._frozen(np.array([u.matrix for u in swap_delete_seed()])[[[0, 1], [1, 0]]])
 _CLONER_SEEDS = la._frozen([[cloner_seed_params().matrix] * 2, [np.eye(6, dtype=complex)] * 2])

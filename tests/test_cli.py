@@ -124,6 +124,13 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--points", "1", "--out", "/tmp/x.csv")
         assert code != 0
 
+    @pytest.mark.parametrize("points", [2.5, True])
+    def test_non_integral_points_rejected(self, points):
+        # a float is refused, not a numpy TypeError, and True is not read as 1
+        message = f"points must be integers, got ({points},)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep_rows(points)
+
 
 class TestCrossoverCommand:
     def test_value_and_determinism(self, capsys):

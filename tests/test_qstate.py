@@ -310,6 +310,10 @@ class TestSchmidtDecompose:
         # so is a bare index in place of a tuple of factors
         with pytest.raises(ValueError, match=re.escape("cut indices must be integers, got 0")):
             schmidt_decompose(schmidt_ket(SchmidtPair(0.6)), cut=(0, 1))
+        # a cut of one side or of three is not a bipartition, whatever it covers
+        for cut in [((0, 1),), ((0,), (1,), ())]:
+            with pytest.raises(ValueError, match="not a bipartition of 2 factors"):
+                schmidt_decompose(BELL, cut=cut)
         assert len(schmidt_decompose(BELL, cut=((np.int64(0),), (np.int64(1),)))) == 2
 
 

@@ -12,7 +12,6 @@ from dualent.qstate import Ket, SchmidtPair, relative_entropy, trace_out
 from dualent.variational import (
     _SYMMETRIC,
     LocalUnitary,
-    _exp_i,
     _generator_map,
     _hermitian,
     clone_objective,
@@ -31,6 +30,14 @@ GRID_20 = np.linspace(0.01, SYM, 20)
 FAST_EVALS = 250
 
 
+def _exp_i(h):
+    """exp(iH) for each generator H of a (..., n, n) stack, by one stacked
+    ``eigh``: the kernel tests draw their random machines with it, off the
+    searches' own map."""
+    values, vectors = np.linalg.eigh(h)
+    return (vectors * np.exp(1j * values)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+
+
 def _unitaries(x, n):
     """exp(iH(x)) for each row x (..., n^2) of generator coordinates on the
     whole map: the diagonal, then (re, im) of the upper triangle row by row."""
@@ -45,17 +52,17 @@ def _cayley(x, chart, n):
 
 
 class TestParameterisation:
-    """exp(iH(x)), as the searches build their starts."""
+    """C(H(x)), as the searches build every machine they score."""
 
     def test_zero_gives_identity(self):
         for n in (2, 4, 8):
-            u = _unitaries(np.zeros(n * n), n)
+            u = _cayley(np.zeros(n * n), _generator_map(n, n), n)
             assert np.max(np.abs(u - np.eye(n))) < 1e-12
 
     def test_random_params_give_unitary(self):
         rng = np.random.default_rng(79)
         for n in (2, 4, 8):
-            u = _unitaries(rng.uniform(-math.pi, math.pi, n * n), n)
+            u = _cayley(rng.uniform(-math.pi, math.pi, n * n), _generator_map(n, n), n)
             assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-10
 
     def test_generator_layout_matches_loop_reference(self):
@@ -196,9 +203,9 @@ class TestSeeds:
 
         starts, bfgs = [], variational._bfgs
 
-        def spy_bfgs(start, size, max_evals):
+        def spy_bfgs(start, first_step, max_evals):
             starts.append(start)
-            return bfgs(start, size, max_evals)
+            return bfgs(start, first_step, max_evals)
 
         monkeypatch.setattr(variational, "_bfgs", spy_bfgs)
         optimize_delete(SchmidtPair(0.6), restarts=2, seed=1, max_evals=1)
@@ -267,31 +274,53 @@ class TestSeeds:
 
     @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
     def test_seeds_share_no_random_start(self, monkeypatch, search):
-        # restart r draws from its own stream (seed, r): with seed + r, restart
-        # 4 of seed 1 was restart 2 of seed 3, the same run twice
+        # restart r draws its first step from its own stream (seed, r): with
+        # seed + r, restart 4 of seed 1 was restart 2 of seed 3, the same run
+        # twice; every later restart steps from the same first seed
         from dualent import variational
 
-        starts, bfgs = [], variational._bfgs
+        steps, bfgs = [], variational._bfgs
 
-        def spy_bfgs(start, size, max_evals):
-            starts.append(start.tobytes())
-            return bfgs(start, size, max_evals)
+        def spy_bfgs(start, first_step, max_evals):
+            steps.append(first_step.tobytes())
+            return bfgs(start, first_step, max_evals)
 
         monkeypatch.setattr(variational, "_bfgs", spy_bfgs)
         drawn = []
         for seed in (1, 3):
-            starts.clear()
+            steps.clear()
             search(SchmidtPair(0.5), restarts=5, seed=seed, max_evals=1)
-            drawn.append(set(starts[2:]))
+            drawn.append(set(steps[2:]))
         assert len(drawn[0]) == len(drawn[1]) == 3 and not drawn[0] & drawn[1]
+
+    @pytest.mark.parametrize("search", [optimize_delete, optimize_clone])
+    def test_every_start_is_built_in_a_round(self, monkeypatch, search):
+        # the runs are handed the seeds as they are, with zero first steps,
+        # and later restarts the first seed with a drawn one: no start
+        # machine is built outside the round, whose Cayley step makes it
+        from dualent import variational
+
+        seeds = (variational._DELETE if search is optimize_delete else variational._CLONE)[2]
+        first, second = (seed.tobytes() for seed in seeds)
+        handed, bfgs = [], variational._bfgs
+
+        def spy_bfgs(start, first_step, max_evals):
+            handed.append((start.tobytes(), first_step.any()))
+            return bfgs(start, first_step, max_evals)
+
+        monkeypatch.setattr(variational, "_bfgs", spy_bfgs)
+        for a in (0.3, 0.8):
+            handed.clear()
+            search(SchmidtPair(a), restarts=6, seed=2, max_evals=3)
+            assert handed == [(first, False), (second, False)] + [(first, True)] * 4
 
     @pytest.mark.parametrize("kind", ["delete", "clone"])
     def test_later_starts_are_steps(self, monkeypatch, kind):
-        # restarts 2 and 4 step from the first seed, restart 3 from the
-        # identity, with coordinates drawn from default_rng((seed, r)); the
-        # steps move the generator rows i < 4 (deleting) or i < 2 (cloning)
-        from dualent import variational
-
+        # restart r's first trial, where a run of one evaluation ends, is the
+        # first seed times C(H(x)), x drawn from default_rng((seed, r)):
+        # normal of scale 0.2 for restarts 2 and 4, uniform in [-pi, pi] for
+        # restart 3; the steps move the generator rows i < 4 (deleting) or
+        # i < 2 (cloning)
         if kind == "delete":
             search, n, k = optimize_delete, 4, 4
             first = np.array([machine.matrix for machine in swap_delete_seed()])
@@ -299,26 +328,18 @@ class TestSeeds:
             search, n, k = optimize_clone, 6, 2
             first = np.array([cloner_seed_params().matrix] * 2)
 
-        starts, bfgs = [], variational._bfgs
-
-        def spy_bfgs(start, size, max_evals):
-            starts.append(start)
-            return bfgs(start, size, max_evals)
-
-        monkeypatch.setattr(variational, "_bfgs", spy_bfgs)
-        search(SchmidtPair(0.6), restarts=5, seed=4, max_evals=1)
+        report, _, finals = _spied_search(monkeypatch, search, SchmidtPair(0.6), 5, 4, 1)
         generators = _generator_map(n, k)
         size = 2 * len(generators)
-
-        def step(x):
-            return _exp_i(_hermitian(x.reshape(2, -1), generators, n))
-
         for r in (2, 4):
             xi = np.random.default_rng((4, r)).standard_normal(size)
-            want = first @ step(0.2 * xi)
-            assert starts[r].tobytes() == want.tobytes()
+            want = first @ _cayley((0.2 * xi).reshape(2, -1), generators, n)
+            assert np.array(finals[r]).tobytes() == want.tobytes()
         x = np.random.default_rng((4, 3)).uniform(-math.pi, math.pi, size)
-        assert starts[3].tobytes() == step(x).tobytes()
+        want = first @ _cayley(x.reshape(2, -1), generators, n)
+        assert np.array(finals[3]).tobytes() == want.tobytes()
+        starts = [record.start for record in report.restart_records]
+        assert starts == ["seed", "seed", "perturbed", "random", "perturbed"]
 
 
 class TestDeleteObjective:
@@ -510,11 +531,11 @@ def _spied_search(monkeypatch, search, pair, restarts, seed, max_evals=FAST_EVAL
         sent.append(h.reshape(-1, n, n))
         return evaluate(inputs, kernel, machines, steps, generators)
 
-    def spy_bfgs(start, size, max_evals):
+    def spy_bfgs(start, first_step, max_evals):
         # the runs are made in restart order, and end in any order
         final = []
         finals.append(final)
-        result = yield from bfgs(start, size, max_evals)
+        result = yield from bfgs(start, first_step, max_evals)
         final.extend(result[0])
         return result
 
@@ -949,8 +970,8 @@ class TestSearchRecords:
             seen.append(("round", grads.flags.c_contiguous))
             return values, grads, trials
 
-        def spy_bfgs(start, size, max_evals):
-            run = bfgs(start, size, max_evals)
+        def spy_bfgs(start, first_step, max_evals):
+            run = bfgs(start, first_step, max_evals)
             point = next(run)
             while True:
                 sent = yield point
@@ -1192,7 +1213,8 @@ class TestBfgs:
     def test_converges_on_rosenbrock(self):
         from dualent.variational import _bfgs
 
-        x, value, nfev, nit, exit = _drive(_bfgs(np.array([-1.2, 1.0]), 2, 2000), _rosenbrock)
+        run = _bfgs(np.array([-1.2, 1.0]), np.zeros(2), 2000)
+        x, value, nfev, nit, exit = _drive(run, _rosenbrock)
         assert exit == "converged" and nfev < 2000 and nit >= 1
         assert np.max(np.abs(x - 1.0)) < 1e-6 and value < 1e-12
 
@@ -1205,7 +1227,7 @@ class TestBfgs:
             seen.append(x)
             return _rosenbrock(x)
 
-        x, value, nfev, _, exit = _drive(_bfgs(np.array([-1.2, 1.0, 0.0, 0.7]), 4, 7), f)
+        x, value, nfev, _, exit = _drive(_bfgs(np.array([-1.2, 1.0, 0.0, 0.7]), np.zeros(4), 7), f)
         assert (nfev, exit) == (7, "maxfev") and len(seen) == 7
         assert value == min(_rosenbrock(p)[0] for p in seen)
         assert any(np.array_equal(x, p) for p in seen)
@@ -1220,7 +1242,7 @@ class TestBfgs:
                 return math.inf, np.zeros_like(x)
             return float(np.sum((x - 2.0) ** 2)), 2.0 * (x - 2.0)
 
-        x, value, _, _, exit = _drive(_bfgs(np.zeros(2), 2, 500), f)
+        x, value, _, _, exit = _drive(_bfgs(np.zeros(2), np.zeros(2), 500), f)
         assert math.isfinite(value) and x @ x <= 1.0
         assert exit in ("converged", "stalled")
         assert np.max(np.abs(x - math.sqrt(0.5))) < 1e-3
@@ -1228,7 +1250,7 @@ class TestBfgs:
     def test_a_stationary_start_costs_one_evaluation(self):
         from dualent.variational import _bfgs
 
-        result = _drive(_bfgs(np.ones(4), 4, 100), _rosenbrock)
+        result = _drive(_bfgs(np.ones(4), np.zeros(4), 100), _rosenbrock)
         assert result[2:] == (1, 0, "converged")
 
     def test_ill_conditioned_quadratic(self):
@@ -1243,5 +1265,5 @@ class TestBfgs:
         def f(x):
             return 0.5 * float(x @ hessian @ x), hessian @ x
 
-        x, _, _, _, exit = _drive(_bfgs(np.ones(32), 32, 400), f)
+        x, _, _, _, exit = _drive(_bfgs(np.ones(32), np.zeros(32), 400), f)
         assert exit == "converged" and np.max(np.abs(x)) <= 1e-8
