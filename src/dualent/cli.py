@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -24,6 +24,26 @@ from .variational import optimize_clone, optimize_delete
 SWEEP_A_MIN = 0.01  # the a -> 0 endpoint is a product state with both bounds 0
 MEASURE_FORGET_SAMPLES = 200
 RESIDUAL_TOL = 1e-12
+# the printed formats that differ from the writer's default
+_FORMATS = {
+    "crossover": ".6f", "best_objective": ".12f", "reference_bound": ".12f", "max_residual": ".3e"
+}
+_SWEEP_COLUMNS = ("a", "E_R", "S_clone", "C_bound", "D_bound")
+
+
+def _text(name: str, value) -> str:
+    """``value`` as printed under ``name``: a float to 9 decimals unless
+    ``_FORMATS`` names another format, a bool in lower case, else ``str``."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, _FORMATS.get(name, ".9f"))
+    return str(value)
+
+
+def _report(**fields) -> str:
+    """A one-line ``key=value`` report, each value written by ``_text``."""
+    return " ".join(f"{name}={_text(name, value)}" for name, value in fields.items())
 
 
 @dataclass(frozen=True)
@@ -37,13 +57,7 @@ class SweepRow:
     d_bound: float
 
     def render(self) -> str:
-        return ",".join(
-            f"{v:.9f}" for v in (self.a, self.e_r, self.s_clone, self.c_bound, self.d_bound)
-        )
-
-
-def _fmt(key: str, value: float, digits: int = 9) -> str:
-    return f"{key}={value:.{digits}f}"
+        return ",".join(map(_text, _SWEEP_COLUMNS, astuple(self)))
 
 
 def sweep_rows(points: int) -> list[SweepRow]:
@@ -68,29 +82,19 @@ def sweep_rows(points: int) -> list[SweepRow]:
 
 
 def render_sweep_csv(points: int) -> str:
-    header = "a,E_R,S_clone,C_bound,D_bound"
+    header = ",".join(_SWEEP_COLUMNS)
     return "\n".join([header] + [row.render() for row in sweep_rows(points)]) + "\n"
 
 
 def _cmd_clone_bound(args) -> int:
     record = clone_bound_combined(SchmidtPair(args.a))
-    print(
-        " ".join(
-            [
-                _fmt("a", record.a),
-                _fmt("E_R", record.e_r),
-                _fmt("S_clone", record.s_clone),
-                _fmt("combined", record.combined),
-            ]
-        )
-    )
+    print(_report(a=record.a, E_R=record.e_r, S_clone=record.s_clone, combined=record.combined))
     return 0
 
 
 def _cmd_delete_bound(args) -> int:
     pair = SchmidtPair(args.a)
-    e = _pair_entropy(pair)
-    print(" ".join([_fmt("a", pair.a), _fmt("E", e), _fmt("D_bound", delete_bound(pair))]))
+    print(_report(a=pair.a, E=_pair_entropy(pair), D_bound=delete_bound(pair)))
     return 0
 
 
@@ -107,43 +111,37 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
-    print(_fmt("crossover", crossover(), digits=6))
+    print(_report(crossover=crossover()))
     return 0
 
 
 def _cmd_nogo(args) -> int:
-    # as the library decides it, psi is product at Schmidt rank 1, entangled at E > 0
+    # psi is product at Schmidt rank 1 and entangled at E > 0, and each verdict
+    # checks its witness against the rule it does not use
     a = 0.6 if args.a is None else args.a
+    pair = SchmidtPair(a)
     if args.which == "schmidt":
-        check = schmidt_rank_nogo_check(SchmidtPair(a))
+        check = schmidt_rank_nogo_check(pair)
         note = "deletable" if check.deletable else "FAIL-to-delete"
-        fields = (
-            f"a={a:.9f} rank_input={check.rank_input} rank_target={check.rank_target} "
-            f"deletable={str(check.deletable).lower()} note={note}"
-        )
-        ok = check.deletable == (check.rank_target == 1)
+        fields = dict(a=a, **check._asdict(), note=note)
+        ok = check.deletable == (_pair_entropy(pair) == 0)
     elif args.which == "distill":
-        cert = no_local_cloning_certificate(SchmidtPair(a))
-        fields = (
-            f"a={a:.9f} {_fmt('ed_input', cert.ed_input)} "
-            f"{_fmt('ed_required', cert.ed_required)} "
-            f"contradiction={str(cert.contradiction).lower()}"
-        )
-        ok = cert.contradiction == (cert.ed_input > 0)
+        cert = no_local_cloning_certificate(pair)
+        fields = dict(a=a, **cert._asdict())
+        ok = cert.contradiction == (schmidt_rank_nogo_check(pair).rank_target == 2)
     else:
         if args.a is None:
             draws = np.random.default_rng(0).standard_normal((MEASURE_FORGET_SAMPLES, 2, 2))
             kets = [raw / np.linalg.norm(raw) for raw in draws[:, 0] + 1j * draws[:, 1]]
-            label = f"kets={MEASURE_FORGET_SAMPLES}"
+            fields = dict(kets=MEASURE_FORGET_SAMPLES)
         else:
-            pair = SchmidtPair(args.a)
-            kets, label = [np.array([pair.a, pair.b])], f"a={args.a:.9f}"
+            kets, fields = [np.array([pair.a, pair.b])], dict(a=a)
         residual = 0.0
         for ket in kets:
             system_out, env_out = measure_forget_channel(Ket(ket, (2,)))
             residual = max(residual, float(np.max(np.abs(system_out.matrix - env_out.matrix))))
-        fields, ok = f"{label} max_residual={residual:.3e}", residual < RESIDUAL_TOL
-    print(f"{fields} verdict={'PASS' if ok else 'FAIL'}")
+        fields["max_residual"], ok = residual, residual < RESIDUAL_TOL
+    print(_report(**fields, verdict="PASS" if ok else "FAIL"))
     return 0 if ok else 1
 
 
@@ -152,21 +150,18 @@ def _cmd_variational(args) -> int:
     search = optimize_delete if args.kind == "delete" else optimize_clone
     report = search(pair, restarts=args.restarts, seed=args.seed)
     breach = report.best_objective > report.reference_bound + 1e-6
-    print(
-        f"kind={args.kind} a={args.a:.9f} "
-        f"best_objective={report.best_objective:.12f} "
-        f"reference_bound={report.reference_bound:.12f} "
-        f"restarts_used={report.restarts_used} seed={report.seed} "
-        f"verdict={'FAIL' if breach else 'PASS'}"
-    )
+    shown = ("best_objective", "reference_bound", "restarts_used", "seed")
+    fields = {name: getattr(report, name) for name in shown}
+    print(_report(kind=args.kind, a=args.a, **fields, verdict="FAIL" if breach else "PASS"))
     return 1 if breach else 0
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"a must be in [0, 1], got {text}")
-    return value
+def _schmidt_a(text: str) -> float:
+    """``--a`` as ``SchmidtPair`` admits it; text it refuses is a usage error."""
+    try:
+        return SchmidtPair(float(text)).a
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,11 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("clone-bound", help="both cloning-side bounds at one a")
-    p.add_argument("--a", type=_nonneg_float, required=True)
+    p.add_argument("--a", type=_schmidt_a, required=True)
     p.set_defaults(func=_cmd_clone_bound)
 
     p = sub.add_parser("delete-bound", help="the deleting bound at one a")
-    p.add_argument("--a", type=_nonneg_float, required=True)
+    p.add_argument("--a", type=_schmidt_a, required=True)
     p.set_defaults(func=_cmd_delete_bound)
 
     p = sub.add_parser("sweep", help="CSV of all bounds on an a-grid")
@@ -195,12 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nogo", help="impossibility witnesses")
     p.add_argument("which", choices=["schmidt", "measure-forget", "distill"])
-    p.add_argument("--a", type=_nonneg_float, default=None)
+    p.add_argument("--a", type=_schmidt_a, default=None)
     p.set_defaults(func=_cmd_nogo)
 
     p = sub.add_parser("variational", help="seeded BFGS search over local unitaries")
     p.add_argument("kind", choices=["clone", "delete"])
-    p.add_argument("--a", type=_nonneg_float, required=True)
+    p.add_argument("--a", type=_schmidt_a, required=True)
     p.add_argument("--restarts", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_variational)

@@ -22,6 +22,12 @@ NORM_TOL = 1e-12
 SUPPORT_LEAK_TOL = 1e-10
 # singular values below this do not count toward the Schmidt rank
 SCHMIDT_RANK_TOL = 1e-10
+# types float() reads as a real number though they are none
+_NOT_REAL = frozenset(
+    (str, bytes, bytearray, np.str_, np.bytes_)  # "0.5" and b"0.5"
+    + (bool, np.bool_)
+    + (np.complex64, np.complex128, np.clongdouble)  # the imaginary part dropped
+)
 
 
 def _real_valued(array) -> np.ndarray:
@@ -146,14 +152,20 @@ class SchmidtPair:
     Any a in [0, 1] is admitted, the product states a = 0 and a = 1
     included.  X (x) X maps the pair to its mirror (b, a), and every measure
     here is invariant under local unitaries, so a and sqrt(1 - a^2) give the
-    same values; a <= 1/sqrt(2) covers the family once.
+    same values; a <= 1/sqrt(2) covers the family once.  A string, bytes, a
+    bool, a complex or anything else ``float()`` refuses raises ``ValueError``.
     """
 
     a: float
     b: float = field(init=False)
 
     def __post_init__(self):
-        a = float(self.a)
+        try:
+            if type(self.a) in _NOT_REAL:  # not isinstance: every bound builds a pair
+                raise TypeError
+            a = float(self.a)
+        except TypeError:
+            raise ValueError(f"Schmidt coefficient must be a real number, got {self.a!r}") from None
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"Schmidt coefficient a = {a} outside [0, 1]")
         object.__setattr__(self, "a", a)

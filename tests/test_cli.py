@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualent import cli
 from dualent.cli import main, render_sweep_csv, sweep_rows
+from dualent.deleting import SchmidtRankCheck
 from dualent.qstate import SchmidtPair, _pair_entropy, schmidt_decompose, schmidt_ket
 
 
@@ -200,9 +202,9 @@ class TestNogoCommand:
                 assert (code, parse_report(out.strip())["verdict"]) == (0, "PASS"), (which, a)
 
     def test_entangled_exactly_at_schmidt_rank_two(self, capsys):
-        # one rule decides psi: E > 0, in the library and in the distill
-        # verdict, exactly where the Schmidt rank is 2, also just above the
-        # rank's cutoff, at a = 1e-10 and the next float
+        # one rule decides psi: E > 0 exactly where the Schmidt rank is 2, in
+        # the library and in both verdicts, also just above the rank's cutoff,
+        # at a = 1e-10 and the next float
         points = np.r_[np.logspace(-14, 0, 57), 1e-10, np.nextafter(1e-10, 1.0)]
         for a in map(float, points):
             pair = SchmidtPair(a)
@@ -212,6 +214,17 @@ class TestNogoCommand:
             contradiction = parse_report(out.strip())["contradiction"] == "true"
             _, out, _ = run_cli(capsys, "nogo", "schmidt", "--a", repr(a))
             assert contradiction == (parse_report(out.strip())["rank_target"] == "2"), a
+
+    def test_verdicts_check_the_other_rule(self, capsys, monkeypatch):
+        # schmidt's verdict reads E, distill's the Schmidt rank, so a rule that
+        # disagrees with the witness fails the verdict
+        monkeypatch.setattr(cli, "_pair_entropy", lambda pair: 0.0)
+        code, out, _ = run_cli(capsys, "nogo", "schmidt", "--a", "0.6")
+        assert (code, parse_report(out.strip())["verdict"]) == (1, "FAIL")
+        product = SchmidtRankCheck(rank_input=1, rank_target=1, deletable=True)
+        monkeypatch.setattr(cli, "schmidt_rank_nogo_check", lambda pair: product)
+        code, out, _ = run_cli(capsys, "nogo", "distill", "--a", "0.6")
+        assert (code, parse_report(out.strip())["verdict"]) == (1, "FAIL")
 
     def test_unknown_selector_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -289,7 +302,8 @@ FAMILY_COMMANDS = [
 
 class TestFamilyRange:
     """Every command takes a in [0, 1]: past 1/sqrt(2) the family continues
-    as the mirror of a <= 1/sqrt(2), and a outside [0, 1] is a usage error."""
+    as the mirror of a <= 1/sqrt(2), and an a that ``SchmidtPair`` refuses is
+    a usage error with the library's own message."""
 
     @pytest.mark.parametrize("argv", FAMILY_COMMANDS, ids=" ".join)
     def test_a_past_the_symmetric_point_is_answered(self, capsys, argv):
@@ -302,7 +316,8 @@ class TestFamilyRange:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--a", "1.5"])
         assert exc.value.code == 2
-        assert "a must be in [0, 1], got 1.5" in capsys.readouterr().err
+        message = "argument --a: Schmidt coefficient a = 1.5 outside [0, 1]\n"
+        assert capsys.readouterr().err.endswith(message)
 
 
 # A None entry in sys.modules makes every scipy (and mpmath, which only the
@@ -394,6 +409,20 @@ def test_library_runs_without_scipy(tmp_path):
     assert "kind=delete a=0.707106782 best_objective=1.999999996681 " in done.stdout
     assert "a=0.800000000 E=0.942683189 D_bound=1.586539379\n" in done.stdout
     assert (tmp_path / "s.csv").read_text().count("\n") == 6
+
+
+def test_import_loads_no_test_or_reference_library():
+    # a guarded "try: import scipy" would pass the test above yet slow every
+    # import of the library
+    import dualent
+
+    script = "import sys, dualent, dualent.cli\nprint(*{m.split('.')[0] for m in sys.modules})"
+    env = dict(os.environ, PYTHONPATH=str(Path(dualent.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "dualent" in loaded
+    assert loaded.isdisjoint({"scipy", "mpmath", "hypothesis", "pytest"})
 
 
 # runs the README's python block statement by statement, keeping the value of

@@ -87,6 +87,25 @@ class TestSchmidtPair:
         with pytest.raises(ValueError):
             SchmidtPair(-0.1)
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            # float() reads text and bools as numbers, and drops a numpy complex's imaginary part
+            "0.5", b"0.5", bytearray(b"0.5"), np.str_("0.5"), True, np.True_, np.complex128(0.5),
+            # float() raises TypeError
+            0.5 + 0j, None, [0.5],
+        ],
+    )
+    def test_non_real_a_rejected(self, a):
+        message = f"Schmidt coefficient must be a real number, got {a!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SchmidtPair(a)
+
+    @pytest.mark.parametrize("a", [1, np.float32(0.5), np.float64(0.6), np.int64(0), np.array(0.6)])
+    def test_real_numbers_of_any_type_admitted(self, a):
+        pair = SchmidtPair(a)
+        assert type(pair.a) is float and pair.a == float(a)
+
     def test_inconsistent_pair_rejected(self):
         # b is computed from a, so no b can be passed to contradict it
         with pytest.raises(TypeError):
