@@ -41,7 +41,7 @@ class CloneIsometry:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = la._frozen(np.asarray(self.matrix, dtype=complex))
+        matrix = la._frozen(la._numbers(self.matrix).astype(complex, copy=False))
         object.__setattr__(self, "matrix", matrix)
         if matrix.shape != (8, 2):
             raise ValueError(f"clone isometry must be 8x2, got {matrix.shape}")

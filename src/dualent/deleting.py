@@ -136,30 +136,21 @@ _P, _Q = _STENCIL.real, _STENCIL.imag
 _FIT = np.linalg.pinv(np.stack([np.ones(9), _P, _Q, _P * _P / 2, _Q * _Q / 2, _P * _Q], 1))
 
 
-def _top_eigvec(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Unit top eigenvectors of the 2x2 matrices h = A diag(d) A^dag, for a
-    (..., 2, n) stack A: (lambda - h_11, conj h_01) or (h_01, lambda - h_00),
-    whichever has no cancellation, and |0> where h is scalar."""
-    diagonal = (a.real**2 + a.imag**2) @ d
-    half, b = 0.5 * (diagonal[..., 0] - diagonal[..., 1]), (a[..., 0, :] * a[..., 1, :].conj()) @ d
-    big = np.abs(half) + np.hypot(half, np.abs(b)) + (half == 0) * (b == 0)
-    v = np.stack([np.where(half < 0, b, big), np.where(half < 0, big, b.conj())], -1)
-    return v / np.sqrt(big * big + np.abs(b) ** 2)[..., None]
-
-
 def _sphere_search(values: np.ndarray, vectors: np.ndarray, rank: int) -> np.ndarray:
     """The product kets x (x) y(x) that a search over x ends on, for rank 3
     or 4 and both orders of the parties: from the two best grid kets x0 of
     each order, trust-region Newton steps in the chart (x0 + u x0_perp) /
     sqrt(1 + |u|^2), with g and H fitted to the stencil's scores."""
-    # y(x) is the top eigenvector of <x|K|x>, K = sum_m d_m |e_m><e_m|: log2 rho at
-    # rank 4, and -|w><w| for the null vector w at rank 3, which puts x (x) y in the support
+    # y(x) is the top eigenvector of h = <x|K|x> = A diag(d) A^dag, A's columns
+    # (<x| (x) I) e_m, K = sum_m d_m |e_m><e_m|: log2 rho at rank 4, and -|w><w|
+    # for the null vector w at rank 3, which puts x (x) y in the support
     d = np.log2(values) if rank == 4 else [-1.0, 0.0, 0.0, 0.0]
     v = np.stack([vectors, vectors[_EXCHANGE]]).reshape(2, 1, 1, 2, 8)  # as given, exchanged
 
     def score(x):
-        a = (x.conj()[..., None, :] @ v).reshape(x.shape[:-1] + (2, 4))  # (<x| (x) I) e_m
-        kets = (x[..., :, None] * _top_eigvec(a, d)[..., None, :]).reshape(x.shape[:-1] + (4,))
+        a = (x.conj()[..., None, :] @ v).reshape(x.shape[:-1] + (2, 4))
+        y = np.linalg.eigh((a * d) @ a.conj().swapaxes(-1, -2))[1][..., :, -1]
+        kets = (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (4,))
         kets[1] = kets[1][..., _EXCHANGE]
         return _pure_rel_entropy_on(kets, values, vectors)[0], kets
 
@@ -233,9 +224,10 @@ def min_over_product_pure(state: LabeledState):
     at r <= 2 the candidates are its eigenvectors and the kets t e1 + e2
     with det(t M1 + M2) = 0, for e1, e2 as 2x2 matrices M1, M2, which are
     all the product kets inside it; at r = 3 and 4 a search over x on one
-    Bloch sphere adds x (x) y(x), with y(x) in closed form, from a grid on
-    both parties' spheres.  Returns ``(value, argmin_ket)``; the value is
-    ``math.inf`` when no product ket lies in the support.
+    Bloch sphere adds x (x) y(x), with y(x) the top eigenvector of a 2x2
+    matrix, from a grid on both parties' spheres.  Returns ``(value,
+    argmin_ket)``; the value is ``math.inf`` when no product ket lies in the
+    support.
     """
     if state.dims != (2, 2):
         raise ValueError(f"two-qubit state required, got dims {state.dims}")

@@ -1,10 +1,11 @@
 """Dense linear algebra for small multipartite operators.
 
 Operators are plain ``numpy.ndarray`` as the ``qstate`` constructors stored
-them, float64 or complex128, so a real operator is factored, diagonalised and
-traced in real arithmetic.  Subsystem structure is never implicit: every
-operation that cares about tensor factors takes the factor dimensions as an
-explicit list, so six-register partial traces stay readable at the call site.
+them, float64 or complex128, from arrays that :func:`_numbers` admits, so a
+real operator is factored, diagonalised and traced in real arithmetic.
+Subsystem structure is never implicit: every operation that cares about
+tensor factors takes the factor dimensions as an explicit list, so
+six-register partial traces stay readable at the call site.
 
 A state's values are checked once, when ``qstate.LabeledState`` is built, and
 its stored matrix is read-only, so the eigensolve and the matrix logarithm
@@ -55,6 +56,16 @@ def as_matrix(matrix) -> np.ndarray:
     out = np.asarray(matrix)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")
+    return out
+
+
+def _numbers(array) -> np.ndarray:
+    """``array`` as an array, checked to hold numbers: its dtype's kind is
+    integer, unsigned, float or complex.  A bool, string, bytes or object
+    array raises ``ValueError``, where a conversion would read "1" or True as 1."""
+    out = np.asarray(array)
+    if out.dtype.kind not in "iufc":
+        raise ValueError(f"expected an array of numbers, got dtype {out.dtype}")
     return out
 
 

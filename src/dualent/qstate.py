@@ -31,10 +31,11 @@ _NOT_REAL = frozenset(
 
 
 def _real_valued(array) -> np.ndarray:
-    """The one dtype rule for states and kets: float64 when the values are real
+    """The one dtype rule for states and kets: numbers only, as
+    :func:`~dualent.linalg._numbers` decides; float64 when the values are real
     (real-typed, or complex with no nonzero imaginary part; a NaN is nonzero),
     read from the real part; else complex128.  The caller makes the stored copy."""
-    array = np.asarray(array)
+    array = la._numbers(array)
     if array.dtype.kind == "c":
         if np.count_nonzero(array.imag):
             return array.astype(complex, copy=False)
@@ -101,7 +102,11 @@ class LabeledState:
 
 
 def _label_tuple(labels: str | Sequence[str]) -> tuple[str, ...]:
-    """``labels`` as a tuple of strings; a bare string is one label, not its characters."""
+    """``labels`` as a tuple of strings; a bare string is one label, not its
+    characters, and a bare bytes or bytearray, which would read as its byte
+    values, raises ``ValueError``."""
+    if isinstance(labels, (bytes, bytearray)):
+        raise ValueError(f"labels must be strings, got {labels!r}")
     return (labels,) if isinstance(labels, str) else tuple(map(str, labels))
 
 

@@ -92,7 +92,7 @@ class LocalUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = la._frozen(la.as_matrix(np.asarray(self.matrix, dtype=complex)))
+        matrix = la._frozen(la.as_matrix(la._numbers(self.matrix).astype(complex, copy=False)))
         object.__setattr__(self, "matrix", matrix)
         defect = la.isometry_defect(matrix)
         if not defect <= la.ISOMETRY_TOL:

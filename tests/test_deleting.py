@@ -12,6 +12,7 @@ from dualent.deleting import (
     SchmidtRankCheck,
     _EQUAL_COPIES_TOL,
     _min_product_pure_matrix,
+    _sphere_search,
     delete_bound,
     global_delete,
     local_delete_swap,
@@ -587,6 +588,43 @@ class TestProductMinimumOracles:
         oracle = _in_support_values(matrix, _rank_three_product_kets(matrix, GRID_KETS))[0]
         value = _product_minimum(matrix)
         assert math.isfinite(value) and value <= oracle.min() + 1e-9
+
+
+def _factors(ket):
+    """x, y of a product ket x (x) y: its top singular pair."""
+    u, _, vh = np.linalg.svd(ket.reshape(2, 2))
+    return u[:, 0], vh[0]
+
+
+class TestSphereSearchKets:
+    """The kets x (x) y(x) that the rank-3/4 search ends on, read directly: the
+    first two search over A's ket x and the last two over B's, and the other
+    party's ket is y(x), the top eigenvector of a 2x2 matrix set by x."""
+
+    def test_rank_four_y_is_the_top_eigenvector_given_x(self):
+        # measured: the worst gap over the 32 kets is 1.6e-15
+        rng = np.random.default_rng(41)
+        for _ in range(8):
+            values, vectors = np.linalg.eigh(_ginibre_state(rng, 4))
+            log = (vectors * np.log2(values)) @ vectors.conj().T
+            tensor = log.reshape(2, 2, 2, 2)
+            for k, ket in enumerate(_sphere_search(values, vectors, 4)):
+                x, y = _factors(ket)
+                # log2 rho compressed to the searched ket: <x j|log|x l>, or <i y|log|k y>
+                if k < 2:
+                    compressed = np.einsum("i,ijkl,k->jl", x.conj(), tensor, x)
+                else:
+                    compressed = np.einsum("j,ijkl,l->ik", y.conj(), tensor, y)
+                expectation = np.vdot(ket, log @ ket).real
+                assert abs(expectation - np.linalg.eigvalsh(compressed)[-1]) <= 1e-12
+
+    def test_rank_three_kets_are_orthogonal_to_the_null_vector(self):
+        # measured: the largest overlap over the 32 kets is 1.6e-16
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            values, vectors = np.linalg.eigh(_ginibre_state(rng, 3))
+            kets = _sphere_search(values, vectors, 3)
+            assert np.abs(kets @ vectors[:, 0].conj()).max() <= 1e-12
 
 
 def _projector(*terms):

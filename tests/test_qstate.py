@@ -169,6 +169,16 @@ class TestKetAndState:
         with pytest.raises(ValueError, match="factor dimensions must be integers"):
             Ket(np.array([1.0, 0.0, 0.0, 0.0]), dims)
 
+    def test_a_bytes_label_is_refused(self):
+        # bytes and bytearray iterate as byte values: b"A" used to read as the
+        # label "65", so trace_out(state, b"A") traced out the factor named "65"
+        state = LabeledState(np.eye(4) / 4, (2, 2), ("65", "B"))
+        for label in (b"A", bytearray(b"A")):
+            with pytest.raises(ValueError, match=re.escape(f"labels must be strings, got {label!r}")):
+                trace_out(state, label)
+            with pytest.raises(ValueError, match="labels must be strings"):
+                LabeledState(np.eye(2) / 2, (2,), label)
+
     def test_integer_dims_of_any_integer_type_accepted(self):
         for dims in ((2, 2), np.array([2, 2]), (np.int64(2), np.int32(2))):
             state = LabeledState(np.eye(4) / 4, dims, ("A", "B"))
@@ -230,6 +240,47 @@ def test_checked_arrays_are_owned_and_read_only(build, argument, stored):
     assert getattr(checked, stored).tobytes() == before.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         getattr(checked, stored).reshape(-1)[0] = 7.0
+
+
+@pytest.mark.parametrize(
+    "build, dtype",
+    [
+        (lambda: LabeledState(np.array([["1", "0"], ["0", "0"]]), (2,), ("A",)), "<U1"),
+        (lambda: LabeledState(np.array([[True, False], [False, False]]), (2,), ("A",)), "bool"),
+        (
+            lambda: LabeledState(np.array([[True, False], [False, False]], dtype=object), (2,), ("A",)),
+            "object",
+        ),
+        (lambda: Ket(np.array(["1", "0"]), (2,)), "<U1"),
+        (lambda: Ket(np.array([b"1", b"0"]), (2,)), "|S1"),
+        (lambda: LocalUnitary(np.array([["1", "0"], ["0", "1"]])), "<U1"),
+        (lambda: LocalUnitary(np.eye(2, dtype=bool)), "bool"),
+        (lambda: CloneIsometry(np.eye(8, 2, dtype=bool)), "bool"),
+    ],
+    ids=[
+        "state-str",
+        "state-bool",
+        "state-object",
+        "ket-str",
+        "ket-bytes",
+        "local-unitary-str",
+        "local-unitary-bool",
+        "clone-isometry-bool",
+    ],
+)
+def test_checked_arrays_refuse_what_is_not_numbers(build, dtype):
+    # each was accepted: numpy reads "1" and True as 1 when it converts
+    with pytest.raises(ValueError, match=re.escape(f"expected an array of numbers, got dtype {dtype}")):
+        build()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.float32, np.complex64])
+def test_checked_arrays_admit_every_kind_of_number(dtype):
+    # integer, unsigned, float and complex: the four kinds the rule admits
+    assert LabeledState(np.diag([1, 0]).astype(dtype), (2,), ("A",)).matrix.dtype == np.float64
+    assert Ket(np.array([0, 1], dtype=dtype), (2,)).amplitudes.dtype == np.float64
+    assert LocalUnitary(np.eye(2, dtype=dtype)).matrix.dtype == np.complex128
+    assert CloneIsometry(np.eye(8, 2, dtype=dtype)).matrix.dtype == np.complex128
 
 
 class TestSchmidtKet:
